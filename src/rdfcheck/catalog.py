@@ -38,7 +38,7 @@ class Severity(enum.IntEnum):
     def parse(cls, text: str) -> "Severity":
         try:
             return cls[text.strip().upper()]
-        except KeyError:
+        except (AttributeError, KeyError):
             raise CatalogError(
                 f"unknown severity {text!r} (expected info, warning, or error)"
             ) from None
@@ -53,11 +53,26 @@ _REQ_LEVELS = ("load", "eval", "opt")
 
 @dataclass(frozen=True)
 class ConstraintType:
+    """A constraint type: its parameter schema and the checker evaluating it.
+
+    ``check`` names the checker as ``"<module>.<function>"`` under
+    ``rdfcheck.checks`` (a string, because the checkers import this module).
+    ``needs`` lists the shared run objects it takes first, from "ctx" (the
+    graph context), "cube", "stats" and "hierarchy" (the extracted models).
+    The engine calls it with those objects, then the "load"/"eval"
+    parameters positionally in schema order, then the "opt" parameters the
+    constraint sets as keywords under their schema names (an optional
+    ``scope`` falls back to the constraint's own scope), then ``cid`` and
+    ``severity``.
+    """
+
     id: str
+    check: str | None
     schema: dict[str, tuple[str, str]]
     requirements: tuple[str, ...] = ()
     description: str = ""
     eval_any_of: tuple[tuple[str, ...], ...] = ()
+    needs: tuple[str, ...] = ("ctx",)
 
     def __post_init__(self) -> None:
         for name, (kind, req) in self.schema.items():
@@ -90,36 +105,42 @@ CONSTRAINT_TYPES: dict[str, ConstraintType] = {}
 
 def _register(
     type_id: str,
+    check: str | None,
     schema: dict[str, tuple[str, str]],
     requirements: tuple[str, ...] = (),
     description: str = "",
     eval_any_of: tuple[tuple[str, ...], ...] = (),
+    needs: tuple[str, ...] = ("ctx",),
 ) -> None:
     CONSTRAINT_TYPES[type_id] = ConstraintType(
-        type_id, schema, requirements, description, eval_any_of
+        type_id, check, schema, requirements, description, eval_any_of, needs
     )
 
 
 _register(
     "subsumption",
+    "schema.check_subsumption",
     {"class": ("iri", "load"), "superclass": ("iri", "load")},
     ("R-100-SUBSUMPTION",),
     "Instances of one class must also be typed by a second class.",
 )
 _register(
     "class-equivalence",
+    "schema.check_class_equivalence",
     {"class1": ("iri", "load"), "class2": ("iri", "load")},
     ("R-3-EQUIVALENT-CLASSES",),
     "Two classes must have identical instance sets.",
 )
 _register(
     "subproperty",
+    "schema.check_subproperty",
     {"property": ("iri", "load"), "superproperty": ("iri", "load")},
     ("R-54-SUB-OBJECT-PROPERTIES", "R-64-SUB-DATA-PROPERTIES"),
     "Every statement under a property must be repeated under its super-property.",
 )
 _register(
     "property-domain",
+    "schema.check_domain",
     {"property": ("iri", "load"), "classes": ("iri_list", "load")},
     ("R-25-OBJECT-PROPERTY-DOMAIN", "R-26-DATA-PROPERTY-DOMAIN",
      "R-17-DISJUNCTION-OF-CLASS-EXPRESSIONS"),
@@ -127,12 +148,14 @@ _register(
 )
 _register(
     "domain-table",
+    "schema.check_domain_table",
     {"domains": ("iri_map", "load")},
     ("R-25-OBJECT-PROPERTY-DOMAIN", "R-26-DATA-PROPERTY-DOMAIN"),
     "Per-property domain restrictions generated for a whole vocabulary.",
 )
 _register(
     "property-range",
+    "schema.check_range",
     {
         "property": ("iri", "load"),
         "classes": ("iri_list", "opt"),
@@ -148,6 +171,7 @@ _register(
 )
 _register(
     "range-table",
+    "schema.check_range_table",
     {"ranges": ("range_map", "load")},
     ("R-28-OBJECT-PROPERTY-RANGE", "R-35-DATA-PROPERTY-RANGE",
      "R-91-UNIVERSAL-QUANTIFICATION-ON-PROPERTIES"),
@@ -155,30 +179,35 @@ _register(
 )
 _register(
     "inverse-pair",
+    "schema.check_inverse_pair",
     {"property": ("iri", "load"), "inverse": ("iri", "load"), "scope": ("iri", "opt")},
     ("R-56-INVERSE-OBJECT-PROPERTIES",),
     "Statements under a property must be mirrored under its inverse.",
 )
 _register(
     "asymmetric-property",
+    "schema.check_asymmetric",
     {"property": ("iri", "load")},
     ("R-62-ASYMMETRIC-OBJECT-PROPERTIES",),
     "No two individuals may point at each other through the property.",
 )
 _register(
     "irreflexive-property",
+    "schema.check_irreflexive",
     {"property": ("iri", "load"), "scope": ("iri", "opt")},
     ("R-60-IRREFLEXIVE-OBJECT-PROPERTIES",),
     "No individual (optionally: of a class) may point at itself through the property.",
 )
 _register(
     "irreflexive-table",
+    "schema.check_irreflexive_table",
     {"vocabulary": ("string", "load")},
     ("R-60-IRREFLEXIVE-OBJECT-PROPERTIES",),
     "Every declared property of a vocabulary is irreflexive.",
 )
 _register(
     "disjoint-properties",
+    "schema.check_disjoint_properties",
     {
         "vocabulary": ("string", "opt"),
         "properties": ("iri_list", "opt"),
@@ -190,6 +219,7 @@ _register(
 )
 _register(
     "disjoint-classes",
+    "schema.check_disjoint_classes",
     {"vocabulary": ("string", "opt"), "classes": ("iri_list", "opt"),
      "exempt_pairs": ("pairs", "opt")},
     ("R-7-DISJOINT-CLASSES",),
@@ -198,6 +228,7 @@ _register(
 )
 _register(
     "cardinality",
+    "schema.check_cardinality",
     {
         "property": ("iri", "load"),
         "scope": ("iri", "load"),
@@ -219,24 +250,28 @@ _register(
 )
 _register(
     "cardinality-table",
+    "schema.check_cardinality_table",
     {"rules": ("rule_list", "eval")},
     ("R-211-CARDINALITY-CONSTRAINTS",),
     "A set of cardinality rules for one vocabulary.",
 )
 _register(
     "exclusive-property-groups",
+    "schema.check_exclusive_property_groups",
     {"scope": ("iri", "load"), "groups": ("groups", "load")},
     ("R-13-DISJOINT-GROUP-OF-PROPERTIES-CLASS-SPECIFIC",),
     "Exactly one of several property groups must be fully present per instance.",
 )
 _register(
     "uniqueness-key",
+    "schema.check_uniqueness_key",
     {"property": ("iri", "eval"), "scope": ("iri", "opt")},
     ("R-58-INVERSE-FUNCTIONAL-OBJECT-PROPERTIES", "R-226-PRIMARY-KEY-PROPERTIES"),
     "A key value may identify at most one focus node; scoped keys must be total.",
 )
 _register(
     "allowed-values",
+    "schema.check_allowed_values",
     {
         "property": ("iri", "load"),
         "scope": ("iri", "opt"),
@@ -249,6 +284,7 @@ _register(
 )
 _register(
     "vocab-membership",
+    "cube.check_membership",
     {
         "mode": (_mode("scheme", "qb-codelist"), "opt"),
         "property": ("iri", "opt"),
@@ -258,9 +294,11 @@ _register(
     ("R-32-MEMBERSHIP-OF-RDF-OBJECTS-IN-CONTROLLED-VOCABULARIES",
      "R-39-MEMBERSHIP-OF-RDF-LITERALS-IN-CONTROLLED-VOCABULARIES"),
     "Property values must belong to a named controlled vocabulary or code list.",
+    needs=("ctx", "cube"),
 )
 _register(
     "deprecated-terms",
+    "schema.check_deprecated_terms",
     {"vocabulary": ("string", "load"),
      "kind": (_mode("classes", "properties"), "load")},
     ("R-209-VALID-CLASSES", "R-210-VALID-PROPERTIES"),
@@ -268,18 +306,21 @@ _register(
 )
 _register(
     "undefined-terms",
+    "schema.check_undefined_terms",
     {"vocabulary": ("string", "load")},
     (),
     "Terms inside the vocabulary namespace that the inventory does not declare.",
 )
 _register(
     "http-scheme",
+    "schema.check_http_scheme",
     {},
     (),
     "Every IRI must use the http or https scheme.",
 )
 _register(
     "equivalent-properties",
+    "schema.check_equivalent_properties",
     {"vocabulary": ("string", "opt"), "pairs": ("pairs", "opt")},
     ("R-4-EQUIVALENT-OBJECT-PROPERTIES", "R-5-EQUIVALENT-DATA-PROPERTIES"),
     "Statements under one member of an equivalent pair must be mirrored under the other.",
@@ -287,6 +328,7 @@ _register(
 )
 _register(
     "data-property-facets",
+    "lexical.check_facets",
     {
         "property": ("iri", "load"),
         "scope": ("iri", "opt"),
@@ -304,6 +346,7 @@ _register(
 )
 _register(
     "literal-pattern",
+    "lexical.check_literal_pattern",
     {
         "property": ("iri", "eval"),
         "scope": ("iri", "opt"),
@@ -317,6 +360,7 @@ _register(
 )
 _register(
     "iri-pattern",
+    "lexical.check_iri_pattern",
     {
         "position": (_mode("subject", "predicate", "object"), "load"),
         "pattern": ("pattern", "eval"),
@@ -329,6 +373,7 @@ _register(
 )
 _register(
     "literal-range",
+    "lexical.check_literal_range",
     {
         "property": ("iri", "load"),
         "scope": ("iri", "opt"),
@@ -345,6 +390,7 @@ _register(
 )
 _register(
     "literal-comparison",
+    "lexical.check_literal_comparison",
     {
         "property1": ("iri", "load"),
         "property2": ("iri", "load"),
@@ -356,6 +402,7 @@ _register(
 )
 _register(
     "language-tag",
+    "lexical.check_language_tags",
     {
         "property": ("iri", "load"),
         "scope": ("iri", "opt"),
@@ -370,6 +417,7 @@ _register(
 )
 _register(
     "language-coverage",
+    "lexical.check_language_coverage",
     {
         "mode": (_mode("omitted-or-invalid", "incomplete", "no-common"), "load"),
         "properties": ("iri_list", "opt"),
@@ -379,12 +427,14 @@ _register(
 )
 _register(
     "whitespace",
+    "lexical.check_whitespace",
     {"property": ("iri", "eval"), "scopes": ("iri_list", "opt")},
     ("R-50-WHITESPACE-HANDLING-OF-RDF-LITERALS",),
     "Literals must carry no leading or trailing whitespace.",
 )
 _register(
     "html-balance",
+    "lexical.check_html_balance",
     {
         "vocabulary": ("string", "opt"),
         "mode": (_mode("vocab-properties", "class-subjects"), "opt"),
@@ -396,6 +446,7 @@ _register(
 )
 _register(
     "string-composition",
+    "lexical.check_string_composition",
     {
         "scope": ("iri", "load"),
         "target": ("iri", "load"),
@@ -407,12 +458,15 @@ _register(
 )
 _register(
     "percentage-sum",
+    "statistics.check_percentage_sum",
     {"tolerance": ("number", "opt")},
     ("R-42-MATHEMATICAL-OPERATIONS", "R-41-STATISTICAL-COMPUTATIONS"),
     "Per variable, category percentages over its code list must sum to 100.",
+    needs=("stats",),
 )
 _register(
     "frequency-totals",
+    "statistics.check_frequency_totals",
     {
         "mode": (
             _mode("sum-vs-total", "valid-sum", "invalid-sum", "valid-plus-invalid",
@@ -423,33 +477,43 @@ _register(
     },
     ("R-42-MATHEMATICAL-OPERATIONS", "R-41-STATISTICAL-COMPUTATIONS"),
     "Per variable, category frequencies must agree with the summary case counts.",
+    needs=("ctx", "stats"),
 )
 _register(
     "min-max-consistency",
+    "statistics.check_min_max",
     {},
     ("R-42-MATHEMATICAL-OPERATIONS",),
     "A variable's minimum summary statistic must not exceed its maximum.",
+    needs=("stats",),
 )
 _register(
     "cumulative-chain",
+    "statistics.check_cumulative_chain",
     {"mode": (_mode("chain", "last-100"), "load"), "tolerance": ("number", "opt")},
     ("R-42-MATHEMATICAL-OPERATIONS",),
     "Cumulative percentages must accumulate code by code and end at 100.",
+    needs=("stats",),
 )
 _register(
     "statistic-applicability",
+    "statistics.check_statistic_applicability",
     {"mode": (_mode("string-stats", "categorical-mean"), "load")},
     ("R-42-MATHEMATICAL-OPERATIONS",),
     "Summary statistic types must be applicable to the variable's representation.",
+    needs=("stats",),
 )
 _register(
     "qb-integrity",
+    "cube.check_qb_integrity",
     {"ic": ("int", "load")},
     ("R-86-EXISTENTIAL-QUANTIFICATION-ON-PROPERTIES", "R-211-CARDINALITY-CONSTRAINTS"),
     "One of the Data Cube integrity constraints (IC-3 through IC-21).",
+    needs=("ctx", "cube"),
 )
 _register(
     "skos-structure",
+    "skos.check_skos_structure",
     {
         "mode": (
             _mode("orphan", "disconnected", "cycles", "valueless-associative",
@@ -461,15 +525,19 @@ _register(
     },
     (),
     "Graph-structural quality checks over the concept hierarchy.",
+    needs=("ctx", "hierarchy"),
 )
 _register(
     "skos-clashes",
+    "skos.check_skos_clashes",
     {"mode": (_mode("relation", "mapping", "misuse"), "load")},
     (),
     "Semi-formal consistency checks between hierarchical, associative, and mapping links.",
+    needs=("ctx", "hierarchy"),
 )
 _register(
     "skos-labeling",
+    "skos.check_skos_labeling",
     {
         "mode": (
             _mode("undocumented", "overlapping", "missing", "unprintable", "empty",
@@ -482,6 +550,7 @@ _register(
 )
 _register(
     "presence",
+    "misc.check_presence",
     {
         "scope": ("iri", "eval"),
         "properties": ("iri_list", "opt"),
@@ -495,6 +564,7 @@ _register(
 )
 _register(
     "conditional-properties",
+    "misc.check_conditional_properties",
     {
         "scope": ("iri", "load"),
         "if_present": ("iri_list", "opt"),
@@ -508,6 +578,7 @@ _register(
 )
 _register(
     "ordering",
+    "misc.check_ordering",
     {
         "container": ("iri", "load"),
         "link": ("iri", "load"),
@@ -520,6 +591,7 @@ _register(
 )
 _register(
     "aggregation",
+    "misc.check_aggregation",
     {
         "scope": ("iri", "load"),
         "path": ("path", "opt"),
@@ -533,9 +605,11 @@ _register(
     ("R-120-HANDLE-RDF-COLLECTIONS",),
     "Counts per focus, checked against an expectation or reported as metrics.",
     eval_any_of=(("path", "kind"),),
+    needs=("ctx", "stats"),
 )
 _register(
     "variable-comparability",
+    "misc.check_variable_comparability",
     {
         "variables": ("iri_list", "eval"),
         "mode": (_mode("sizes", "descriptions", "structure", "labels", "presence"),
@@ -543,15 +617,18 @@ _register(
     },
     ("R-120-HANDLE-RDF-COLLECTIONS",),
     "A declared comparison group of variables must be structurally comparable.",
+    needs=("ctx", "stats"),
 )
 _register(
     "single-root",
+    "misc.check_single_root",
     {"link_property": ("iri", "load")},
     (),
     "The targeted concept hierarchy must have exactly one root.",
 )
 _register(
     "subsuper-redundancy",
+    "misc.check_subsuper_redundancy",
     {"general": ("iri", "load"), "specifics": ("iri_list", "load"),
      "flag_redundant": ("bool", "opt")},
     ("R-224-USE-SUB-SUPER-RELATIONS-IN-VALIDATION",),
@@ -559,12 +636,14 @@ _register(
 )
 _register(
     "default-values",
+    "misc.check_default_values",
     {"defaults": ("default_list", "load")},
     ("R-31-DEFAULT-VALUES-OF-RDF-OBJECTS", "R-38-DEFAULT-VALUES-OF-RDF-LITERALS"),
     "Instances lacking a property would receive its declared default value.",
 )
 _register(
     "value-datatype",
+    "misc.check_value_datatype",
     {
         "properties": ("iri_list", "opt"),
         "datatype": ("iri", "opt"),
@@ -575,6 +654,7 @@ _register(
 )
 _register(
     "not-evaluable",
+    None,
     {},
     (),
     "A constraint named by the source material without enough body to evaluate.",
@@ -885,9 +965,12 @@ class Catalog:
         self.inventories = dict(inventories)
         subclass_edges: list[tuple[str, str]] = []
         subproperty_edges: list[tuple[str, str]] = []
+        # scheme IRI -> member IRIs, over all inventories (later ones win)
+        self.controlled_vocabularies: dict[str, list[str]] = {}
         for inv in self.inventories.values():
             subclass_edges.extend(inv.subclass_of)
             subproperty_edges.extend(inv.subproperty_of)
+            self.controlled_vocabularies.update(inv.controlled_vocabularies)
         self.subclass_closure = _transitive_closure(subclass_edges)
         self.subproperty_closure = _transitive_closure(subproperty_edges)
 
@@ -1111,10 +1194,14 @@ def _parse_constraint(entry: Any, prefixes: dict[str, str]) -> Constraint:
     )
 
 
-def load_catalog(document: bytes | str | dict) -> Catalog:
-    """Parse and validate one catalog document."""
+def _read_document(document: bytes | str | dict) -> tuple[dict, dict[str, str]]:
+    """Decode a catalog document and check its top-level shape; returns the
+    document and its prefix table (well-known prefixes plus its own)."""
     if isinstance(document, bytes):
-        document = document.decode("utf-8")
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CatalogError(f"catalog is not valid UTF-8: {exc}") from None
     if isinstance(document, str):
         try:
             doc = json.loads(document)
@@ -1127,11 +1214,20 @@ def load_catalog(document: bytes | str | dict) -> Catalog:
     unknown = set(doc) - {"prefixes", "vocabularies", "constraints"}
     if unknown:
         raise CatalogError(f"catalog: unknown top-level keys {sorted(unknown)}")
-    prefixes = dict(WELL_KNOWN_PREFIXES)
     raw_prefixes = doc.get("prefixes", {})
     if not isinstance(raw_prefixes, dict):
         raise CatalogError("catalog 'prefixes' must be an object")
+    for key in ("vocabularies", "constraints"):
+        if not isinstance(doc.get(key, []), list):
+            raise CatalogError(f"catalog {key!r} must be an array")
+    prefixes = dict(WELL_KNOWN_PREFIXES)
     prefixes.update({str(k): str(v) for k, v in raw_prefixes.items()})
+    return doc, prefixes
+
+
+def load_catalog(document: bytes | str | dict) -> Catalog:
+    """Parse and validate one catalog document."""
+    doc, prefixes = _read_document(document)
 
     inventories: dict[str, VocabularyInventory] = {}
     for entry in doc.get("vocabularies", []):
@@ -1166,19 +1262,7 @@ def merge_catalogs(base: Catalog, override: Catalog | bytes | str | dict) -> Cat
             constraints[cid] = constraint
         return Catalog(constraints, inventories)
 
-    if isinstance(override, bytes):
-        override = override.decode("utf-8")
-    if isinstance(override, str):
-        try:
-            doc = json.loads(override)
-        except json.JSONDecodeError as exc:
-            raise CatalogError(f"catalog is not valid JSON: {exc}") from None
-    else:
-        doc = override
-    if not isinstance(doc, dict):
-        raise CatalogError("catalog document must be a JSON object")
-    prefixes = dict(WELL_KNOWN_PREFIXES)
-    prefixes.update({str(k): str(v) for k, v in doc.get("prefixes", {}).items()})
+    doc, prefixes = _read_document(override)
 
     for entry in doc.get("vocabularies", []):
         inv = _parse_inventory(entry, prefixes)

@@ -12,6 +12,7 @@ from ..catalog import Severity
 from ..namespaces import OWL_INVERSE_OF, QB, RDFS_RANGE, SKOS, compact
 from ..terms import BlankNode, Iri, Literal, Term, term_sort_key
 from ..violations import ResourceLimit, Violation, make_violation
+from . import schema
 from .context import GraphContext
 from .models import CubeModel
 
@@ -464,6 +465,31 @@ _IC_HANDLERS = {
     20: _ic20,
     21: _ic21,
 }
+
+
+def check_membership(
+    ctx: GraphContext,
+    cube: CubeModel,
+    *,
+    mode: str = "scheme",
+    property: str | None = None,
+    scope: str | None = None,
+    scheme: str | None = None,
+    cid: str = "vocab-membership",
+    severity: Severity = Severity.ERROR,
+) -> list[Violation]:
+    """Controlled-vocabulary membership against the catalog's member lists:
+    of ``property`` values in ``scheme`` (mode scheme), or of dimension
+    values in their code lists (mode qb-codelist, IC-19)."""
+    members = ctx.catalog.controlled_vocabularies
+    if mode == "qb-codelist":
+        return check_qb_codelist_membership(
+            ctx, cube, inventory_members=members, cid=cid, severity=severity
+        )
+    return schema.check_vocab_membership(
+        ctx, property, scheme, scope=scope, inventory_members=members,
+        cid=cid, severity=severity,
+    )
 
 
 def check_qb_codelist_membership(

@@ -11,7 +11,7 @@ import re
 from decimal import Decimal
 
 from ..catalog import Severity
-from ..namespaces import compact
+from ..namespaces import RDFS_LABEL, SKOS, compact
 from ..terms import Iri, Literal, Term, term_sort_key
 from ..violations import Violation, make_violation
 from ..xsd import (
@@ -21,6 +21,7 @@ from ..xsd import (
     numeric_key,
 )
 from .context import GraphContext
+from .skos import DOCUMENTATION_PROPERTIES
 
 _BCP47_SHAPE = re.compile(r"[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8})*")
 
@@ -45,8 +46,8 @@ def check_facets(
     min_length: int | None = None,
     max_length: int | None = None,
     pattern: str | None = None,
-    min_value=None,
-    max_value=None,
+    min=None,
+    max=None,
     min_exclusive: bool = False,
     max_exclusive: bool = False,
     cid: str = "data-property-facets",
@@ -82,30 +83,30 @@ def check_facets(
                     f"facet pattern {pattern!r}", (prop,),
                 )
             )
-        if min_value is not None or max_value is not None:
+        if min is not None or max is not None:
             try:
                 key = numeric_key(literal_value(lit))
             except (InvalidLexicalError, UnknownDatatypeError):
                 key = None
             if key is not None:
-                if min_value is not None:
-                    bound = Decimal(str(min_value))
+                if min is not None:
+                    bound = Decimal(str(min))
                     if key < bound or (min_exclusive and key == bound):
                         out.append(
                             make_violation(
                                 cid, severity, subject, f"minValue|{lit}",
                                 f"value {lit} of {compact(prop)} is below the "
-                                f"minimum {min_value}", (prop,),
+                                f"minimum {min}", (prop,),
                             )
                         )
-                if max_value is not None:
-                    bound = Decimal(str(max_value))
+                if max is not None:
+                    bound = Decimal(str(max))
                     if key > bound or (max_exclusive and key == bound):
                         out.append(
                             make_violation(
                                 cid, severity, subject, f"maxValue|{lit}",
                                 f"value {lit} of {compact(prop)} is above the "
-                                f"maximum {max_value}", (prop,),
+                                f"maximum {max}", (prop,),
                             )
                         )
     return out
@@ -188,8 +189,8 @@ def check_literal_range(
     datatype: str,
     *,
     scope: str | None = None,
-    min_value=None,
-    max_value=None,
+    min=None,
+    max=None,
     min_exclusive: bool = False,
     max_exclusive: bool = False,
     negated: bool = False,
@@ -201,8 +202,8 @@ def check_literal_range(
     A literal of the wrong datatype or with an invalid lexical form
     produces a datatype violation, not a range verdict.
     """
-    lo = Decimal(str(min_value)) if min_value is not None else None
-    hi = Decimal(str(max_value)) if max_value is not None else None
+    lo = Decimal(str(min)) if min is not None else None
+    hi = Decimal(str(max)) if max is not None else None
     out = []
     for subject, lit in _scoped_literals(ctx, prop, scope):
         if lit.datatype != datatype:
@@ -240,8 +241,8 @@ def check_literal_range(
         if hi is not None and (key > hi or (max_exclusive and key == hi)):
             inside = False
         if inside == negated:
-            span = f"[{min_value if min_value is not None else '-inf'}, " \
-                   f"{max_value if max_value is not None else 'inf'}]"
+            span = f"[{min if min is not None else '-inf'}, " \
+                   f"{max if max is not None else 'inf'}]"
             verb = "falls inside the forbidden" if negated else "falls outside the allowed"
             out.append(
                 make_violation(
@@ -350,9 +351,9 @@ def _primary(tag: str) -> str:
 def check_language_tags(
     ctx: GraphContext,
     prop: str,
+    languages: list[str],
     *,
     scope: str | None = None,
-    languages: list[str],
     min_per_lang: int = 0,
     max_per_lang: int | None = None,
     allow_untagged_as: str | None = None,
@@ -413,12 +414,21 @@ def check_language_tags(
     return out
 
 
+#: Label and note properties language coverage looks at by default.
+DEFAULT_LABEL_PROPERTIES = (
+    SKOS + "prefLabel",
+    SKOS + "altLabel",
+    SKOS + "hiddenLabel",
+    RDFS_LABEL,
+) + DOCUMENTATION_PROPERTIES
+
+
 def check_language_coverage(
     ctx: GraphContext,
     mode: str,
-    label_props: list[str],
+    properties: list[str] | None = None,
     *,
-    concept_class: str,
+    concept_class: str = SKOS + "Concept",
     cid: str = "language-coverage",
     severity: Severity = Severity.INFO,
 ) -> list[Violation]:
@@ -428,6 +438,7 @@ def check_language_coverage(
     incomplete: concepts missing a language from the vocabulary-wide set.
     no-common: no single language shared by all labeled concepts.
     """
+    label_props = properties or list(DEFAULT_LABEL_PROPERTIES)
     out = []
     if mode == "omitted-or-invalid":
         for prop in label_props:
@@ -550,28 +561,37 @@ def html_imbalance(text: str) -> str | None:
 def check_html_balance(
     ctx: GraphContext,
     *,
-    prop: str | None = None,
+    vocabulary: str | None = None,
+    mode: str = "vocab-properties",
+    property: str | None = None,
     scope: str | None = None,
-    properties: list[str] | None = None,
-    scope_classes: list[str] | None = None,
     cid: str = "html-balance",
     severity: Severity = Severity.INFO,
 ) -> list[Violation]:
+    """Literals whose HTML-like tags do not nest, optionally limited to one
+    ``property`` and ``scope``. With ``vocabulary``, mode vocab-properties
+    checks only the vocabulary's properties, class-subjects only subjects
+    typed by one of its classes."""
+    properties = scope_classes = None
+    if vocabulary is not None:
+        inventory = ctx.catalog.inventory(vocabulary)
+        if mode == "vocab-properties":
+            properties = inventory.properties
+        else:
+            scope_classes = inventory.classes
     out = []
     for triple in ctx.graph:
         lit = triple.object
         if not isinstance(lit, Literal):
             continue
         pred = triple.predicate.value
-        if prop is not None and pred != prop:
+        if property is not None and pred != property:
             continue
         if properties is not None and pred not in properties:
             continue
         if scope is not None and not ctx.has_type(triple.subject, scope):
             continue
-        if scope_classes is not None and not (
-            ctx.types_of(triple.subject) & set(scope_classes)
-        ):
+        if scope_classes is not None and not ctx.types_of(triple.subject) & scope_classes:
             continue
         offender = html_imbalance(lit.lexical)
         if offender is not None:

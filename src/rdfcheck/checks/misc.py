@@ -3,6 +3,8 @@ redundancy, default-value, and datatype-validity checks."""
 
 from __future__ import annotations
 
+import builtins
+
 from ..catalog import Severity
 from ..graph import MalformedListError, walk_rdf_list
 from ..namespaces import DCTERMS, SKOS, compact
@@ -207,15 +209,15 @@ def check_ordering(
 
 def check_aggregation(
     ctx: GraphContext,
+    stats: StatisticsModel | None,
     scope: str,
     *,
-    stats: StatisticsModel | None = None,
     path: list[str] | None = None,
     kind: str = "path-count",
     declared_property: str | None = None,
     expect: int | None = None,
-    min_count: int | None = None,
-    max_count: int | None = None,
+    min: int | None = None,
+    max: int | None = None,
     cid: str = "aggregation",
     severity: Severity = Severity.INFO,
 ) -> tuple[list[Violation], list[MetricRecord]]:
@@ -223,7 +225,7 @@ def check_aggregation(
     validated; without one it is emitted as an informational metric."""
     violations: list[Violation] = []
     metrics: list[MetricRecord] = []
-    has_expectation = expect is not None or min_count is not None or max_count is not None
+    has_expectation = expect is not None or min is not None or max is not None
 
     def verdict(node: Term, count: int, what: str) -> None:
         if not has_expectation:
@@ -236,18 +238,18 @@ def check_aggregation(
                     f"{what} is {count}, expected exactly {expect}", (),
                 )
             )
-        if min_count is not None and count < min_count:
+        if min is not None and count < min:
             violations.append(
                 make_violation(
                     cid, severity, node, count,
-                    f"{what} is {count}, expected at least {min_count}", (),
+                    f"{what} is {count}, expected at least {min}", (),
                 )
             )
-        if max_count is not None and count > max_count:
+        if max is not None and count > max:
             violations.append(
                 make_violation(
                     cid, severity, node, count,
-                    f"{what} is {count}, expected at most {max_count}", (),
+                    f"{what} is {count}, expected at most {max}", (),
                 )
             )
 
@@ -285,7 +287,7 @@ def check_aggregation(
             ]
             if declared is None or not collections:
                 continue
-            actual = max(len(collection_members(ctx, c)) for c in collections)
+            actual = builtins.max(len(collection_members(ctx, c)) for c in collections)
             if actual != declared:
                 violations.append(
                     make_violation(
@@ -301,10 +303,10 @@ def check_aggregation(
 
 def check_variable_comparability(
     ctx: GraphContext,
+    stats: StatisticsModel | None,
     variables: list[str],
     mode: str,
     *,
-    stats: StatisticsModel | None = None,
     cid: str = "variable-comparability",
     severity: Severity = Severity.WARNING,
 ) -> list[Violation]:
@@ -486,6 +488,17 @@ def apply_default_values(
                 )
             )
     return additions, violations
+
+
+def check_default_values(
+    ctx: GraphContext,
+    defaults: list[dict],
+    *,
+    cid: str = "default-values",
+    severity: Severity = Severity.INFO,
+) -> list[Violation]:
+    """The info notes of ``apply_default_values``, without the additions."""
+    return apply_default_values(ctx, defaults, cid=cid, severity=severity)[1]
 
 
 def check_value_datatype(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from urllib.parse import urlparse
 
-from ..catalog import Severity, VocabularyInventory
+from ..catalog import Severity
 from ..namespaces import RDF_TYPE, compact
 from ..terms import Iri, Literal, Term, term_sort_key
 from ..violations import Violation, make_violation
@@ -112,6 +112,20 @@ def check_domain(
     return out
 
 
+def check_domain_table(
+    ctx: GraphContext,
+    domains: dict[str, list[str]],
+    *,
+    cid: str = "domain-table",
+    severity: Severity = Severity.ERROR,
+) -> list[Violation]:
+    """``check_domain`` for each property of a property -> classes table."""
+    out: list[Violation] = []
+    for prop, classes in sorted(domains.items()):
+        out.extend(check_domain(ctx, prop, classes, cid=cid, severity=severity))
+    return out
+
+
 def _object_matches_class(ctx: GraphContext, obj: Term, classes: list[str]) -> bool:
     types = ctx.types_of(obj)
     return any(cls in types for cls in classes)
@@ -211,6 +225,20 @@ def check_range(
                         (prop, *classes),
                     )
                 )
+    return out
+
+
+def check_range_table(
+    ctx: GraphContext,
+    ranges: dict[str, dict],
+    *,
+    cid: str = "range-table",
+    severity: Severity = Severity.ERROR,
+) -> list[Violation]:
+    """``check_range`` for each property of a property -> range spec table."""
+    out: list[Violation] = []
+    for prop, spec in sorted(ranges.items()):
+        out.extend(check_range(ctx, prop, cid=cid, severity=severity, **spec))
     return out
 
 
@@ -332,10 +360,25 @@ def check_irreflexive(
     return out
 
 
+def check_irreflexive_table(
+    ctx: GraphContext,
+    vocabulary: str,
+    *,
+    cid: str = "irreflexive-table",
+    severity: Severity = Severity.ERROR,
+) -> list[Violation]:
+    """``check_irreflexive`` for every property the vocabulary declares."""
+    out: list[Violation] = []
+    for prop in sorted(ctx.catalog.inventory(vocabulary).properties):
+        out.extend(check_irreflexive(ctx, prop, cid=cid, severity=severity))
+    return out
+
+
 def check_disjoint_properties(
     ctx: GraphContext,
-    properties: list[str],
+    properties: list[str] | None = None,
     *,
+    vocabulary: str | None = None,
     exempt_pairs: list[tuple[str, str]] | None = None,
     cid: str = "disjoint-properties",
     severity: Severity = Severity.ERROR,
@@ -343,8 +386,11 @@ def check_disjoint_properties(
     """(x, y) pairs connected by two or more group properties.
 
     Pairs related by sub-property edges are never disjoint, and explicitly
-    exempted pairs (same declared domain and range) are skipped.
+    exempted pairs (same declared domain and range) are skipped. Without
+    ``properties`` the group is every property ``vocabulary`` declares.
     """
+    if properties is None:
+        properties = sorted(ctx.catalog.inventory(vocabulary).properties)
     exempt = {frozenset(p) for p in (exempt_pairs or [])}
     by_pair: dict[tuple[Term, Term], list[str]] = {}
     for prop in properties:
@@ -379,14 +425,18 @@ def check_disjoint_properties(
 
 def check_disjoint_classes(
     ctx: GraphContext,
-    classes: list[str],
+    classes: list[str] | None = None,
     *,
+    vocabulary: str | None = None,
     exempt_pairs: list[tuple[str, str]] | None = None,
     cid: str = "disjoint-classes",
     severity: Severity = Severity.ERROR,
 ) -> list[Violation]:
     """Individuals typed by two or more group classes (subclass-related
-    pairs are never disjoint)."""
+    pairs are never disjoint). Without ``classes`` the group is every class
+    ``vocabulary`` declares."""
+    if classes is None:
+        classes = sorted(ctx.catalog.inventory(vocabulary).classes)
     exempt = {frozenset(p) for p in (exempt_pairs or [])}
     out = []
     group = set(classes)
@@ -422,8 +472,8 @@ def check_cardinality(
     prop: str,
     scope: str,
     *,
-    min_count: int | None = None,
-    max_count: int | None = None,
+    min: int | None = None,
+    max: int | None = None,
     qualifier_class: str | None = None,
     qualifier_datatype: str | None = None,
     cid: str = "cardinality",
@@ -444,7 +494,7 @@ def check_cardinality(
                 if isinstance(v, Literal) and v.datatype == qualifier_datatype
             }
         count = len(values)
-        if min_count is not None and count < min_count:
+        if min is not None and count < min:
             out.append(
                 make_violation(
                     cid,
@@ -452,11 +502,11 @@ def check_cardinality(
                     node,
                     count,
                     f"{compact(prop)} occurs {count} time(s), at least "
-                    f"{min_count} required",
+                    f"{min} required",
                     (prop, scope),
                 )
             )
-        if max_count is not None and count > max_count:
+        if max is not None and count > max:
             out.append(
                 make_violation(
                     cid,
@@ -464,10 +514,27 @@ def check_cardinality(
                     node,
                     count,
                     f"{compact(prop)} occurs {count} time(s), at most "
-                    f"{max_count} allowed",
+                    f"{max} allowed",
                     (prop, scope),
                 )
             )
+    return out
+
+
+def check_cardinality_table(
+    ctx: GraphContext,
+    rules: list[dict],
+    *,
+    cid: str = "cardinality-table",
+    severity: Severity = Severity.ERROR,
+) -> list[Violation]:
+    """``check_cardinality`` for each rule (property, scope, bounds)."""
+    out: list[Violation] = []
+    for rule in rules:
+        bounds = {k: v for k, v in rule.items() if k not in ("property", "scope")}
+        out.extend(check_cardinality(
+            ctx, rule["property"], rule["scope"], cid=cid, severity=severity, **bounds
+        ))
     return out
 
 
@@ -644,14 +711,15 @@ def check_vocab_membership(
 
 def check_deprecated_terms(
     ctx: GraphContext,
-    inventory: VocabularyInventory,
-    *,
+    vocabulary: str,
     kind: str = "properties",
+    *,
     cid: str = "deprecated-terms",
     severity: Severity = Severity.INFO,
 ) -> list[Violation]:
     """Uses of deprecated terms: predicate position for properties, object
     of rdf:type for classes."""
+    inventory = ctx.catalog.inventory(vocabulary)
     out = []
     if kind == "properties":
         for prop in sorted(inventory.deprecated):
@@ -685,13 +753,14 @@ def check_deprecated_terms(
 
 def check_undefined_terms(
     ctx: GraphContext,
-    inventory: VocabularyInventory,
+    vocabulary: str,
     *,
     cid: str = "undefined-terms",
     severity: Severity = Severity.ERROR,
 ) -> list[Violation]:
     """IRIs inside the inventory's namespace that the inventory does not
     declare. Terms outside every inventory namespace are never flagged."""
+    inventory = ctx.catalog.inventory(vocabulary)
     if not inventory.namespace:
         return []
     declared = inventory.declared()
@@ -738,12 +807,16 @@ def check_http_scheme(
 
 def check_equivalent_properties(
     ctx: GraphContext,
-    pairs: list[tuple[str, str]],
+    pairs: list[tuple[str, str]] | None = None,
     *,
+    vocabulary: str | None = None,
     cid: str = "equivalent-properties",
     severity: Severity = Severity.INFO,
 ) -> list[Violation]:
-    """(x, y) asserted under exactly one member of an equivalent pair."""
+    """(x, y) asserted under exactly one member of an equivalent pair;
+    without ``pairs``, the pairs ``vocabulary`` declares."""
+    if pairs is None:
+        pairs = ctx.catalog.inventory(vocabulary).equivalent_property_pairs
     out = []
     for p, q in pairs:
         out.extend(

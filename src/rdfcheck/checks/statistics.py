@@ -56,10 +56,11 @@ def _code_percentages(var: VariableStats) -> list[Decimal] | None:
 def check_percentage_sum(
     stats: StatisticsModel,
     *,
-    tolerance: Decimal = DEFAULT_TOLERANCE,
+    tolerance=DEFAULT_TOLERANCE,
     cid: str = "percentage-sum",
     severity: Severity = Severity.ERROR,
 ) -> list[Violation]:
+    tolerance = Decimal(str(tolerance))
     out = []
     for var in stats.variables:
         percentages = _code_percentages(var)
@@ -106,11 +107,11 @@ def _total_frequency(var: VariableStats, valid: bool | None) -> Decimal | None:
 
 
 def check_frequency_totals(
+    ctx,
     stats: StatisticsModel,
     mode: str,
     *,
     country_property: str | None = None,
-    ctx=None,
     cid: str = "frequency-totals",
     severity: Severity = Severity.ERROR,
 ) -> list[Violation]:
@@ -243,7 +244,7 @@ def check_cumulative_chain(
     stats: StatisticsModel,
     mode: str,
     *,
-    tolerance: Decimal = DEFAULT_TOLERANCE,
+    tolerance=DEFAULT_TOLERANCE,
     cid: str = "cumulative-chain",
     severity: Severity = Severity.ERROR,
 ) -> list[Violation]:
@@ -254,6 +255,7 @@ def check_cumulative_chain(
     cumulative percentages over an unordered list get an ordering-required
     note from the chain mode instead of a numeric verdict.
     """
+    tolerance = Decimal(str(tolerance))
     out = []
     for var in stats.variables:
         cums: list[tuple[Term, Decimal]] = []

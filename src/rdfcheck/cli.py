@@ -20,7 +20,7 @@ from .catalog import (
     builtin_catalog,
     merge_catalogs,
 )
-from .engine import EngineError, ValidationOptions, validate
+from .engine import EngineError, validate
 from .graph import Graph
 from .ntriples import ParseError, parse_ntriples
 from .report import write_report
@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report here instead of stdout")
     parser.add_argument("--report", choices=("text", "json"), default="text",
                         help="report format (default: text)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="constraint evaluation worker width (default: 1)")
     parser.add_argument("--explain", metavar="CONSTRAINT_ID",
                         help="print the catalog entry for one constraint and exit")
     return parser
@@ -183,18 +181,13 @@ def run_cli(argv: list[str] | None = None) -> int:
         unwanted = set(args.skip)
         selected = [c for c in selected if c.id not in unwanted and c.type not in unwanted]
 
-    options = ValidationOptions(
-        severity_threshold=(
-            Severity.parse(args.severity_threshold) if args.severity_threshold else None
-        ),
-        jobs=max(1, args.jobs),
-    )
     try:
-        report = validate(graph, catalog, selected, options)
+        report = validate(graph, catalog, selected)
     except EngineError as exc:
         return _fail(str(exc))
 
-    rendered = write_report(report, args.report, options.severity_threshold)
+    threshold = Severity.parse(args.severity_threshold) if args.severity_threshold else None
+    rendered = write_report(report, args.report, threshold)
     if args.output:
         Path(args.output).write_text(rendered, encoding="utf-8")
     else:

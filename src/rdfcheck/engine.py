@@ -1,22 +1,24 @@
-"""Orchestration: dispatch catalog constraints to checkers, merge findings.
+"""Orchestration: run each catalog constraint through its checker, merge findings.
 
-Evaluation order is unspecified; the report is a final sort by (severity
-desc, constraint id, focus), so output is byte-stable across worker widths.
-Graph, catalog, and the extracted models are shared read-only; violation
-collection is an order-insensitive set union.
+The catalog registry names every constraint type's checker and the shared
+objects it takes (``ConstraintType.check`` and ``needs``); one generic call
+maps a constraint's parameters onto the checker's arguments, so no
+per-type code lives here. Constraints run in id order, and the report is a
+final sort by (severity desc, constraint id, focus), so equal inputs give
+byte-identical reports. The cube, statistics and hierarchy models are
+extracted when the first constraint needing them runs, and shared by the
+rest of the run.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from decimal import Decimal
+from functools import cached_property
 from typing import Any
 
-from .catalog import Catalog, Constraint, Severity
-from .checks import cube as cube_checks
-from .checks import lexical, misc, schema, skos, statistics
+from .catalog import CONSTRAINT_TYPES, Catalog, Constraint, Severity
+from .checks import cube, lexical, misc, schema, skos, statistics
 from .checks.context import GraphContext
 from .checks.models import (
     CubeModel,
@@ -27,19 +29,16 @@ from .checks.models import (
     extract_statistics,
 )
 from .graph import Graph
-from .namespaces import RDFS_LABEL, SKOS
 from .violations import MetricRecord, ResourceLimit, Violation
+
+_CHECK_MODULES = {
+    module.__name__.rsplit(".", 1)[-1]: module
+    for module in (cube, lexical, misc, schema, skos, statistics)
+}
 
 
 class EngineError(Exception):
     """A checker failed internally; the message names the constraint."""
-
-
-@dataclass
-class ValidationOptions:
-    severity_threshold: Severity | None = None
-    jobs: int = 1
-    tolerance: Decimal | None = None
 
 
 @dataclass(frozen=True)
@@ -71,668 +70,97 @@ class ValidationReport:
 
 
 class RunContext:
-    """Per-run shared state: graph context plus lazily extracted models."""
+    """The objects a checker may need: the graph context and the models,
+    each model extracted on first use."""
 
-    def __init__(self, graph: Graph, catalog: Catalog,
-                 options: ValidationOptions | None = None):
+    def __init__(self, graph: Graph, catalog: Catalog):
         self.ctx = GraphContext(graph, catalog)
-        self.catalog = catalog
-        self.options = options or ValidationOptions()
-        self._cube: CubeModel | None = None
-        self._stats: StatisticsModel | None = None
-        self._hierarchy: HierarchyGraph | None = None
-        self._controlled: dict[str, list[str]] | None = None
 
-    @property
+    @cached_property
     def cube(self) -> CubeModel:
-        if self._cube is None:
-            self._cube = extract_cube(self.ctx)
-        return self._cube
+        return extract_cube(self.ctx)
 
-    @property
+    @cached_property
     def stats(self) -> StatisticsModel:
-        if self._stats is None:
-            self._stats = extract_statistics(self.ctx)
-        return self._stats
+        return extract_statistics(self.ctx)
 
-    @property
+    @cached_property
     def hierarchy(self) -> HierarchyGraph:
-        if self._hierarchy is None:
-            self._hierarchy = extract_hierarchy(self.ctx)
-        return self._hierarchy
-
-    @property
-    def controlled_vocabularies(self) -> dict[str, list[str]]:
-        if self._controlled is None:
-            merged: dict[str, list[str]] = {}
-            for inv in self.catalog.inventories.values():
-                merged.update(inv.controlled_vocabularies)
-            self._controlled = merged
-        return self._controlled
-
-
-CheckResult = tuple[list[Violation], list[MetricRecord]]
-
-
-def _plain(violations: list[Violation]) -> CheckResult:
-    return violations, []
-
-
-def _run_subsumption(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_subsumption(
-        rc.ctx, c.params["class"], c.params["superclass"], cid=c.id, severity=c.severity
-    ))
-
-
-def _run_class_equivalence(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_class_equivalence(
-        rc.ctx, c.params["class1"], c.params["class2"], cid=c.id, severity=c.severity
-    ))
-
-
-def _run_subproperty(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_subproperty(
-        rc.ctx, c.params["property"], c.params["superproperty"],
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_domain(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_domain(
-        rc.ctx, c.params["property"], c.params["classes"], cid=c.id, severity=c.severity
-    ))
-
-
-def _run_domain_table(rc: RunContext, c: Constraint) -> CheckResult:
-    out: list[Violation] = []
-    for prop, classes in sorted(c.params["domains"].items()):
-        out.extend(schema.check_domain(rc.ctx, prop, classes, cid=c.id, severity=c.severity))
-    return _plain(out)
-
-
-def _run_range(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_range(
-        rc.ctx,
-        c.params["property"],
-        classes=c.params.get("classes"),
-        datatype=c.params.get("datatype"),
-        scope=c.params.get("scope", c.scope),
-        cid=c.id,
-        severity=c.severity,
-    ))
-
-
-def _run_range_table(rc: RunContext, c: Constraint) -> CheckResult:
-    out: list[Violation] = []
-    for prop, spec in sorted(c.params["ranges"].items()):
-        out.extend(schema.check_range(
-            rc.ctx,
-            prop,
-            classes=spec.get("classes"),
-            datatype=spec.get("datatype"),
-            scope=spec.get("scope"),
-            cid=c.id,
-            severity=c.severity,
-        ))
-    return _plain(out)
-
-
-def _run_inverse_pair(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_inverse_pair(
-        rc.ctx, c.params["property"], c.params["inverse"],
-        scope=c.params.get("scope", c.scope), cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_asymmetric(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_asymmetric(
-        rc.ctx, c.params["property"], cid=c.id, severity=c.severity
-    ))
-
-
-def _run_irreflexive(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_irreflexive(
-        rc.ctx, c.params["property"], scope=c.params.get("scope", c.scope),
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_irreflexive_table(rc: RunContext, c: Constraint) -> CheckResult:
-    inventory = rc.catalog.inventory(c.params["vocabulary"])
-    out: list[Violation] = []
-    for prop in sorted(inventory.properties):
-        out.extend(schema.check_irreflexive(rc.ctx, prop, cid=c.id, severity=c.severity))
-    return _plain(out)
-
-
-def _run_disjoint_properties(rc: RunContext, c: Constraint) -> CheckResult:
-    properties = c.params.get("properties")
-    if properties is None:
-        properties = sorted(rc.catalog.inventory(c.params["vocabulary"]).properties)
-    return _plain(schema.check_disjoint_properties(
-        rc.ctx, properties, exempt_pairs=c.params.get("exempt_pairs"),
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_disjoint_classes(rc: RunContext, c: Constraint) -> CheckResult:
-    classes = c.params.get("classes")
-    if classes is None:
-        classes = sorted(rc.catalog.inventory(c.params["vocabulary"]).classes)
-    return _plain(schema.check_disjoint_classes(
-        rc.ctx, classes, exempt_pairs=c.params.get("exempt_pairs"),
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_cardinality(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_cardinality(
-        rc.ctx,
-        c.params["property"],
-        c.params["scope"],
-        min_count=c.params.get("min"),
-        max_count=c.params.get("max"),
-        qualifier_class=c.params.get("qualifier_class"),
-        qualifier_datatype=c.params.get("qualifier_datatype"),
-        cid=c.id,
-        severity=c.severity,
-    ))
-
-
-def _run_cardinality_table(rc: RunContext, c: Constraint) -> CheckResult:
-    out: list[Violation] = []
-    for rule in c.params["rules"]:
-        out.extend(schema.check_cardinality(
-            rc.ctx,
-            rule["property"],
-            rule["scope"],
-            min_count=rule.get("min"),
-            max_count=rule.get("max"),
-            qualifier_class=rule.get("qualifier_class"),
-            qualifier_datatype=rule.get("qualifier_datatype"),
-            cid=c.id,
-            severity=c.severity,
-        ))
-    return _plain(out)
-
-
-def _run_exclusive_groups(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_exclusive_property_groups(
-        rc.ctx, c.params["scope"], c.params["groups"], cid=c.id, severity=c.severity
-    ))
-
-
-def _run_uniqueness_key(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_uniqueness_key(
-        rc.ctx, c.params["property"], scope=c.params.get("scope", c.scope),
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_allowed_values(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_allowed_values(
-        rc.ctx, c.params["property"], c.params["values"],
-        scope=c.params.get("scope", c.scope), negated=c.params.get("negated", False),
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_vocab_membership(rc: RunContext, c: Constraint) -> CheckResult:
-    mode = c.params.get("mode", "scheme")
-    if mode == "qb-codelist":
-        return _plain(cube_checks.check_qb_codelist_membership(
-            rc.ctx, rc.cube, inventory_members=rc.controlled_vocabularies,
-            cid=c.id, severity=c.severity,
-        ))
-    property_ = c.params.get("property")
-    scheme = c.params.get("scheme")
-    if property_ is None or scheme is None:
-        raise EngineError(
-            f"{c.id}: scheme-mode membership needs 'property' and 'scheme' params"
-        )
-    return _plain(schema.check_vocab_membership(
-        rc.ctx, property_, scheme, scope=c.params.get("scope", c.scope),
-        inventory_members=rc.controlled_vocabularies, cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_deprecated_terms(rc: RunContext, c: Constraint) -> CheckResult:
-    inventory = rc.catalog.inventory(c.params["vocabulary"])
-    return _plain(schema.check_deprecated_terms(
-        rc.ctx, inventory, kind=c.params["kind"], cid=c.id, severity=c.severity
-    ))
-
-
-def _run_undefined_terms(rc: RunContext, c: Constraint) -> CheckResult:
-    inventory = rc.catalog.inventory(c.params["vocabulary"])
-    return _plain(schema.check_undefined_terms(
-        rc.ctx, inventory, cid=c.id, severity=c.severity
-    ))
-
-
-def _run_http_scheme(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(schema.check_http_scheme(rc.ctx, cid=c.id, severity=c.severity))
-
-
-def _run_equivalent_properties(rc: RunContext, c: Constraint) -> CheckResult:
-    pairs = c.params.get("pairs")
-    if pairs is None:
-        pairs = rc.catalog.inventory(c.params["vocabulary"]).equivalent_property_pairs
-    return _plain(schema.check_equivalent_properties(
-        rc.ctx, [tuple(p) for p in pairs], cid=c.id, severity=c.severity
-    ))
-
-
-def _run_facets(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(lexical.check_facets(
-        rc.ctx,
-        c.params["property"],
-        scope=c.params.get("scope", c.scope),
-        min_length=c.params.get("min_length"),
-        max_length=c.params.get("max_length"),
-        pattern=c.params.get("pattern"),
-        min_value=c.params.get("min"),
-        max_value=c.params.get("max"),
-        min_exclusive=c.params.get("min_exclusive", False),
-        max_exclusive=c.params.get("max_exclusive", False),
-        cid=c.id,
-        severity=c.severity,
-    ))
-
-
-def _run_literal_pattern(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(lexical.check_literal_pattern(
-        rc.ctx,
-        c.params["property"],
-        c.params["pattern"],
-        scope=c.params.get("scope", c.scope),
-        negated=c.params.get("negated", False),
-        substring=c.params.get("substring", False),
-        case_insensitive=c.params.get("case_insensitive", False),
-        cid=c.id,
-        severity=c.severity,
-    ))
-
-
-def _run_iri_pattern(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(lexical.check_iri_pattern(
-        rc.ctx, c.params["position"], c.params["pattern"],
-        scope=c.params.get("scope", c.scope), cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_literal_range(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(lexical.check_literal_range(
-        rc.ctx,
-        c.params["property"],
-        c.params["datatype"],
-        scope=c.params.get("scope", c.scope),
-        min_value=c.params.get("min"),
-        max_value=c.params.get("max"),
-        min_exclusive=c.params.get("min_exclusive", False),
-        max_exclusive=c.params.get("max_exclusive", False),
-        negated=c.params.get("negated", False),
-        cid=c.id,
-        severity=c.severity,
-    ))
-
-
-def _run_literal_comparison(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(lexical.check_literal_comparison(
-        rc.ctx, c.params["property1"], c.params["property2"], c.params["op"],
-        scope=c.params.get("scope", c.scope), cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_language_tag(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(lexical.check_language_tags(
-        rc.ctx,
-        c.params["property"],
-        scope=c.params.get("scope", c.scope),
-        languages=c.params["languages"],
-        min_per_lang=c.params.get("min_per_lang", 0),
-        max_per_lang=c.params.get("max_per_lang"),
-        allow_untagged_as=c.params.get("allow_untagged_as"),
-        cid=c.id,
-        severity=c.severity,
-    ))
-
-
-_DEFAULT_LABEL_PROPS = (
-    SKOS + "prefLabel",
-    SKOS + "altLabel",
-    SKOS + "hiddenLabel",
-    RDFS_LABEL,
-) + skos.DOCUMENTATION_PROPERTIES
-
-
-def _run_language_coverage(rc: RunContext, c: Constraint) -> CheckResult:
-    props = c.params.get("properties") or list(_DEFAULT_LABEL_PROPS)
-    return _plain(lexical.check_language_coverage(
-        rc.ctx, c.params["mode"], props, concept_class=SKOS + "Concept",
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_whitespace(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(lexical.check_whitespace(
-        rc.ctx, c.params["property"], scopes=c.params.get("scopes"),
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_html_balance(rc: RunContext, c: Constraint) -> CheckResult:
-    vocabulary = c.params.get("vocabulary")
-    properties = None
-    scope_classes = None
-    if vocabulary is not None:
-        inventory = rc.catalog.inventory(vocabulary)
-        if c.params.get("mode", "vocab-properties") == "vocab-properties":
-            properties = sorted(inventory.properties)
+        return extract_hierarchy(self.ctx)
+
+
+def _evaluate(rc: RunContext, c: Constraint) -> tuple[list[Violation], list[MetricRecord]]:
+    """Call the type's checker with its ``needs``, the required parameters
+    in schema order and the optional ones the constraint sets; an optional
+    ``scope`` falls back to the constraint's own scope."""
+    ctype = CONSTRAINT_TYPES[c.type]
+    args = [getattr(rc, need) for need in ctype.needs]
+    kwargs: dict[str, Any] = {}
+    for name, (_kind, req) in ctype.schema.items():
+        if req != "opt":
+            args.append(c.params[name])
+        elif name in c.params:
+            kwargs[name] = c.params[name]
+        elif name == "scope":
+            kwargs[name] = c.scope
+    module, function = ctype.check.split(".")
+    # looked up at call time, so a wrapper installed on the module applies
+    check = getattr(_CHECK_MODULES[module], function)
+    result = check(*args, **kwargs, cid=c.id, severity=c.severity)
+    return result if isinstance(result, tuple) else (result, [])
+
+
+def _run_one(
+    rc: RunContext, c: Constraint
+) -> tuple[ConstraintStatus, list[Violation], list[MetricRecord]]:
+    started = time.perf_counter()
+    violations: list[Violation] = []
+    metrics: list[MetricRecord] = []
+    if not c.evaluable:
+        missing = ", ".join(c.missing_eval_params) or "no evaluation body"
+        status = f"skipped: not evaluable ({missing})"
+    else:
+        try:
+            found, metrics = _evaluate(rc, c)
+        except ResourceLimit as exc:
+            status = f"skipped: limit ({exc})"
+        except Exception as exc:
+            raise EngineError(f"{c.id}: checker failed: {exc}") from exc
         else:
-            scope_classes = sorted(inventory.classes)
-    return _plain(lexical.check_html_balance(
-        rc.ctx,
-        prop=c.params.get("property"),
-        scope=c.params.get("scope", c.scope),
-        properties=properties,
-        scope_classes=scope_classes,
-        cid=c.id,
-        severity=c.severity,
-    ))
-
-
-def _run_string_composition(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(lexical.check_string_composition(
-        rc.ctx, c.params["scope"], c.params["target"], c.params["parts"],
-        separator=c.params.get("separator", " "), cid=c.id, severity=c.severity,
-    ))
-
-
-def _tolerance(rc_options: Decimal | None, c: Constraint) -> Decimal:
-    if "tolerance" in c.params:
-        return Decimal(str(c.params["tolerance"]))
-    if rc_options is not None:
-        return rc_options
-    return statistics.DEFAULT_TOLERANCE
-
-
-def _run_percentage_sum(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(statistics.check_percentage_sum(
-        rc.stats, tolerance=_tolerance(rc.options.tolerance, c),
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_frequency_totals(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(statistics.check_frequency_totals(
-        rc.stats, c.params["mode"],
-        country_property=c.params.get("country_property"), ctx=rc.ctx,
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_min_max(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(statistics.check_min_max(rc.stats, cid=c.id, severity=c.severity))
-
-
-def _run_cumulative_chain(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(statistics.check_cumulative_chain(
-        rc.stats, c.params["mode"], tolerance=_tolerance(rc.options.tolerance, c),
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_statistic_applicability(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(statistics.check_statistic_applicability(
-        rc.stats, c.params["mode"], cid=c.id, severity=c.severity
-    ))
-
-
-def _run_qb_integrity(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(cube_checks.check_qb_integrity(
-        rc.ctx, rc.cube, c.params["ic"], cid=c.id, severity=c.severity
-    ))
-
-
-def _run_skos_structure(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(skos.check_skos_structure(
-        rc.ctx, rc.hierarchy, c.params["mode"],
-        depth_limit=c.params.get("depth_limit", skos.DEFAULT_REDUNDANCY_DEPTH),
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_skos_clashes(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(skos.check_skos_clashes(
-        rc.ctx, rc.hierarchy, c.params["mode"], cid=c.id, severity=c.severity
-    ))
-
-
-def _run_skos_labeling(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(skos.check_skos_labeling(
-        rc.ctx, c.params["mode"], cid=c.id, severity=c.severity
-    ))
-
-
-def _run_presence(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(misc.check_presence(
-        rc.ctx,
-        c.params.get("scope", c.scope),
-        properties=c.params.get("properties"),
-        path=c.params.get("path"),
-        qualifier_class=c.params.get("qualifier_class"),
-        cid=c.id,
-        severity=c.severity,
-    ))
-
-
-def _run_conditional(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(misc.check_conditional_properties(
-        rc.ctx,
-        c.params["scope"],
-        if_present=c.params.get("if_present"),
-        if_absent=c.params.get("if_absent"),
-        require_all=c.params.get("require_all"),
-        require_any=c.params.get("require_any"),
-        via=c.params.get("via"),
-        cid=c.id,
-        severity=c.severity,
-    ))
-
-
-def _run_ordering(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(misc.check_ordering(
-        rc.ctx, c.params["container"], c.params["link"], c.params["member_type"],
-        c.params["mode"], cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_aggregation(rc: RunContext, c: Constraint) -> CheckResult:
-    kind = c.params.get("kind", "path-count")
-    return misc.check_aggregation(
-        rc.ctx,
-        c.params["scope"],
-        stats=rc.stats if kind == "valid-frequency-sum" else None,
-        path=c.params.get("path"),
-        kind=kind,
-        declared_property=c.params.get("declared_property"),
-        expect=c.params.get("expect"),
-        min_count=c.params.get("min"),
-        max_count=c.params.get("max"),
-        cid=c.id,
-        severity=c.severity,
-    )
-
-
-def _run_comparability(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(misc.check_variable_comparability(
-        rc.ctx, c.params["variables"], c.params["mode"], stats=rc.stats,
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_single_root(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(misc.check_single_root(
-        rc.ctx, c.params["link_property"], cid=c.id, severity=c.severity
-    ))
-
-
-def _run_subsuper(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(misc.check_subsuper_redundancy(
-        rc.ctx, c.params["general"], c.params["specifics"],
-        flag_redundant=c.params.get("flag_redundant", False),
-        cid=c.id, severity=c.severity,
-    ))
-
-
-def _run_default_values(rc: RunContext, c: Constraint) -> CheckResult:
-    _additions, violations = misc.apply_default_values(
-        rc.ctx, c.params["defaults"], cid=c.id, severity=c.severity
-    )
-    return violations, []
-
-
-def _run_value_datatype(rc: RunContext, c: Constraint) -> CheckResult:
-    return _plain(misc.check_value_datatype(
-        rc.ctx,
-        properties=c.params.get("properties"),
-        datatype=c.params.get("datatype"),
-        mode=c.params.get("mode", "listed"),
-        cid=c.id,
-        severity=c.severity,
-    ))
-
-
-_DISPATCH = {
-    "subsumption": _run_subsumption,
-    "class-equivalence": _run_class_equivalence,
-    "subproperty": _run_subproperty,
-    "property-domain": _run_domain,
-    "domain-table": _run_domain_table,
-    "property-range": _run_range,
-    "range-table": _run_range_table,
-    "inverse-pair": _run_inverse_pair,
-    "asymmetric-property": _run_asymmetric,
-    "irreflexive-property": _run_irreflexive,
-    "irreflexive-table": _run_irreflexive_table,
-    "disjoint-properties": _run_disjoint_properties,
-    "disjoint-classes": _run_disjoint_classes,
-    "cardinality": _run_cardinality,
-    "cardinality-table": _run_cardinality_table,
-    "exclusive-property-groups": _run_exclusive_groups,
-    "uniqueness-key": _run_uniqueness_key,
-    "allowed-values": _run_allowed_values,
-    "vocab-membership": _run_vocab_membership,
-    "deprecated-terms": _run_deprecated_terms,
-    "undefined-terms": _run_undefined_terms,
-    "http-scheme": _run_http_scheme,
-    "equivalent-properties": _run_equivalent_properties,
-    "data-property-facets": _run_facets,
-    "literal-pattern": _run_literal_pattern,
-    "iri-pattern": _run_iri_pattern,
-    "literal-range": _run_literal_range,
-    "literal-comparison": _run_literal_comparison,
-    "language-tag": _run_language_tag,
-    "language-coverage": _run_language_coverage,
-    "whitespace": _run_whitespace,
-    "html-balance": _run_html_balance,
-    "string-composition": _run_string_composition,
-    "percentage-sum": _run_percentage_sum,
-    "frequency-totals": _run_frequency_totals,
-    "min-max-consistency": _run_min_max,
-    "cumulative-chain": _run_cumulative_chain,
-    "statistic-applicability": _run_statistic_applicability,
-    "qb-integrity": _run_qb_integrity,
-    "skos-structure": _run_skos_structure,
-    "skos-clashes": _run_skos_clashes,
-    "skos-labeling": _run_skos_labeling,
-    "presence": _run_presence,
-    "conditional-properties": _run_conditional,
-    "ordering": _run_ordering,
-    "aggregation": _run_aggregation,
-    "variable-comparability": _run_comparability,
-    "single-root": _run_single_root,
-    "subsuper-redundancy": _run_subsuper,
-    "default-values": _run_default_values,
-    "value-datatype": _run_value_datatype,
-}
+            violations = _dedup(found)
+            status = "evaluated"
+    elapsed = time.perf_counter() - started
+    return ConstraintStatus(c.id, status, len(violations), elapsed), violations, metrics
 
 
 def validate(
     graph: Graph,
     catalog: Catalog,
     constraints: list[Constraint] | None = None,
-    options: ValidationOptions | None = None,
 ) -> ValidationReport:
     """Run the selected constraints (default: the whole catalog) over the
-    graph. Reproducible: equal inputs give equal reports at any worker
-    width."""
-    options = options or ValidationOptions()
+    graph. Reproducible: equal inputs give equal reports."""
     selected = sorted(
         catalog.select() if constraints is None else constraints, key=lambda c: c.id
     )
-    rc = RunContext(graph, catalog, options)
-
-    def run_one(constraint: Constraint) -> tuple[ConstraintStatus, CheckResult]:
-        started = time.perf_counter()
-        if not constraint.evaluable:
-            missing = ", ".join(constraint.missing_eval_params) or "no evaluation body"
-            status = ConstraintStatus(
-                constraint.id, f"skipped: not evaluable ({missing})", 0,
-                time.perf_counter() - started,
-            )
-            return status, ([], [])
-        handler = _DISPATCH.get(constraint.type)
-        if handler is None:
-            raise EngineError(f"{constraint.id}: no checker for type {constraint.type!r}")
-        try:
-            violations, metrics = handler(rc, constraint)
-        except ResourceLimit as exc:
-            status = ConstraintStatus(
-                constraint.id, f"skipped: limit ({exc})", 0,
-                time.perf_counter() - started,
-            )
-            return status, ([], [])
-        except EngineError:
-            raise
-        except Exception as exc:
-            raise EngineError(f"{constraint.id}: checker failed: {exc}") from exc
-        deduped = _dedup(violations)
-        status = ConstraintStatus(
-            constraint.id, "evaluated", len(deduped), time.perf_counter() - started
-        )
-        return status, (deduped, metrics)
-
-    # Models are extracted eagerly before fan-out so worker threads share
-    # them read-only instead of racing to build them.
-    if any(c.evaluable for c in selected):
-        _ = rc.cube, rc.stats, rc.hierarchy, rc.controlled_vocabularies
-        rc.ctx.extension(SKOS + "Concept")
-
-    if options.jobs > 1:
-        with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            results = list(pool.map(run_one, selected))
-    else:
-        results = [run_one(c) for c in selected]
-
+    rc = RunContext(graph, catalog)
     all_violations: list[Violation] = []
     all_metrics: list[MetricRecord] = []
     statuses: list[ConstraintStatus] = []
-    for status, (violations, metrics) in results:
+    for constraint in selected:
+        status, violations, metrics = _run_one(rc, constraint)
         statuses.append(status)
         all_violations.extend(violations)
         all_metrics.extend(metrics)
-
-    final = tuple(sorted(_dedup(all_violations), key=lambda v: (v.sort_key(), v.message)))
     return ValidationReport(
-        violations=final,
+        violations=tuple(_dedup(all_violations)),
         metrics=tuple(sorted(all_metrics, key=MetricRecord.sort_key)),
-        statuses=tuple(sorted(statuses, key=lambda s: s.constraint_id)),
+        statuses=tuple(statuses),
     )
 
 
 def _dedup(violations: list[Violation]) -> list[Violation]:
+    """Sorted by (sort key, message), one per (constraint, focus, detail)."""
     ordered = sorted(violations, key=lambda v: (v.sort_key(), v.message))
     seen: set[tuple[str, str, str]] = set()
     out = []

@@ -9,7 +9,6 @@ insertion order.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .namespaces import RDF_FIRST, RDF_NIL, RDF_REST
 from .terms import BlankNode, Iri, Literal, Term, Triple
@@ -148,13 +147,6 @@ def walk_rdf_list(graph: Graph, head: Term) -> list[Term]:
         if isinstance(node, Literal):
             raise MalformedListError(f"rdf:rest points at literal {node}", members)
     return members
-
-
-@dataclass(frozen=True)
-class _Signature:
-    """Color used by the isomorphism refinement below."""
-
-    value: tuple
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 from pathlib import Path
 
@@ -76,6 +77,20 @@ def test_data_files_are_valid_catalog_documents():
     for path in sorted(data_dir.glob("*.json")):
         catalog = load_catalog(path.read_text())
         assert catalog.constraints, path.name
+
+
+def test_data_files_match_generator_output():
+    root = Path(__file__).parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "gen_catalogs", root / "tools" / "gen_catalogs.py"
+    )
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    data_dir = root / "src" / "rdfcheck" / "data"
+    assert sorted(generator.CATALOGS) == sorted(p.name for p in data_dir.glob("*.json"))
+    for filename, catalog in generator.CATALOGS.items():
+        expected = generator.render(catalog).encode("utf-8")
+        assert (data_dir / filename).read_bytes() == expected, filename
 
 
 def test_paper_quoted_domain_examples(full_catalog):

@@ -115,6 +115,17 @@ def test_undeclared_edge_endpoint_in_namespace_rejected():
         load_catalog(doc)
 
 
+@pytest.mark.parametrize("document", [
+    {"prefixes": []}, {"vocabularies": 5}, {"constraints": 7}, {"bogus": 1},
+    b"\xff{}", {"constraints": [{"id": "X-1", "type": "http-scheme", "severity": 5}]},
+])
+def test_load_and_merge_reject_the_same_documents(document):
+    with pytest.raises(CatalogError):
+        load_catalog(document)
+    with pytest.raises(CatalogError):
+        merge_catalogs(Catalog({}, {}), document)
+
+
 def test_severity_patch_merge():
     base = load_catalog(minimal_doc())
     merged = merge_catalogs(base, {"constraints": [

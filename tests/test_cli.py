@@ -130,6 +130,17 @@ def test_broken_catalog_exits_two(tmp_path, capsys):
     assert run_cli(["--catalog", str(broken), fixture("thesaurus_clean.ttl")]) == 2
 
 
+@pytest.mark.parametrize("document", [
+    {"prefixes": []}, {"vocabularies": 5}, {"constraints": 7}, {"bogus": 1},
+])
+def test_malformed_user_catalog_exits_two_with_one_line(tmp_path, capsys, document):
+    user = tmp_path / "user.json"
+    user.write_text(json.dumps(document))
+    assert run_cli(["--catalog", str(user), fixture("thesaurus_clean.ttl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rdfcheck: error: catalog") and err.count("\n") == 1
+
+
 def test_multiple_inputs_are_merged(capsys):
     code = run_cli([
         "--vocab", "skos", "--report", "json",
@@ -174,8 +185,8 @@ def test_exit_code_independent_of_report_format():
         assert code == 1
 
 
-def test_jobs_flag_accepted(capsys):
+def test_jobs_flag_rejected(capsys):
     assert run_cli([
         "--vocab", "disco", "--jobs", "4", "--output", "/dev/null",
         fixture("eusilc.ttl"),
-    ]) == 0
+    ]) == 2

@@ -1,12 +1,10 @@
+import importlib
+import inspect
+
 import pytest
 
-from rdfcheck.catalog import Severity, load_catalog
-from rdfcheck.engine import (
-    EngineError,
-    ValidationOptions,
-    explain,
-    validate,
-)
+from rdfcheck.catalog import CONSTRAINT_TYPES, Severity, load_catalog
+from rdfcheck.engine import EngineError, explain, validate
 from rdfcheck.graph import Graph
 from rdfcheck.report import write_json
 
@@ -55,12 +53,25 @@ def _replace_object(g, prop, old_lexical, new_lexical):
     return Graph(out)
 
 
-def test_reports_identical_across_worker_widths(eusilc, disco_catalog):
-    reports = [
-        write_json(validate(eusilc, disco_catalog, options=ValidationOptions(jobs=j)))
-        for j in (1, 8, 3)
-    ]
+def test_reports_identical_across_repeated_runs(eusilc, disco_catalog):
+    reports = [write_json(validate(eusilc, disco_catalog)) for _ in range(3)]
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("type_id", sorted(set(CONSTRAINT_TYPES) - {"not-evaluable"}))
+def test_registered_checker_accepts_the_engine_call(type_id):
+    # the engine passes the needs objects, the load/eval params positionally
+    # in schema order, then the opt params as keywords, then cid and severity
+    ctype = CONSTRAINT_TYPES[type_id]
+    module, name = ctype.check.split(".")
+    check = getattr(importlib.import_module(f"rdfcheck.checks.{module}"), name)
+    assert inspect.isfunction(check)
+    assert set(ctype.needs) <= {"ctx", "cube", "stats", "hierarchy"}
+    required = [p for p, (_kind, req) in ctype.schema.items() if req != "opt"]
+    optional = {p: None for p, (_kind, req) in ctype.schema.items() if req == "opt"}
+    inspect.signature(check).bind(
+        *ctype.needs, *required, **optional, cid=type_id, severity=Severity.ERROR
+    )
 
 
 def test_union_of_constraint_subsets_equals_full_run(eusilc, disco_catalog):
@@ -115,12 +126,12 @@ def test_resource_limit_becomes_skip(monkeypatch, qb_catalog, cube_fixture):
 
 
 def test_internal_error_names_constraint(monkeypatch, disco_catalog, eusilc):
-    import rdfcheck.engine as engine_mod
+    import rdfcheck.checks.statistics as statistics_mod
 
-    def boom(rc, c):
+    def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setitem(engine_mod._DISPATCH, "percentage-sum", boom)
+    monkeypatch.setattr(statistics_mod, "check_percentage_sum", boom)
     # the earliest percentage-sum constraint by id is the one reported
     with pytest.raises(EngineError, match="DISCO-C-AGGREGATION-06"):
         validate(eusilc, disco_catalog)

@@ -38,7 +38,7 @@ def test_length_counts_unicode_scalars():
 
 def test_numeric_facet_bounds():
     g = graph(("ex:s", "ex:p", lit("150", "xsd:integer")))
-    out = lexical.check_facets(ctx_for(g), expand("ex:p"), max_value=100)
+    out = lexical.check_facets(ctx_for(g), expand("ex:p"), max=100)
     assert len(out) == 1
 
 
@@ -122,7 +122,7 @@ def test_range_above_maximum():
     out = lexical.check_literal_range(
         ctx_for(_percentage_graph("101.0")), expand("disco:percentage"),
         expand("xsd:double"), scope=expand("disco:CategoryStatistics"),
-        min_value=0, max_value=100,
+        min=0, max=100,
     )
     assert len(out) == 1
 
@@ -131,7 +131,7 @@ def test_range_inclusive_bound():
     out = lexical.check_literal_range(
         ctx_for(_percentage_graph("100.0")), expand("disco:percentage"),
         expand("xsd:double"), scope=expand("disco:CategoryStatistics"),
-        min_value=0, max_value=100,
+        min=0, max=100,
     )
     assert out == []
 
@@ -143,7 +143,7 @@ def test_range_wrong_datatype_is_datatype_violation():
     )
     out = lexical.check_literal_range(
         ctx_for(g), expand("disco:percentage"), expand("xsd:double"),
-        scope=expand("disco:CategoryStatistics"), min_value=0, max_value=100,
+        scope=expand("disco:CategoryStatistics"), min=0, max=100,
     )
     assert len(out) == 1
     assert "datatype" in out[0].message
@@ -159,11 +159,11 @@ def test_negated_range_is_complement_on_valid_values():
         g = graph(*rows)
         inside = lexical.check_literal_range(
             ctx_for(g), expand("ex:p"), expand("xsd:double"),
-            min_value=0, max_value=100,
+            min=0, max=100,
         )
         outside = lexical.check_literal_range(
             ctx_for(g), expand("ex:p"), expand("xsd:double"),
-            min_value=0, max_value=100, negated=True,
+            min=0, max=100, negated=True,
         )
         assert len(inside) + len(outside) == len({t.object for t in g})
 
@@ -171,7 +171,7 @@ def test_negated_range_is_complement_on_valid_values():
 def test_exclusive_bounds():
     out = lexical.check_literal_range(
         ctx_for(_percentage_graph("100.0")), expand("disco:percentage"),
-        expand("xsd:double"), min_value=0, max_value=100, max_exclusive=True,
+        expand("xsd:double"), min=0, max=100, max_exclusive=True,
     )
     assert len(out) == 1
 
@@ -377,28 +377,28 @@ def test_inner_whitespace_never_flagged():
 
 def test_unclosed_tag_flagged():
     g = graph(("ex:s", "ex:p", lit("<b>bold")))
-    out = lexical.check_html_balance(ctx_for(g), prop=expand("ex:p"))
+    out = lexical.check_html_balance(ctx_for(g), property=expand("ex:p"))
     assert len(out) == 1 and "<b>" in out[0].message
 
 
 def test_comparison_signs_are_not_tags():
     g = graph(("ex:s", "ex:p", lit("a < b and c > d")))
-    assert lexical.check_html_balance(ctx_for(g), prop=expand("ex:p")) == []
+    assert lexical.check_html_balance(ctx_for(g), property=expand("ex:p")) == []
 
 
 def test_nested_tags_fine():
     g = graph(("ex:s", "ex:p", lit("<i><b>x</b></i>")))
-    assert lexical.check_html_balance(ctx_for(g), prop=expand("ex:p")) == []
+    assert lexical.check_html_balance(ctx_for(g), property=expand("ex:p")) == []
 
 
 def test_void_and_self_closing_skip_stack():
     g = graph(("ex:s", "ex:p", lit("line<br>break <img src='x'> <y/>done")))
-    assert lexical.check_html_balance(ctx_for(g), prop=expand("ex:p")) == []
+    assert lexical.check_html_balance(ctx_for(g), property=expand("ex:p")) == []
 
 
 def test_mismatched_close_flagged():
     g = graph(("ex:s", "ex:p", lit("<i>text</b>")))
-    assert len(lexical.check_html_balance(ctx_for(g), prop=expand("ex:p"))) == 1
+    assert len(lexical.check_html_balance(ctx_for(g), property=expand("ex:p"))) == 1
 
 
 # --- string composition -----------------------------------------------------------------

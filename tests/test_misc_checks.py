@@ -239,7 +239,7 @@ def test_aggregation_metric_without_expectation():
         ("ex:qn", "disco:question", "ex:q2"),
     )
     violations, metrics = misc.check_aggregation(
-        ctx_for(g), expand("disco:Questionnaire"), path=[expand("disco:question")]
+        ctx_for(g), None, expand("disco:Questionnaire"), path=[expand("disco:question")]
     )
     assert violations == []
     assert len(metrics) == 1 and metrics[0].value == 2
@@ -251,7 +251,7 @@ def test_aggregation_expectation_mismatch():
         *[("ex:qn", "disco:question", f"ex:q{i}") for i in range(9)],
     )
     violations, metrics = misc.check_aggregation(
-        ctx_for(g), expand("disco:Questionnaire"), path=[expand("disco:question")],
+        ctx_for(g), None, expand("disco:Questionnaire"), path=[expand("disco:question")],
         expect=10,
     )
     assert len(violations) == 1 and metrics == []
@@ -265,8 +265,8 @@ def test_aggregation_max_satisfied():
         ("ex:coll", "skos:member", "ex:c2"),
     )
     violations, _ = misc.check_aggregation(
-        ctx_for(g), expand("disco:Variable"),
-        path=[expand("disco:representation"), "@members"], max_count=5,
+        ctx_for(g), None, expand("disco:Variable"),
+        path=[expand("disco:representation"), "@members"], max=5,
     )
     assert violations == []
 
@@ -281,7 +281,7 @@ def test_aggregation_counts_equal_match_based_brute_force():
         rows += [("ex:qn", "disco:question", f"ex:q{i}") for i in range(n)]
         g = graph(*rows)
         _violations, metrics = misc.check_aggregation(
-            ctx_for(g), expand("disco:Questionnaire"),
+            ctx_for(g), None, expand("disco:Questionnaire"),
             path=[expand("disco:question")],
         )
         brute = len(g.match(iri("ex:qn"), iri("disco:question"), None))
@@ -295,7 +295,7 @@ def test_collection_size_vs_declared():
     ]
     rows += _list_rows("ex:lds", "dcterms:hasPart", [iri("ex:v1"), iri("ex:v2")])
     violations, _ = misc.check_aggregation(
-        ctx_for(graph(*rows)), expand("disco:LogicalDataSet"),
+        ctx_for(graph(*rows)), None, expand("disco:LogicalDataSet"),
         kind="collection-size-vs-declared",
         declared_property=expand("disco:variableQuantity"),
     )
@@ -325,7 +325,7 @@ def _two_variables(sizes=(2, 2), described=True, labeled=True):
 def _comparability(g, mode, variables=("ex:v0", "ex:v1")):
     ctx = ctx_for(g)
     return misc.check_variable_comparability(
-        ctx, [expand(v) for v in variables], mode, stats=extract_statistics(ctx)
+        ctx, extract_statistics(ctx), [expand(v) for v in variables], mode
     )
 
 
@@ -359,7 +359,7 @@ def test_comparability_structure_requires_code_list():
     rows = [_typed("ex:v0", "disco:Variable")]
     ctx = ctx_for(graph(*rows))
     out = misc.check_variable_comparability(
-        ctx, [expand("ex:v0")], "structure", stats=extract_statistics(ctx)
+        ctx, extract_statistics(ctx), [expand("ex:v0")], "structure"
     )
     assert len(out) == 1
 

@@ -1,6 +1,6 @@
 import random
 
-from rdfcheck.catalog import Severity, VocabularyInventory, builtin_catalog
+from rdfcheck.catalog import Catalog, Severity, VocabularyInventory, builtin_catalog
 from rdfcheck.checks import schema
 from rdfcheck.graph import Graph
 
@@ -400,7 +400,7 @@ def test_cardinality_exact_example():
     )
     out = schema.check_cardinality(
         ctx_for(g), expand("qb:dataSet"), expand("qb:Observation"),
-        max_count=1, qualifier_class=expand("qb:DataSet"),
+        max=1, qualifier_class=expand("qb:DataSet"),
     )
     assert len(out) == 1 and out[0].detail == "2"
 
@@ -413,7 +413,7 @@ def test_cardinality_satisfied():
     )
     out = schema.check_cardinality(
         ctx_for(g), expand("disco:universe"), expand("disco:Question"),
-        min_count=1, max_count=1, qualifier_class=expand("disco:Universe"),
+        min=1, max=1, qualifier_class=expand("disco:Universe"),
     )
     assert out == []
 
@@ -426,9 +426,9 @@ def test_cardinality_exact_equals_min_plus_max_runs():
     )
     ctx = ctx_for(g)
     p, c = expand("ex:p"), expand("ex:C")
-    exact = schema.check_cardinality(ctx, p, c, min_count=1, max_count=1)
-    min_only = schema.check_cardinality(ctx, p, c, min_count=1)
-    max_only = schema.check_cardinality(ctx, p, c, max_count=1)
+    exact = schema.check_cardinality(ctx, p, c, min=1, max=1)
+    min_only = schema.check_cardinality(ctx, p, c, min=1)
+    max_only = schema.check_cardinality(ctx, p, c, max=1)
     assert {(v.focus, v.detail) for v in exact} == {
         (v.focus, v.detail) for v in min_only + max_only
     }
@@ -443,7 +443,7 @@ def test_cardinality_counts_match_brute_force():
         lo, hi = rng.randrange(0, 4), rng.randrange(0, 4)
         out = schema.check_cardinality(
             ctx_for(graph(*rows)), expand("ex:p"), expand("ex:C"),
-            min_count=lo, max_count=hi,
+            min=lo, max=hi,
         )
         expected = (1 if len(values) < lo else 0) + (1 if len(values) > hi else 0)
         assert len(out) == expected
@@ -613,22 +613,27 @@ def test_deprecated_terms_flag_uses():
     inv = VocabularyInventory(name="toy", namespace="http://toy/",
                               deprecated={"http://toy/old"})
     g = graph(("ex:s", "http://toy/old", "ex:o"))
-    out = schema.check_deprecated_terms(ctx_for(g), inv, kind="properties")
+    out = schema.check_deprecated_terms(ctx_for(g, Catalog({}, {"toy": inv})), "toy",
+                                       kind="properties")
     assert len(out) == 1
-    assert schema.check_deprecated_terms(ctx_for(g), inv, kind="classes") == []
+    assert schema.check_deprecated_terms(
+        ctx_for(g, Catalog({}, {"toy": inv})), "toy", kind="classes"
+    ) == []
 
 
 def test_deprecated_class_via_rdf_type():
     inv = VocabularyInventory(name="toy", namespace="http://toy/",
                               deprecated={"http://toy/OldClass"})
     g = graph(_typed("ex:x", "http://toy/OldClass"))
-    assert len(schema.check_deprecated_terms(ctx_for(g), inv, kind="classes")) == 1
+    assert len(schema.check_deprecated_terms(
+        ctx_for(g, Catalog({}, {"toy": inv})), "toy", kind="classes"
+    )) == 1
 
 
 def test_undefined_terms_typo_flagged(skos_catalog):
     inv = skos_catalog.inventories["skos"]
     g = graph(_typed("ex:c", "skos:Concpet"))
-    out = schema.check_undefined_terms(ctx_for(g), inv)
+    out = schema.check_undefined_terms(ctx_for(g, skos_catalog), inv.name)
     assert len(out) == 1
     assert "Concpet" in out[0].detail
 
@@ -636,13 +641,13 @@ def test_undefined_terms_typo_flagged(skos_catalog):
 def test_undefined_terms_outside_namespace_never_flagged(skos_catalog):
     inv = skos_catalog.inventories["skos"]
     g = graph(("ex:s", "ex:madeUp", "ex:o"))
-    assert schema.check_undefined_terms(ctx_for(g), inv) == []
+    assert schema.check_undefined_terms(ctx_for(g, skos_catalog), inv.name) == []
 
 
 def test_undefined_terms_all_declared_fine(skos_catalog):
     inv = skos_catalog.inventories["skos"]
     g = graph(_typed("ex:c", "skos:Concept"), ("ex:c", "skos:prefLabel", lit("x")))
-    assert schema.check_undefined_terms(ctx_for(g), inv) == []
+    assert schema.check_undefined_terms(ctx_for(g, skos_catalog), inv.name) == []
 
 
 def test_http_scheme_flags_urn():

@@ -105,7 +105,7 @@ def test_frequency_totals_match():
         [(10, None, None, True), (5, None, None, True)],
         summaries=[("NumberOfCases", "15", "xsd:nonNegativeInteger")],
     )
-    assert check_frequency_totals(stats, "sum-vs-total") == []
+    assert check_frequency_totals(None, stats, "sum-vs-total") == []
 
 
 def test_valid_plus_invalid_mismatch():
@@ -117,7 +117,7 @@ def test_valid_plus_invalid_mismatch():
             ("InvalidCases", "4", "xsd:nonNegativeInteger"),
         ],
     )
-    out = check_frequency_totals(stats, "valid-plus-invalid")
+    out = check_frequency_totals(None, stats, "valid-plus-invalid")
     assert len(out) == 1
 
 
@@ -126,12 +126,12 @@ def test_valid_sum_uses_flags():
         [(10, None, None, True), (5, None, None, False)],
         summaries=[("ValidCases", "10", "xsd:nonNegativeInteger")],
     )
-    assert check_frequency_totals(stats, "valid-sum") == []
+    assert check_frequency_totals(None, stats, "valid-sum") == []
     stats_bad = stats_fixture(
         [(10, None, None, True), (5, None, None, False)],
         summaries=[("ValidCases", "12", "xsd:nonNegativeInteger")],
     )
-    assert len(check_frequency_totals(stats_bad, "valid-sum")) == 1
+    assert len(check_frequency_totals(None, stats_bad, "valid-sum")) == 1
 
 
 def test_country_totals():
@@ -152,8 +152,8 @@ def test_country_totals():
     ]
     ctx = ctx_for(graph(*rows))
     stats = extract_statistics(ctx)
-    out = check_frequency_totals(stats, "country-totals",
-                                 country_property=expand("ex:country"), ctx=ctx)
+    out = check_frequency_totals(ctx, stats, "country-totals",
+                                 country_property=expand("ex:country"))
     assert len(out) == 1 and "31" in out[0].message
 
 

@@ -1316,19 +1316,26 @@ DCAT_CATALOG = {
 }
 
 
+CATALOGS = {
+    "disco.json": DISCO_CATALOG,
+    "qb.json": QB_CATALOG,
+    "skos.json": SKOS_CATALOG,
+    "xkos.json": XKOS_CATALOG,
+    "phdd.json": PHDD_CATALOG,
+    "dcat.json": DCAT_CATALOG,
+}
+
+
+def render(catalog: dict) -> str:
+    """The text of one catalog data file."""
+    return json.dumps(catalog, indent=2) + "\n"
+
+
 def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
-    catalogs = {
-        "disco.json": DISCO_CATALOG,
-        "qb.json": QB_CATALOG,
-        "skos.json": SKOS_CATALOG,
-        "xkos.json": XKOS_CATALOG,
-        "phdd.json": PHDD_CATALOG,
-        "dcat.json": DCAT_CATALOG,
-    }
-    for filename, catalog in catalogs.items():
+    for filename, catalog in CATALOGS.items():
         path = OUT / filename
-        path.write_text(json.dumps(catalog, indent=2) + "\n", encoding="utf-8")
+        path.write_text(render(catalog), encoding="utf-8")
         print(f"wrote {path} ({len(catalog['constraints'])} constraints)")
 
 
