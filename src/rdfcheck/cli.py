@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 clean (no violation at or above --fail-on), 1 when such
-violations exist, 2 on usage, parse, or catalog errors. Load errors print
-one diagnostic line each on stderr.
+violations exist, 2 on usage, parse, catalog, or output errors. Those errors
+print one diagnostic line each on stderr.
 """
 
 from __future__ import annotations
@@ -77,11 +77,11 @@ def _catalog_search_dirs() -> list[Path]:
 
 def _resolve_catalog_path(spec: str) -> Path | None:
     path = Path(spec)
-    if path.exists():
+    if path.is_file():
         return path
     for directory in _catalog_search_dirs():
         candidate = directory / spec
-        if candidate.exists():
+        if candidate.is_file():
             return candidate
     return None
 
@@ -99,6 +99,8 @@ def _load_inputs(paths: list[str], fmt: str | None) -> Graph:
             graph = parse_turtle(data) if chosen == "ttl" else parse_ntriples(data)
         except ParseError as exc:
             raise ParseError(f"{spec}: {exc}", exc.line) from None
+        if len(paths) == 1:
+            return graph
         triples.extend(_shift_blanks(graph, blank_offset))
         blank_offset += _blank_count(graph)
     return Graph(triples)
@@ -151,7 +153,11 @@ def run_cli(argv: list[str] | None = None) -> int:
             resolved = _resolve_catalog_path(spec)
             if resolved is None:
                 return _fail(f"catalog file not found: {spec}")
-            catalog = merge_catalogs(catalog, resolved.read_bytes())
+            try:
+                document = resolved.read_bytes()
+            except OSError as exc:
+                return _fail(f"cannot read catalog {spec}: {exc.strerror}")
+            catalog = merge_catalogs(catalog, document)
     except CatalogError as exc:
         return _fail(str(exc))
 
@@ -189,7 +195,10 @@ def run_cli(argv: list[str] | None = None) -> int:
     threshold = Severity.parse(args.severity_threshold) if args.severity_threshold else None
     rendered = write_report(report, args.report, threshold)
     if args.output:
-        Path(args.output).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.output).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            return _fail(f"cannot write report to {args.output}: {exc.strerror}")
     else:
         sys.stdout.write(rendered)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from .namespaces import RDF_FIRST, RDF_NIL, RDF_REST
-from .terms import BlankNode, Iri, Literal, Term, Triple
+from .terms import BlankNode, Iri, Literal, Term, Triple, term_sort_key
 
 
 class MalformedListError(Exception):
@@ -26,30 +26,44 @@ class MalformedListError(Exception):
 
 
 class Graph:
-    """A set of triples, immutable after construction."""
+    """A set of triples, immutable after construction.
 
-    __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "_by_sp", "_by_po", "prefixes")
+    The constructor only dedups and sorts. The indexes are built on the
+    first lookup (``match`` or ``in``), so a graph that is only iterated,
+    such as one input of a multi-file run, never pays for them.
+    """
 
-    def __init__(self, triples: Iterable[Triple] = (), prefixes: dict[str, str] | None = None):
-        ordered = sorted(set(triples), key=Triple.sort_key)
-        self._triples: tuple[Triple, ...] = tuple(ordered)
-        self.prefixes: dict[str, str] = dict(prefixes or {})
+    __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "_by_sp", "_by_po", "_iris")
+
+    def __init__(self, triples: Iterable[Triple] = ()):
+        keys: dict[Term, tuple[int, str]] = {}
+
+        def key(term: Term) -> tuple[int, str]:
+            k = keys.get(term)
+            if k is None:
+                k = keys[term] = term_sort_key(term)
+            return k
+
+        self._triples: tuple[Triple, ...] = tuple(
+            sorted(set(triples), key=lambda t: (key(t.subject), key(t.predicate), key(t.object)))
+        )
+        self._by_s = self._by_p = self._by_o = self._by_sp = self._by_po = None
+        self._iris: list[Iri] | None = None
+
+    def _index(self) -> None:
         by_s: dict[Term, list[Triple]] = {}
         by_p: dict[Term, list[Triple]] = {}
         by_o: dict[Term, list[Triple]] = {}
         by_sp: dict[tuple[Term, Term], list[Triple]] = {}
         by_po: dict[tuple[Term, Term], list[Triple]] = {}
-        for t in ordered:
+        for t in self._triples:
             by_s.setdefault(t.subject, []).append(t)
             by_p.setdefault(t.predicate, []).append(t)
             by_o.setdefault(t.object, []).append(t)
             by_sp.setdefault((t.subject, t.predicate), []).append(t)
             by_po.setdefault((t.predicate, t.object), []).append(t)
-        self._by_s = by_s
-        self._by_p = by_p
-        self._by_o = by_o
-        self._by_sp = by_sp
-        self._by_po = by_po
+        self._by_s, self._by_p, self._by_o = by_s, by_p, by_o
+        self._by_sp, self._by_po = by_sp, by_po
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -58,6 +72,8 @@ class Graph:
         return iter(self._triples)
 
     def __contains__(self, triple: Triple) -> bool:
+        if self._by_s is None:
+            self._index()
         return triple in self._by_sp.get((triple.subject, triple.predicate), ())
 
     def match(
@@ -67,6 +83,8 @@ class Graph:
         o: Term | None = None,
     ) -> list[Triple]:
         """Triples matching every bound position, in sorted order."""
+        if self._by_s is None:
+            self._index()
         if s is not None and p is not None:
             candidates = self._by_sp.get((s, p), [])
         elif p is not None and o is not None:
@@ -99,13 +117,16 @@ class Graph:
         return found[0].object if found else None
 
     def iris(self) -> list[Iri]:
-        """Every distinct IRI appearing in subject, predicate, or object position."""
-        seen: set[Iri] = set()
-        for t in self._triples:
-            for term in (t.subject, t.predicate, t.object):
-                if isinstance(term, Iri):
-                    seen.add(term)
-        return sorted(seen, key=lambda i: i.value)
+        """Every distinct IRI appearing in subject, predicate, or object
+        position, sorted. Computed once; each call returns a new list."""
+        if self._iris is None:
+            seen: set[Iri] = set()
+            for t in self._triples:
+                for term in (t.subject, t.predicate, t.object):
+                    if isinstance(term, Iri):
+                        seen.add(term)
+            self._iris = sorted(seen, key=lambda i: i.value)
+        return list(self._iris)
 
     def literals(self) -> list[tuple[Triple, Literal]]:
         return [(t, t.object) for t in self._triples if isinstance(t.object, Literal)]

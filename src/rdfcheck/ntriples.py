@@ -34,6 +34,41 @@ _STRING_ESCAPES = {
 _BLANK_LABEL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 _LANG_TAG = re.compile(r"[a-zA-Z]+(-[a-zA-Z0-9]+)*")
 
+# One escape-free line as a single regex. It accepts only lines the cursor
+# accepts and captures the same terms. A blank label leaves out trailing
+# dots, as the cursor strips them. Backtracking cannot shorten a label or a
+# language tag: a shorter match is followed by a character of the label or
+# tag, the only such character that may follow a term is the final '.', and
+# here another label character would come after that '.'.
+_FAST_IRI = r'<([^> "{}|^`\\]*)>'
+_FAST_BLANK = r"_:([A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)"
+_FAST_LINE = re.compile(
+    rf"(?:{_FAST_IRI}|{_FAST_BLANK})[ \t]+{_FAST_IRI}[ \t]+"
+    rf'(?:{_FAST_IRI}|{_FAST_BLANK}|"([^"]*)"'
+    rf"(?:@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|\^\^{_FAST_IRI})?)"
+    r"[ \t]*\.[ \t]*(?:#.*)?",
+    re.DOTALL,
+)
+
+
+def _code_point(hexed: str, line: int) -> str:
+    """The character a ``\\u``/``\\U`` escape names; RDF strings and IRIs
+    hold Unicode scalar values only, so surrogates and values above
+    U+10FFFF are syntax errors."""
+    code = int(hexed, 16)
+    if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        raise ParseError(f"escape U+{code:04X} is not a Unicode scalar value", line)
+    return chr(code)
+
+
+class _IriTable(dict):
+    """Per-parse IRI interning: equal IRIs share one object, so index
+    lookups on them succeed on identity."""
+
+    def __missing__(self, value: str) -> Iri:
+        iri = self[value] = Iri(value)
+        return iri
+
 
 class _BlankScope:
     """Per-document relabeling of blank nodes to _:b0, _:b1, ..."""
@@ -61,24 +96,58 @@ def parse_ntriples(data: bytes | str) -> Graph:
     else:
         text = data
     scope = _BlankScope()
+    iris = _IriTable()
     triples: list[Triple] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        cursor = _Cursor(line, lineno)
-        subject = _parse_subject(cursor, scope)
-        cursor.skip_ws(required=True)
-        predicate = _parse_iri(cursor)
-        cursor.skip_ws(required=True)
-        obj = _parse_object(cursor, scope)
-        cursor.skip_ws()
-        cursor.expect(".")
-        cursor.skip_ws()
-        if not cursor.at_end() and not cursor.rest().startswith("#"):
-            cursor.fail(f"trailing content after '.': {cursor.rest()!r}")
-        triples.append(Triple(subject, predicate, obj))
+        if "\\" not in line:
+            found = _fast_triple(line, scope, iris)
+            if found is not None:
+                triples.append(found)
+                continue
+        triples.append(_cursor_triple(line, lineno, scope, iris))
     return Graph(triples)
+
+
+def _fast_triple(line: str, scope: _BlankScope, iris: _IriTable) -> Triple | None:
+    """The triple on an escape-free ``line``, or None to leave the line
+    (and any error in it) to the cursor."""
+    m = _FAST_LINE.fullmatch(line)
+    if m is None:
+        return None
+    s_iri, s_blank, p_iri, o_iri, o_blank, lexical, lang, datatype = m.groups()
+    for value in (s_iri, p_iri, o_iri, datatype):
+        if value is not None and ":" not in value:
+            return None
+    subject = scope.get(s_blank) if s_iri is None else iris[s_iri]
+    if o_iri is not None:
+        obj: Term = iris[o_iri]
+    elif o_blank is not None:
+        obj = scope.get(o_blank)
+    elif lang is not None:
+        obj = Literal(lexical, lang=lang)
+    elif datatype is not None:
+        obj = Literal(lexical, datatype=datatype)
+    else:
+        obj = Literal(lexical)
+    return Triple(subject, iris[p_iri], obj)
+
+
+def _cursor_triple(line: str, lineno: int, scope: _BlankScope, iris: _IriTable) -> Triple:
+    cursor = _Cursor(line, lineno)
+    subject = _parse_subject(cursor, scope, iris)
+    cursor.skip_ws(required=True)
+    predicate = _parse_iri(cursor, iris)
+    cursor.skip_ws(required=True)
+    obj = _parse_object(cursor, scope, iris)
+    cursor.skip_ws()
+    cursor.expect(".")
+    cursor.skip_ws()
+    if not cursor.at_end() and not cursor.rest().startswith("#"):
+        cursor.fail(f"trailing content after '.': {cursor.rest()!r}")
+    return Triple(subject, predicate, obj)
 
 
 def serialize_ntriples(graph: Graph) -> str:
@@ -121,29 +190,29 @@ class _Cursor:
         raise ParseError(message, self.line)
 
 
-def _parse_subject(cur: _Cursor, scope: _BlankScope) -> Term:
+def _parse_subject(cur: _Cursor, scope: _BlankScope, iris: _IriTable) -> Term:
     ch = cur.peek()
     if ch == "<":
-        return _parse_iri(cur)
+        return _parse_iri(cur, iris)
     if ch == "_":
         return _parse_blank(cur, scope)
     cur.fail(f"expected IRI or blank node subject, found {ch!r}")
     raise AssertionError  # unreachable
 
 
-def _parse_object(cur: _Cursor, scope: _BlankScope) -> Term:
+def _parse_object(cur: _Cursor, scope: _BlankScope, iris: _IriTable) -> Term:
     ch = cur.peek()
     if ch == "<":
-        return _parse_iri(cur)
+        return _parse_iri(cur, iris)
     if ch == "_":
         return _parse_blank(cur, scope)
     if ch == '"':
-        return _parse_literal(cur)
+        return _parse_literal(cur, iris)
     cur.fail(f"expected IRI, blank node, or literal object, found {ch!r}")
     raise AssertionError
 
 
-def _parse_iri(cur: _Cursor) -> Iri:
+def _parse_iri(cur: _Cursor, iris: _IriTable) -> Iri:
     cur.expect("<")
     start = cur.pos
     while not cur.at_end() and cur.peek() != ">":
@@ -156,15 +225,14 @@ def _parse_iri(cur: _Cursor) -> Iri:
     cur.advance()
 
     def unescape(m: re.Match[str]) -> str:
-        code = m.group(1) or m.group(2)
-        return chr(int(code, 16))
+        return _code_point(m.group(1) or m.group(2), cur.line)
 
     value = _IRI_ESCAPES.sub(unescape, raw)
     if "\\" in value:
         cur.fail(f"invalid escape sequence in IRI <{raw}>")
     if ":" not in value:
         cur.fail(f"relative IRI <{value}> is not allowed")
-    return Iri(value)
+    return iris[value]
 
 
 def _parse_blank(cur: _Cursor, scope: _BlankScope) -> BlankNode:
@@ -199,14 +267,14 @@ def _parse_string_body(cur: _Cursor) -> str:
                 hexed = cur.text[cur.pos : cur.pos + 4]
                 if len(hexed) != 4 or not re.fullmatch(r"[0-9A-Fa-f]{4}", hexed):
                     cur.fail("invalid \\u escape")
-                out.append(chr(int(hexed, 16)))
+                out.append(_code_point(hexed, cur.line))
                 cur.advance(4)
             elif esc == "U":
                 cur.advance()
                 hexed = cur.text[cur.pos : cur.pos + 8]
                 if len(hexed) != 8 or not re.fullmatch(r"[0-9A-Fa-f]{8}", hexed):
                     cur.fail("invalid \\U escape")
-                out.append(chr(int(hexed, 16)))
+                out.append(_code_point(hexed, cur.line))
                 cur.advance(8)
             else:
                 cur.fail(f"invalid escape sequence \\{esc}")
@@ -215,7 +283,7 @@ def _parse_string_body(cur: _Cursor) -> str:
             cur.advance()
 
 
-def _parse_literal(cur: _Cursor) -> Literal:
+def _parse_literal(cur: _Cursor, iris: _IriTable) -> Literal:
     lexical = _parse_string_body(cur)
     if cur.peek() == "@":
         cur.advance()
@@ -228,6 +296,6 @@ def _parse_literal(cur: _Cursor) -> Literal:
     if cur.peek() == "^":
         cur.advance()
         cur.expect("^")
-        datatype = _parse_iri(cur)
+        datatype = _parse_iri(cur, iris)
         return Literal(lexical, datatype=datatype.value)
     return Literal(lexical)

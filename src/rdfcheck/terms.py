@@ -101,10 +101,3 @@ class Triple:
 
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."
-
-    def sort_key(self) -> tuple[tuple[int, str], tuple[int, str], tuple[int, str]]:
-        return (
-            term_sort_key(self.subject),
-            term_sort_key(self.predicate),
-            term_sort_key(self.object),
-        )

@@ -16,14 +16,14 @@ import re
 
 from .graph import Graph
 from .namespaces import RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
-from .ntriples import ParseError, _BlankScope, _STRING_ESCAPES
+from .ntriples import ParseError, _BlankScope, _code_point, _IRI_ESCAPES, _IriTable, _STRING_ESCAPES
 from .terms import BlankNode, Iri, Literal, Term, Triple
 
 _PNAME = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:([A-Za-z0-9_][A-Za-z0-9_.\-]*)?")
 _BLANK = re.compile(r"_:([A-Za-z0-9_][A-Za-z0-9_.\-]*)")
 _NUMBER = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.?\d+[eE][+-]?\d+|\d*\.\d+|\d+)")
 _LANG = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
-_IRI_BODY = re.compile(r"[^<>\"{}|^`\\\x00-\x20]*")
+_IRI_BODY = re.compile(r"(?:[^<>\"{}|^`\\\x00-\x20]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8})*")
 
 
 def parse_turtle(data: bytes | str) -> Graph:
@@ -44,6 +44,7 @@ class _Parser:
         self.line = 1
         self.prefixes: dict[str, str] = {}
         self.scope = _BlankScope()
+        self.iris = _IriTable()
         self.triples: list[Triple] = []
 
     # scanning -----------------------------------------------------------
@@ -100,7 +101,7 @@ class _Parser:
                 self.fail("unsupported construct: SPARQL-style PREFIX (use @prefix)")
             else:
                 self.parse_triples_block()
-        return Graph(self.triples, prefixes=self.prefixes)
+        return Graph(self.triples)
 
     def looking_at_keyword(self, word: str) -> bool:
         self.skip_trivia()
@@ -169,7 +170,7 @@ class _Parser:
     def parse_verb(self) -> Iri:
         self.skip_trivia()
         if self.try_keyword("a"):
-            return Iri(RDF_TYPE)
+            return self.iris[RDF_TYPE]
         ch = self.peek()
         if ch == "<":
             return self.parse_iriref()
@@ -232,16 +233,14 @@ class _Parser:
         if self.peek() != ">":
             self.fail("unterminated or malformed IRI")
         self.advance()
-        value = re.sub(
-            r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})",
-            lambda mm: chr(int(mm.group(1) or mm.group(2), 16)),
-            raw,
+        value = _IRI_ESCAPES.sub(
+            lambda mm: _code_point(mm.group(1) or mm.group(2), self.line), raw
         )
         if ":" not in value:
             self.fail(
                 f"unsupported construct: relative IRI <{value}> (no @base support)"
             )
-        return Iri(value)
+        return self.iris[value]
 
     def parse_pname(self) -> Iri:
         m = _PNAME.match(self.text, self.pos)
@@ -259,7 +258,7 @@ class _Parser:
         self.advance(consumed)
         if prefix not in self.prefixes:
             self.fail(f"undeclared prefix {prefix!r}:")
-        return Iri(self.prefixes[prefix] + local)
+        return self.iris[self.prefixes[prefix] + local]
 
     def parse_blank_label(self) -> BlankNode:
         m = _BLANK.match(self.text, self.pos)
@@ -295,17 +294,17 @@ class _Parser:
                 self.fail("unterminated collection")
             members.append(self.parse_object())
         if not members:
-            return Iri(RDF_NIL)
+            return self.iris[RDF_NIL]
         head = self.scope.fresh()
         node = head
         for i, member in enumerate(members):
-            self.triples.append(Triple(node, Iri(RDF_FIRST), member))
+            self.triples.append(Triple(node, self.iris[RDF_FIRST], member))
             if i + 1 < len(members):
                 nxt = self.scope.fresh()
-                self.triples.append(Triple(node, Iri(RDF_REST), nxt))
+                self.triples.append(Triple(node, self.iris[RDF_REST], nxt))
                 node = nxt
             else:
-                self.triples.append(Triple(node, Iri(RDF_REST), Iri(RDF_NIL)))
+                self.triples.append(Triple(node, self.iris[RDF_REST], self.iris[RDF_NIL]))
         return head
 
     def parse_string_literal(self) -> Literal:
@@ -358,7 +357,7 @@ class _Parser:
                     hexed = self.text[self.pos : self.pos + width]
                     if not re.fullmatch(r"[0-9A-Fa-f]{%d}" % width, hexed or ""):
                         self.fail(f"invalid \\{esc} escape")
-                    out.append(chr(int(hexed, 16)))
+                    out.append(_code_point(hexed, self.line))
                     self.advance(width)
                 else:
                     self.fail(f"invalid escape sequence \\{esc}")
@@ -386,7 +385,7 @@ class _Parser:
                 hexed = raw[i + 2 : i + 2 + width]
                 if not re.fullmatch(r"[0-9A-Fa-f]{%d}" % width, hexed or ""):
                     self.fail(f"invalid \\{esc} escape")
-                result.append(chr(int(hexed, 16)))
+                result.append(_code_point(hexed, self.line))
                 i += 2 + width
             else:
                 self.fail(f"invalid escape sequence \\{esc}")

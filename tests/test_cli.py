@@ -190,3 +190,32 @@ def test_jobs_flag_rejected(capsys):
         "--vocab", "disco", "--jobs", "4", "--output", "/dev/null",
         fixture("eusilc.ttl"),
     ]) == 2
+
+
+def test_catalog_that_is_a_directory_exits_two_with_one_line(tmp_path, capsys):
+    assert run_cli(["--catalog", str(tmp_path), fixture("thesaurus_clean.ttl")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"rdfcheck: error: catalog file not found: {tmp_path}\n"
+
+
+def test_unreadable_catalog_exits_two_with_one_line(tmp_path, monkeypatch, capsys):
+    user = tmp_path / "user.json"
+    user.write_text("{}")
+
+    def refuse(self):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    assert run_cli(["--catalog", str(user), fixture("thesaurus_clean.ttl")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"rdfcheck: error: cannot read catalog {user}: Permission denied\n"
+
+
+@pytest.mark.parametrize("target", ["missing/dir/report.txt", "."])
+def test_unwritable_output_exits_two_with_one_line(tmp_path, capsys, target):
+    output = tmp_path / target
+    code = run_cli(["--vocab", "skos", "--output", str(output), fixture("thesaurus_clean.ttl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rdfcheck: error: cannot write report to {output}: ")
+    assert err.count("\n") == 1

@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 
 from rdfcheck.graph import Graph, MalformedListError, isomorphic, walk_rdf_list
 from rdfcheck.namespaces import RDF_FIRST, RDF_NIL, RDF_REST
-from rdfcheck.terms import BlankNode, Iri, Literal, Triple
+from rdfcheck.terms import BlankNode, Iri, Literal, Triple, term_sort_key
 
 from conftest import graph, iri, lit, triple
+
+
+def _triple_key(t):
+    return (term_sort_key(t.subject), term_sort_key(t.predicate), term_sort_key(t.object))
 
 
 def _random_term(rng, kind):
@@ -59,7 +63,7 @@ def test_match_equals_linear_scan_on_random_graphs():
                     and (p is None or t.predicate == p)
                     and (o is None or t.object == o)
                 ),
-                key=Triple.sort_key,
+                key=_triple_key,
             )
             assert g.match(s, p, o) == expected
 
@@ -76,7 +80,7 @@ def test_graph_deduplicates_and_sorts(size, seed):
     g = Graph(triples)
     assert len(g) == len(set(triples))
     listed = list(g)
-    assert listed == sorted(listed, key=Triple.sort_key)
+    assert listed == sorted(listed, key=_triple_key)
 
 
 def _list_graph(members):
@@ -146,3 +150,17 @@ def test_isomorphic_respects_structure_not_labels():
         Triple(BlankNode("b"), iri("ex:p"), lit("2")),
     ])
     assert not isomorphic(g1, g2)
+
+
+def test_iris_returns_a_fresh_copy_each_call():
+    g = graph(("ex:s", "ex:p", "ex:o"), ("ex:o", "ex:p", lit("x")))
+    first = g.iris()
+    assert first == [iri("ex:o"), iri("ex:p"), iri("ex:s")]
+    first.clear()
+    assert g.iris() == [iri("ex:o"), iri("ex:p"), iri("ex:s")]
+
+
+def test_membership_before_any_match():
+    g = graph(("ex:s", "ex:p", "ex:o"))
+    assert triple("ex:s", "ex:p", "ex:o") in g
+    assert triple("ex:s", "ex:p", "ex:s") not in g

@@ -115,3 +115,31 @@ def test_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_turtle("@prefix ex: <http://e/> .\nex:s ex:p ex:o .\nex:s ex:p @@ .")
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("text", [
+    '@prefix ex: <http://e/> .\nex:s ex:p "\\UFFFFFFFF" .',
+    '@prefix ex: <http://e/> .\nex:s ex:p "\\uD800" .',
+    "@prefix ex: <http://e/> .\nex:s ex:p '\\U00110000' .",
+    '@prefix ex: <http://e/> .\nex:s ex:p """\\uDBFF""" .',
+    '@prefix ex: <http://e/> .\nex:s ex:p <http://e/\\UFFFFFFFF> .',
+    '@prefix ex: <http://e/> .\nex:s ex:p <http://e/\\uD800> .',
+])
+def test_escape_outside_unicode_scalar_values_rejected(text):
+    with pytest.raises(ParseError) as err:
+        parse_turtle(text)
+    assert str(err.value).startswith("line 2: escape U+")
+    assert "not a Unicode scalar value" in str(err.value)
+
+
+def test_equal_iris_share_one_object():
+    g = parse_turtle(
+        "@prefix ex: <http://e/> .\nex:a ex:p <http://e/b> .\n<http://e/b> ex:p ex:a ."
+    )
+    objects = {id(term) for t in g for term in (t.subject, t.predicate, t.object)}
+    assert len(objects) == 3
+
+
+def test_iri_escapes_decoded():
+    g = parse_turtle("<http://e/\\u0041> <http://e/p> <http://e/\\U00000042> .")
+    assert list(g) == [triple("http://e/A", "http://e/p", "http://e/B")]
