@@ -8,6 +8,8 @@ the very modeling errors the checkers look for.
 
 from __future__ import annotations
 
+from urllib.parse import urlparse
+
 from ..catalog import Catalog
 from ..graph import Graph
 from ..namespaces import RDF_TYPE
@@ -22,6 +24,7 @@ class GraphContext:
         self.catalog = catalog if catalog is not None else _EMPTY_CATALOG
         self._types: dict[Term, frozenset[str]] | None = None
         self._extensions: dict[str, list[Term]] = {}
+        self._schemes: dict[Iri, str] = {}
 
     def _type_map(self) -> dict[Term, frozenset[str]]:
         if self._types is None:
@@ -49,6 +52,13 @@ class GraphContext:
             )
             self._extensions[cls] = cached
         return cached
+
+    def scheme(self, iri: Iri) -> str:
+        """The lowercased URI scheme of ``iri``, parsed once per run."""
+        scheme = self._schemes.get(iri)
+        if scheme is None:
+            scheme = self._schemes[iri] = urlparse(iri.value).scheme.lower()
+        return scheme
 
     def statements(self, prop: str) -> list:
         return self.graph.match(None, Iri(prop), None)

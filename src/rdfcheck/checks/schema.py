@@ -6,8 +6,6 @@ mutation, deterministic output order.
 
 from __future__ import annotations
 
-from urllib.parse import urlparse
-
 from ..catalog import Severity
 from ..namespaces import RDF_TYPE, compact
 from ..terms import Iri, Literal, Term, term_sort_key
@@ -396,12 +394,11 @@ def check_disjoint_properties(
     for prop in properties:
         for triple in ctx.statements(prop):
             by_pair.setdefault((triple.subject, triple.object), []).append(prop)
+    shared = [(pair, props) for pair, props in by_pair.items() if len(props) >= 2]
     out = []
     for (x, y), props in sorted(
-        by_pair.items(), key=lambda kv: (term_sort_key(kv[0][0]), term_sort_key(kv[0][1]))
+        shared, key=lambda kv: (term_sort_key(kv[0][0]), term_sort_key(kv[0][1]))
     ):
-        if len(props) < 2:
-            continue
         props = sorted(set(props))
         for i, p in enumerate(props):
             for q in props[i + 1 :]:
@@ -790,7 +787,7 @@ def check_http_scheme(
     """IRIs whose scheme is neither http nor https."""
     out = []
     for iri in ctx.graph.iris():
-        scheme = urlparse(iri.value).scheme.lower()
+        scheme = ctx.scheme(iri)
         if scheme not in ("http", "https"):
             out.append(
                 make_violation(

@@ -93,12 +93,15 @@ def _load_inputs(paths: list[str], fmt: str | None) -> Graph:
         path = Path(spec)
         if not path.exists():
             raise FileNotFoundError(f"input file not found: {spec}")
-        data = path.read_bytes()
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise OSError(f"cannot read input {spec}: {exc.strerror}") from None
         chosen = fmt or ("ttl" if path.suffix.lower() == ".ttl" else "nt")
         try:
             graph = parse_turtle(data) if chosen == "ttl" else parse_ntriples(data)
         except ParseError as exc:
-            raise ParseError(f"{spec}: {exc}", exc.line) from None
+            raise ParseError(exc.reason, exc.line, spec) from None
         if len(paths) == 1:
             return graph
         triples.extend(_shift_blanks(graph, blank_offset))
@@ -173,7 +176,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
     try:
         graph = _load_inputs(args.inputs, args.format)
-    except (FileNotFoundError, ParseError) as exc:
+    except (OSError, ParseError) as exc:
         return _fail(str(exc))
 
     try:

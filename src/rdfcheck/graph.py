@@ -82,28 +82,23 @@ class Graph:
         p: Term | None = None,
         o: Term | None = None,
     ) -> list[Triple]:
-        """Triples matching every bound position, in sorted order."""
+        """Triples matching every bound position, in sorted order.
+
+        Each index list is in sorted order and holds exactly the triples
+        that share its key, so only a bound position outside the key is
+        filtered."""
         if self._by_s is None:
             self._index()
-        if s is not None and p is not None:
-            candidates = self._by_sp.get((s, p), [])
-        elif p is not None and o is not None:
-            candidates = self._by_po.get((p, o), [])
-        elif s is not None:
-            candidates = self._by_s.get(s, [])
-        elif p is not None:
-            candidates = self._by_p.get(p, [])
-        elif o is not None:
-            candidates = self._by_o.get(o, [])
-        else:
-            return list(self._triples)
-        return [
-            t
-            for t in candidates
-            if (s is None or t.subject == s)
-            and (p is None or t.predicate == p)
-            and (o is None or t.object == o)
-        ]
+        if s is not None:
+            candidates = self._by_sp.get((s, p), ()) if p is not None else self._by_s.get(s, ())
+            if o is not None:
+                return [t for t in candidates if t.object == o]
+            return list(candidates)
+        if p is not None:
+            return list(self._by_po.get((p, o), ()) if o is not None else self._by_p.get(p, ()))
+        if o is not None:
+            return list(self._by_o.get(o, ()))
+        return list(self._triples)
 
     def objects(self, s: Term, p: Term) -> list[Term]:
         return [t.object for t in self.match(s, p)]

@@ -10,12 +10,16 @@ from __future__ import annotations
 import re
 
 from .graph import Graph
+from .namespaces import RDF_LANGSTRING
 from .terms import BlankNode, Iri, Literal, Term, Triple
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    """A syntax error; the message reads ``[SOURCE: ]line N: MESSAGE``."""
+
+    def __init__(self, message: str, line: int, source: str | None = None):
+        where = f"line {line}" if source is None else f"{source}: line {line}"
+        super().__init__(f"{where}: {message}")
         self.line = line
         self.reason = message
 
@@ -33,6 +37,7 @@ _STRING_ESCAPES = {
 }
 _BLANK_LABEL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 _LANG_TAG = re.compile(r"[a-zA-Z]+(-[a-zA-Z0-9]+)*")
+_UNTAGGED_LANGSTRING = "rdf:langString literal requires a language tag"
 
 # One escape-free line as a single regex. It accepts only lines the cursor
 # accepts and captures the same terms. A blank label leaves out trailing
@@ -61,15 +66,6 @@ def _code_point(hexed: str, line: int) -> str:
     return chr(code)
 
 
-class _IriTable(dict):
-    """Per-parse IRI interning: equal IRIs share one object, so index
-    lookups on them succeed on identity."""
-
-    def __missing__(self, value: str) -> Iri:
-        iri = self[value] = Iri(value)
-        return iri
-
-
 class _BlankScope:
     """Per-document relabeling of blank nodes to _:b0, _:b1, ..."""
 
@@ -96,22 +92,21 @@ def parse_ntriples(data: bytes | str) -> Graph:
     else:
         text = data
     scope = _BlankScope()
-    iris = _IriTable()
     triples: list[Triple] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "\\" not in line:
-            found = _fast_triple(line, scope, iris)
+            found = _fast_triple(line, scope)
             if found is not None:
                 triples.append(found)
                 continue
-        triples.append(_cursor_triple(line, lineno, scope, iris))
+        triples.append(_cursor_triple(line, lineno, scope))
     return Graph(triples)
 
 
-def _fast_triple(line: str, scope: _BlankScope, iris: _IriTable) -> Triple | None:
+def _fast_triple(line: str, scope: _BlankScope) -> Triple | None:
     """The triple on an escape-free ``line``, or None to leave the line
     (and any error in it) to the cursor."""
     m = _FAST_LINE.fullmatch(line)
@@ -121,9 +116,11 @@ def _fast_triple(line: str, scope: _BlankScope, iris: _IriTable) -> Triple | Non
     for value in (s_iri, p_iri, o_iri, datatype):
         if value is not None and ":" not in value:
             return None
-    subject = scope.get(s_blank) if s_iri is None else iris[s_iri]
+    if datatype == RDF_LANGSTRING:
+        return None
+    subject = scope.get(s_blank) if s_iri is None else Iri(s_iri)
     if o_iri is not None:
-        obj: Term = iris[o_iri]
+        obj: Term = Iri(o_iri)
     elif o_blank is not None:
         obj = scope.get(o_blank)
     elif lang is not None:
@@ -132,16 +129,16 @@ def _fast_triple(line: str, scope: _BlankScope, iris: _IriTable) -> Triple | Non
         obj = Literal(lexical, datatype=datatype)
     else:
         obj = Literal(lexical)
-    return Triple(subject, iris[p_iri], obj)
+    return Triple(subject, Iri(p_iri), obj)
 
 
-def _cursor_triple(line: str, lineno: int, scope: _BlankScope, iris: _IriTable) -> Triple:
+def _cursor_triple(line: str, lineno: int, scope: _BlankScope) -> Triple:
     cursor = _Cursor(line, lineno)
-    subject = _parse_subject(cursor, scope, iris)
+    subject = _parse_subject(cursor, scope)
     cursor.skip_ws(required=True)
-    predicate = _parse_iri(cursor, iris)
+    predicate = _parse_iri(cursor)
     cursor.skip_ws(required=True)
-    obj = _parse_object(cursor, scope, iris)
+    obj = _parse_object(cursor, scope)
     cursor.skip_ws()
     cursor.expect(".")
     cursor.skip_ws()
@@ -190,29 +187,29 @@ class _Cursor:
         raise ParseError(message, self.line)
 
 
-def _parse_subject(cur: _Cursor, scope: _BlankScope, iris: _IriTable) -> Term:
+def _parse_subject(cur: _Cursor, scope: _BlankScope) -> Term:
     ch = cur.peek()
     if ch == "<":
-        return _parse_iri(cur, iris)
+        return _parse_iri(cur)
     if ch == "_":
         return _parse_blank(cur, scope)
     cur.fail(f"expected IRI or blank node subject, found {ch!r}")
     raise AssertionError  # unreachable
 
 
-def _parse_object(cur: _Cursor, scope: _BlankScope, iris: _IriTable) -> Term:
+def _parse_object(cur: _Cursor, scope: _BlankScope) -> Term:
     ch = cur.peek()
     if ch == "<":
-        return _parse_iri(cur, iris)
+        return _parse_iri(cur)
     if ch == "_":
         return _parse_blank(cur, scope)
     if ch == '"':
-        return _parse_literal(cur, iris)
+        return _parse_literal(cur)
     cur.fail(f"expected IRI, blank node, or literal object, found {ch!r}")
     raise AssertionError
 
 
-def _parse_iri(cur: _Cursor, iris: _IriTable) -> Iri:
+def _parse_iri(cur: _Cursor) -> Iri:
     cur.expect("<")
     start = cur.pos
     while not cur.at_end() and cur.peek() != ">":
@@ -232,7 +229,7 @@ def _parse_iri(cur: _Cursor, iris: _IriTable) -> Iri:
         cur.fail(f"invalid escape sequence in IRI <{raw}>")
     if ":" not in value:
         cur.fail(f"relative IRI <{value}> is not allowed")
-    return iris[value]
+    return Iri(value)
 
 
 def _parse_blank(cur: _Cursor, scope: _BlankScope) -> BlankNode:
@@ -283,7 +280,7 @@ def _parse_string_body(cur: _Cursor) -> str:
             cur.advance()
 
 
-def _parse_literal(cur: _Cursor, iris: _IriTable) -> Literal:
+def _parse_literal(cur: _Cursor) -> Literal:
     lexical = _parse_string_body(cur)
     if cur.peek() == "@":
         cur.advance()
@@ -296,6 +293,8 @@ def _parse_literal(cur: _Cursor, iris: _IriTable) -> Literal:
     if cur.peek() == "^":
         cur.advance()
         cur.expect("^")
-        datatype = _parse_iri(cur, iris)
+        datatype = _parse_iri(cur)
+        if datatype.value == RDF_LANGSTRING:
+            cur.fail(_UNTAGGED_LANGSTRING)
         return Literal(lexical, datatype=datatype.value)
     return Literal(lexical)

@@ -1,28 +1,80 @@
 """RDF term and triple model.
 
-Terms are immutable values; equality is structural. IRIs compare by exact
-string (no normalization), literals by (lexical form, datatype IRI,
-lowercased language tag).
+Terms are immutable values. IRIs and blank nodes are interned: ``Iri(v)``
+returns the one object for ``v``, and ``BlankNode(label)`` the one object for
+``label``. So they compare and hash by identity, which runs in C, and an
+equal string always gives the same term. The intern tables live for the
+process and are never emptied. IRIs compare by exact string (no
+normalization). Literals are not interned and compare structurally, by
+(lexical form, datatype IRI, lowercased language tag).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import FrozenInstanceError, dataclass, field
 
 from .namespaces import RDF_LANGSTRING, XSD_STRING
 
+_IRIS: dict[str, Iri] = {}
+_BLANKS: dict[str, BlankNode] = {}
 
-@dataclass(frozen=True, slots=True)
-class Iri:
+
+class _Interned:
+    """Immutable, and equal only to itself. A subclass's ``__new__`` stores
+    a new term with ``dict.setdefault``, which is atomic, so threads that
+    miss the table at once still share one object. Its ``__reduce__`` calls
+    the constructor, so ``copy``, ``deepcopy`` and ``pickle`` return the
+    interned object."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Iri(_Interned):
+    __slots__ = ("value",)
     value: str
+
+    def __new__(cls, value: str) -> Iri:
+        try:
+            return _IRIS[value]
+        except KeyError:
+            iri = object.__new__(cls)
+            object.__setattr__(iri, "value", value)
+            return _IRIS.setdefault(value, iri)
+
+    def __reduce__(self) -> tuple[type[Iri], tuple[str]]:
+        return (Iri, (self.value,))
+
+    def __repr__(self) -> str:
+        return f"Iri(value={self.value!r})"
 
     def __str__(self) -> str:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
+class BlankNode(_Interned):
+    __slots__ = ("label",)
     label: str
+
+    def __new__(cls, label: str) -> BlankNode:
+        try:
+            return _BLANKS[label]
+        except KeyError:
+            node = object.__new__(cls)
+            object.__setattr__(node, "label", label)
+            return _BLANKS.setdefault(label, node)
+
+    def __reduce__(self) -> tuple[type[BlankNode], tuple[str]]:
+        return (BlankNode, (self.label,))
+
+    def __repr__(self) -> str:
+        return f"BlankNode(label={self.label!r})"
 
     def __str__(self) -> str:
         return f"_:{self.label}"
@@ -57,25 +109,21 @@ class Literal:
 Term = Iri | BlankNode | Literal
 
 
+_NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f]')
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape_char(m: re.Match[str]) -> str:
+    ch = m.group()
+    return _ESCAPES.get(ch) or f"\\u{ord(ch):04X}"
+
+
 def escape_literal(text: str) -> str:
-    """Escape a lexical form for N-Triples output."""
-    out: list[str] = []
-    for ch in text:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    """Escape a lexical form for N-Triples output. Text with nothing to
+    escape, the common case, comes back unchanged after one regex scan."""
+    if _NEEDS_ESCAPE.search(text) is None:
+        return text
+    return _NEEDS_ESCAPE.sub(_escape_char, text)
 
 
 def term_sort_key(term: Term) -> tuple[int, str]:

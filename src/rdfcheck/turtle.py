@@ -15,8 +15,8 @@ from __future__ import annotations
 import re
 
 from .graph import Graph
-from .namespaces import RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
-from .ntriples import ParseError, _BlankScope, _code_point, _IRI_ESCAPES, _IriTable, _STRING_ESCAPES
+from .namespaces import RDF_FIRST, RDF_LANGSTRING, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
+from .ntriples import ParseError, _BlankScope, _code_point, _IRI_ESCAPES, _STRING_ESCAPES, _UNTAGGED_LANGSTRING
 from .terms import BlankNode, Iri, Literal, Term, Triple
 
 _PNAME = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:([A-Za-z0-9_][A-Za-z0-9_.\-]*)?")
@@ -44,7 +44,6 @@ class _Parser:
         self.line = 1
         self.prefixes: dict[str, str] = {}
         self.scope = _BlankScope()
-        self.iris = _IriTable()
         self.triples: list[Triple] = []
 
     # scanning -----------------------------------------------------------
@@ -170,7 +169,7 @@ class _Parser:
     def parse_verb(self) -> Iri:
         self.skip_trivia()
         if self.try_keyword("a"):
-            return self.iris[RDF_TYPE]
+            return Iri(RDF_TYPE)
         ch = self.peek()
         if ch == "<":
             return self.parse_iriref()
@@ -240,7 +239,7 @@ class _Parser:
             self.fail(
                 f"unsupported construct: relative IRI <{value}> (no @base support)"
             )
-        return self.iris[value]
+        return Iri(value)
 
     def parse_pname(self) -> Iri:
         m = _PNAME.match(self.text, self.pos)
@@ -258,7 +257,7 @@ class _Parser:
         self.advance(consumed)
         if prefix not in self.prefixes:
             self.fail(f"undeclared prefix {prefix!r}:")
-        return self.iris[self.prefixes[prefix] + local]
+        return Iri(self.prefixes[prefix] + local)
 
     def parse_blank_label(self) -> BlankNode:
         m = _BLANK.match(self.text, self.pos)
@@ -294,17 +293,17 @@ class _Parser:
                 self.fail("unterminated collection")
             members.append(self.parse_object())
         if not members:
-            return self.iris[RDF_NIL]
+            return Iri(RDF_NIL)
         head = self.scope.fresh()
         node = head
         for i, member in enumerate(members):
-            self.triples.append(Triple(node, self.iris[RDF_FIRST], member))
+            self.triples.append(Triple(node, Iri(RDF_FIRST), member))
             if i + 1 < len(members):
                 nxt = self.scope.fresh()
-                self.triples.append(Triple(node, self.iris[RDF_REST], nxt))
+                self.triples.append(Triple(node, Iri(RDF_REST), nxt))
                 node = nxt
             else:
-                self.triples.append(Triple(node, self.iris[RDF_REST], self.iris[RDF_NIL]))
+                self.triples.append(Triple(node, Iri(RDF_REST), Iri(RDF_NIL)))
         return head
 
     def parse_string_literal(self) -> Literal:
@@ -320,6 +319,8 @@ class _Parser:
                 dt = self.parse_iriref()
             else:
                 dt = self.parse_pname()
+            if dt.value == RDF_LANGSTRING:
+                self.fail(_UNTAGGED_LANGSTRING)
             return Literal(lexical, datatype=dt.value)
         return Literal(lexical)
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,28 @@ def test_missing_input_exits_two(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_input_that_is_a_directory_exits_two_with_one_line(tmp_path, capsys):
+    folder = tmp_path / "d.nt"
+    folder.mkdir()
+    assert run_cli([str(folder)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rdfcheck: error: cannot read input {folder}: ")
+    assert err.count("\n") == 1
+
+
+def test_unreadable_input_exits_two_with_one_line(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data.nt"
+    data.write_text("")
+
+    def refuse(self):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    assert run_cli([str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"rdfcheck: error: cannot read input {data}: Permission denied\n"
+
+
 def test_parse_error_exits_two_with_line(capsys, tmp_path):
     bad = tmp_path / "bad.nt"
     bad.write_text('<http://a> <http://b> "ok" .\nbroken\n')
@@ -44,7 +67,9 @@ def test_malformed_corpus_all_exit_two(capsys):
     for path in corpus:
         assert run_cli([str(path)]) == 2, path.name
         err = capsys.readouterr().err
-        assert "line " in err, path.name
+        assert err.startswith(f"rdfcheck: error: {path}: line "), path.name
+        assert len(re.findall(r"\bline \d+", err)) == 1, err
+        assert err.count("\n") == 1, err
 
 
 def test_json_report_written_to_file(tmp_path, capsys):

@@ -68,6 +68,41 @@ def test_match_equals_linear_scan_on_random_graphs():
             assert g.match(s, p, o) == expected
 
 
+_NODES = [Iri(f"http://t/{i}") for i in range(3)] + [BlankNode(f"b{i}") for i in range(2)]
+_OBJECTS = _NODES + [
+    Literal("1"),
+    Literal("1", datatype="http://www.w3.org/2001/XMLSchema#integer"),
+    Literal("x", lang="en"),
+    Literal("x", lang="EN"),
+]
+_PATTERN_TERMS = st.none() | st.sampled_from(_OBJECTS + [Iri("http://t/absent")])
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES[:3]), st.sampled_from(_OBJECTS)),
+        max_size=30,
+    ),
+    _PATTERN_TERMS,
+    _PATTERN_TERMS,
+    _PATTERN_TERMS,
+)
+@settings(max_examples=300, deadline=None)
+def test_match_equals_brute_force_filter_in_graph_order(rows, s, p, o):
+    g = Graph([Triple(*row) for row in rows])
+    expected = [
+        t
+        for t in list(g)
+        if (s is None or t.subject == s)
+        and (p is None or t.predicate == p)
+        and (o is None or t.object == o)
+    ]
+    found = g.match(s, p, o)
+    assert found == expected
+    found.append(None)
+    assert g.match(s, p, o) == expected
+
+
 @given(st.integers(min_value=0, max_value=60), st.integers())
 @settings(max_examples=40, deadline=None)
 def test_graph_deduplicates_and_sorts(size, seed):

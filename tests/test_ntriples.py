@@ -10,7 +10,6 @@ from rdfcheck.ntriples import (
     _BlankScope,
     _cursor_triple,
     _fast_triple,
-    _IriTable,
     parse_ntriples,
     serialize_ntriples,
 )
@@ -147,11 +146,11 @@ def _agree(line: str) -> bool:
     """The fast path declines ``line`` without side effects, or yields the
     cursor's triple (raw language tag included). Returns whether it took it."""
     fast_scope, cursor_scope = _BlankScope(), _BlankScope()
-    fast = _fast_triple(line, fast_scope, _IriTable())
+    fast = _fast_triple(line, fast_scope)
     if fast is None:
         assert fast_scope._map == {}, line
         return False
-    reference = _cursor_triple(line, 1, cursor_scope, _IriTable())
+    reference = _cursor_triple(line, 1, cursor_scope)
     assert (fast, str(fast)) == (reference, str(reference)), line
     assert fast_scope._map == cursor_scope._map, line
     return True
@@ -261,12 +260,12 @@ def test_fast_path_agrees_with_cursor_on_generated_lines(subject, predicate, obj
 
 
 def _cursor_only_parse(text: str) -> Graph:
-    scope, iris = _BlankScope(), _IriTable()
+    scope = _BlankScope()
     triples = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            triples.append(_cursor_triple(line, lineno, scope, iris))
+            triples.append(_cursor_triple(line, lineno, scope))
     return Graph(triples)
 
 
