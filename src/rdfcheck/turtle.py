@@ -1,9 +1,19 @@
 """Parser for the Turtle subset used by the vocabulary fixtures.
 
-Supported: ``@prefix`` directives, ``a``, ``;``/``,`` separators, anonymous
-blank-node property lists ``[...]``, labeled blanks ``_:x``, RDF collections
-``(...)``, ``^^`` datatypes, ``@lang`` tags, numeric and boolean shorthand,
-short and long (triple-quoted) strings, and ``#`` comments.
+Supported: ``@prefix`` directives, ``a``, ``;``/``,`` separators (a ``;``
+may repeat, as in ``ex:p ex:o ;; ex:q ex:r``), anonymous blank-node property
+lists ``[...]``, labeled blanks ``_:x``, RDF collections ``(...)``, ``^^``
+datatypes, ``@lang`` tags, numeric and boolean shorthand, short and long
+(triple-quoted) strings, and ``#`` comments. A long string ends at the first
+triple quote whose first quote is not escaped. Local names of prefixed names
+are ASCII and may hold ``%HH`` escapes, which stay in the IRI as written, and
+``\\``-escapes of ``_~.-!$&'()*+,;=/?#@%``, which stand for the character
+after the backslash. A prefixed name wins over a keyword it starts with:
+``a:p`` and ``true:x`` are prefixed names.
+
+``[`` and ``(`` may nest at most ``MAX_NESTING`` levels deep, counted
+together; deeper input is a ParseError, as the parser recurses once per
+level.
 
 Anything outside the subset (``@base``, relative IRIs, SPARQL-style
 directives) raises an "unsupported construct" ParseError rather than being
@@ -19,11 +29,59 @@ from .namespaces import RDF_FIRST, RDF_LANGSTRING, RDF_NIL, RDF_REST, RDF_TYPE, 
 from .ntriples import ParseError, _BlankScope, _code_point, _IRI_ESCAPES, _STRING_ESCAPES, _UNTAGGED_LANGSTRING
 from .terms import BlankNode, Iri, Literal, Term, Triple
 
-_PNAME = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:([A-Za-z0-9_][A-Za-z0-9_.\-]*)?")
-_BLANK = re.compile(r"_:([A-Za-z0-9_][A-Za-z0-9_.\-]*)")
-_NUMBER = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.?\d+[eE][+-]?\d+|\d*\.\d+|\d+)")
-_LANG = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
-_IRI_BODY = re.compile(r"(?:[^<>\"{}|^`\\\x00-\x20]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8})*")
+MAX_NESTING = 128
+
+_NUMBER_BODY = r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.?\d+[eE][+-]?\d+|\d*\.\d+|\d+)"
+_NUMBER = re.compile(_NUMBER_BODY)
+_IRI_CHARS = r"[^<>\"{}|^`\\\x00-\x20]*"
+_NAME_ESCAPE = r"(?:%[0-9A-Fa-f]{2}|\\[_~.\-!$&'()*+,;=/?#@%])"
+_NAME_CHARS = r"[A-Za-z0-9_.\-]*"
+# Short string bodies; a backslash takes the next character with it and the
+# escape is checked when the body is decoded.
+_SHORT_DQ = r'[^"\\\n]*(?:\\.[^"\\\n]*)*'
+_SHORT_SQ = r"[^'\\\n]*(?:\\.[^'\\\n]*)*"
+# Long string bodies: as above, with newlines, and with quotes that are not
+# the first of three.
+_LONG_DQ = r'[^"\\]*(?:(?:\\(?s:.)|"(?!""))[^"\\]*)*'
+_LONG_SQ = r"[^'\\]*(?:(?:\\(?s:.)|'(?!''))[^'\\]*)*"
+
+# One token after any whitespace and comments. The named group that closes
+# last (``Match.lastgroup``) gives the token's kind; every kind's group spans
+# the whole token. A token that is not well formed is "badiri" (a '<' that
+# does not open an IRI), "badstr" (a quote that does not open a string),
+# "blank" without a label, or "other", which matches nothing. A local name
+# or blank label never ends in an unescaped '.': that '.' ends the statement.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|\#[^\n]*)*(?:"
+    rf"(?P<pname>(?P<prefix>[A-Za-z]{_NAME_CHARS})?:"
+    rf"(?P<local>(?:[A-Za-z0-9_]|{_NAME_ESCAPE}){_NAME_CHARS}"
+    rf"(?:{_NAME_ESCAPE}{_NAME_CHARS})*(?<![^\\]\.))?)"
+    r"|(?P<semi>;)|(?P<dot>\.)|(?P<comma>,)"
+    r"|(?P<string>(?:"
+    rf'"(?!"")(?P<dq>{_SHORT_DQ})"'
+    rf"|'(?!'')(?P<sq>{_SHORT_SQ})'"
+    rf'|"""(?P<ldq>{_LONG_DQ})"""'
+    rf"|'''(?P<lsq>{_LONG_SQ})''')"
+    r"(?:@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|(?P<datatype>\^\^))?)"
+    rf"|(?P<iri><(?P<iri_body>{_IRI_CHARS}"
+    rf"(?:\\(?:u[0-9A-Fa-f]{{4}}|U[0-9A-Fa-f]{{8}}){_IRI_CHARS})*)>)"
+    r"|(?:(?P<a>a)|(?P<true>true)|(?P<false>false)|(?P<at_prefix>@prefix)"
+    r"|(?P<at_base>@base|BASE)|(?P<sparql_prefix>PREFIX))(?![\w@])"
+    r"|(?P<blank>_:(?P<label>[A-Za-z0-9_][A-Za-z0-9_.\-]*(?<!\.))?)"
+    r"|(?P<lbracket>\[)|(?P<rbracket>\])|(?P<lparen>\()|(?P<rparen>\))"
+    rf"|(?P<number>{_NUMBER_BODY})"
+    r"|(?P<badiri><)|(?P<badstr>[\"'])"
+    r"|(?P<end>\Z)|(?P<other>))"
+)
+_STRING_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
+_LOCAL_ESCAPE = re.compile(r"\\(.)")
+_SHORT_PREFIX = {'"': re.compile(_SHORT_DQ), "'": re.compile(_SHORT_SQ)}
+_PUNCT = {".": "dot", "]": "rbracket"}  # the tokens expect() is asked for
+
+_TYPE = Iri(RDF_TYPE)
+_FIRST = Iri(RDF_FIRST)
+_REST = Iri(RDF_REST)
+_NIL = Iri(RDF_NIL)
 
 
 def parse_turtle(data: bytes | str) -> Graph:
@@ -38,356 +96,317 @@ def parse_turtle(data: bytes | str) -> Graph:
 
 
 class _Parser:
+    """Recursive descent over one token of lookahead: ``m`` is the match of
+    the current token and ``kind`` its kind. Nothing tracks the line; a
+    diagnostic counts the newlines before the position it names."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
         self.prefixes: dict[str, str] = {}
         self.scope = _BlankScope()
         self.triples: list[Triple] = []
+        self.depth = 0
+        self.scan(0)
 
     # scanning -----------------------------------------------------------
 
-    def fail(self, message: str) -> None:
-        raise ParseError(message, self.line)
+    def scan(self, pos: int) -> None:
+        self.m = _TOKEN.match(self.text, pos)
+        self.kind = self.m.lastgroup
 
-    def at_end(self) -> bool:
-        self.skip_trivia()
-        return self.pos >= len(self.text)
+    def next(self) -> None:
+        m = self.m = _TOKEN.match(self.text, self.m.end())
+        self.kind = m.lastgroup
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def start(self) -> int:
+        return self.m.start(self.kind)
 
-    def advance(self, n: int = 1) -> None:
-        chunk = self.text[self.pos : self.pos + n]
-        self.line += chunk.count("\n")
-        self.pos += n
+    def fail(self, message: str, pos: int | None = None) -> None:
+        if pos is None:
+            pos = self.start()
+        raise ParseError(message, self.text.count("\n", 0, pos) + 1)
 
-    def skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "#":
-                end = self.text.find("\n", self.pos)
-                self.advance((end if end != -1 else len(self.text)) - self.pos)
-            else:
-                return
+    def found(self) -> str:
+        return "end of input" if self.kind == "end" else self.text[self.start()]
 
     def expect(self, token: str) -> None:
-        self.skip_trivia()
-        if not self.text.startswith(token, self.pos):
-            found = self.peek() or "end of input"
-            self.fail(f"expected {token!r}, found {found!r}")
-        self.advance(len(token))
+        if self.kind != _PUNCT[token]:
+            self.fail(f"expected {token!r}, found {self.found()!r}")
+        self.next()
 
-    def try_token(self, token: str) -> bool:
-        self.skip_trivia()
-        if self.text.startswith(token, self.pos):
-            self.advance(len(token))
-            return True
-        return False
+    def code_point(self, hexed: str, pos: int) -> str:
+        try:
+            return _code_point(hexed, 0)
+        except ParseError as exc:
+            self.fail(exc.reason, pos)
+            raise AssertionError from None
+
+    def unescape(self, raw: str, pos: int) -> str:
+        """Decode the string escapes in ``raw``; an error names the line of
+        ``pos``."""
+
+        def replace(e: re.Match[str]) -> str:
+            hexed = e[1] or e[2]
+            if hexed:
+                return self.code_point(hexed, pos)
+            esc = e[3]
+            if esc in _STRING_ESCAPES:
+                return _STRING_ESCAPES[esc]
+            if esc in "uU":
+                self.fail(f"invalid \\{esc} escape", pos)
+            self.fail(f"invalid escape sequence \\{esc}", pos)
+            raise AssertionError
+
+        return _STRING_ESCAPE.sub(replace, raw)
+
+    def enter(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"'[' and '(' nested deeper than {MAX_NESTING} levels")
+        self.next()
 
     # grammar ------------------------------------------------------------
 
     def parse(self) -> Graph:
-        while not self.at_end():
-            if self.try_keyword("@prefix"):
+        while self.kind != "end":
+            if self.kind == "at_prefix":
+                self.next()
                 self.parse_prefix()
-            elif self.looking_at_keyword("@base") or self.looking_at_keyword("BASE"):
+            elif self.kind == "at_base":
                 self.fail("unsupported construct: @base (relative IRIs are not supported)")
-            elif self.looking_at_keyword("PREFIX"):
+            elif self.kind == "sparql_prefix":
                 self.fail("unsupported construct: SPARQL-style PREFIX (use @prefix)")
             else:
                 self.parse_triples_block()
         return Graph(self.triples)
 
-    def looking_at_keyword(self, word: str) -> bool:
-        self.skip_trivia()
-        if not self.text.startswith(word, self.pos):
-            return False
-        after = self.text[self.pos + len(word) : self.pos + len(word) + 1]
-        return after == "" or not (after.isalnum() or after in "_@")
-
-    def try_keyword(self, word: str) -> bool:
-        if self.looking_at_keyword(word):
-            self.advance(len(word))
-            return True
-        return False
-
     def parse_prefix(self) -> None:
-        self.skip_trivia()
-        m = re.match(r"([A-Za-z][A-Za-z0-9_.\-]*)?:", self.text[self.pos :])
-        if not m:
+        if self.kind != "pname":
             self.fail("expected prefix name in @prefix directive")
-        prefix = m.group(1) or ""
-        self.advance(m.end())
+        m = self.m
+        if m["local"] is not None:
+            local = m.start("local")
+            self.fail(f"expected '<', found {self.text[local]!r}", local)
+        prefix = m["prefix"] or ""
+        self.next()
         iri = self.parse_iriref()
         self.expect(".")
         self.prefixes[prefix] = iri.value
 
     def parse_triples_block(self) -> None:
         subject = self.parse_subject()
-        self.skip_trivia()
         # A bare "[...]" or collection subject may be followed directly by '.'
-        if self.peek() == ".":
-            self.advance()
+        if self.kind == "dot":
+            self.next()
             return
         self.parse_predicate_object_list(subject)
         self.expect(".")
 
     def parse_subject(self) -> Term:
-        self.skip_trivia()
-        ch = self.peek()
-        if ch == "<":
-            return self.parse_iriref()
-        if ch == "(":
-            return self.parse_collection()
-        if ch == "[":
-            return self.parse_bnode_property_list()
-        if self.text.startswith("_:", self.pos):
-            return self.parse_blank_label()
-        if _PNAME.match(self.text, self.pos):
+        kind = self.kind
+        if kind == "pname":
             return self.parse_pname()
-        self.fail(f"expected subject, found {ch!r}" if ch else "unexpected end of input")
+        if kind == "iri" or kind == "badiri":
+            return self.parse_iriref()
+        if kind == "blank":
+            return self.parse_blank_label()
+        if kind == "lbracket":
+            return self.parse_bnode_property_list()
+        if kind == "lparen":
+            return self.parse_collection()
+        self.fail(f"expected subject, found {self.found()!r}")
         raise AssertionError
 
     def parse_predicate_object_list(self, subject: Term) -> None:
         while True:
             predicate = self.parse_verb()
             self.parse_object_list(subject, predicate)
-            self.skip_trivia()
-            if self.peek() == ";":
-                self.advance()
-                self.skip_trivia()
-                # tolerate trailing ';' before '.' or ']'
-                if self.peek() in (".", "]", ""):
-                    return
-                continue
-            return
+            if self.kind != "semi":
+                return
+            while self.kind == "semi":
+                self.next()
+            # tolerate trailing ';' before '.' or ']'
+            if self.kind in ("dot", "rbracket", "end"):
+                return
 
     def parse_verb(self) -> Iri:
-        self.skip_trivia()
-        if self.try_keyword("a"):
-            return Iri(RDF_TYPE)
-        ch = self.peek()
-        if ch == "<":
-            return self.parse_iriref()
-        if _PNAME.match(self.text, self.pos) and not self.text.startswith("_:", self.pos):
+        kind = self.kind
+        if kind == "pname":
             return self.parse_pname()
-        self.fail(f"expected predicate, found {ch!r}" if ch else "unexpected end of input")
+        if kind == "a":
+            self.next()
+            return _TYPE
+        if kind == "iri" or kind == "badiri":
+            return self.parse_iriref()
+        if kind == "end":
+            self.fail("unexpected end of input")
+        self.fail(f"expected predicate, found {self.found()!r}")
         raise AssertionError
 
     def parse_object_list(self, subject: Term, predicate: Iri) -> None:
+        append = self.triples.append
         while True:
-            obj = self.parse_object()
-            self.triples.append(Triple(subject, predicate, obj))
-            self.skip_trivia()
-            if self.peek() == ",":
-                self.advance()
-                continue
-            return
+            append(Triple(subject, predicate, self.parse_object()))
+            if self.kind != "comma":
+                return
+            self.next()
 
     def parse_object(self) -> Term:
-        self.skip_trivia()
-        ch = self.peek()
-        if not ch:
-            self.fail("unexpected end of input while reading object")
-        if ch == "<":
-            return self.parse_iriref()
-        if ch == "(":
-            return self.parse_collection()
-        if ch == "[":
-            return self.parse_bnode_property_list()
-        if ch in "\"'":
-            return self.parse_string_literal()
-        if self.text.startswith("_:", self.pos):
-            return self.parse_blank_label()
-        if self.looking_at_keyword("true"):
-            self.advance(4)
-            return Literal("true", datatype=XSD_BOOLEAN)
-        if self.looking_at_keyword("false"):
-            self.advance(5)
-            return Literal("false", datatype=XSD_BOOLEAN)
-        m = _NUMBER.match(self.text, self.pos)
-        if m and (ch.isdigit() or ch in "+-."):
-            lexical = m.group(0)
-            self.advance(len(lexical))
-            if "e" in lexical.lower():
-                return Literal(lexical, datatype=XSD_DOUBLE)
-            if "." in lexical:
-                return Literal(lexical, datatype=XSD_DECIMAL)
-            return Literal(lexical, datatype=XSD_INTEGER)
-        if _PNAME.match(self.text, self.pos):
+        kind = self.kind
+        if kind == "pname":
             return self.parse_pname()
-        self.fail(f"expected object, found {ch!r}")
+        if kind == "string":
+            return self.parse_string_literal()
+        if kind == "iri" or kind == "badiri":
+            return self.parse_iriref()
+        if kind == "blank":
+            return self.parse_blank_label()
+        if kind == "lbracket":
+            return self.parse_bnode_property_list()
+        if kind == "lparen":
+            return self.parse_collection()
+        if kind == "true" or kind == "false":
+            self.next()
+            return Literal(kind, datatype=XSD_BOOLEAN)
+        if kind == "number":
+            lexical = self.m["number"]
+            self.next()
+            return _number(lexical)
+        if kind == "dot":
+            # '.' ends a statement except where an object starts: ".5"
+            number = _NUMBER.match(self.text, self.start())
+            if number:
+                self.scan(number.end())
+                return _number(number.group())
+        if kind == "badstr":
+            self.fail_string()
+        if kind == "end":
+            self.fail("unexpected end of input while reading object")
+        self.fail(f"expected object, found {self.found()!r}")
         raise AssertionError
 
     def parse_iriref(self) -> Iri:
-        self.expect("<")
-        m = _IRI_BODY.match(self.text, self.pos)
-        assert m is not None
-        raw = m.group(0)
-        self.advance(len(raw))
-        if self.peek() != ">":
-            self.fail("unterminated or malformed IRI")
-        self.advance()
-        value = _IRI_ESCAPES.sub(
-            lambda mm: _code_point(mm.group(1) or mm.group(2), self.line), raw
-        )
+        if self.kind != "iri":
+            if self.kind == "badiri":
+                self.fail("unterminated or malformed IRI")
+            self.fail(f"expected '<', found {self.found()!r}")
+        value = self.m["iri_body"]
+        if "\\" in value:
+            end = self.m.end()
+            value = _IRI_ESCAPES.sub(
+                lambda e: self.code_point(e[1] or e[2], end), value
+            )
         if ":" not in value:
             self.fail(
                 f"unsupported construct: relative IRI <{value}> (no @base support)"
             )
+        self.next()
         return Iri(value)
 
     def parse_pname(self) -> Iri:
-        m = _PNAME.match(self.text, self.pos)
-        if not m:
-            self.fail("expected prefixed name")
-        assert m is not None
-        prefix = m.group(1) or ""
-        local = m.group(2) or ""
-        consumed = m.end() - self.pos
-        # A '.' that ends a local name is the statement terminator, not
-        # part of the name.
-        while local.endswith("."):
-            local = local[:-1]
-            consumed -= 1
-        self.advance(consumed)
-        if prefix not in self.prefixes:
+        m = self.m
+        prefix = m["prefix"] or ""
+        try:
+            namespace = self.prefixes[prefix]
+        except KeyError:
             self.fail(f"undeclared prefix {prefix!r}:")
-        return Iri(self.prefixes[prefix] + local)
+            raise AssertionError from None
+        local = m["local"] or ""
+        if "\\" in local:
+            local = _LOCAL_ESCAPE.sub(r"\1", local)
+        self.next()
+        return Iri(namespace + local)
 
     def parse_blank_label(self) -> BlankNode:
-        m = _BLANK.match(self.text, self.pos)
-        if not m:
+        label = self.m["label"]
+        if label is None:
             self.fail("invalid blank node label")
-        assert m is not None
-        label = m.group(1)
-        consumed = m.end() - self.pos
-        while label.endswith("."):
-            label = label[:-1]
-            consumed -= 1
-        self.advance(consumed)
+        self.next()
         return self.scope.get(label)
 
     def parse_bnode_property_list(self) -> BlankNode:
-        self.expect("[")
+        self.enter()
         node = self.scope.fresh()
-        self.skip_trivia()
-        if self.peek() != "]":
+        if self.kind != "rbracket":
             self.parse_predicate_object_list(node)
         self.expect("]")
+        self.depth -= 1
         return node
 
     def parse_collection(self) -> Term:
-        self.expect("(")
+        self.enter()
         members: list[Term] = []
-        while True:
-            self.skip_trivia()
-            if self.peek() == ")":
-                self.advance()
-                break
-            if self.at_end():
+        while self.kind != "rparen":
+            if self.kind == "end":
                 self.fail("unterminated collection")
             members.append(self.parse_object())
+        self.next()
+        self.depth -= 1
         if not members:
-            return Iri(RDF_NIL)
+            return _NIL
         head = self.scope.fresh()
         node = head
         for i, member in enumerate(members):
-            self.triples.append(Triple(node, Iri(RDF_FIRST), member))
+            self.triples.append(Triple(node, _FIRST, member))
             if i + 1 < len(members):
                 nxt = self.scope.fresh()
-                self.triples.append(Triple(node, Iri(RDF_REST), nxt))
+                self.triples.append(Triple(node, _REST, nxt))
                 node = nxt
             else:
-                self.triples.append(Triple(node, Iri(RDF_REST), Iri(RDF_NIL)))
+                self.triples.append(Triple(node, _REST, _NIL))
         return head
 
     def parse_string_literal(self) -> Literal:
-        lexical = self.parse_string_body()
-        m = _LANG.match(self.text, self.pos)
-        if m:
-            self.advance(m.end() - self.pos)
-            return Literal(lexical, lang=m.group(1))
-        if self.text.startswith("^^", self.pos):
-            self.advance(2)
-            self.skip_trivia()
-            if self.peek() == "<":
-                dt = self.parse_iriref()
-            else:
-                dt = self.parse_pname()
-            if dt.value == RDF_LANGSTRING:
-                self.fail(_UNTAGGED_LANGSTRING)
-            return Literal(lexical, datatype=dt.value)
-        return Literal(lexical)
+        m = self.m
+        lexical = m["dq"]
+        if lexical is None:
+            lexical = m["sq"]
+            if lexical is None:
+                lexical = m["ldq"] if m["ldq"] is not None else m["lsq"]
+        if "\\" in lexical:
+            # A short string holds no newline; a long one reports escape
+            # errors on the line it ends on.
+            lexical = self.unescape(lexical, m.end())
+        lang = m["lang"]
+        if lang is not None:
+            self.next()
+            return Literal(lexical, lang=lang)
+        if m["datatype"] is None:
+            self.next()
+            return Literal(lexical)
+        self.next()
+        end = self.m.end()
+        if self.kind == "pname":
+            datatype = self.parse_pname()
+        elif self.kind == "iri" or self.kind == "badiri":
+            datatype = self.parse_iriref()
+        else:
+            self.fail("expected prefixed name")
+            raise AssertionError
+        if datatype.value == RDF_LANGSTRING:
+            self.fail(_UNTAGGED_LANGSTRING, end)
+        return Literal(lexical, datatype=datatype.value)
 
-    def parse_string_body(self) -> str:
-        quote = self.peek()
-        if quote not in "\"'":
-            self.fail("expected string literal")
-        long_quote = quote * 3
-        if self.text.startswith(long_quote, self.pos):
-            self.advance(3)
-            end = self.text.find(long_quote, self.pos)
-            if end == -1:
-                self.fail("unterminated long string literal")
-            raw = self.text[self.pos : end]
-            self.advance(len(raw) + 3)
-            return self._unescape(raw)
-        self.advance()
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text) or self.peek() == "\n":
-                self.fail("unterminated string literal")
-            ch = self.peek()
-            if ch == quote:
-                self.advance()
-                return "".join(out)
-            if ch == "\\":
-                self.advance()
-                esc = self.peek()
-                if esc in _STRING_ESCAPES:
-                    out.append(_STRING_ESCAPES[esc])
-                    self.advance()
-                elif esc in "uU":
-                    width = 4 if esc == "u" else 8
-                    self.advance()
-                    hexed = self.text[self.pos : self.pos + width]
-                    if not re.fullmatch(r"[0-9A-Fa-f]{%d}" % width, hexed or ""):
-                        self.fail(f"invalid \\{esc} escape")
-                    out.append(_code_point(hexed, self.line))
-                    self.advance(width)
-                else:
-                    self.fail(f"invalid escape sequence \\{esc}")
-            else:
-                out.append(ch)
-                self.advance()
+    def fail_string(self) -> None:
+        """Raise the error in the string that opens at the current token,
+        which is not a well-formed string: the first bad escape, else the
+        line or input that ends before the closing quote."""
+        text, start = self.text, self.start()
+        quote = text[start]
+        if text.startswith(quote * 3, start):
+            self.fail("unterminated long string literal")
+        end = _SHORT_PREFIX[quote].match(text, start + 1).end()
+        self.unescape(text[start + 1 : end], start)
+        if text.startswith("\\", end):
+            if end + 1 == len(text):
+                self.fail("invalid \\ escape")
+            self.fail(f"invalid escape sequence \\{text[end + 1]}")
+        self.fail("unterminated string literal")
 
-    def _unescape(self, raw: str) -> str:
-        result: list[str] = []
-        i = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch != "\\":
-                result.append(ch)
-                i += 1
-                continue
-            if i + 1 >= len(raw):
-                self.fail("dangling backslash in string literal")
-            esc = raw[i + 1]
-            if esc in _STRING_ESCAPES:
-                result.append(_STRING_ESCAPES[esc])
-                i += 2
-            elif esc in "uU":
-                width = 4 if esc == "u" else 8
-                hexed = raw[i + 2 : i + 2 + width]
-                if not re.fullmatch(r"[0-9A-Fa-f]{%d}" % width, hexed or ""):
-                    self.fail(f"invalid \\{esc} escape")
-                result.append(_code_point(hexed, self.line))
-                i += 2 + width
-            else:
-                self.fail(f"invalid escape sequence \\{esc}")
-        return "".join(result)
+
+def _number(lexical: str) -> Literal:
+    if "e" in lexical.lower():
+        return Literal(lexical, datatype=XSD_DOUBLE)
+    if "." in lexical:
+        return Literal(lexical, datatype=XSD_DECIMAL)
+    return Literal(lexical, datatype=XSD_INTEGER)
