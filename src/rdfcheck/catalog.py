@@ -84,6 +84,14 @@ def _mode(*values: str) -> str:
     return "mode:" + "|".join(values)
 
 
+def _int_in(*values: int) -> str:
+    return "int_in:" + "|".join(map(str, values))
+
+
+# The Data Cube integrity constraints that ``checks.cube`` implements.
+QB_INTEGRITY_CONSTRAINTS = (*range(3, 9), *range(10, 19), 20, 21)
+
+
 _RULE_SCHEMA = {
     "property": ("iri", "load"),
     "scope": ("iri", "load"),
@@ -506,7 +514,7 @@ _register(
 _register(
     "qb-integrity",
     "cube.check_qb_integrity",
-    {"ic": ("int", "load")},
+    {"ic": (_int_in(*QB_INTEGRITY_CONSTRAINTS), "load")},
     ("R-86-EXISTENTIAL-QUANTIFICATION-ON-PROPERTIES", "R-211-CARDINALITY-CONSTRAINTS"),
     "One of the Data Cube integrity constraints (IC-3 through IC-21).",
     needs=("ctx", "cube"),
@@ -817,6 +825,11 @@ def _validate_param(kind: str, value: Any, prefixes: dict[str, str], where: str)
     if kind.startswith("mode:"):
         allowed = kind[5:].split("|")
         if value not in allowed:
+            raise CatalogError(f"{where}: expected one of {allowed}, got {value!r}")
+        return value
+    if kind.startswith("int_in:"):
+        allowed = [int(v) for v in kind[7:].split("|")]
+        if _validate_param("int", value, prefixes, where) not in allowed:
             raise CatalogError(f"{where}: expected one of {allowed}, got {value!r}")
         return value
     raise AssertionError(f"unhandled param kind {kind}")

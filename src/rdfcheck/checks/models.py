@@ -35,9 +35,6 @@ class HierarchyGraph:
     nodes: list[Term]
     edges: set[tuple[Term, Term]]
 
-    def successors(self, node: Term) -> list[Term]:
-        return sorted((b for (a, b) in self.edges if a == node), key=term_sort_key)
-
     def successor_map(self) -> dict[Term, list[Term]]:
         mapping: dict[Term, list[Term]] = {n: [] for n in self.nodes}
         for a, b in sorted(self.edges, key=lambda e: (term_sort_key(e[0]), term_sort_key(e[1]))):

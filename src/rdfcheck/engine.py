@@ -49,6 +49,13 @@ class ConstraintStatus:
     wall_seconds: float
 
 
+def severity_counts(violations) -> dict[str, int]:
+    out = {"info": 0, "warning": 0, "error": 0}
+    for violation in violations:
+        out[str(violation.severity)] += 1
+    return out
+
+
 @dataclass
 class ValidationReport:
     violations: tuple[Violation, ...]
@@ -57,13 +64,11 @@ class ValidationReport:
 
     @property
     def counts(self) -> dict[str, int]:
-        out = {"info": 0, "warning": 0, "error": 0}
-        for violation in self.violations:
-            out[str(violation.severity)] += 1
-        return out
+        return severity_counts(self.violations)
 
-    def at_or_above(self, level: Severity) -> list[Violation]:
-        return [v for v in self.violations if v.severity >= level]
+    def at_or_above(self, level: Severity | None) -> list[Violation]:
+        """The violations at ``level`` or above; all of them for None."""
+        return [v for v in self.violations if level is None or v.severity >= level]
 
     def skipped(self) -> list[ConstraintStatus]:
         return [s for s in self.statuses if s.status != "evaluated"]
@@ -171,8 +176,3 @@ def _dedup(violations: list[Violation]) -> list[Violation]:
         seen.add(key)
         out.append(violation)
     return out
-
-
-def explain(constraint_id: str, catalog: Catalog) -> dict[str, Any]:
-    """The constraint's type, parameters, severity, and reference string."""
-    return catalog.explain(constraint_id)

@@ -1,5 +1,16 @@
 """Line-oriented N-Triples parser.
 
+A line is stripped, and skipped if it is then empty or starts with ``#``.
+Any other line is read by one compiled token regex, ``_TOKEN``, matched for
+the subject, the predicate and the object in turn. Each term pattern carries
+what may follow it, so a well-formed line needs no other scanning; a term
+that is not well formed matches the empty group ``bad``.
+
+The subset is W3C RDF 1.1 N-Triples, narrowed: terms are separated by
+spaces or tabs, IRIs must be absolute (contain ``:``), blank-node labels are
+ASCII ``[A-Za-z0-9_][A-Za-z0-9_.-]*`` with trailing dots left to end the
+statement, and ``\\u``/``\\U`` escapes must name Unicode scalar values.
+
 Syntax errors abort the whole parse (no partial graph) and carry the
 1-based line number. Blank-node labels are renamed to ``_:b<n>`` in order of
 first appearance so that report output is stable across documents.
@@ -25,35 +36,31 @@ class ParseError(Exception):
 
 
 _IRI_ESCAPES = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
-_STRING_ESCAPES = {
-    "t": "\t",
-    "b": "\b",
-    "n": "\n",
-    "r": "\r",
-    "f": "\f",
-    '"': '"',
-    "'": "'",
-    "\\": "\\",
-}
-_BLANK_LABEL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
-_LANG_TAG = re.compile(r"[a-zA-Z]+(-[a-zA-Z0-9]+)*")
+_STRING_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
+_STRING_ESCAPES = dict(zip("tbnrf\"'\\", "\t\b\n\r\f\"'\\"))
 _UNTAGGED_LANGSTRING = "rdf:langString literal requires a language tag"
 
-# One escape-free line as a single regex. It accepts only lines the cursor
-# accepts and captures the same terms. A blank label leaves out trailing
-# dots, as the cursor strips them. Backtracking cannot shorten a label or a
-# language tag: a shorter match is followed by a character of the label or
-# tag, the only such character that may follow a term is the final '.', and
-# here another label character would come after that '.'.
-_FAST_IRI = r'<([^> "{}|^`\\]*)>'
-_FAST_BLANK = r"_:([A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)"
-_FAST_LINE = re.compile(
-    rf"(?:{_FAST_IRI}|{_FAST_BLANK})[ \t]+{_FAST_IRI}[ \t]+"
-    rf'(?:{_FAST_IRI}|{_FAST_BLANK}|"([^"]*)"'
-    rf"(?:@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|\^\^{_FAST_IRI})?)"
-    r"[ \t]*\.[ \t]*(?:#.*)?",
-    re.DOTALL,
+# An IRI body runs to the first '>'; a backslash in it is checked when the
+# IRI is decoded. A string body holds well-formed escapes only.
+_IRI_BODY = r'[^> "{}|^`]*'
+_STRING_BODY = r'[^"\\]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\]*)*'
+# What follows a term: "end" ('.', a comment, the end of the line) or "space".
+_FOLLOW = r"(?:[ \t]*(?:(?P<{0}_end>\.[ \t]*(?:#.*)?\Z)|(?P<{0}_space>(?<=[ \t]))))?"
+# ``Match.lastgroup`` names a term's kind and follow ("iri_space"), or just
+# its last group when no follow matched. "iri" is an absolute IRI with no
+# escape, "iriref" any other. The follow is optional, so backtracking cannot
+# shorten a blank label or a language tag.
+_TOKEN = re.compile(
+    r'<(?P<iri>[^> "{}|^`\\:]*:[^> "{}|^`\\]*)>' + _FOLLOW.format("iri")
+    + rf"|<(?P<iriref>{_IRI_BODY})>{_FOLLOW.format('iriref')}"
+    rf"|_:(?P<blank>[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?){_FOLLOW.format('blank')}"
+    rf'|"(?P<string>{_STRING_BODY})"'
+    rf"(?:@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|\^\^<(?P<datatype>{_IRI_BODY})>)?"
+    rf"{_FOLLOW.format('literal')}|(?P<bad>)"
 )
+_KINDS = (("iri", "iriref", "blank"), ("iri", "iriref"), ("iri", "iriref", "blank", "literal"))
+_EXPECTED = ("expected IRI or blank node subject", "expected '<'",
+             "expected IRI, blank node, or literal object")
 
 
 def _code_point(hexed: str, line: int) -> str:
@@ -83,6 +90,14 @@ class _BlankScope:
         return self.get(f"\x00anon{len(self._map)}")
 
 
+class _Iris(dict):
+    """One document's IRIs by value; a hit costs no Python call."""
+
+    def __missing__(self, value: str) -> Iri:
+        iri = self[value] = Iri(value)
+        return iri
+
+
 def parse_ntriples(data: bytes | str) -> Graph:
     if isinstance(data, bytes):
         try:
@@ -91,210 +106,131 @@ def parse_ntriples(data: bytes | str) -> Graph:
             raise ParseError(f"input is not valid UTF-8: {exc}", 1) from None
     else:
         text = data
-    scope = _BlankScope()
+    scope, iris = _BlankScope(), _Iris()
     triples: list[Triple] = []
+    match = _TOKEN.match
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if "\\" not in line:
-            found = _fast_triple(line, scope)
-            if found is not None:
-                triples.append(found)
-                continue
-        triples.append(_cursor_triple(line, lineno, scope))
+        # the commonest terms are read here, any other match by _term
+        m = match(line)
+        kind = m.lastgroup
+        if kind == "iri_space":
+            s: Term = iris[m["iri"]]
+        elif kind == "blank_space":
+            s = scope.get(m["blank"])
+        else:
+            s = _term(m, 0, lineno, scope)
+        m = match(line, m.end())
+        p = iris[m["iri"]] if m.lastgroup == "iri_space" else _term(m, 1, lineno, scope)
+        m = match(line, m.end())
+        kind = m.lastgroup
+        if kind == "iri_end":
+            o: Term = iris[m["iri"]]
+        elif kind == "literal_end":
+            o = _literal(m, lineno)
+        else:
+            o = _term(m, 2, lineno, scope)
+        triples.append(Triple(s, p, o))
     return Graph(triples)
 
 
-def _fast_triple(line: str, scope: _BlankScope) -> Triple | None:
-    """The triple on an escape-free ``line``, or None to leave the line
-    (and any error in it) to the cursor."""
-    m = _FAST_LINE.fullmatch(line)
-    if m is None:
-        return None
-    s_iri, s_blank, p_iri, o_iri, o_blank, lexical, lang, datatype = m.groups()
-    for value in (s_iri, p_iri, o_iri, datatype):
-        if value is not None and ":" not in value:
-            return None
-    if datatype == RDF_LANGSTRING:
-        return None
-    subject = scope.get(s_blank) if s_iri is None else Iri(s_iri)
-    if o_iri is not None:
-        obj: Term = Iri(o_iri)
-    elif o_blank is not None:
-        obj = scope.get(o_blank)
-    elif lang is not None:
-        obj = Literal(lexical, lang=lang)
-    elif datatype is not None:
-        obj = Literal(lexical, datatype=datatype)
+def _term(m: re.Match[str], position: int, lineno: int, scope: _BlankScope) -> Term:
+    """The term ``m`` matched at ``position`` (0 subject, 1 predicate, 2
+    object); a ParseError names the first fault in it or in what follows
+    it, in reading order."""
+    kind, _, follow = m.lastgroup.partition("_")
+    kind = "literal" if kind in ("string", "lang", "datatype") else kind
+    if kind not in _KINDS[position]:
+        raise ParseError(_term_error(m.string, m.start(), position, lineno), lineno)
+    if kind == "iri":
+        term: Term = Iri(m["iri"])
+    elif kind == "iriref":
+        term = Iri(_iri(m["iriref"], lineno))
+    elif kind == "blank":
+        term = scope.get(m["blank"])
     else:
-        obj = Literal(lexical)
-    return Triple(subject, Iri(p_iri), obj)
+        term = _literal(m, lineno)
+    if follow != ("end" if position == 2 else "space"):
+        raise ParseError(_follow_error(m, position), lineno)
+    return term
 
 
-def _cursor_triple(line: str, lineno: int, scope: _BlankScope) -> Triple:
-    cursor = _Cursor(line, lineno)
-    subject = _parse_subject(cursor, scope)
-    cursor.skip_ws(required=True)
-    predicate = _parse_iri(cursor)
-    cursor.skip_ws(required=True)
-    obj = _parse_object(cursor, scope)
-    cursor.skip_ws()
-    cursor.expect(".")
-    cursor.skip_ws()
-    if not cursor.at_end() and not cursor.rest().startswith("#"):
-        cursor.fail(f"trailing content after '.': {cursor.rest()!r}")
-    return Triple(subject, predicate, obj)
+def _iri(raw: str, lineno: int) -> str:
+    """The absolute IRI ``raw`` spells, with its escapes decoded."""
+    value = raw
+    if "\\" in raw:
+        value = _IRI_ESCAPES.sub(lambda e: _code_point(e[1] or e[2], lineno), raw)
+        if "\\" in value:
+            raise ParseError(f"invalid escape sequence in IRI <{raw}>", lineno)
+    if ":" not in value:
+        raise ParseError(f"relative IRI <{value}> is not allowed", lineno)
+    return value
+
+
+def _literal(m: re.Match[str], lineno: int) -> Literal:
+    lexical, lang, datatype = m.group("string", "lang", "datatype")
+    if "\\" in lexical:
+        lexical = _STRING_ESCAPE.sub(lambda e: _unescape(e, lineno), lexical)
+    if lang is not None or datatype is None:
+        return Literal(lexical, lang=lang)
+    datatype = _iri(datatype, lineno)
+    if datatype == RDF_LANGSTRING:
+        raise ParseError(_UNTAGGED_LANGSTRING, lineno)
+    return Literal(lexical, datatype=datatype)
+
+
+def _unescape(e: re.Match[str], lineno: int) -> str:
+    return _STRING_ESCAPES[e[3]] if e[3] else _code_point(e[1] or e[2], lineno)
+
+
+def _term_error(line: str, pos: int, position: int, lineno: int) -> str:
+    """The message for the text at ``pos``, not a term allowed at ``position``."""
+    found = line[pos : pos + 1]
+    if found == "<":
+        end = re.compile(_IRI_BODY).match(line, pos + 1).end()
+        if end == len(line):
+            return "unterminated IRI (missing '>')"
+        return f"character {line[end]!r} not allowed inside IRI"
+    if found == "_" and position != 1:
+        if line[pos + 1 : pos + 2] != ":":
+            return f"expected ':', found {line[pos + 1 : pos + 2]!r}"
+        return "invalid blank node label"
+    if found == '"' and position == 2:
+        end = re.compile(_STRING_BODY).match(line, pos + 1).end()
+        # an escape error before the one that stops the string comes first
+        _STRING_ESCAPE.sub(lambda e: _unescape(e, lineno), line[pos + 1 : end])
+        if end == len(line):
+            return "unterminated string literal"
+        esc = line[end + 1 : end + 2]
+        if esc in ("u", "U"):
+            return f"invalid \\{esc} escape"
+        return f"invalid escape sequence \\{esc}"
+    return f"{_EXPECTED[position]}, found {found!r}"
+
+
+def _follow_error(m: re.Match[str], position: int) -> str:
+    """The message for what follows the well-formed term ``m``."""
+    line, group = m.string, m.lastgroup
+    end = len(line[: m.start(group) if group.endswith("_end") else m.end()].rstrip(" \t"))
+    after = line[end : end + 1]
+    if position < 2:
+        if after not in (" ", "\t"):
+            return "expected whitespace"
+        return f"{_EXPECTED[position + 1]}, found '.'"  # the whitespace runs on to an end '.'
+    if group in ("string", "literal_space") and m["lang"] is m["datatype"] is None:
+        if after == "@":
+            return "invalid language tag"
+        if after == "^":
+            if line[end + 1 : end + 2] != "^":
+                return f"expected '^', found {line[end + 1 : end + 2]!r}"
+            return _term_error(line, end + 2, 1, 0)
+    end = len(line) - len(line[end:].lstrip(" \t"))
+    if line[end : end + 1] != ".":
+        return f"expected '.', found {line[end : end + 1]!r}"
+    return "trailing content after '.': " + repr(line[end + 1 :].lstrip(" \t"))
 
 
 def serialize_ntriples(graph: Graph) -> str:
     return graph.serialize_ntriples()
-
-
-class _Cursor:
-    __slots__ = ("text", "pos", "line")
-
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.pos = 0
-        self.line = line
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def rest(self) -> str:
-        return self.text[self.pos :]
-
-    def advance(self, n: int = 1) -> None:
-        self.pos += n
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}, found {self.peek()!r}")
-        self.advance()
-
-    def skip_ws(self, required: bool = False) -> None:
-        start = self.pos
-        while self.peek() in (" ", "\t"):
-            self.advance()
-        if required and self.pos == start:
-            self.fail("expected whitespace")
-
-    def fail(self, message: str) -> None:
-        raise ParseError(message, self.line)
-
-
-def _parse_subject(cur: _Cursor, scope: _BlankScope) -> Term:
-    ch = cur.peek()
-    if ch == "<":
-        return _parse_iri(cur)
-    if ch == "_":
-        return _parse_blank(cur, scope)
-    cur.fail(f"expected IRI or blank node subject, found {ch!r}")
-    raise AssertionError  # unreachable
-
-
-def _parse_object(cur: _Cursor, scope: _BlankScope) -> Term:
-    ch = cur.peek()
-    if ch == "<":
-        return _parse_iri(cur)
-    if ch == "_":
-        return _parse_blank(cur, scope)
-    if ch == '"':
-        return _parse_literal(cur)
-    cur.fail(f"expected IRI, blank node, or literal object, found {ch!r}")
-    raise AssertionError
-
-
-def _parse_iri(cur: _Cursor) -> Iri:
-    cur.expect("<")
-    start = cur.pos
-    while not cur.at_end() and cur.peek() != ">":
-        if cur.peek() in ' "{}|^`':
-            cur.fail(f"character {cur.peek()!r} not allowed inside IRI")
-        cur.advance()
-    if cur.at_end():
-        cur.fail("unterminated IRI (missing '>')")
-    raw = cur.text[start : cur.pos]
-    cur.advance()
-
-    def unescape(m: re.Match[str]) -> str:
-        return _code_point(m.group(1) or m.group(2), cur.line)
-
-    value = _IRI_ESCAPES.sub(unescape, raw)
-    if "\\" in value:
-        cur.fail(f"invalid escape sequence in IRI <{raw}>")
-    if ":" not in value:
-        cur.fail(f"relative IRI <{value}> is not allowed")
-    return Iri(value)
-
-
-def _parse_blank(cur: _Cursor, scope: _BlankScope) -> BlankNode:
-    cur.expect("_")
-    cur.expect(":")
-    m = _BLANK_LABEL.match(cur.text, cur.pos)
-    if not m:
-        cur.fail("invalid blank node label")
-    label = m.group(0).rstrip(".")
-    cur.advance(len(label))
-    return scope.get(label)
-
-
-def _parse_string_body(cur: _Cursor) -> str:
-    cur.expect('"')
-    out: list[str] = []
-    while True:
-        if cur.at_end():
-            cur.fail("unterminated string literal")
-        ch = cur.peek()
-        if ch == '"':
-            cur.advance()
-            return "".join(out)
-        if ch == "\\":
-            cur.advance()
-            esc = cur.peek()
-            if esc in _STRING_ESCAPES:
-                out.append(_STRING_ESCAPES[esc])
-                cur.advance()
-            elif esc == "u":
-                cur.advance()
-                hexed = cur.text[cur.pos : cur.pos + 4]
-                if len(hexed) != 4 or not re.fullmatch(r"[0-9A-Fa-f]{4}", hexed):
-                    cur.fail("invalid \\u escape")
-                out.append(_code_point(hexed, cur.line))
-                cur.advance(4)
-            elif esc == "U":
-                cur.advance()
-                hexed = cur.text[cur.pos : cur.pos + 8]
-                if len(hexed) != 8 or not re.fullmatch(r"[0-9A-Fa-f]{8}", hexed):
-                    cur.fail("invalid \\U escape")
-                out.append(_code_point(hexed, cur.line))
-                cur.advance(8)
-            else:
-                cur.fail(f"invalid escape sequence \\{esc}")
-        else:
-            out.append(ch)
-            cur.advance()
-
-
-def _parse_literal(cur: _Cursor) -> Literal:
-    lexical = _parse_string_body(cur)
-    if cur.peek() == "@":
-        cur.advance()
-        m = _LANG_TAG.match(cur.text, cur.pos)
-        if not m:
-            cur.fail("invalid language tag")
-        tag = m.group(0)
-        cur.advance(len(tag))
-        return Literal(lexical, lang=tag)
-    if cur.peek() == "^":
-        cur.advance()
-        cur.expect("^")
-        datatype = _parse_iri(cur)
-        if datatype.value == RDF_LANGSTRING:
-            cur.fail(_UNTAGGED_LANGSTRING)
-        return Literal(lexical, datatype=datatype.value)
-    return Literal(lexical)

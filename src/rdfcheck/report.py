@@ -5,20 +5,14 @@ from __future__ import annotations
 import json
 
 from .catalog import Severity
-from .engine import ValidationReport
-
-
-def filtered_violations(report: ValidationReport, threshold: Severity | None):
-    if threshold is None:
-        return list(report.violations)
-    return [v for v in report.violations if v.severity >= threshold]
+from .engine import ValidationReport, severity_counts
 
 
 def write_text(report: ValidationReport, threshold: Severity | None = None) -> str:
     """Violations grouped by severity (errors first) then constraint id,
     one line each, with a count footer."""
     lines = []
-    shown = filtered_violations(report, threshold)
+    shown = report.at_or_above(threshold)
     for severity in (Severity.ERROR, Severity.WARNING, Severity.INFO):
         for violation in shown:
             if violation.severity != severity:
@@ -36,7 +30,7 @@ def write_text(report: ValidationReport, threshold: Severity | None = None) -> s
     skipped = report.skipped()
     for status in skipped:
         lines.append(f"SKIPPED {status.constraint_id} - {status.status}")
-    counts = _counts(shown)
+    counts = severity_counts(shown)
     lines.append(
         f"summary: {counts['error']} error(s), {counts['warning']} warning(s), "
         f"{counts['info']} info(s); {len(skipped)} constraint(s) skipped"
@@ -47,8 +41,8 @@ def write_text(report: ValidationReport, threshold: Severity | None = None) -> s
 def write_json(report: ValidationReport, threshold: Severity | None = None) -> str:
     """One object with keys summary, violations, skipped, metrics in exactly
     that order; violations keep the engine's sorted order."""
-    shown = filtered_violations(report, threshold)
-    counts = _counts(shown)
+    shown = report.at_or_above(threshold)
+    counts = severity_counts(shown)
     doc = {
         "summary": {
             "info": counts["info"],
@@ -92,10 +86,3 @@ def write_report(
     if fmt == "text":
         return write_text(report, threshold)
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def _counts(violations) -> dict[str, int]:
-    out = {"info": 0, "warning": 0, "error": 0}
-    for violation in violations:
-        out[str(violation.severity)] += 1
-    return out

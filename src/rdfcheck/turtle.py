@@ -3,13 +3,15 @@
 Supported: ``@prefix`` directives, ``a``, ``;``/``,`` separators (a ``;``
 may repeat, as in ``ex:p ex:o ;; ex:q ex:r``), anonymous blank-node property
 lists ``[...]``, labeled blanks ``_:x``, RDF collections ``(...)``, ``^^``
-datatypes, ``@lang`` tags, numeric and boolean shorthand, short and long
-(triple-quoted) strings, and ``#`` comments. A long string ends at the first
-triple quote whose first quote is not escaped. Local names of prefixed names
-are ASCII and may hold ``%HH`` escapes, which stay in the IRI as written, and
-``\\``-escapes of ``_~.-!$&'()*+,;=/?#@%``, which stand for the character
-after the backslash. A prefixed name wins over a keyword it starts with:
-``a:p`` and ``true:x`` are prefixed names.
+datatypes, ``@lang`` tags (whitespace and comments may come before either),
+numeric and boolean shorthand, short and long (triple-quoted) strings, and
+``#`` comments. A long string ends at the first triple quote whose first
+quote is not escaped. Local names of prefixed names hold the Turtle 1.1
+``PN_CHARS`` (non-ASCII letters included) and ``:``, ``%HH`` escapes, which
+stay in the IRI as written, and ``\\``-escapes of ``_~.-!$&'()*+,;=/?#@%``,
+which stand for the character after the backslash. A prefixed name wins over
+a keyword it starts with: ``a:p`` and ``true:x`` are prefixed names. A
+subject needs a predicate list unless it is a ``[ ... ]`` holding one.
 
 ``[`` and ``(`` may nest at most ``MAX_NESTING`` levels deep, counted
 together; deeper input is a ParseError, as the parser recurses once per
@@ -26,7 +28,8 @@ import re
 
 from .graph import Graph
 from .namespaces import RDF_FIRST, RDF_LANGSTRING, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
-from .ntriples import ParseError, _BlankScope, _code_point, _IRI_ESCAPES, _STRING_ESCAPES, _UNTAGGED_LANGSTRING
+from .ntriples import (ParseError, _BlankScope, _code_point, _IRI_ESCAPES, _STRING_ESCAPE,
+                       _STRING_ESCAPES, _UNTAGGED_LANGSTRING)
 from .terms import BlankNode, Iri, Literal, Term, Triple
 
 MAX_NESTING = 128
@@ -36,6 +39,18 @@ _NUMBER = re.compile(_NUMBER_BODY)
 _IRI_CHARS = r"[^<>\"{}|^`\\\x00-\x20]*"
 _NAME_ESCAPE = r"(?:%[0-9A-Fa-f]{2}|\\[_~.\-!$&'()*+,;=/?#@%])"
 _NAME_CHARS = r"[A-Za-z0-9_.\-]*"
+# A local name holds the Turtle 1.1 PN_CHARS, '.' and ':'. The ASCII ones
+# come first, so common names run one fast loop; the others are written as
+# the non-ASCII characters they leave out, a class that compiles in about a
+# millisecond where its ranges would take several.
+_LOCAL_ASCII = r"[A-Za-z0-9_.:\-]"
+_LOCAL_OTHER = (
+    r"[^\x00-\xB6\xB8-\xBF\xD7\xF7\u037E\u2000-\u200B\u200E-\u203E\u2041-\u206F"
+    r"\u2190-\u2BFF\u2FF0-\u3000\uD800-\uF8FF\uFDD0-\uFDEF\uFFFE\uFFFF\U000F0000-\U0010FFFF]"
+)
+# The first character may not be '-', '.' or one of the combining PN_CHARS.
+_NOT_FIRST = r"[-.\u00B7\u0300-\u036F\u203F\u2040]"
+_TRIVIA = r"(?:[ \t\r\n]+|\#[^\n]*)*"
 # Short string bodies; a backslash takes the next character with it and the
 # escape is checked when the body is decoded.
 _SHORT_DQ = r'[^"\\\n]*(?:\\.[^"\\\n]*)*'
@@ -52,17 +67,17 @@ _LONG_SQ = r"[^'\\]*(?:(?:\\(?s:.)|'(?!''))[^'\\]*)*"
 # "blank" without a label, or "other", which matches nothing. A local name
 # or blank label never ends in an unescaped '.': that '.' ends the statement.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|\#[^\n]*)*(?:"
+    rf"{_TRIVIA}(?:"
     rf"(?P<pname>(?P<prefix>[A-Za-z]{_NAME_CHARS})?:"
-    rf"(?P<local>(?:[A-Za-z0-9_]|{_NAME_ESCAPE}){_NAME_CHARS}"
-    rf"(?:{_NAME_ESCAPE}{_NAME_CHARS})*(?<![^\\]\.))?)"
+    rf"(?P<local>(?!{_NOT_FIRST})(?:{_LOCAL_ASCII}|{_LOCAL_OTHER}|{_NAME_ESCAPE}){_LOCAL_ASCII}*"
+    rf"(?:(?:{_LOCAL_OTHER}|{_NAME_ESCAPE}){_LOCAL_ASCII}*)*(?<![^\\]\.))?)"
     r"|(?P<semi>;)|(?P<dot>\.)|(?P<comma>,)"
     r"|(?P<string>(?:"
     rf'"(?!"")(?P<dq>{_SHORT_DQ})"'
     rf"|'(?!'')(?P<sq>{_SHORT_SQ})'"
     rf'|"""(?P<ldq>{_LONG_DQ})"""'
     rf"|'''(?P<lsq>{_LONG_SQ})''')"
-    r"(?:@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|(?P<datatype>\^\^))?)"
+    rf"(?:{_TRIVIA}(?:@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|(?P<datatype>\^\^)))?)"
     rf"|(?P<iri><(?P<iri_body>{_IRI_CHARS}"
     rf"(?:\\(?:u[0-9A-Fa-f]{{4}}|U[0-9A-Fa-f]{{8}}){_IRI_CHARS})*)>)"
     r"|(?:(?P<a>a)|(?P<true>true)|(?P<false>false)|(?P<at_prefix>@prefix)"
@@ -73,7 +88,6 @@ _TOKEN = re.compile(
     r"|(?P<badiri><)|(?P<badstr>[\"'])"
     r"|(?P<end>\Z)|(?P<other>))"
 )
-_STRING_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
 _LOCAL_ESCAPE = re.compile(r"\\(.)")
 _SHORT_PREFIX = {'"': re.compile(_SHORT_DQ), "'": re.compile(_SHORT_SQ)}
 _PUNCT = {".": "dot", "]": "rbracket"}  # the tokens expect() is asked for
@@ -194,9 +208,11 @@ class _Parser:
         self.prefixes[prefix] = iri.value
 
     def parse_triples_block(self) -> None:
+        kind, count = self.kind, len(self.triples)
         subject = self.parse_subject()
-        # A bare "[...]" or collection subject may be followed directly by '.'
-        if self.kind == "dot":
+        # Only a "[ ... ]" that holds predicates (a blankNodePropertyList, so
+        # not "[]") may stand alone before the '.'.
+        if self.kind == "dot" and kind == "lbracket" and len(self.triples) > count:
             self.next()
             return
         self.parse_predicate_object_list(subject)
@@ -358,15 +374,14 @@ class _Parser:
 
     def parse_string_literal(self) -> Literal:
         m = self.m
-        lexical = m["dq"]
-        if lexical is None:
-            lexical = m["sq"]
-            if lexical is None:
-                lexical = m["ldq"] if m["ldq"] is not None else m["lsq"]
+        for body in ("dq", "sq", "ldq", "lsq"):
+            lexical = m[body]
+            if lexical is not None:
+                break
         if "\\" in lexical:
             # A short string holds no newline; a long one reports escape
             # errors on the line it ends on.
-            lexical = self.unescape(lexical, m.end())
+            lexical = self.unescape(lexical, m.end(body))
         lang = m["lang"]
         if lang is not None:
             self.next()

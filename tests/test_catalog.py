@@ -80,6 +80,22 @@ def test_bad_pattern_rejected_at_load():
         load_catalog(doc)
 
 
+@pytest.mark.parametrize("ic, accepted", [
+    (3, True), (8, True), (10, True), (18, True), (20, True), (21, True),
+    (0, False), (-1, False), (2, False), (9, False), (19, False), (22, False),
+    (10**30, False),
+])
+def test_integrity_constraint_number_checked_at_load(ic, accepted):
+    doc = {"vocabularies": [], "constraints": [{
+        "id": "QB-1", "type": "qb-integrity", "severity": "error", "params": {"ic": ic},
+    }]}
+    if accepted:
+        assert load_catalog(doc).constraints["QB-1"].params["ic"] == ic
+    else:
+        with pytest.raises(CatalogError, match="QB-1.*expected one of"):
+            load_catalog(doc)
+
+
 def test_unknown_param_rejected():
     doc = minimal_doc()
     doc["constraints"][0]["params"]["wild"] = 1

@@ -190,6 +190,38 @@ def test_blank_nodes_stay_separate_across_inputs(tmp_path, capsys):
     assert len(subjects) == 2
 
 
+def test_merged_blank_labels_follow_each_inputs_sorted_order(tmp_path):
+    # The second input's blanks are renumbered in the order they first appear
+    # in its sorted triples, not in parse order: _:y sorts first (its triple
+    # has an IRI subject), so it takes the lower shifted label.
+    a = tmp_path / "a.nt"
+    b = tmp_path / "b.nt"
+    a.write_text("_:q <http://p/l> <http://o/1> .\n")
+    b.write_text("_:z <http://p/l> <http://o/2> .\n<http://a> <http://p/l> _:y .\n")
+    from rdfcheck.cli import _load_inputs
+    from rdfcheck.ntriples import serialize_ntriples
+
+    assert serialize_ntriples(_load_inputs([str(a), str(b)], None)) == (
+        "<http://a> <http://p/l> _:b1 .\n"
+        "_:b0 <http://p/l> <http://o/1> .\n"
+        "_:b2 <http://p/l> <http://o/2> .\n"
+    )
+
+
+@pytest.mark.parametrize("ic", [0, -1, 9, 19, 22, 10**30, True, "3"])
+def test_unimplemented_integrity_constraint_exits_two_at_load(tmp_path, capsys, ic):
+    # rejected when the catalog loads, so --only cannot hide it
+    user = tmp_path / "user.json"
+    user.write_text(json.dumps({"constraints": [{
+        "id": "USER-IC", "type": "qb-integrity", "severity": "error", "params": {"ic": ic},
+    }]}))
+    assert run_cli(["--catalog", str(user), "--only", "http-scheme",
+                    fixture("thesaurus_clean.ttl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rdfcheck: error: ") and "USER-IC" in err
+    assert err.count("\n") == 1
+
+
 def test_explain_flag(capsys):
     assert run_cli(["--explain", "DISCO-C-LITERAL-RANGES-01", "ignored.ttl"]) == 0
     doc = json.loads(capsys.readouterr().out)

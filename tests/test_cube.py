@@ -327,3 +327,12 @@ def test_fixture_cube_extraction(cube_fixture):
     assert len(dsd.dimensions()) == 2
     assert len(dsd.measures()) == 1
     assert len(dsd.attributes()) == 1
+
+
+def test_catalog_domain_of_ic_is_exactly_the_implemented_handlers():
+    from rdfcheck.catalog import QB_INTEGRITY_CONSTRAINTS
+    from rdfcheck.checks.cube import _IC_HANDLERS
+
+    assert set(_IC_HANDLERS) == set(QB_INTEGRITY_CONSTRAINTS)
+    assert set(QB_INTEGRITY_CONSTRAINTS) == {3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15,
+                                             16, 17, 18, 20, 21}

@@ -4,7 +4,7 @@ import inspect
 import pytest
 
 from rdfcheck.catalog import CONSTRAINT_TYPES, Severity, load_catalog
-from rdfcheck.engine import EngineError, explain, validate
+from rdfcheck.engine import EngineError, validate
 from rdfcheck.graph import Graph
 from rdfcheck.report import write_json
 
@@ -156,7 +156,7 @@ def test_violation_messages_contain_constraint_id(eusilc, disco_catalog):
 
 
 def test_explain_cites_integrity_constraint(full_catalog):
-    record = explain("DATA-CUBE-C-DATA-MODEL-CONSISTENCY-05", full_catalog)
+    record = full_catalog.explain("DATA-CUBE-C-DATA-MODEL-CONSISTENCY-05")
     assert record["reference"] == "IC-12"
     assert "No duplicate observations" in record["description"]
 

@@ -1,18 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdfcheck.graph import Graph, isomorphic
-from rdfcheck.ntriples import (
-    ParseError,
-    _BlankScope,
-    _cursor_triple,
-    _fast_triple,
-    parse_ntriples,
-    serialize_ntriples,
-)
+from rdfcheck.ntriples import ParseError, parse_ntriples, serialize_ntriples
 from rdfcheck.terms import BlankNode, Iri, Literal, Triple
 from rdfcheck.turtle import parse_turtle
 
@@ -142,86 +136,84 @@ def test_escape_at_scalar_value_bounds_accepted():
     assert t.object.lexical == "\U0010FFFF\uD7FF\uE000"
 
 
-def _agree(line: str) -> bool:
-    """The fast path declines ``line`` without side effects, or yields the
-    cursor's triple (raw language tag included). Returns whether it took it."""
-    fast_scope, cursor_scope = _BlankScope(), _BlankScope()
-    fast = _fast_triple(line, fast_scope)
-    if fast is None:
-        assert fast_scope._map == {}, line
-        return False
-    reference = _cursor_triple(line, 1, cursor_scope)
-    assert (fast, str(fast)) == (reference, str(reference)), line
-    assert fast_scope._map == cursor_scope._map, line
-    return True
+# Each edge line and its outcome, as the per-character cursor parser that
+# the token regex replaced gave it: the triple's N-Triples form, or the exact
+# diagnostic.
+_EDGE_LINES = {
+    "_:a <http://p> _:a.": "_:b0 <http://p> _:b0 .",
+    "_:a <http://p> _:a..": "line 1: trailing content after '.': '.'",
+    "_:a. <http://p> <http://o> .": "line 1: expected whitespace",
+    "_:a.b <http://p> _:c-d.e- .": "_:b0 <http://p> _:b1 .",
+    "_:a.b <http://p> _:a.b.": "_:b0 <http://p> _:b0 .",
+    "_:x <http://p> _:y.#x": "_:b0 <http://p> _:b1 .",
+    "<http://s>\t<http://p>\t<http://o>\t.": "<http://s> <http://p> <http://o> .",
+    "<http://s> <http://p> <http://o> . # comment": "<http://s> <http://p> <http://o> .",
+    "<http://s> <http://p> <http://o> .#x": "<http://s> <http://p> <http://o> .",
+    "<http://s> <http://p> <http://o>.": "<http://s> <http://p> <http://o> .",
+    "<http://s> <http://p> <http://o> . x": "line 1: trailing content after '.': 'x'",
+    "<http://s> <http://p> <http://o>": "line 1: expected '.', found ''",
+    "<rel> <http://p> <http://o> .": "line 1: relative IRI <rel> is not allowed",
+    "<http://s> <rel> <http://o> .": "line 1: relative IRI <rel> is not allowed",
+    "<http://s> <http://p> <rel> .": "line 1: relative IRI <rel> is not allowed",
+    "<http://s> <http://p> <> .": "line 1: relative IRI <> is not allowed",
+    '<http://s> <http://p> "x"@en-GB .': '<http://s> <http://p> "x"@en-GB .',
+    '<http://s> <http://p> "x"@en-GB-oed.': '<http://s> <http://p> "x"@en-GB-oed .',
+    '<http://s> <http://p> "x"@en- .': "line 1: expected '.', found '-'",
+    '<http://s> <http://p> "x"@ .': "line 1: invalid language tag",
+    '<http://s> <http://p> "x"@en.': '<http://s> <http://p> "x"@en .',
+    '<http://s> <http://p> "x"^^<rel> .': "line 1: relative IRI <rel> is not allowed",
+    '<http://s> <http://p> "x"^^<http://www.w3.org/2001/XMLSchema#int> .':
+        '<http://s> <http://p> "x"^^<http://www.w3.org/2001/XMLSchema#int> .',
+    '<http://s> <http://p> "x"^ <http://d> .': "line 1: expected '^', found ' '",
+    '<http://s> <http://p> "x"^^ <http://d> .': "line 1: expected '<', found ' '",
+    '<http://s> <http://p> "a <b> #c" .': '<http://s> <http://p> "a <b> #c" .',
+    '<http://s> <http://p> "" .': '<http://s> <http://p> "" .',
+    '<http://s> <http://p> "x .': "line 1: unterminated string literal",
+    "<a><b> <http://o> .": "line 1: relative IRI <a> is not allowed",
+    "<http://a><http://b> <http://o> .": "line 1: expected whitespace",
+    "<http://s>\u00a0<http://p> <http://o> .": "line 1: expected whitespace",
+    "<http://s> <http://p>\u2003<http://o> .": "line 1: expected whitespace",
+    "<http://s/\u00a0> <http://p> <http://o> .": "<http://s/\u00a0> <http://p> <http://o> .",
+    "<http://s/\t> <http://p> <http://o> .": "<http://s/\t> <http://p> <http://o> .",
+    "<http://s/ x> <http://p> <http://o> .": "line 1: character ' ' not allowed inside IRI",
+    "<http://s/{x}> <http://p> <http://o> .": "line 1: character '{' not allowed inside IRI",
+    "<http://s/<x> <http://p> <http://o> .": "<http://s/<x> <http://p> <http://o> .",
+    "<http://s <http://p> <http://o> .": "line 1: character ' ' not allowed inside IRI",
+    '"lit" <http://p> <http://o> .': "line 1: expected IRI or blank node subject, found '\"'",
+    "<http://s> _:p <http://o> .": "line 1: expected '<', found '_'",
+    "_:: <http://p> <http://o> .": "line 1: invalid blank node label",
+    "_:.a <http://p> <http://o> .": "line 1: invalid blank node label",
+    "_: <http://p> <http://o> .": "line 1: invalid blank node label",
+    "bare <http://p> <http://o> .": "line 1: expected IRI or blank node subject, found 'b'",
+    "<http://s> <http://p> bare .":
+        "line 1: expected IRI, blank node, or literal object, found 'b'",
+}
 
 
-_EDGE_LINES = [
-    "_:a <http://p> _:a.",
-    "_:a <http://p> _:a..",
-    "_:a. <http://p> <http://o> .",
-    "_:a.b <http://p> _:c-d.e- .",
-    "_:a.b <http://p> _:a.b.",
-    "_:x <http://p> _:y.#x",
-    "<http://s>\t<http://p>\t<http://o>\t.",
-    "<http://s> <http://p> <http://o> . # comment",
-    "<http://s> <http://p> <http://o> .#x",
-    "<http://s> <http://p> <http://o>.",
-    "<http://s> <http://p> <http://o> . x",
-    "<http://s> <http://p> <http://o>",
-    "<rel> <http://p> <http://o> .",
-    "<http://s> <rel> <http://o> .",
-    "<http://s> <http://p> <rel> .",
-    "<http://s> <http://p> <> .",
-    '<http://s> <http://p> "x"@en-GB .',
-    '<http://s> <http://p> "x"@en-GB-oed.',
-    '<http://s> <http://p> "x"@en- .',
-    '<http://s> <http://p> "x"@ .',
-    '<http://s> <http://p> "x"@en.',
-    '<http://s> <http://p> "x"^^<rel> .',
-    '<http://s> <http://p> "x"^^<http://www.w3.org/2001/XMLSchema#int> .',
-    '<http://s> <http://p> "x"^ <http://d> .',
-    '<http://s> <http://p> "x"^^ <http://d> .',
-    '<http://s> <http://p> "a <b> #c" .',
-    '<http://s> <http://p> "" .',
-    '<http://s> <http://p> "x .',
-    "<a><b> <http://o> .",
-    "<http://a><http://b> <http://o> .",
-    "<http://s>\u00a0<http://p> <http://o> .",
-    "<http://s> <http://p>\u2003<http://o> .",
-    "<http://s/\u00a0> <http://p> <http://o> .",
-    "<http://s/\t> <http://p> <http://o> .",
-    "<http://s/ x> <http://p> <http://o> .",
-    "<http://s/{x}> <http://p> <http://o> .",
-    "<http://s/<x> <http://p> <http://o> .",
-    "<http://s <http://p> <http://o> .",
-    '"lit" <http://p> <http://o> .',
-    "<http://s> _:p <http://o> .",
-    "_:: <http://p> <http://o> .",
-    "_:.a <http://p> <http://o> .",
-    "_: <http://p> <http://o> .",
-    "bare <http://p> <http://o> .",
-    "<http://s> <http://p> bare .",
-]
+def _outcome(text: str) -> str:
+    try:
+        [t] = list(parse_ntriples(text))
+    except ParseError as err:
+        return str(err)
+    return str(t)
 
 
-def test_fast_path_agrees_with_cursor_on_edge_lines():
-    taken = [line for line in _EDGE_LINES if _agree(line)]
-    # the edge list exercises both outcomes
-    assert 0 < len(taken) < len(_EDGE_LINES)
+def test_edge_lines_keep_their_outcome():
+    assert {line: _outcome(line) for line in _EDGE_LINES} == _EDGE_LINES
 
 
-def test_fast_path_takes_every_fixture_line_and_agrees():
+def test_every_fixture_line_round_trips():
     for name in ("eusilc.ttl", "cube.ttl", "thesaurus_clean.ttl",
                  "thesaurus_cycle.ttl"):
         text = serialize_ntriples(parse_turtle((FIXTURES / name).read_bytes()))
         for line in text.splitlines():
-            assert _agree(line) or "\\" in line, line
+            if "_:" not in line:
+                assert _outcome(line) == line
 
 
 def _pieces(good: list[str], bad: list[str]):
     # well-formed pieces come four times as often as broken ones, so that
-    # a fifth to a third of the generated lines reach the fast path
+    # a fifth to a third of the generated lines are well formed
     return st.sampled_from(good * 4 + bad)
 
 
@@ -245,6 +237,11 @@ _LITERALS = st.builds(
 _ENDS = _pieces([".", ". # c", ".#x", ".\t#"], ["..", ". x", "", "#", ". ."])
 
 
+# Characters Turtle's IRIREF (like RDF 1.1 N-Triples) excludes but this
+# parser lets through inside an IRI.
+_LAX_IRI = re.compile(r"<[^>]*[\x00-\x20<][^>]*>")
+
+
 @given(
     subject=st.one_of(_IRIS, _BLANKS),
     predicate=_IRIS,
@@ -253,32 +250,104 @@ _ENDS = _pieces([".", ". # c", ".#x", ".\t#"], ["..", ". x", "", "#", ". ."])
     end=_ENDS,
 )
 @settings(max_examples=400, deadline=None)
-def test_fast_path_agrees_with_cursor_on_generated_lines(subject, predicate, obj, ws, end):
+def test_generated_lines_agree_with_turtle(subject, predicate, obj, ws, end):
+    """An accepted line is the same triple in Turtle, up to blank labels; a
+    rejected line gives one diagnostic on line 1."""
     line = f"{subject}{ws[0]}{predicate}{ws[1]}{obj}{ws[2]}{end}".strip()
-    if line and not line.startswith("#"):
-        _agree(line)
+    if not line or line.startswith("#"):
+        return
+    try:
+        g = parse_ntriples(line)
+    except ParseError as err:
+        assert err.line == 1 and str(err).startswith("line 1: ")
+        assert "\n" not in str(err)
+        return
+    assert len(g) == 1
+    if _LAX_IRI.search(line):
+        with pytest.raises(ParseError):
+            parse_turtle(line)
+    else:
+        assert isomorphic(g, parse_turtle(line)), line
 
 
-def _cursor_only_parse(text: str) -> Graph:
-    scope = _BlankScope()
-    triples = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            triples.append(_cursor_triple(line, lineno, scope))
-    return Graph(triples)
+# Each malformed N-Triples fixture and its diagnostic, as the per-character
+# cursor parser that the token regex replaced worded it.
+MALFORMED_NT = {
+    "nt_bad_escape.nt": "line 1: invalid escape sequence \\q",
+    "nt_bad_lang.nt": "line 1: invalid language tag",
+    "nt_bad_unicode_escape.nt": "line 1: invalid \\u escape",
+    "nt_bare_word.nt": "line 1: expected IRI, blank node, or literal object, found 'b'",
+    "nt_blank_predicate.nt": "line 1: expected '<', found '_'",
+    "nt_escape_out_of_range.nt": "line 2: escape U+FFFFFFFF is not a Unicode scalar value",
+    "nt_langstring_without_tag.nt": "line 1: rdf:langString literal requires a language tag",
+    "nt_literal_subject.nt": "line 1: expected IRI or blank node subject, found '\"'",
+    "nt_lone_surrogate.nt": "line 1: escape U+D800 is not a Unicode scalar value",
+    "nt_missing_dot.nt": "line 1: expected '.', found ''",
+    "nt_relative_iri.nt": "line 1: relative IRI <relative> is not allowed",
+    "nt_second_line_bad.nt":
+        "line 2: expected IRI, blank node, or literal object, found '.'",
+    "nt_space_in_iri.nt": "line 1: character ' ' not allowed inside IRI",
+    "nt_trailing_garbage.nt": "line 1: trailing content after '.': 'extra'",
+    "nt_unterminated_iri.nt": "line 1: character ' ' not allowed inside IRI",
+    "nt_unterminated_string.nt": "line 1: unterminated string literal",
+}
+
+
+def test_every_malformed_ntriples_fixture_is_pinned():
+    names = {p.name for p in (FIXTURES / "malformed").glob("nt_*.nt")}
+    assert names == set(MALFORMED_NT)
 
 
 @pytest.mark.parametrize(
-    "path", sorted((FIXTURES / "malformed").glob("*.nt")), ids=lambda p: p.name
+    "path", sorted((FIXTURES / "malformed").glob("nt_*.nt")), ids=lambda p: p.name
 )
 def test_malformed_ntriples_error_matches_cursor_only_parse(path):
-    text = path.read_text(encoding="utf-8")
-    with pytest.raises(ParseError) as reference:
-        _cursor_only_parse(text)
     with pytest.raises(ParseError) as err:
-        parse_ntriples(text)
-    assert str(err.value) == str(reference.value)
+        parse_ntriples(path.read_bytes())
+    assert str(err.value) == MALFORMED_NT[path.name]
+
+
+@pytest.mark.parametrize("line, message", [
+    ('<http://a> <http://b> "\\u12G4" .', "line 1: invalid \\u escape"),
+    ('<http://a> <http://b> "\\U0001F6" .', "line 1: invalid \\U escape"),
+    ('<http://a> <http://b> "abc\\', "line 1: invalid escape sequence \\"),
+    ('<http://a> <http://b> "\\uD800\\q" .',
+     "line 1: escape U+D800 is not a Unicode scalar value"),
+    ('<http://a> <http://b> "\\q\\uD800" .', "line 1: invalid escape sequence \\q"),
+    ("<http://a/\\x> <http://b> <http://c> .",
+     "line 1: invalid escape sequence in IRI <http://a/\\x>"),
+    ("<http://a/\\u005C> <http://b> <http://c> .",
+     "line 1: invalid escape sequence in IRI <http://a/\\u005C>"),
+    ("<rel\\u0041> <http://b> <http://c> .", "line 1: relative IRI <relA> is not allowed"),
+    ("<http://a> <http://b> <http://c", "line 1: unterminated IRI (missing '>')"),
+    ("_x <http://b> <http://c> .", "line 1: expected ':', found 'x'"),
+    ("<http://a>", "line 1: expected whitespace"),
+    ("<http://a> .", "line 1: expected '<', found '.'"),
+    ('<http://a> <http://b> "x" @en .', "line 1: expected '.', found '@'"),
+    ('<http://a> <http://b> "x"@en@fr .', "line 1: expected '.', found '@'"),
+    ('<http://a> <http://b> "x"^^<http://d x> .', "line 1: character ' ' not allowed inside IRI"),
+    ('<http://a> <http://b> "\\uD800"^^<http://d x> .',
+     "line 1: escape U+D800 is not a Unicode scalar value"),
+    ('<http://a> <http://b> "x"^^_:d .', "line 1: expected '<', found '_'"),
+])
+def test_diagnostic_wording(line, message):
+    with pytest.raises(ParseError) as err:
+        parse_ntriples(line)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("char", list(' "{}|^`'))
+@pytest.mark.parametrize("template", ["<http://a/{}x> <http://b> <http://c> .",
+                                      "<http://a> <http://b> <http://c/x{}> ."])
+def test_forbidden_iri_character(template, char):
+    with pytest.raises(ParseError) as err:
+        parse_ntriples(template.format(char))
+    assert str(err.value) == f"line 1: character {char!r} not allowed inside IRI"
+
+
+def test_escaped_and_relative_iris_are_decoded_then_checked():
+    g = parse_ntriples('<http://a/\\u0041> <http://b> "x"^^<http://d/\\U00000042> .')
+    assert str(next(iter(g))) == '<http://a/A> <http://b> "x"^^<http://d/B> .'
 
 
 def test_equal_iris_share_one_object():

@@ -253,7 +253,19 @@ _P = "@prefix ex: <http://e/> .\n"
     (_P + "ex:s ex:p ex:o ;", "line 2: expected '.', found 'end of input'"),
     (_P + "ex:s ex:p", "line 2: unexpected end of input while reading object"),
     (_P + "ex:s", "line 2: unexpected end of input"),
-    (_P + "ex:s ex:p ex:é .", "line 2: expected '.', found 'é'"),
+    (_P + "ex:s ex:p ex:a× .", "line 2: expected '.', found '×'"),
+    (_P + "ex:s ex:p ex:·a .", "line 2: expected '.', found '·'"),
+    (_P + "ex:s .", "line 2: expected predicate, found '.'"),
+    (_P + "<http://e/s> .", "line 2: expected predicate, found '.'"),
+    (_P + "_:s .", "line 2: expected predicate, found '.'"),
+    (_P + "() .", "line 2: expected predicate, found '.'"),
+    (_P + "( ex:a ) .", "line 2: expected predicate, found '.'"),
+    (_P + "[] .", "line 2: expected predicate, found '.'"),
+    (_P + "[ ] .", "line 2: expected predicate, found '.'"),
+    (_P + 'ex:s ex:p "x" @ en .', "line 2: expected '.', found '@'"),
+    (_P + 'ex:s ex:p "x" ^ ^ex:t .', "line 2: expected '.', found '^'"),
+    (_P + 'ex:s ex:p "x" ^^ .', "line 2: expected prefixed name"),
+    (_P + 'ex:s ex:p """a\\q"""\n@en .', "line 2: invalid escape sequence \\q"),
     (_P + "ex:s ex:p 1e .", "line 2: expected '.', found 'e'"),
     (_P + 'ex:s ex:p "x"\x0b .', "line 2: expected '.', found '\\x0b'"),
     ("\ufeff" + _P, "line 1: expected subject, found '\\ufeff'"),
@@ -299,6 +311,31 @@ def test_keyword_prefixes_are_prefixed_names():
     }
 
 
+@pytest.mark.parametrize("obj", [
+    '"x" @en', '"x"\t@en', '"x"\n@en', '"x" # note\n @en', '"""x"""\n@en',
+])
+def test_space_and_comments_before_a_language_tag(obj):
+    assert list(parse_turtle(f"@prefix ex: <http://e/> . ex:s ex:p {obj} .")) == [
+        triple("http://e/s", "http://e/p", lit("x", lang="en"))
+    ]
+
+
+@pytest.mark.parametrize("obj", [
+    '"5" ^^xsd:integer', '"5"^^ xsd:integer', '"5" ^^ xsd:integer',
+    '"5"\n# note\n^^\n<http://www.w3.org/2001/XMLSchema#integer>',
+])
+def test_space_and_comments_around_a_datatype_marker(obj):
+    text = f"@prefix ex: <http://e/> . @prefix xsd: <{_XSD}> . ex:s ex:p {obj} ."
+    assert list(parse_turtle(text)) == [
+        triple("http://e/s", "http://e/p", lit("5", "xsd:integer"))
+    ]
+
+
+def test_only_a_property_list_subject_may_stand_alone():
+    g = parse_turtle("@prefix ex: <http://e/> . [ ex:p ex:o ] . [ ex:q [ ex:r ex:o ] ] .")
+    assert sorted(t.predicate.value for t in g) == ["http://e/p", "http://e/q", "http://e/r"]
+
+
 def test_undeclared_keyword_prefix_is_reported_as_a_prefix():
     with pytest.raises(ParseError) as err:
         parse_turtle("@prefix ex: <http://e/> .\nex:s a:p ex:o .")
@@ -312,6 +349,10 @@ def test_undeclared_keyword_prefix_is_reported_as_a_prefix():
     ("\\_x\\-\\!\\$\\&\\'\\(\\)\\*\\+\\,\\;\\=\\/\\?\\#\\@\\%", "_x-!$&'()*+,;=/?#@%"),
     ("a\\.", "a."),
     ("a\\..b", "a..b"),
+    # PN_LOCAL also holds ':' and non-ASCII PN_CHARS
+    ("a:b", "a:b"), (":", ":"), (":a", ":a"), ("a:", "a:"), ("a::b", "a::b"),
+    ("été", "été"), ("Ωmega", "Ωmega"), ("a·b", "a·b"), ("a\u0301", "a\u0301"),
+    ("\U00010000x", "\U00010000x"), ("a.:b", "a.:b"), ("été.c", "été.c"), ("é%41", "é%41"),
 ])
 def test_local_name_escapes(local, value):
     g = parse_turtle(f"@prefix ex: <http://e/> . ex:s ex:p ex:{local}.")
@@ -375,8 +416,9 @@ _NAMESPACES = {
 }
 # Pieces of a local name: (Turtle spelling, characters in the IRI).
 _NAME_START = [("a", "a"), ("Z9", "Z9"), ("_", "_"), ("7", "7"), ("%41", "%41"),
-               ("%c3%A9", "%c3%A9"), ("\\~", "~"), ("\\.", "."), ("\\-", "-")]
-_NAME_REST = _NAME_START + [(".", "."), ("-", "-")] + [
+               ("%c3%A9", "%c3%A9"), ("\\~", "~"), ("\\.", "."), ("\\-", "-"),
+               (":", ":"), ("été", "été"), ("Ω", "Ω")]
+_NAME_REST = _NAME_START + [(".", "."), ("-", "-"), ("·", "·")] + [
     ("\\" + c, c) for c in "_!$&'()*+,;=/?#@%"
 ]
 _SPACE = [" ", "  ", "\t", "\n", "\r\n", " # note\n", "\n# a comment line\r\n"]
@@ -453,17 +495,18 @@ class _TurtleWriter:
         lexical, quote, escape_all, tag = drawn
         written = self.string(lexical, quote, escape_all)
         if kind == "lang":
-            return f"{written}@{tag}", str(Literal(lexical, lang=tag))
+            return f"{written}{self.space(True)}@{tag}", str(Literal(lexical, lang=tag))
         if kind == "typed":
             datatype, nt_datatype = self.iri()
-            return f"{written}^^{datatype}", str(Literal(lexical, datatype=nt_datatype[1:-1]))
+            marker = self.space(True) + "^^" + self.space(True)
+            return written + marker + datatype, str(Literal(lexical, datatype=nt_datatype[1:-1]))
         return written, str(Literal(lexical))
 
-    def node(self, depth: int, subject: bool = False) -> tuple[str, str]:
+    def node(self, depth: int, subject: bool = False, kind: str = "") -> tuple[str, str]:
         kinds = ["iri", "label", "anon"] + (["list", "bnode"] if depth < 3 else [])
         if not subject:
             kinds += ["literal", "literal"]
-        kind = self.draw(st.sampled_from(kinds))
+        kind = kind or self.draw(st.sampled_from(kinds))
         if kind == "iri":
             return self.iri()
         if kind == "literal":
@@ -509,6 +552,11 @@ class _TurtleWriter:
     def document(self) -> str:
         out = [f"@prefix {p}: <{ns}> ." + self.space() for p, ns in _NAMESPACES.items()]
         for _ in range(self.draw(st.integers(1, 4))):
+            if self.draw(st.integers(0, 4)) == 0:
+                # a property list standing alone as the statement
+                subject_text, _ = self.node(0, kind="bnode")
+                out.append(subject_text + self.space(True) + "." + self.space())
+                continue
             subject_text, subject = self.node(0, subject=True)
             body = self.predicate_objects(subject, 0)
             out.append(subject_text + self.space() + body + self.space(True) + "." + self.space())
