@@ -16,16 +16,27 @@ from dataclasses import FrozenInstanceError, dataclass, field
 
 from .namespaces import RDF_LANGSTRING, XSD_STRING
 
-_IRIS: dict[str, Iri] = {}
+
+class _IriTable(dict):
+    """The interned IRIs by value; a miss makes and stores the IRI, so a
+    caller may index the table in place of calling ``Iri``."""
+
+    def __missing__(self, value: str) -> Iri:
+        iri = object.__new__(Iri)
+        object.__setattr__(iri, "value", value)
+        return self.setdefault(value, iri)
+
+
+_IRIS = _IriTable()
 _BLANKS: dict[str, BlankNode] = {}
 
 
 class _Interned:
-    """Immutable, and equal only to itself. A subclass's ``__new__`` stores
-    a new term with ``dict.setdefault``, which is atomic, so threads that
-    miss the table at once still share one object. Its ``__reduce__`` calls
-    the constructor, so ``copy``, ``deepcopy`` and ``pickle`` return the
-    interned object."""
+    """Immutable, and equal only to itself. A new term is stored in its
+    table with ``dict.setdefault``, which is atomic, so threads that miss
+    the table at once still share one object. A subclass's ``__reduce__``
+    calls the constructor, so ``copy``, ``deepcopy`` and ``pickle`` return
+    the interned object."""
 
     __slots__ = ()
 
@@ -41,12 +52,7 @@ class Iri(_Interned):
     value: str
 
     def __new__(cls, value: str) -> Iri:
-        try:
-            return _IRIS[value]
-        except KeyError:
-            iri = object.__new__(cls)
-            object.__setattr__(iri, "value", value)
-            return _IRIS.setdefault(value, iri)
+        return _IRIS[value]
 
     def __reduce__(self) -> tuple[type[Iri], tuple[str]]:
         return (Iri, (self.value,))

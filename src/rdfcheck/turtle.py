@@ -41,8 +41,9 @@ _NAME_ESCAPE = r"(?:%[0-9A-Fa-f]{2}|\\[_~.\-!$&'()*+,;=/?#@%])"
 _NAME_CHARS = r"[A-Za-z0-9_.\-]*"
 # A local name holds the Turtle 1.1 PN_CHARS, '.' and ':'. The ASCII ones
 # come first, so common names run one fast loop; the others are written as
-# the non-ASCII characters they leave out, a class that compiles in about a
-# millisecond where its ranges would take several.
+# the non-ASCII characters they leave out, a class that compiles in about
+# two milliseconds where its ranges would take several, so the token uses
+# it once. An empty local name matches as "".
 _LOCAL_ASCII = r"[A-Za-z0-9_.:\-]"
 _LOCAL_OTHER = (
     r"[^\x00-\xB6\xB8-\xBF\xD7\xF7\u037E\u2000-\u200B\u200E-\u203E\u2041-\u206F"
@@ -51,6 +52,11 @@ _LOCAL_OTHER = (
 # The first character may not be '-', '.' or one of the combining PN_CHARS.
 _NOT_FIRST = r"[-.\u00B7\u0300-\u036F\u203F\u2040]"
 _TRIVIA = r"(?:[ \t\r\n]+|\#[^\n]*)*"
+# _TRIVIA can split a run of spaces in exponentially many ways. Before a
+# token that is fine, as "other" matches whatever follows; after a string it
+# is made atomic (a lookahead keeps one match, the backreference takes it),
+# so a string followed by spaces and no '@' or '^^' fails at once.
+_GAP = rf"(?=(?P<gap>{_TRIVIA}))(?P=gap)"
 # Short string bodies; a backslash takes the next character with it and the
 # escape is checked when the body is decoded.
 _SHORT_DQ = r'[^"\\\n]*(?:\\.[^"\\\n]*)*'
@@ -69,7 +75,7 @@ _LONG_SQ = r"[^'\\]*(?:(?:\\(?s:.)|'(?!''))[^'\\]*)*"
 _TOKEN = re.compile(
     rf"{_TRIVIA}(?:"
     rf"(?P<pname>(?P<prefix>[A-Za-z]{_NAME_CHARS})?:"
-    rf"(?P<local>(?!{_NOT_FIRST})(?:{_LOCAL_ASCII}|{_LOCAL_OTHER}|{_NAME_ESCAPE}){_LOCAL_ASCII}*"
+    rf"(?P<local>(?!{_NOT_FIRST}){_LOCAL_ASCII}*"
     rf"(?:(?:{_LOCAL_OTHER}|{_NAME_ESCAPE}){_LOCAL_ASCII}*)*(?<![^\\]\.))?)"
     r"|(?P<semi>;)|(?P<dot>\.)|(?P<comma>,)"
     r"|(?P<string>(?:"
@@ -77,7 +83,7 @@ _TOKEN = re.compile(
     rf"|'(?!'')(?P<sq>{_SHORT_SQ})'"
     rf'|"""(?P<ldq>{_LONG_DQ})"""'
     rf"|'''(?P<lsq>{_LONG_SQ})''')"
-    rf"(?:{_TRIVIA}(?:@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|(?P<datatype>\^\^)))?)"
+    rf"(?:{_GAP}(?:@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|(?P<datatype>\^\^)))?)"
     rf"|(?P<iri><(?P<iri_body>{_IRI_CHARS}"
     rf"(?:\\(?:u[0-9A-Fa-f]{{4}}|U[0-9A-Fa-f]{{8}}){_IRI_CHARS})*)>)"
     r"|(?:(?P<a>a)|(?P<true>true)|(?P<false>false)|(?P<at_prefix>@prefix)"
@@ -198,7 +204,7 @@ class _Parser:
         if self.kind != "pname":
             self.fail("expected prefix name in @prefix directive")
         m = self.m
-        if m["local"] is not None:
+        if m["local"]:
             local = m.start("local")
             self.fail(f"expected '<', found {self.text[local]!r}", local)
         prefix = m["prefix"] or ""

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -329,6 +331,28 @@ def test_space_and_comments_around_a_datatype_marker(obj):
     assert list(parse_turtle(text)) == [
         triple("http://e/s", "http://e/p", lit("5", "xsd:integer"))
     ]
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("parse did not finish in time")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("gap", [" " * 40 + " ", " #" + " " * 40 + "\n", "\n \t" * 40],
+                         ids=["spaces", "comment", "lines"])
+@pytest.mark.parametrize("rest", [".", "; ex:q ex:o .", ", ex:o .", "] ."],
+                         ids=["dot", "semicolon", "comma", "bracket"])
+def test_long_gap_after_a_string_parses_in_linear_time(gap, rest):
+    # the gap must be read once, not re-split, when no '@' or '^^' follows
+    subject = "ex:s ex:r [" if rest == "] ." else "ex:s"
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(5)
+    try:
+        g = parse_turtle(f'@prefix ex: <http://e/> . {subject} ex:p "x"{gap}{rest}')
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert lit("x") in {t.object for t in g}
 
 
 def test_only_a_property_list_subject_may_stand_alone():
