@@ -3,14 +3,15 @@
 IC-1/IC-2/IC-9 arrive through plain cardinality constraints and IC-0
 through datatype validity; everything else lives here, built on the
 extracted CubeModel. Each function mirrors the normative SPARQL of the
-corresponding IC as a closed-world check over asserted triples.
+corresponding IC as a closed-world check over asserted triples. The ICs
+stated per data set walk ``CubeModel.by_dataset``.
 """
 
 from __future__ import annotations
 
 from ..catalog import Severity
 from ..namespaces import OWL_INVERSE_OF, QB, RDFS_RANGE, SKOS, compact
-from ..terms import BlankNode, Iri, Literal, Term, term_sort_key
+from ..terms import BlankNode, Iri, Literal, Term
 from ..violations import ResourceLimit, Violation, make_violation
 from . import schema
 from .context import GraphContext
@@ -33,25 +34,13 @@ def check_qb_integrity(
     handler = _IC_HANDLERS.get(ic)
     if handler is None:
         raise ValueError(f"integrity constraint IC-{ic} is not implemented")
-    return sorted(handler(ctx, cube, cid, severity), key=Violation.sort_key)
-
-
-def _obs_values(ctx: GraphContext, obs: Term, prop: Term) -> list[Term]:
-    return ctx.graph.objects(obs, prop)  # type: ignore[arg-type]
-
-
-def _dataset_observations(cube: CubeModel) -> dict[Term, list[Term]]:
-    by_dataset: dict[Term, list[Term]] = {ds: [] for ds in cube.datasets}
-    for obs in sorted(cube.observations, key=term_sort_key):
-        for ds in cube.observations[obs]:
-            by_dataset.setdefault(ds, []).append(obs)
-    return by_dataset
+    return handler(ctx, cube, cid, severity)
 
 
 def _ic3(ctx, cube, cid, severity):
     out = []
-    for node in sorted(cube.dsds, key=term_sort_key):
-        if not cube.dsds[node].measures():
+    for node, dsd in cube.dsds.items():
+        if not dsd.measures:
             out.append(
                 make_violation(
                     cid, severity, node, "no-measure",
@@ -95,8 +84,8 @@ def _ic5(ctx, cube, cid, severity):
 
 def _ic6(ctx, cube, cid, severity):
     out = []
-    for node in sorted(cube.dsds, key=term_sort_key):
-        for comp in cube.dsds[node].components:
+    for dsd in cube.dsds.values():
+        for comp in dsd.components:
             if comp.required is None or comp.required.lexical not in ("false", "0"):
                 continue
             prop = comp.prop
@@ -154,14 +143,14 @@ def _ic8(ctx, cube, cid, severity):
 
 def _ic10(ctx, cube, cid, severity):
     out = []
-    for slice_node in sorted(cube.slices, key=term_sort_key):
-        for key in cube.slices[slice_node]:
+    for slice_node, keys in cube.slices.items():
+        for key in keys:
             for prop in ctx.objects(key, QB + "componentProperty"):
                 if isinstance(prop, Literal):
                     continue
                 if not ctx.has_type(prop, QB + "DimensionProperty"):
                     continue
-                if not _obs_values(ctx, slice_node, prop):
+                if not ctx.graph.objects(slice_node, prop):
                     out.append(
                         make_violation(
                             cid, severity, slice_node, str(prop),
@@ -174,11 +163,11 @@ def _ic10(ctx, cube, cid, severity):
 
 def _ic11(ctx, cube, cid, severity):
     out = []
-    for obs in sorted(cube.observations, key=term_sort_key):
-        for ds in cube.observations[obs]:
+    for obs, datasets in cube.observations.items():
+        for ds in datasets:
             for dsd in cube.dataset_dsds(ds):
-                for dim in dsd.dimensions():
-                    if not _obs_values(ctx, obs, dim):
+                for dim in dsd.dimensions:
+                    if not ctx.graph.objects(obs, dim):
                         out.append(
                             make_violation(
                                 cid, severity, obs, str(dim),
@@ -191,29 +180,23 @@ def _ic11(ctx, cube, cid, severity):
 
 def _ic12(ctx, cube, cid, severity):
     out = []
-    for ds, obs_list in sorted(_dataset_observations(cube).items(),
-                               key=lambda kv: term_sort_key(kv[0])):
-        dims: set[Term] = set()
-        for dsd in cube.dataset_dsds(ds):
-            dims.update(dsd.dimensions())
+    for ds, obs_list in cube.by_dataset.items():
+        dims = {dim for dsd in cube.dataset_dsds(ds) for dim in dsd.dimensions}
         if not dims:
             continue
-        ordered_dims = sorted(dims, key=term_sort_key)
         groups: dict[tuple, list[Term]] = {}
         for obs in obs_list:
             signature = []
             complete = True
-            for dim in ordered_dims:
-                values = _obs_values(ctx, obs, dim)
+            for dim in dims:
+                values = ctx.graph.objects(obs, dim)
                 if not values:
                     complete = False
                     break
                 signature.append(frozenset(values))
             if complete:
                 groups.setdefault(tuple(signature), []).append(obs)
-        for signature, members in sorted(
-            groups.items(), key=lambda kv: term_sort_key(kv[1][0])
-        ):
+        for members in groups.values():
             if len(members) > 1:
                 listing = ", ".join(str(m) for m in members)
                 out.append(
@@ -229,8 +212,7 @@ def _ic12(ctx, cube, cid, severity):
 def _ic13(ctx, cube, cid, severity):
     observation_cls = Iri(QB + "Observation")
     out = []
-    for ds, obs_list in sorted(_dataset_observations(cube).items(),
-                               key=lambda kv: term_sort_key(kv[0])):
+    for ds, obs_list in cube.by_dataset.items():
         for dsd in cube.dataset_dsds(ds):
             for comp in dsd.components:
                 if comp.kind != "attribute" or comp.prop is None:
@@ -240,7 +222,7 @@ def _ic13(ctx, cube, cid, severity):
                 if comp.attachment is not None and comp.attachment != observation_cls:
                     continue
                 for obs in obs_list:
-                    if not _obs_values(ctx, obs, comp.prop):
+                    if not ctx.graph.objects(obs, comp.prop):
                         out.append(
                             make_violation(
                                 cid, severity, obs, str(comp.prop),
@@ -253,14 +235,13 @@ def _ic13(ctx, cube, cid, severity):
 
 def _ic14(ctx, cube, cid, severity):
     out = []
-    for ds, obs_list in sorted(_dataset_observations(cube).items(),
-                               key=lambda kv: term_sort_key(kv[0])):
+    for ds, obs_list in cube.by_dataset.items():
         for dsd in cube.dataset_dsds(ds):
             if cube.uses_measure_dimension(dsd):
                 continue
-            for measure in dsd.measures():
+            for measure in dsd.measures:
                 for obs in obs_list:
-                    if not _obs_values(ctx, obs, measure):
+                    if not ctx.graph.objects(obs, measure):
                         out.append(
                             make_violation(
                                 cid, severity, obs, str(measure),
@@ -273,16 +254,15 @@ def _ic14(ctx, cube, cid, severity):
 
 def _ic15(ctx, cube, cid, severity):
     out = []
-    for ds, obs_list in sorted(_dataset_observations(cube).items(),
-                               key=lambda kv: term_sort_key(kv[0])):
+    for ds, obs_list in cube.by_dataset.items():
         for dsd in cube.dataset_dsds(ds):
             if not cube.uses_measure_dimension(dsd):
                 continue
             for obs in obs_list:
-                for mt in _obs_values(ctx, obs, _MEASURE_TYPE):
+                for mt in ctx.graph.objects(obs, _MEASURE_TYPE):
                     if isinstance(mt, Literal):
                         continue
-                    if not _obs_values(ctx, obs, mt):
+                    if not ctx.graph.objects(obs, mt):
                         out.append(
                             make_violation(
                                 cid, severity, obs, str(mt),
@@ -295,14 +275,12 @@ def _ic15(ctx, cube, cid, severity):
 
 def _ic16(ctx, cube, cid, severity):
     out = []
-    for ds, obs_list in sorted(_dataset_observations(cube).items(),
-                               key=lambda kv: term_sort_key(kv[0])):
+    for ds, obs_list in cube.by_dataset.items():
         for dsd in cube.dataset_dsds(ds):
             if not cube.uses_measure_dimension(dsd):
                 continue
-            measures = dsd.measures()
             for obs in obs_list:
-                present = [m for m in measures if _obs_values(ctx, obs, m)]
+                present = [m for m in dsd.measures if ctx.graph.objects(obs, m)]
                 if len(present) > 1:
                     listing = ", ".join(str(m) for m in present)
                     out.append(
@@ -317,8 +295,7 @@ def _ic16(ctx, cube, cid, severity):
 
 def _ic17(ctx, cube, cid, severity):
     out = []
-    for ds, obs_list in sorted(_dataset_observations(cube).items(),
-                               key=lambda kv: term_sort_key(kv[0])):
+    for ds, obs_list in cube.by_dataset.items():
         if len(obs_list) > GROUP_LIMIT:
             raise ResourceLimit(
                 f"IC-17 grouping over {len(obs_list)} observations exceeds the "
@@ -327,24 +304,21 @@ def _ic17(ctx, cube, cid, severity):
         for dsd in cube.dataset_dsds(ds):
             if not cube.uses_measure_dimension(dsd):
                 continue
-            declared = dsd.measures()
-            plain_dims = [d for d in dsd.dimensions() if d != _MEASURE_TYPE]
+            plain_dims = [d for d in dsd.dimensions if d != _MEASURE_TYPE]
             groups: dict[tuple, tuple[Term, set[Term]]] = {}
             for obs in obs_list:
                 signature = tuple(
-                    frozenset(_obs_values(ctx, obs, dim)) for dim in plain_dims
+                    frozenset(ctx.graph.objects(obs, dim)) for dim in plain_dims
                 )
                 seen_measures = {
                     mt
-                    for mt in _obs_values(ctx, obs, _MEASURE_TYPE)
+                    for mt in ctx.graph.objects(obs, _MEASURE_TYPE)
                     if not isinstance(mt, Literal)
                 }
                 first, measures = groups.setdefault(signature, (obs, set()))
                 measures.update(seen_measures)
-            for signature, (first, measures) in sorted(
-                groups.items(), key=lambda kv: term_sort_key(kv[1][0])
-            ):
-                for measure in declared:
+            for first, measures in groups.values():
+                for measure in dsd.measures:
                     if measure not in measures:
                         out.append(
                             make_violation(
@@ -359,7 +333,7 @@ def _ic17(ctx, cube, cid, severity):
 
 def _ic18(ctx, cube, cid, severity):
     out = []
-    for ds in sorted(cube.datasets, key=term_sort_key):
+    for ds in cube.datasets:
         for slice_node in ctx.objects(ds, QB + "slice"):
             if isinstance(slice_node, Literal):
                 continue
@@ -421,8 +395,8 @@ def _codes_from_hierarchy(ctx, cube, cid, severity, *, inverse: bool):
             reachable, props = _hierarchy_reachable(ctx, hcl, inverse)
             if not props:
                 continue
-            for obs in sorted(cube.observations, key=term_sort_key):
-                for value in _obs_values(ctx, obs, dim):
+            for obs in cube.observations:
+                for value in ctx.graph.objects(obs, dim):
                     if isinstance(value, Literal):
                         continue
                     if value not in reachable:
@@ -521,8 +495,8 @@ def check_qb_codelist_membership(
             listed: set[str] = set()
             if inventory_members and isinstance(code_list, Iri):
                 listed = set(inventory_members.get(code_list.value, ()))
-            for obs in sorted(cube.observations, key=term_sort_key):
-                for value in _obs_values(ctx, obs, dim):
+            for obs in cube.observations:
+                for value in ctx.graph.objects(obs, dim):
                     if isinstance(value, Literal):
                         continue
                     if value in members:
@@ -541,4 +515,4 @@ def check_qb_codelist_membership(
                             f"{name} (IC-19)", (),
                         )
                     )
-    return sorted(out, key=Violation.sort_key)
+    return out

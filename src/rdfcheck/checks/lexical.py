@@ -12,7 +12,7 @@ from decimal import Decimal
 
 from ..catalog import Severity
 from ..namespaces import RDFS_LABEL, SKOS, compact
-from ..terms import Iri, Literal, Term, term_sort_key
+from ..terms import Iri, Literal, Term
 from ..violations import Violation, make_violation
 from ..xsd import (
     InvalidLexicalError,
@@ -180,7 +180,7 @@ def check_iri_pattern(
                     f"pattern {pattern!r}", (),
                 )
             )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def check_literal_range(
@@ -278,11 +278,8 @@ def check_literal_comparison(
     operator in the shared value space; incomparable datatypes are their
     own violation."""
     compare = _OPS[op]
-    subjects = sorted(
-        {t.subject for t in ctx.statements(prop1)}
-        & {t.subject for t in ctx.statements(prop2)},
-        key=term_sort_key,
-    )
+    subjects = {t.subject for t in ctx.statements(prop1)}
+    subjects.intersection_update(t.subject for t in ctx.statements(prop2))
     out = []
     for subject in subjects:
         if scope is not None and not ctx.has_type(subject, scope):
@@ -368,11 +365,10 @@ def check_language_tags(
     under ``allow_untagged_as`` when set.
     """
     out = []
-    focuses: list[Term]
-    if scope is not None:
-        focuses = list(ctx.extension(scope))
-    else:
-        focuses = sorted({t.subject for t in ctx.statements(prop)}, key=term_sort_key)
+    focuses = (
+        ctx.extension(scope) if scope is not None
+        else {t.subject for t in ctx.statements(prop)}
+    )
 
     def report(node: Term, lang: str, count: int, bound: int, which: str) -> None:
         label = "any language" if lang == "*" else f"language {lang!r}"
@@ -397,8 +393,7 @@ def check_language_tags(
                     if tagged < min_per_lang:
                         report(node, "*", tagged, min_per_lang, "at least")
                 if max_per_lang is not None:
-                    observed = sorted({_primary(l.lang) for l in lits if l.lang})
-                    for obs in observed:
+                    for obs in {_primary(l.lang) for l in lits if l.lang}:
                         count = sum(
                             1 for l in lits
                             if _tag_matches(l.lang, obs, allow_untagged_as)
@@ -459,7 +454,7 @@ def check_language_coverage(
                             f"language tag {lit.lang!r}", (prop,),
                         )
                     )
-        return sorted(out, key=Violation.sort_key)
+        return out
 
     langs_per_concept: dict[Term, set[str]] = {}
     for node in ctx.extension(concept_class):
@@ -472,7 +467,7 @@ def check_language_coverage(
             langs_per_concept[node] = langs
     if mode == "incomplete":
         all_langs = set().union(*langs_per_concept.values()) if langs_per_concept else set()
-        for node in sorted(langs_per_concept, key=term_sort_key):
+        for node in langs_per_concept:
             missing = sorted(all_langs - langs_per_concept[node])
             if missing:
                 out.append(
@@ -602,7 +597,7 @@ def check_html_balance(
                     "closed properly", (pred,),
                 )
             )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def check_string_composition(

@@ -111,7 +111,7 @@ def check_conditional_properties(
                         tuple(if_absent or ()),
                     )
                 )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def _ordered_collection_defects(
@@ -204,7 +204,7 @@ def check_ordering(
                     )
         else:
             raise ValueError(f"unknown ordering mode {mode!r}")
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def check_aggregation(
@@ -396,7 +396,7 @@ def check_single_root(
             continue
         schemes.update(ctx.objects(triple.object, SKOS + "inScheme"))
     out = []
-    for scheme in sorted(schemes, key=term_sort_key):
+    for scheme in schemes:
         members = set(ctx.subjects(SKOS + "inScheme", scheme))
         if not members:
             continue
@@ -433,8 +433,7 @@ def check_subsuper_redundancy(
     sub-property. With ``flag_redundant``, equal values under the general
     and a specific property are flagged as verbose data."""
     out = []
-    subjects = sorted({t.subject for t in ctx.statements(general)}, key=term_sort_key)
-    for subject in subjects:
+    for subject in {t.subject for t in ctx.statements(general)}:
         has_specific = any(ctx.objects(subject, p) for p in specifics)
         if not has_specific:
             names = " or ".join(compact(p) for p in specifics)
@@ -529,7 +528,7 @@ def check_value_datatype(
                 )
             except UnknownDatatypeError:
                 continue
-        return sorted(out, key=Violation.sort_key)
+        return out
     for prop in properties or []:
         for triple in ctx.statements(prop):
             lit = triple.object
@@ -558,4 +557,4 @@ def check_value_datatype(
                 )
             except UnknownDatatypeError:
                 continue
-    return sorted(out, key=Violation.sort_key)
+    return out

@@ -3,11 +3,17 @@
 Extraction never fails on broken data: a malformed code list or an
 observation without a dataset is preserved in the model so the relevant
 checker can report it instead of crashing.
+
+Every collection of terms in a model iterates in ``term_sort_key`` order,
+fixed here once, so a checker never re-sorts a model collection. The
+exception is a list that follows the data's own order: ordered code lists
+and the values of one property on one node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..graph import MalformedListError, walk_rdf_list
 from ..namespaces import DDICV, DISCO, QB, RDF_VALUE, RDFS_DATATYPE, SKOS, XSD
@@ -35,7 +41,10 @@ class HierarchyGraph:
     nodes: list[Term]
     edges: set[tuple[Term, Term]]
 
+    @cached_property
     def successor_map(self) -> dict[Term, list[Term]]:
+        """Each node's broader concepts in term order, the order in which
+        the depth-limited redundancy search visits them."""
         mapping: dict[Term, list[Term]] = {n: [] for n in self.nodes}
         for a, b in sorted(self.edges, key=lambda e: (term_sort_key(e[0]), term_sort_key(e[1]))):
             mapping.setdefault(a, []).append(b)
@@ -67,29 +76,30 @@ class Component:
     prop: Term | None
     kind: str  # dimension | measure | attribute | unknown
     required: Literal | None = None
-    order: Literal | None = None
     attachment: Term | None = None
 
 
 @dataclass
 class Dsd:
+    """A data structure definition; ``dimensions``, ``measures`` and
+    ``attributes`` hold its component properties of each kind."""
+
     node: Term
-    components: list[Component] = field(default_factory=list)
+    components: list[Component]
+    dimensions: list[Term] = field(init=False)
+    measures: list[Term] = field(init=False)
+    attributes: list[Term] = field(init=False)
 
-    def props(self, kind: str) -> list[Term]:
-        return sorted(
-            {c.prop for c in self.components if c.kind == kind and c.prop is not None},
-            key=term_sort_key,
-        )
+    def __post_init__(self) -> None:
+        def props(kind: str) -> list[Term]:
+            return sorted(
+                {c.prop for c in self.components if c.kind == kind and c.prop is not None},
+                key=term_sort_key,
+            )
 
-    def dimensions(self) -> list[Term]:
-        return self.props("dimension")
-
-    def measures(self) -> list[Term]:
-        return self.props("measure")
-
-    def attributes(self) -> list[Term]:
-        return self.props("attribute")
+        self.dimensions = props("dimension")
+        self.measures = props("measure")
+        self.attributes = props("attribute")
 
     def all_props(self) -> set[Term]:
         return {c.prop for c in self.components if c.prop is not None}
@@ -100,6 +110,7 @@ class CubeModel:
     datasets: dict[Term, list[Term]]  # dataset -> DSD nodes
     dsds: dict[Term, Dsd]
     observations: dict[Term, list[Term]]  # observation -> dataset nodes
+    by_dataset: dict[Term, list[Term]]  # dataset -> its observations
     slices: dict[Term, list[Term]]  # slice -> slice key nodes
     slice_keys: list[Term]
     dimension_props: list[Term]
@@ -108,20 +119,23 @@ class CubeModel:
         return [self.dsds[d] for d in self.datasets.get(dataset, []) if d in self.dsds]
 
     def uses_measure_dimension(self, dsd: Dsd) -> bool:
-        return Iri(QB + "measureType") in {c.prop for c in dsd.components}
+        # extraction files a qb:measureType component under the dimensions
+        return Iri(QB + "measureType") in dsd.dimensions
+
+
+def _typed_or_linked(ctx: GraphContext, cls: str, link: str) -> list[Term]:
+    """Instances of ``cls`` plus the non-literal objects of ``link``."""
+    nodes = set(ctx.extension(cls))
+    nodes.update(t.object for t in ctx.statements(link) if not isinstance(t.object, Literal))
+    return sorted(nodes, key=term_sort_key)
 
 
 def extract_cube(ctx: GraphContext) -> CubeModel:
-    g = ctx.graph
     measure_type = Iri(QB + "measureType")
 
-    dsd_nodes = set(ctx.extension(QB + "DataStructureDefinition"))
-    for triple in ctx.statements(QB + "structure"):
-        if not isinstance(triple.object, Literal):
-            dsd_nodes.add(triple.object)
     dsds: dict[Term, Dsd] = {}
-    for node in sorted(dsd_nodes, key=term_sort_key):
-        dsd = Dsd(node)
+    for node in _typed_or_linked(ctx, QB + "DataStructureDefinition", QB + "structure"):
+        components = []
         for spec in ctx.objects(node, QB + "component"):
             if isinstance(spec, Literal):
                 continue
@@ -151,58 +165,41 @@ def extract_cube(ctx: GraphContext) -> CubeModel:
                 comp.kind = "dimension"
             required = ctx.literal_objects(spec, QB + "componentRequired")
             comp.required = required[0] if required else None
-            order = ctx.literal_objects(spec, QB + "order")
-            comp.order = order[0] if order else None
             attachment = ctx.objects(spec, QB + "componentAttachment")
             comp.attachment = attachment[0] if attachment else None
-            dsd.components.append(comp)
-        dsds[node] = dsd
+            components.append(comp)
+        dsds[node] = Dsd(node, components)
 
-    datasets: dict[Term, list[Term]] = {}
-    for node in ctx.extension(QB + "DataSet"):
-        datasets[node] = [o for o in ctx.objects(node, QB + "structure")
-                          if not isinstance(o, Literal)]
-    for triple in ctx.statements(QB + "dataSet"):
-        if not isinstance(triple.object, Literal):
-            datasets.setdefault(
-                triple.object,
-                [o for o in ctx.objects(triple.object, QB + "structure")
-                 if not isinstance(o, Literal)],
-            )
+    def resources(node: Term, prop: str) -> list[Term]:
+        return [o for o in ctx.objects(node, prop) if not isinstance(o, Literal)]
 
-    observations: dict[Term, list[Term]] = {}
-    for node in ctx.extension(QB + "Observation"):
-        observations[node] = [
-            o for o in ctx.objects(node, QB + "dataSet") if not isinstance(o, Literal)
-        ]
-
-    slices: dict[Term, list[Term]] = {}
-    slice_nodes = set(ctx.extension(QB + "Slice"))
-    for triple in ctx.statements(QB + "slice"):
-        if not isinstance(triple.object, Literal):
-            slice_nodes.add(triple.object)
-    for node in sorted(slice_nodes, key=term_sort_key):
-        slices[node] = [
-            o for o in ctx.objects(node, QB + "sliceStructure") if not isinstance(o, Literal)
-        ]
-
-    key_nodes = set(ctx.extension(QB + "SliceKey"))
-    for triple in ctx.statements(QB + "sliceKey"):
-        if not isinstance(triple.object, Literal):
-            key_nodes.add(triple.object)
+    datasets = {
+        node: resources(node, QB + "structure")
+        for node in _typed_or_linked(ctx, QB + "DataSet", QB + "dataSet")
+    }
+    observations = {
+        node: resources(node, QB + "dataSet") for node in ctx.extension(QB + "Observation")
+    }
+    by_dataset: dict[Term, list[Term]] = {ds: [] for ds in datasets}
+    for obs, obs_datasets in observations.items():
+        for ds in obs_datasets:
+            by_dataset[ds].append(obs)
+    slices = {
+        node: resources(node, QB + "sliceStructure")
+        for node in _typed_or_linked(ctx, QB + "Slice", QB + "slice")
+    }
 
     dim_props = set(ctx.extension(QB + "DimensionProperty"))
     for dsd in dsds.values():
-        for comp in dsd.components:
-            if comp.kind == "dimension" and comp.prop is not None:
-                dim_props.add(comp.prop)
+        dim_props.update(dsd.dimensions)
 
     return CubeModel(
         datasets=datasets,
         dsds=dsds,
         observations=observations,
+        by_dataset=by_dataset,
         slices=slices,
-        slice_keys=sorted(key_nodes, key=term_sort_key),
+        slice_keys=_typed_or_linked(ctx, QB + "SliceKey", QB + "sliceKey"),
         dimension_props=sorted(dim_props, key=term_sort_key),
     )
 

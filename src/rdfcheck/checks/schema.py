@@ -1,7 +1,7 @@
 """Class- and property-axiom checkers, evaluated over asserted triples.
 
 Every checker is a pure function of (context, parameters): no state, no
-mutation, deterministic output order.
+mutation. Findings come back in any order; the engine sorts them.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ def check_class_equivalence(
 ) -> list[Violation]:
     """Instances in exactly one of the two extensions."""
     out = check_subsumption(ctx, class1, class2, cid=cid, severity=severity)
-    out += check_subsumption(ctx, class2, class1, cid=cid, severity=severity)
-    return sorted(out, key=Violation.sort_key)
+    return out + check_subsumption(ctx, class2, class1, cid=cid, severity=severity)
 
 
 def check_subproperty(
@@ -119,7 +118,7 @@ def check_domain_table(
 ) -> list[Violation]:
     """``check_domain`` for each property of a property -> classes table."""
     out: list[Violation] = []
-    for prop, classes in sorted(domains.items()):
+    for prop, classes in domains.items():
         out.extend(check_domain(ctx, prop, classes, cid=cid, severity=severity))
     return out
 
@@ -235,7 +234,7 @@ def check_range_table(
 ) -> list[Violation]:
     """``check_range`` for each property of a property -> range spec table."""
     out: list[Violation] = []
-    for prop, spec in sorted(ranges.items()):
+    for prop, spec in ranges.items():
         out.extend(check_range(ctx, prop, cid=cid, severity=severity, **spec))
     return out
 
@@ -367,7 +366,7 @@ def check_irreflexive_table(
 ) -> list[Violation]:
     """``check_irreflexive`` for every property the vocabulary declares."""
     out: list[Violation] = []
-    for prop in sorted(ctx.catalog.inventory(vocabulary).properties):
+    for prop in ctx.catalog.inventory(vocabulary).properties:
         out.extend(check_irreflexive(ctx, prop, cid=cid, severity=severity))
     return out
 
@@ -388,17 +387,16 @@ def check_disjoint_properties(
     ``properties`` the group is every property ``vocabulary`` declares.
     """
     if properties is None:
-        properties = sorted(ctx.catalog.inventory(vocabulary).properties)
+        properties = ctx.catalog.inventory(vocabulary).properties
     exempt = {frozenset(p) for p in (exempt_pairs or [])}
     by_pair: dict[tuple[Term, Term], list[str]] = {}
     for prop in properties:
         for triple in ctx.statements(prop):
             by_pair.setdefault((triple.subject, triple.object), []).append(prop)
-    shared = [(pair, props) for pair, props in by_pair.items() if len(props) >= 2]
     out = []
-    for (x, y), props in sorted(
-        shared, key=lambda kv: (term_sort_key(kv[0][0]), term_sort_key(kv[0][1]))
-    ):
+    for (x, y), props in by_pair.items():
+        if len(props) < 2:
+            continue
         props = sorted(set(props))
         for i, p in enumerate(props):
             for q in props[i + 1 :]:
@@ -433,12 +431,12 @@ def check_disjoint_classes(
     pairs are never disjoint). Without ``classes`` the group is every class
     ``vocabulary`` declares."""
     if classes is None:
-        classes = sorted(ctx.catalog.inventory(vocabulary).classes)
+        classes = ctx.catalog.inventory(vocabulary).classes
     exempt = {frozenset(p) for p in (exempt_pairs or [])}
     out = []
     group = set(classes)
     seen: set[Term] = set()
-    for cls in sorted(group):
+    for cls in group:
         for node in ctx.extension(cls):
             if node in seen:
                 continue
@@ -461,7 +459,7 @@ def check_disjoint_classes(
                             (a, b),
                         )
                     )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def check_cardinality(
@@ -584,8 +582,8 @@ def check_uniqueness_key(
     for triple in ctx.statements(prop):
         by_value.setdefault(triple.object, []).append(triple.subject)
     out = []
-    for value in sorted(by_value, key=term_sort_key):
-        holders = sorted(set(by_value[value]), key=term_sort_key)
+    for value, subjects in by_value.items():
+        holders = sorted(set(subjects), key=term_sort_key)
         if len(holders) > 1:
             listing = ", ".join(str(h) for h in holders)
             for holder in holders:
@@ -719,7 +717,7 @@ def check_deprecated_terms(
     inventory = ctx.catalog.inventory(vocabulary)
     out = []
     if kind == "properties":
-        for prop in sorted(inventory.deprecated):
+        for prop in inventory.deprecated:
             for triple in ctx.statements(prop):
                 out.append(
                     make_violation(
@@ -733,7 +731,7 @@ def check_deprecated_terms(
                 )
     else:
         rdf_type = Iri(RDF_TYPE)
-        for cls in sorted(inventory.deprecated):
+        for cls in inventory.deprecated:
             for triple in ctx.graph.match(None, rdf_type, Iri(cls)):
                 out.append(
                     make_violation(
@@ -819,7 +817,7 @@ def check_equivalent_properties(
         out.extend(
             _one_sided(ctx, p, q, cid, severity) + _one_sided(ctx, q, p, cid, severity)
         )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def _one_sided(

@@ -145,11 +145,11 @@ def _mode_disconnected(ctx, hierarchy, depth_limit, cid, severity) -> list[Viola
                 (),
             )
         )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def _mode_cycles(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
-    succ = hierarchy.successor_map()
+    succ = hierarchy.successor_map
     components = strongly_connected_components(hierarchy.nodes, lambda n: succ.get(n, []))
     out = []
     for component in components:
@@ -167,28 +167,24 @@ def _mode_cycles(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
                 f"concept(s): {members}", (),
             )
         )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def _mode_valueless(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
-    by_parent: dict[Term, list[Term]] = {}
+    by_parent: dict[Term, set[Term]] = {}
     for child, parent in hierarchy.edges:
-        by_parent.setdefault(parent, []).append(child)
+        by_parent.setdefault(parent, set()).add(child)
     related = {
         (t.subject, t.object)
         for t in ctx.statements(SKOS + "related")
         if not isinstance(t.object, Literal)
     }
     out = []
-    seen: set[tuple[Term, Term]] = set()
-    for parent in sorted(by_parent, key=term_sort_key):
-        siblings = sorted(set(by_parent[parent]), key=term_sort_key)
+    for children in by_parent.values():
+        siblings = sorted(children, key=term_sort_key)
         for i, a in enumerate(siblings):
             for b in siblings[i + 1 :]:
-                if (a, b) in seen:
-                    continue
                 if (a, b) in related or (b, a) in related:
-                    seen.add((a, b))
                     out.append(
                         make_violation(
                             cid, severity, a, str(b),
@@ -197,7 +193,7 @@ def _mode_valueless(ctx, hierarchy, depth_limit, cid, severity) -> list[Violatio
                             "value", (),
                         )
                     )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def _mode_solely_transitive(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
@@ -218,7 +214,7 @@ def _mode_solely_transitive(ctx, hierarchy, depth_limit, cid, severity) -> list[
                         "it alone", (trans,),
                     )
                 )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def _mode_unidirectional(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
@@ -238,7 +234,7 @@ def _mode_unidirectional(ctx, hierarchy, depth_limit, cid, severity) -> list[Vio
                         f"lacks the reciprocal {compact(inverse)} statement", (prop,),
                     )
                 )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def _mode_omitted_top(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
@@ -265,7 +261,7 @@ def _mode_top_with_broader(ctx, hierarchy, depth_limit, cid, severity) -> list[V
             tops.add(triple.object)
     tops.update(t.subject for t in ctx.statements(SKOS + "topConceptOf"))
     out = []
-    for top in sorted(tops, key=term_sort_key):
+    for top in tops:
         broader = [o for o in ctx.objects(top, SKOS + "broader") if not isinstance(o, Literal)]
         for parent in broader:
             out.append(
@@ -279,9 +275,9 @@ def _mode_top_with_broader(ctx, hierarchy, depth_limit, cid, severity) -> list[V
 
 
 def _mode_redundancy(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
-    succ = hierarchy.successor_map()
+    succ = hierarchy.successor_map
     out = []
-    for a, b in sorted(hierarchy.edges, key=lambda e: (term_sort_key(e[0]), term_sort_key(e[1]))):
+    for a, b in hierarchy.edges:
         verdict = _alt_path_exists(succ, a, b, depth_limit)
         if verdict is True:
             out.append(
@@ -343,7 +339,7 @@ def _mode_reflexive(ctx, hierarchy, depth_limit, cid, severity) -> list[Violatio
                         f"concept is related to itself via {compact(prop)}", (prop,),
                     )
                 )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 _STRUCTURE_MODES = {
@@ -394,7 +390,7 @@ def _reachable(succ: dict[Term, list[Term]], start: Term) -> set[Term]:
 
 
 def _clash_relation(ctx, hierarchy: HierarchyGraph, cid, severity) -> list[Violation]:
-    succ = hierarchy.successor_map()
+    succ = hierarchy.successor_map
     reach_cache: dict[Term, set[Term]] = {}
     out = []
     seen_pairs: set[tuple[Term, Term]] = set()
@@ -419,7 +415,7 @@ def _clash_relation(ctx, hierarchy: HierarchyGraph, cid, severity) -> list[Viola
                     )
                 )
                 break
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def _pair_props(ctx, props) -> dict[tuple[Term, Term], set[str]]:
@@ -436,13 +432,10 @@ def _pair_props(ctx, props) -> dict[tuple[Term, Term], set[str]]:
 def _clash_mapping(ctx, cid, severity) -> list[Violation]:
     pairs = _pair_props(ctx, MAPPING_RELATIONS)
     out = []
-    for (a, b), props in sorted(
-        pairs.items(), key=lambda kv: (term_sort_key(kv[0][0]), term_sort_key(kv[0][1]))
-    ):
+    for (a, b), props in pairs.items():
         if SKOS + "exactMatch" not in props:
             continue
-        clashing = sorted(props & set(EXACT_MATCH_CLASHES))
-        for prop in clashing:
+        for prop in props.intersection(EXACT_MATCH_CLASHES):
             out.append(
                 make_violation(
                     cid, severity, a, f"{compact(prop)}|{b}",
@@ -480,7 +473,7 @@ def _clash_misuse(ctx, cid, severity) -> list[Violation]:
                         f"misused: the concepts {reason}", (prop,),
                     )
                 )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -523,7 +516,7 @@ def _mode_overlapping(ctx, cid, severity) -> list[Violation]:
             for scheme in schemes:
                 groups.setdefault((str(scheme), lang, lit.lexical), []).append(concept)
     out = []
-    for (scheme, lang, text), members in sorted(groups.items()):
+    for (scheme, lang, text), members in groups.items():
         distinct = sorted(set(members), key=term_sort_key)
         if len(distinct) > 1:
             listing = ", ".join(str(m) for m in distinct)
@@ -534,7 +527,7 @@ def _mode_overlapping(ctx, cid, severity) -> list[Violation]:
                     f"shared by {listing} in one concept scheme", (),
                 )
             )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def _mode_missing(ctx, cid, severity) -> list[Violation]:
@@ -558,7 +551,7 @@ def _mode_missing(ctx, cid, severity) -> list[Violation]:
                         "SKOS resource has no human-readable label", (),
                     )
                 )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def _mode_unprintable(ctx, cid, severity) -> list[Violation]:
@@ -577,7 +570,7 @@ def _mode_unprintable(ctx, cid, severity) -> list[Violation]:
                         f"character(s): {''.join(bad)!r}", (prop,),
                     )
                 )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def _mode_empty(ctx, cid, severity) -> list[Violation]:
@@ -594,7 +587,7 @@ def _mode_empty(ctx, cid, severity) -> list[Violation]:
                         "label is empty after removing whitespace", (prop,),
                     )
                 )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 def _mode_ambiguous_notation(ctx, cid, severity) -> list[Violation]:
@@ -604,7 +597,7 @@ def _mode_ambiguous_notation(ctx, cid, severity) -> list[Violation]:
             for lit in ctx.literal_objects(concept, SKOS + "notation"):
                 groups.setdefault((str(scheme), lit.lexical, lit.datatype), []).append(concept)
     out = []
-    for (scheme, text, datatype), members in sorted(groups.items()):
+    for (scheme, text, datatype), members in groups.items():
         distinct = sorted(set(members), key=term_sort_key)
         if len(distinct) > 1:
             listing = ", ".join(str(m) for m in distinct)
@@ -615,7 +608,7 @@ def _mode_ambiguous_notation(ctx, cid, severity) -> list[Violation]:
                     "concept scheme", (),
                 )
             )
-    return sorted(out, key=Violation.sort_key)
+    return out
 
 
 _LABELING_MODES = {

@@ -3,9 +3,10 @@
 The catalog registry names every constraint type's checker and the shared
 objects it takes (``ConstraintType.check`` and ``needs``); one generic call
 maps a constraint's parameters onto the checker's arguments, so no
-per-type code lives here. Constraints run in id order, and the report is a
-final sort by (severity desc, constraint id, focus), so equal inputs give
-byte-identical reports. The cube, statistics and hierarchy models are
+per-type code lives here. Constraints run in id order. Checkers may return
+their findings in any order: ``_dedup`` alone orders them, by severity
+(desc), constraint id, focus, detail, message and check path, so equal
+inputs give byte-identical reports. The cube, statistics and hierarchy models are
 extracted when the first constraint needing them runs, and shared by the
 rest of the run.
 """
@@ -165,8 +166,10 @@ def validate(
 
 
 def _dedup(violations: list[Violation]) -> list[Violation]:
-    """Sorted by (sort key, message), one per (constraint, focus, detail)."""
-    ordered = sorted(violations, key=lambda v: (v.sort_key(), v.message))
+    """Sorted by (sort key, message, check path), one per (constraint, focus,
+    detail); the key is total, so the checker's order never picks the one
+    that survives."""
+    ordered = sorted(violations, key=lambda v: (v.sort_key(), v.message, v.check_path))
     seen: set[tuple[str, str, str]] = set()
     out = []
     for violation in ordered:

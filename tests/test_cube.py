@@ -324,9 +324,9 @@ def test_fixture_cube_extraction(cube_fixture):
     assert len(cube.observations) == 9
     assert len(cube.datasets) == 1
     [dsd] = cube.dsds.values()
-    assert len(dsd.dimensions()) == 2
-    assert len(dsd.measures()) == 1
-    assert len(dsd.attributes()) == 1
+    assert len(dsd.dimensions) == 2
+    assert len(dsd.measures) == 1
+    assert len(dsd.attributes) == 1
 
 
 def test_catalog_domain_of_ic_is_exactly_the_implemented_handlers():
