@@ -10,6 +10,8 @@ The subset is W3C RDF 1.1 N-Triples, narrowed: terms are separated by
 spaces or tabs, IRIs must be absolute (contain ``:``), blank-node labels are
 ASCII ``[A-Za-z0-9_][A-Za-z0-9_.-]*`` with trailing dots left to end the
 statement, and ``\\u``/``\\U`` escapes must name Unicode scalar values.
+An IRI holds none of the characters RDF 1.1 ``IRIREF`` excludes (U+0000 to
+U+0020 and ``<>"{}|^`\\``), whether written raw or as an escape.
 
 Syntax errors abort the whole parse (no partial graph) and carry the
 1-based line number. Blank-node labels are renamed to ``_:b<n>`` in order of
@@ -35,14 +37,19 @@ class ParseError(Exception):
         self.reason = message
 
 
-_IRI_ESCAPES = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
+# The last alternative, a backslash that starts no escape, is matched only
+# in an N-Triples IRI; the Turtle token admits well-formed escapes alone.
+_IRI_ESCAPES = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})|\\")
 _STRING_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
 _STRING_ESCAPES = dict(zip("tbnrf\"'\\", "\t\b\n\r\f\"'\\"))
 _UNTAGGED_LANGSTRING = "rdf:langString literal requires a language tag"
 
-# An IRI body runs to the first '>'; a backslash in it is checked when the
-# IRI is decoded. A string body holds well-formed escapes only.
-_IRI_BODY = r'[^> "{}|^`]*'
+# An IRI body holds no character IRIREF excludes but the backslash, which
+# is checked when the IRI is decoded; _IRI_EXCLUDED lists the excluded
+# characters above U+0020 but the backslash. A string body holds
+# well-formed escapes only.
+_IRI_EXCLUDED = '<>"{}|^`'
+_IRI_BODY = r'[^\x00-\x20<>"{}|^`]*'
 _STRING_BODY = r'[^"\\]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\]*)*'
 # What follows a term: "end" ('.', a comment, the end of the line) or "space".
 _FOLLOW = r"(?:[ \t]*(?:(?P<{0}_end>\.[ \t]*(?:#.*)?\Z)|(?P<{0}_space>(?<=[ \t])))|)"
@@ -52,7 +59,7 @@ _FOLLOW = r"(?:[ \t]*(?:(?P<{0}_end>\.[ \t]*(?:#.*)?\Z)|(?P<{0}_space>(?<=[ \t])
 # shorten a blank label or a language tag; optional parts are written as an
 # empty last alternative, which the regex engine runs faster than "?".
 _TOKEN = re.compile(
-    r'<(?P<iri>[^> "{}|^`\\:]*:[^> "{}|^`\\]*)>' + _FOLLOW.format("iri")
+    r'<(?P<iri>[^\x00-\x20<>"{}|^`\\:]*:[^\x00-\x20<>"{}|^`\\]*)>' + _FOLLOW.format("iri")
     + rf"|<(?P<iriref>{_IRI_BODY})>{_FOLLOW.format('iriref')}"
     rf"|_:(?P<blank>[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-]|)){_FOLLOW.format('blank')}"
     rf'|"(?P<string>{_STRING_BODY})"'
@@ -72,6 +79,20 @@ def _code_point(hexed: str, line: int) -> str:
     if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
         raise ParseError(f"escape U+{code:04X} is not a Unicode scalar value", line)
     return chr(code)
+
+
+def _iri_escape(e: re.Match[str], line: int) -> str:
+    """The character an IRI's escape names, which must be one IRIREF
+    allows; ``e`` is a match of ``_IRI_ESCAPES``. A backslash, whether left
+    over or escaped, makes an invalid escape sequence."""
+    char = "\\" if e[1] is e[2] is None else _code_point(e[1] or e[2], line)
+    if char == "\\":
+        raise ParseError(f"invalid escape sequence in IRI <{e.string}>", line)
+    if char <= " " or char in _IRI_EXCLUDED:
+        raise ParseError(
+            f"escape {e[0]} encodes {char!r}, which is not allowed inside IRI", line
+        )
+    return char
 
 
 class _BlankScope:
@@ -154,9 +175,7 @@ def _iri(raw: str, lineno: int) -> str:
     """The absolute IRI ``raw`` spells, with its escapes decoded."""
     value = raw
     if "\\" in raw:
-        value = _IRI_ESCAPES.sub(lambda e: _code_point(e[1] or e[2], lineno), raw)
-        if "\\" in value:
-            raise ParseError(f"invalid escape sequence in IRI <{raw}>", lineno)
+        value = _IRI_ESCAPES.sub(lambda e: _iri_escape(e, lineno), raw)
     if ":" not in value:
         raise ParseError(f"relative IRI <{value}> is not allowed", lineno)
     return value

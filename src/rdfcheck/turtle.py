@@ -6,7 +6,9 @@ lists ``[...]``, labeled blanks ``_:x``, RDF collections ``(...)``, ``^^``
 datatypes, ``@lang`` tags (whitespace and comments may come before either),
 numeric and boolean shorthand, short and long (triple-quoted) strings, and
 ``#`` comments. A long string ends at the first triple quote whose first
-quote is not escaped. Local names of prefixed names hold the Turtle 1.1
+quote is not escaped. An IRI holds no character RDF 1.1 ``IRIREF``
+excludes, written raw or as a ``\\u``/``\\U`` escape. Prefix names are Turtle
+1.1 ``PN_PREFIX`` names. Local names of prefixed names hold the Turtle 1.1
 ``PN_CHARS`` (non-ASCII letters included) and ``:``, ``%HH`` escapes, which
 stay in the IRI as written, and ``\\``-escapes of ``_~.-!$&'()*+,;=/?#@%``,
 which stand for the character after the backslash. A prefixed name wins over
@@ -28,8 +30,8 @@ import re
 
 from .graph import Graph
 from .namespaces import RDF_FIRST, RDF_LANGSTRING, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
-from .ntriples import (ParseError, _BlankScope, _code_point, _IRI_ESCAPES, _STRING_ESCAPE,
-                       _STRING_ESCAPES, _UNTAGGED_LANGSTRING)
+from .ntriples import (ParseError, _BlankScope, _code_point, _iri_escape, _IRI_ESCAPES,
+                       _STRING_ESCAPE, _STRING_ESCAPES, _UNTAGGED_LANGSTRING)
 from .terms import BlankNode, Iri, Literal, Term, Triple
 
 MAX_NESTING = 128
@@ -51,6 +53,11 @@ _LOCAL_OTHER = (
 )
 # The first character may not be '-', '.' or one of the combining PN_CHARS.
 _NOT_FIRST = r"[-.\u00B7\u0300-\u036F\u203F\u2040]"
+# A prefix name holds the ASCII PN_CHARS and '.' in one fast loop, as a local
+# name does; its other characters are matched as any non-ASCII character,
+# and a prefix holding one is checked against _PREFIX_NAME when declared
+# (a prefix that cannot be declared is never found in a prefixed name).
+_PREFIX_NAME = rf"(?!{_NOT_FIRST})(?:[A-Za-z0-9_.\-]|{_LOCAL_OTHER})*"
 _TRIVIA = r"(?:[ \t\r\n]+|\#[^\n]*)*"
 # _TRIVIA can split a run of spaces in exponentially many ways. Before a
 # token that is fine, as "other" matches whatever follows; after a string it
@@ -74,7 +81,8 @@ _LONG_SQ = r"[^'\\]*(?:(?:\\(?s:.)|'(?!''))[^'\\]*)*"
 # or blank label never ends in an unescaped '.': that '.' ends the statement.
 _TOKEN = re.compile(
     rf"{_TRIVIA}(?:"
-    rf"(?P<pname>(?P<prefix>[A-Za-z]{_NAME_CHARS})?:"
+    rf"(?P<pname>(?P<prefix>(?:[A-Za-z]|[^\x00-\x7F]){_NAME_CHARS}"
+    rf"(?:[^\x00-\x7F]{_NAME_CHARS})*)?:"
     rf"(?P<local>(?!{_NOT_FIRST}){_LOCAL_ASCII}*"
     rf"(?:(?:{_LOCAL_OTHER}|{_NAME_ESCAPE}){_LOCAL_ASCII}*)*(?<![^\\]\.))?)"
     r"|(?P<semi>;)|(?P<dot>\.)|(?P<comma>,)"
@@ -208,6 +216,8 @@ class _Parser:
             local = m.start("local")
             self.fail(f"expected '<', found {self.text[local]!r}", local)
         prefix = m["prefix"] or ""
+        if not prefix.isascii() and not re.fullmatch(_PREFIX_NAME, prefix):
+            self.fail("expected prefix name in @prefix directive")
         self.next()
         iri = self.parse_iriref()
         self.expect(".")
@@ -314,10 +324,10 @@ class _Parser:
             self.fail(f"expected '<', found {self.found()!r}")
         value = self.m["iri_body"]
         if "\\" in value:
-            end = self.m.end()
-            value = _IRI_ESCAPES.sub(
-                lambda e: self.code_point(e[1] or e[2], end), value
-            )
+            try:
+                value = _IRI_ESCAPES.sub(lambda e: _iri_escape(e, 0), value)
+            except ParseError as exc:
+                self.fail(exc.reason, self.m.end())
         if ":" not in value:
             self.fail(
                 f"unsupported construct: relative IRI <{value}> (no @base support)"

@@ -156,6 +156,27 @@ def test_equal_iris_share_one_object():
     assert len(objects) == 3
 
 
+@pytest.mark.parametrize("prefix", ["été", "èx", "aé", "Ωmega·1", "e\u0301t"])
+def test_non_ascii_prefix_names(prefix):
+    g = parse_turtle(f"@prefix {prefix}: <http://e/> . {prefix}:s {prefix}:p {prefix}:o .")
+    assert [str(t) for t in g] == ["<http://e/s> <http://e/p> <http://e/o> ."]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("@prefix e: <http://e/> .\n@prefix a×: <http://x/> .",
+     "line 2: expected prefix name in @prefix directive"),
+    ("@prefix e: <http://e/> .\n@prefix ·a: <http://x/> .",
+     "line 2: expected prefix name in @prefix directive"),
+    ("@prefix e: <http://e/> .\n@prefix \u0301a: <http://x/> .",
+     "line 2: expected prefix name in @prefix directive"),
+    ("@prefix e: <http://e/> .\ne:s e:p a×:o .", "line 2: undeclared prefix 'a×':"),
+])
+def test_prefix_names_outside_pn_prefix_rejected(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_turtle(text)
+    assert str(err.value) == message
+
+
 def test_iri_escapes_decoded():
     g = parse_turtle("<http://e/\\u0041> <http://e/p> <http://e/\\U00000042> .")
     assert list(g) == [triple("http://e/A", "http://e/p", "http://e/B")]
@@ -234,6 +255,14 @@ _P = "@prefix ex: <http://e/> .\n"
     (_P + "ex:s ex:p <http://e/a b> .", "line 2: unterminated or malformed IRI"),
     (_P + "ex:s ex:p <http://e/\\x> .", "line 2: unterminated or malformed IRI"),
     (_P + "ex:s ex:p ex:o <bad", "line 2: expected '.', found '<'"),
+    (_P + "ex:s ex:p <http://e/\\u0020x> .",
+     "line 2: escape \\u0020 encodes ' ', which is not allowed inside IRI"),
+    (_P + "ex:s ex:p\n <http://e/\\u003E> .",
+     "line 3: escape \\u003E encodes '>', which is not allowed inside IRI"),
+    (_P + 'ex:s ex:p "x"^^<http://e/\\U0000007C> .',
+     "line 2: escape \\U0000007C encodes '|', which is not allowed inside IRI"),
+    (_P + "ex:s ex:p <http://e/\\u005C> .",
+     "line 2: invalid escape sequence in IRI <http://e/\\u005C>"),
     (_P + "@prefix ex:foo <http://x/> .", "line 2: expected '<', found 'f'"),
     (_P + "@prefix _:x <http://x/> .",
      "line 2: expected prefix name in @prefix directive"),
