@@ -2,7 +2,9 @@
 
 Exit codes: 0 clean (no violation at or above --fail-on), 1 when such
 violations exist, 2 on usage, parse, catalog, or output errors. Those errors
-print one diagnostic line each on stderr.
+print one diagnostic line each on stderr. Any other exception is a fault of
+rdfcheck itself; it too exits 2 with one "internal error" line, so it is
+never mistaken for a finding.
 """
 
 from __future__ import annotations
@@ -138,6 +140,14 @@ def _shift_blanks(graph: Graph, offset: int) -> list[Triple]:
 
 
 def run_cli(argv: list[str] | None = None) -> int:
+    try:
+        return _run(argv)
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        return _fail(f"internal error: {type(exc).__name__}: {message}")
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -276,3 +276,33 @@ def test_unwritable_output_exits_two_with_one_line(tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert err.startswith(f"rdfcheck: error: cannot write report to {output}: ")
     assert err.count("\n") == 1
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("a\nb")
+
+
+@pytest.mark.parametrize("name", ["parse_turtle", "write_report"])
+def test_unexpected_exception_exits_two_with_one_line(monkeypatch, capsys, name):
+    monkeypatch.setattr(f"rdfcheck.cli.{name}", _raise_runtime_error)
+    assert run_cli(["--vocab", "skos", fixture("thesaurus_clean.ttl")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "rdfcheck: error: internal error: RuntimeError: a b\n"
+    assert captured.out == ""
+
+
+def test_unexpected_exception_in_merge_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr("rdfcheck.cli._shift_blanks", _raise_runtime_error)
+    code = run_cli([fixture("thesaurus_clean.ttl"), fixture("cube.ttl")])
+    assert code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, SystemExit])
+def test_interrupts_and_exits_propagate(monkeypatch, error):
+    def interrupt(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr("rdfcheck.cli.parse_turtle", interrupt)
+    with pytest.raises(error):
+        run_cli(["--vocab", "skos", fixture("thesaurus_clean.ttl")])
