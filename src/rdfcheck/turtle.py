@@ -54,9 +54,10 @@ _LOCAL_OTHER = (
 # The first character may not be '-', '.' or one of the combining PN_CHARS.
 _NOT_FIRST = r"[-.\u00B7\u0300-\u036F\u203F\u2040]"
 # A prefix name holds the ASCII PN_CHARS and '.' in one fast loop, as a local
-# name does; its other characters are matched as any non-ASCII character,
-# and a prefix holding one is checked against _PREFIX_NAME when declared
-# (a prefix that cannot be declared is never found in a prefixed name).
+# name does; its other characters are matched as any non-ASCII character.
+# A prefix holding one is checked against _PREFIX_NAME when declared, and
+# one ending in '.' is refused then (a prefix that cannot be declared is
+# never found in a prefixed name).
 _PREFIX_NAME = rf"(?!{_NOT_FIRST})(?:[A-Za-z0-9_.\-]|{_LOCAL_OTHER})*"
 _TRIVIA = r"(?:[ \t\r\n]+|\#[^\n]*)*"
 # _TRIVIA can split a run of spaces in exponentially many ways. Before a
@@ -216,7 +217,7 @@ class _Parser:
             local = m.start("local")
             self.fail(f"expected '<', found {self.text[local]!r}", local)
         prefix = m["prefix"] or ""
-        if not prefix.isascii() and not re.fullmatch(_PREFIX_NAME, prefix):
+        if prefix.endswith(".") or not (prefix.isascii() or re.fullmatch(_PREFIX_NAME, prefix)):
             self.fail("expected prefix name in @prefix directive")
         self.next()
         iri = self.parse_iriref()

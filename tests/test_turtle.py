@@ -156,7 +156,7 @@ def test_equal_iris_share_one_object():
     assert len(objects) == 3
 
 
-@pytest.mark.parametrize("prefix", ["été", "èx", "aé", "Ωmega·1", "e\u0301t"])
+@pytest.mark.parametrize("prefix", ["été", "èx", "aé", "Ωmega·1", "e\u0301t", "e.x", "é.x"])
 def test_non_ascii_prefix_names(prefix):
     g = parse_turtle(f"@prefix {prefix}: <http://e/> . {prefix}:s {prefix}:p {prefix}:o .")
     assert [str(t) for t in g] == ["<http://e/s> <http://e/p> <http://e/o> ."]
@@ -170,6 +170,11 @@ def test_non_ascii_prefix_names(prefix):
     ("@prefix e: <http://e/> .\n@prefix \u0301a: <http://x/> .",
      "line 2: expected prefix name in @prefix directive"),
     ("@prefix e: <http://e/> .\ne:s e:p a×:o .", "line 2: undeclared prefix 'a×':"),
+    ("@prefix e: <http://e/> .\n@prefix ex.: <http://x/> .",
+     "line 2: expected prefix name in @prefix directive"),
+    ("@prefix e: <http://e/> .\n@prefix é.: <http://x/> .",
+     "line 2: expected prefix name in @prefix directive"),
+    ("@prefix e: <http://e/> .\ne:s e:p ex.:o .", "line 2: undeclared prefix 'ex.':"),
 ])
 def test_prefix_names_outside_pn_prefix_rejected(text, message):
     with pytest.raises(ParseError) as err:
