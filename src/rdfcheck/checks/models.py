@@ -5,9 +5,9 @@ observation without a dataset is preserved in the model so the relevant
 checker can report it instead of crashing.
 
 Every collection of terms in a model iterates in ``term_sort_key`` order,
-fixed here once, so a checker never re-sorts a model collection. The
-exception is a list that follows the data's own order: ordered code lists
-and the values of one property on one node.
+fixed here once (graph lookups already return terms in that order), so a
+checker never re-sorts a model collection. The one exception is a code list
+read from an ``rdf:List``, which keeps the list's order.
 """
 
 from __future__ import annotations
