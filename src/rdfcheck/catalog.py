@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any
 
@@ -986,6 +986,14 @@ class Catalog:
             self.controlled_vocabularies.update(inv.controlled_vocabularies)
         self.subclass_closure = _transitive_closure(subclass_edges)
         self.subproperty_closure = _transitive_closure(subproperty_edges)
+        known = set(BUILTIN_VOCABULARIES) | set(self.inventories)
+        for constraint in self.constraints.values():
+            name = constraint.params.get("vocabulary")
+            if name is not None and name not in known:
+                raise CatalogError(
+                    f"constraint {constraint.id!r}: params.vocabulary: unknown vocabulary "
+                    f"{name!r}; known vocabularies: {', '.join(sorted(known))}"
+                )
 
     def superclasses(self, cls: str) -> set[str]:
         return {cls} | self.subclass_closure.get(cls, set())
@@ -1300,16 +1308,8 @@ def merge_catalogs(base: Catalog, override: Catalog | bytes | str | dict) -> Cat
                 )
             if cid not in constraints:
                 raise CatalogError(f"severity patch for unknown constraint id {cid!r}")
-            original = constraints[cid]
-            constraints[cid] = Constraint(
-                id=original.id,
-                type=original.type,
-                severity=Severity.parse(entry.get("severity", "")),
-                params=original.params,
-                scope=original.scope,
-                vocabulary=original.vocabulary,
-                reference=original.reference,
-                description=original.description,
+            constraints[cid] = replace(
+                constraints[cid], severity=Severity.parse(entry.get("severity", ""))
             )
         else:
             constraints[cid] = _parse_constraint(entry, prefixes)

@@ -457,14 +457,10 @@ def check_language_coverage(
         return out
 
     langs_per_concept: dict[Term, set[str]] = {}
-    for node in ctx.extension(concept_class):
-        langs: set[str] = set()
-        for prop in label_props:
-            for lit in ctx.literal_objects(node, prop):
-                if lit.lang is not None:
-                    langs.add(_primary(lit.lang))
-        if langs:
-            langs_per_concept[node] = langs
+    for prop in label_props:
+        for subject, lit in _scoped_literals(ctx, prop, concept_class):
+            if lit.lang is not None:
+                langs_per_concept.setdefault(subject, set()).add(_primary(lit.lang))
     if mode == "incomplete":
         all_langs = set().union(*langs_per_concept.values()) if langs_per_concept else set()
         for node in langs_per_concept:

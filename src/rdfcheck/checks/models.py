@@ -227,7 +227,6 @@ class CategoryStat:
 @dataclass
 class VariableStats:
     node: Term
-    representation: Term | None = None
     repr_kind: str | None = None  # ordered | scheme | datatype | other
     repr_datatype: str | None = None
     codes: list[Term] = field(default_factory=list)
@@ -268,7 +267,6 @@ def extract_statistics(ctx: GraphContext) -> StatisticsModel:
         ]
         if reprs:
             rep = reprs[0]
-            model.representation = rep
             types = ctx.types_of(rep)
             if SKOS + "OrderedCollection" in types:
                 model.repr_kind = "ordered"
@@ -286,9 +284,7 @@ def extract_statistics(ctx: GraphContext) -> StatisticsModel:
                     )
             elif SKOS + "ConceptScheme" in types:
                 model.repr_kind = "scheme"
-                model.codes = sorted(
-                    ctx.subjects(SKOS + "inScheme", rep), key=term_sort_key
-                )
+                model.codes = ctx.subjects(SKOS + "inScheme", rep)
             elif RDFS_DATATYPE in types or (
                 isinstance(rep, Iri) and rep.value.startswith(XSD)
             ):
@@ -297,9 +293,7 @@ def extract_statistics(ctx: GraphContext) -> StatisticsModel:
                     model.repr_datatype = rep.value
             else:
                 model.repr_kind = "other"
-        for stat_node in sorted(
-            ctx.subjects(DISCO + "statisticsVariable", var), key=term_sort_key
-        ):
+        for stat_node in ctx.subjects(DISCO + "statisticsVariable", var):
             types = [
                 o.value
                 for o in ctx.objects(stat_node, DISCO + "summaryStatisticsType")
@@ -309,9 +303,7 @@ def extract_statistics(ctx: GraphContext) -> StatisticsModel:
             model.summaries.append(SummaryStat(stat_node, types, values))
         for code in model.codes:
             stats = []
-            for cs_node in sorted(
-                ctx.subjects(DISCO + "statisticsCategory", code), key=term_sort_key
-            ):
+            for cs_node in ctx.subjects(DISCO + "statisticsCategory", code):
                 stats.append(
                     CategoryStat(
                         node=cs_node,

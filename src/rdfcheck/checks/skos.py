@@ -2,7 +2,9 @@
 
 These mirror the qSKOS quality issue catalog: structural issues over the
 broader/narrower hierarchy, the S13/S27/S46 consistency conditions, and
-labeling/documentation coverage.
+labeling/documentation coverage. As in qSKOS, the orphan, disconnected,
+undocumented and missing-label modes read the statements of their relations
+once instead of probing the graph concept by concept.
 """
 
 from __future__ import annotations
@@ -80,15 +82,15 @@ def _concepts(ctx: GraphContext) -> list[Term]:
     return ctx.extension(SKOS + "Concept")
 
 
-def _semantic_neighbours(ctx: GraphContext, node: Term) -> set[Term]:
-    out: set[Term] = set()
-    for prop in SEMANTIC_RELATIONS:
-        for o in ctx.objects(node, prop):
-            if not isinstance(o, Literal):
-                out.add(o)
-        out.update(ctx.subjects(prop, node))
-    out.discard(node)
-    return out
+def _semantic_edges(ctx: GraphContext) -> list[tuple[Term, Term]]:
+    """(s, o) for every semantic-relation statement between two distinct
+    resources."""
+    return [
+        (t.subject, t.object)
+        for prop in SEMANTIC_RELATIONS
+        for t in ctx.statements(prop)
+        if not isinstance(t.object, Literal) and t.subject != t.object
+    ]
 
 
 def check_skos_structure(
@@ -106,30 +108,23 @@ def check_skos_structure(
     return handler(ctx, hierarchy, depth_limit, cid, severity)
 
 
-def _orphans(ctx: GraphContext) -> list[Term]:
-    return [c for c in _concepts(ctx) if not _semantic_neighbours(ctx, c)]
-
-
 def _mode_orphan(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
+    linked = {node for edge in _semantic_edges(ctx) for node in edge}
     return [
         make_violation(
             cid, severity, node, "orphan",
             "concept has no hierarchical or associative relation to any "
             "other resource", (),
         )
-        for node in _orphans(ctx)
+        for node in _concepts(ctx)
+        if node not in linked
     ]
 
 
 def _mode_disconnected(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
-    orphans = set(_orphans(ctx))
-    nodes = [c for c in _concepts(ctx) if c not in orphans]
-    node_set = set(nodes)
-    edges = []
-    for prop in SEMANTIC_RELATIONS:
-        for triple in ctx.statements(prop):
-            if triple.subject in node_set and triple.object in node_set:
-                edges.append((triple.subject, triple.object))
+    edges = _semantic_edges(ctx)
+    linked = {node for edge in edges for node in edge}
+    nodes = [c for c in _concepts(ctx) if c in linked]
     components = weakly_connected_components(nodes, edges)
     if len(components) <= 1:
         return []
@@ -493,18 +488,20 @@ def check_skos_labeling(
     return handler(ctx, cid, severity)
 
 
+def _subjects_of(ctx: GraphContext, props) -> set[Term]:
+    return {t.subject for prop in props for t in ctx.statements(prop)}
+
+
 def _mode_undocumented(ctx, cid, severity) -> list[Violation]:
-    out = []
-    for concept in _concepts(ctx):
-        if not any(ctx.objects(concept, p) for p in DOCUMENTATION_PROPERTIES):
-            out.append(
-                make_violation(
-                    cid, severity, concept, "undocumented",
-                    "concept carries none of the seven SKOS documentation "
-                    "properties", (),
-                )
-            )
-    return out
+    documented = _subjects_of(ctx, DOCUMENTATION_PROPERTIES)
+    return [
+        make_violation(
+            cid, severity, concept, "undocumented",
+            "concept carries none of the seven SKOS documentation properties", (),
+        )
+        for concept in _concepts(ctx)
+        if concept not in documented
+    ]
 
 
 def _mode_overlapping(ctx, cid, severity) -> list[Violation]:
@@ -530,28 +527,23 @@ def _mode_overlapping(ctx, cid, severity) -> list[Violation]:
     return out
 
 
+_LABELED_CLASSES = tuple(
+    SKOS + local for local in ("Concept", "ConceptScheme", "Collection", "OrderedCollection")
+)
+
+
 def _mode_missing(ctx, cid, severity) -> list[Violation]:
-    out = []
-    focus_classes = (
-        SKOS + "Concept",
-        SKOS + "ConceptScheme",
-        SKOS + "Collection",
-        SKOS + "OrderedCollection",
+    labeled = _subjects_of(ctx, LABEL_PROPERTIES)
+    # a node of several focus classes is reported once
+    unlabeled = dict.fromkeys(
+        node for cls in _LABELED_CLASSES for node in ctx.extension(cls) if node not in labeled
     )
-    seen: set[Term] = set()
-    for cls in focus_classes:
-        for node in ctx.extension(cls):
-            if node in seen:
-                continue
-            seen.add(node)
-            if not any(ctx.objects(node, p) for p in LABEL_PROPERTIES):
-                out.append(
-                    make_violation(
-                        cid, severity, node, "unlabeled",
-                        "SKOS resource has no human-readable label", (),
-                    )
-                )
-    return out
+    return [
+        make_violation(
+            cid, severity, node, "unlabeled", "SKOS resource has no human-readable label", (),
+        )
+        for node in unlabeled
+    ]
 
 
 def _mode_unprintable(ctx, cid, severity) -> list[Violation]:

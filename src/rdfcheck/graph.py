@@ -106,11 +106,6 @@ class Graph:
     def subjects(self, p: Term, o: Term) -> list[Term]:
         return [t.subject for t in self.match(None, p, o)]
 
-    def value(self, s: Term, p: Term) -> Term | None:
-        """First object of (s, p, ?) in sorted order, or None."""
-        found = self.match(s, p)
-        return found[0].object if found else None
-
     def iris(self) -> list[Iri]:
         """Every distinct IRI appearing in subject, predicate, or object
         position, sorted. Computed once; each call returns a new list."""

@@ -96,6 +96,31 @@ def test_integrity_constraint_number_checked_at_load(ic, accepted):
             load_catalog(doc)
 
 
+@pytest.mark.parametrize("name, accepted", [
+    ("toy", True), ("disco", True), ("skos", True),
+    ("x", False), ("", False), ("http://e/", False), ("Toy", False),
+])
+def test_vocabulary_param_checked_at_load(name, accepted):
+    # the catalog's own inventories and the built-in vocabularies are known
+    doc = minimal_doc()
+    doc["constraints"][0] = {
+        "id": "TOY-1", "type": "irreflexive-table", "severity": "error",
+        "params": {"vocabulary": name},
+    }
+    if accepted:
+        assert load_catalog(doc).constraints["TOY-1"].params["vocabulary"] == name
+        assert merge_catalogs(Catalog({}, {}), doc).constraints["TOY-1"]
+        return
+    message = (
+        f"constraint 'TOY-1': params.vocabulary: unknown vocabulary {name!r}; "
+        "known vocabularies: dcat, disco, phdd, qb, skos, toy, xkos"
+    )
+    for load in (load_catalog, lambda d: merge_catalogs(Catalog({}, {}), d)):
+        with pytest.raises(CatalogError) as caught:
+            load(doc)
+        assert str(caught.value) == message
+
+
 def test_unknown_param_rejected():
     doc = minimal_doc()
     doc["constraints"][0]["params"]["wild"] = 1

@@ -1,12 +1,21 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from rdfcheck.catalog import BUILTIN_VOCABULARIES
 from rdfcheck.cli import run_cli
+from rdfcheck.ntriples import serialize_ntriples
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def fixture(name: str) -> str:
@@ -220,6 +229,107 @@ def test_unimplemented_integrity_constraint_exits_two_at_load(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("rdfcheck: error: ") and "USER-IC" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("only", [[], ["--only", "http-scheme"]])
+@pytest.mark.parametrize("ctype, name", [
+    ("irreflexive-table", "x"),
+    ("disjoint-classes", "http://e/"),
+    ("disjoint-properties", ""),
+])
+def test_unknown_vocabulary_param_exits_two_at_load(tmp_path, capsys, ctype, name, only):
+    # rejected when the catalog loads, so --only cannot hide it
+    user = tmp_path / "user.json"
+    user.write_text(json.dumps({"constraints": [{
+        "id": "USER-1", "type": ctype, "severity": "error", "params": {"vocabulary": name},
+    }]}))
+    assert run_cli(["--catalog", str(user), *only, fixture("thesaurus_clean.ttl")]) == 2
+    assert capsys.readouterr().err == (
+        f"rdfcheck: error: constraint 'USER-1': params.vocabulary: unknown vocabulary "
+        f"{name!r}; known vocabularies: {', '.join(BUILTIN_VOCABULARIES)}\n"
+    )
+
+
+def test_builtin_vocabulary_param_loads_outside_vocab_selection(tmp_path, capsys):
+    user = tmp_path / "user.json"
+    user.write_text(json.dumps({"constraints": [{
+        "id": "USER-1", "type": "disjoint-classes", "severity": "error",
+        "params": {"vocabulary": "disco"},
+    }]}))
+    assert run_cli(["--vocab", "skos", "--catalog", str(user),
+                    fixture("thesaurus_clean.ttl")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_TTL_SEEDS = [
+    path.read_bytes()
+    for path in sorted(FIXTURES.glob("*.ttl")) + sorted(FIXTURES.glob("malformed/*.ttl"))
+]
+_NT_SEEDS = [
+    serialize_ntriples(load_fixture(path.name)).encode("utf-8")
+    for path in sorted(FIXTURES.glob("*.ttl"))
+] + [path.read_bytes() for path in sorted(FIXTURES.glob("malformed/*.nt"))]
+
+
+@st.composite
+def _spliced(draw, seeds):
+    """A seed document with one random span replaced by random bytes."""
+    base = draw(st.sampled_from(seeds))
+    start = draw(st.integers(0, len(base)))
+    end = draw(st.integers(start, min(len(base), start + 4)))
+    return base[:start] + draw(st.binary(max_size=4)) + base[end:]
+
+
+def _check_exit_contract(tmp_path, capsys, suffix, data):
+    path = tmp_path / f"input{suffix}"
+    path.write_bytes(data)
+    code = run_cli(["--output", str(tmp_path / "report.txt"), str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("rdfcheck: error: ") and err.count("\n") == 1, err
+        assert "internal error" not in err, err
+    else:
+        assert err == ""
+
+
+_FUZZ = settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_FUZZ
+@given(data=st.one_of(st.binary(), _spliced(_NT_SEEDS)))
+def test_any_ntriples_bytes_keep_the_exit_contract(tmp_path, capsys, data):
+    _check_exit_contract(tmp_path, capsys, ".nt", data)
+
+
+@_FUZZ
+@given(data=st.one_of(st.binary(), _spliced(_TTL_SEEDS)))
+def test_any_turtle_bytes_keep_the_exit_contract(tmp_path, capsys, data):
+    _check_exit_contract(tmp_path, capsys, ".ttl", data)
+
+
+def _cli_bytes(args: list[str], hash_seed: str) -> tuple[int, bytes]:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "rdfcheck.cli", *args],
+                          env=env, capture_output=True, check=False)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["--report", "json", *(fixture(name) for name in (
+        "cube.ttl", "eusilc.ttl", "thesaurus_clean.ttl", "thesaurus_cycle.ttl"))],
+    [fixture("thesaurus_cycle.ttl")],
+], ids=["merged-json", "cycle-text"])
+def test_report_does_not_depend_on_the_hash_seed(args):
+    # str and Literal hashes change with the seed; IRIs and blank nodes hash
+    # by identity, so this pins the order of sets of strings and literals
+    first = _cli_bytes(args, "0")
+    assert first[1]
+    assert _cli_bytes(args, "1") == first
 
 
 def test_explain_flag(capsys):

@@ -1,12 +1,16 @@
 import itertools
 import random
 
+import pytest
+
 from rdfcheck.checks.graphalg import (
     strongly_connected_components,
     weakly_connected_components,
 )
 from rdfcheck.checks.models import extract_hierarchy
 from rdfcheck.checks.skos import (
+    DOCUMENTATION_PROPERTIES,
+    LABEL_PROPERTIES,
     check_skos_clashes,
     check_skos_labeling,
     check_skos_structure,
@@ -93,6 +97,15 @@ def test_orphan_concept():
 def test_connected_concept_not_orphan():
     g = graph(_typed("ex:a"), _typed("ex:b"), ("ex:a", "skos:broader", "ex:b"))
     assert _structure(g, "orphan") == []
+
+
+def test_literal_and_self_relations_leave_a_concept_orphan():
+    g = graph(
+        _typed("ex:a"),
+        ("ex:a", "skos:related", lit("ex:b")),
+        ("ex:a", "skos:broader", "ex:a"),
+    )
+    assert len(_structure(g, "orphan")) == 1
 
 
 def test_disconnected_clusters_report_all_but_largest():
@@ -317,6 +330,12 @@ def test_undocumented_concept():
     assert _labeling(g_doc, "undocumented") == []
 
 
+@pytest.mark.parametrize("prop", DOCUMENTATION_PROPERTIES)
+def test_each_documentation_property_documents(prop):
+    g = graph(_typed("ex:c"), ("ex:c", prop, lit("text", lang="en")))
+    assert _labeling(g, "undocumented") == []
+
+
 def test_overlapping_pref_labels_same_scheme():
     g = graph(
         _typed("ex:a"), _typed("ex:b"),
@@ -345,6 +364,22 @@ def test_missing_labels_on_scheme():
         ("ex:scheme", "dcterms:title", lit("Scheme", lang="en")),
     )
     assert _labeling(g_ok, "missing") == []
+
+
+@pytest.mark.parametrize("prop", LABEL_PROPERTIES)
+def test_each_label_property_labels(prop):
+    g = graph(_typed("ex:c"), ("ex:c", prop, lit("Label", lang="en")))
+    assert _labeling(g, "missing") == []
+
+
+def test_unlabeled_node_of_several_classes_reported_once():
+    g = graph(
+        _typed("ex:c"), _typed("ex:c", "skos:Collection"),
+        _typed("ex:s", "skos:ConceptScheme"),
+    )
+    assert sorted(v.focus for v in _labeling(g, "missing")) == [
+        "<http://example.org/c>", "<http://example.org/s>",
+    ]
 
 
 def test_unprintable_characters():
