@@ -5,13 +5,20 @@ violations exist, 2 on usage, parse, catalog, or output errors. Those errors
 print one diagnostic line each on stderr. Any other exception is a fault of
 rdfcheck itself; it too exits 2 with one "internal error" line, so it is
 never mistaken for a finding.
+
+The loaded graph is immutable and holds no reference cycle, so the cyclic
+garbage collector is off while inputs load and the graph is frozen
+(``gc.freeze``) once built: validation's collections skip its objects, and
+``run_cli`` leaves the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .catalog import (
@@ -23,7 +30,7 @@ from .catalog import (
     merge_catalogs,
 )
 from .engine import EngineError, validate
-from .graph import Graph
+from .graph import Graph, TripleKey, triple_order
 from .ntriples import ParseError, parse_ntriples
 from .report import write_report
 from .terms import BlankNode, Triple
@@ -89,9 +96,9 @@ def _resolve_catalog_path(spec: str) -> Path | None:
 
 
 def _load_inputs(paths: list[str], fmt: str | None) -> Graph:
-    triples: list[Triple] = []
+    parts: list[list[Triple]] = []
     blank_offset = 0
-    for spec in paths:
+    for n, spec in enumerate(paths, start=1):
         path = Path(spec)
         if not path.exists():
             raise FileNotFoundError(f"input file not found: {spec}")
@@ -101,50 +108,62 @@ def _load_inputs(paths: list[str], fmt: str | None) -> Graph:
             raise OSError(f"cannot read input {spec}: {exc.strerror}") from None
         chosen = fmt or ("ttl" if path.suffix.lower() == ".ttl" else "nt")
         try:
-            graph = parse_turtle(data) if chosen == "ttl" else parse_ntriples(data)
+            part = parse_turtle(data) if chosen == "ttl" else parse_ntriples(data)
         except ParseError as exc:
             raise ParseError(exc.reason, exc.line, spec) from None
-        if len(paths) == 1:
-            return graph
-        triples.extend(_shift_blanks(graph, blank_offset))
-        blank_offset += _blank_count(graph)
-    return Graph(triples)
+        # a last input read at offset 0 keeps its labels, and its count
+        # concerns no later input
+        if blank_offset or n < len(paths):
+            blank_offset += _renumber_blanks(part, blank_offset)
+        parts.append(part)
+    return Graph(chain.from_iterable(parts))
 
 
-def _blank_count(graph: Graph) -> int:
-    labels = set()
-    for t in graph:
-        for term in (t.subject, t.object):
-            if isinstance(term, BlankNode):
-                labels.add(term.label)
-    return len(labels)
+def _renumber_blanks(triples: list[Triple], offset: int) -> int:
+    """Keep one input's blank nodes apart from those of the inputs before
+    it, in place, and return how many distinct blanks the input holds.
 
-
-def _shift_blanks(graph: Graph, offset: int) -> list[Triple]:
-    """Blank labels are scoped per document; keep merged inputs apart by
-    renumbering every file after the first."""
-    if offset == 0:
-        return list(graph)
-    mapping: dict[str, BlankNode] = {}
-
-    def shift(term):
-        if not isinstance(term, BlankNode):
-            return term
-        renamed = mapping.get(term.label)
-        if renamed is None:
-            renamed = BlankNode(f"b{offset + len(mapping)}")
-            mapping[term.label] = renamed
-        return renamed
-
-    return [Triple(shift(t.subject), t.predicate, shift(t.object)) for t in graph]
+    Blank labels are scoped per document. An input read while no earlier
+    input had blanks (``offset`` 0) keeps its parse labels; any other input
+    is renumbered ``b{offset}``, ``b{offset + 1}``, ... in the order its
+    blanks first appear in its sorted triples, subject before object. That
+    order is each blank's least (triple key, position), found in one pass
+    over the triples that hold a blank."""
+    held = [
+        i for i, t in enumerate(triples)
+        if type(t.subject) is BlankNode or type(t.object) is BlankNode
+    ]
+    if not offset:
+        terms = (term for i in held for term in (triples[i].subject, triples[i].object))
+        return len({term for term in terms if type(term) is BlankNode})
+    key = triple_order()
+    first: dict[BlankNode, tuple[TripleKey, int]] = {}
+    for i in held:
+        t = triples[i]
+        k = key(t)
+        for at, node in (((k, 0), t.subject), ((k, 1), t.object)):
+            if type(node) is BlankNode and (node not in first or at < first[node]):
+                first[node] = at
+    order = sorted(first, key=first.__getitem__)
+    renamed = {node: BlankNode(f"b{offset + n}") for n, node in enumerate(order)}
+    for i in held:
+        s, p, o = triples[i].subject, triples[i].predicate, triples[i].object
+        triples[i] = Triple(renamed.get(s, s), p, renamed.get(o, o))
+    return len(order)
 
 
 def run_cli(argv: list[str] | None = None) -> int:
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     try:
         return _run(argv)
     except Exception as exc:
         message = " ".join(str(exc).split())
         return _fail(f"internal error: {type(exc).__name__}: {message}")
+    finally:
+        if not frozen:
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
 
 
 def _run(argv: list[str] | None) -> int:
@@ -184,10 +203,17 @@ def _run(argv: list[str] | None) -> int:
         print(_json.dumps(record, indent=2, ensure_ascii=False))
         return 0
 
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         graph = _load_inputs(args.inputs, args.format)
     except (OSError, ParseError) as exc:
         return _fail(str(exc))
+    # run_cli can undo a freeze only where none came before it
+    if not gc.get_freeze_count():
+        gc.freeze()
+    if enabled:
+        gc.enable()
 
     try:
         selected = catalog.select(vocabularies=vocabularies)

@@ -1,14 +1,14 @@
 """Immutable, index-backed triple store.
 
-The store keeps five lookup indexes (S, P, O, SP, PO). ``match`` answers any
-(s?, p?, o?) pattern through the narrowest applicable index and always
-returns triples in sorted order, so results are reproducible regardless of
-insertion order.
+The store keeps five lookup indexes (S, P, O, SP, PO), built when the
+graph is constructed. ``match`` answers any (s?, p?, o?) pattern through the
+narrowest applicable index and always returns triples in sorted order, so
+results are reproducible regardless of insertion order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .namespaces import RDF_FIRST, RDF_NIL, RDF_REST
 from .terms import BlankNode, Iri, Literal, Term, Triple, term_sort_key
@@ -25,32 +25,37 @@ class MalformedListError(Exception):
         self.prefix = prefix
 
 
+TripleKey = tuple[tuple[int, str], tuple[int, str], tuple[int, str]]
+
+
+def triple_order() -> Callable[[Triple], TripleKey]:
+    """The sort key of a graph's triples: their terms' ``term_sort_key``,
+    subject first. The key function caches each term's key, so use one for
+    one batch of triples."""
+    keys: dict[Term, tuple[int, str]] = {}
+
+    def key(term: Term) -> tuple[int, str]:
+        k = keys.get(term)
+        if k is None:
+            k = keys[term] = term_sort_key(term)
+        return k
+
+    return lambda t: (key(t.subject), key(t.predicate), key(t.object))
+
+
 class Graph:
     """A set of triples, immutable after construction.
 
-    The constructor only dedups and sorts. The indexes are built on the
-    first lookup (``match`` or ``in``), so a graph that is only iterated,
-    such as one input of a multi-file run, never pays for them.
+    The constructor dedups and sorts the triples and builds every index, so
+    a run builds one graph once, from all of its inputs, and each lookup
+    only reads.
     """
 
     __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "_by_sp", "_by_po", "_iris")
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        keys: dict[Term, tuple[int, str]] = {}
-
-        def key(term: Term) -> tuple[int, str]:
-            k = keys.get(term)
-            if k is None:
-                k = keys[term] = term_sort_key(term)
-            return k
-
-        self._triples: tuple[Triple, ...] = tuple(
-            sorted(set(triples), key=lambda t: (key(t.subject), key(t.predicate), key(t.object)))
-        )
-        self._by_s = self._by_p = self._by_o = self._by_sp = self._by_po = None
+        self._triples: tuple[Triple, ...] = tuple(sorted(set(triples), key=triple_order()))
         self._iris: list[Iri] | None = None
-
-    def _index(self) -> None:
         by_s: dict[Term, list[Triple]] = {}
         by_p: dict[Term, list[Triple]] = {}
         by_o: dict[Term, list[Triple]] = {}
@@ -72,8 +77,6 @@ class Graph:
         return iter(self._triples)
 
     def __contains__(self, triple: Triple) -> bool:
-        if self._by_s is None:
-            self._index()
         return triple in self._by_sp.get((triple.subject, triple.predicate), ())
 
     def match(
@@ -87,8 +90,6 @@ class Graph:
         Each index list is in sorted order and holds exactly the triples
         that share its key, so only a bound position outside the key is
         filtered."""
-        if self._by_s is None:
-            self._index()
         if s is not None:
             candidates = self._by_sp.get((s, p), ()) if p is not None else self._by_s.get(s, ())
             if o is not None:
@@ -120,10 +121,6 @@ class Graph:
 
     def literals(self) -> list[tuple[Triple, Literal]]:
         return [(t, t.object) for t in self._triples if isinstance(t.object, Literal)]
-
-    def serialize_ntriples(self) -> str:
-        """Canonical N-Triples: sorted, one triple per line, LF terminators."""
-        return "".join(f"{t}\n" for t in self._triples)
 
 
 def walk_rdf_list(graph: Graph, head: Term) -> list[Term]:

@@ -13,16 +13,18 @@ statement, and ``\\u``/``\\U`` escapes must name Unicode scalar values.
 An IRI holds none of the characters RDF 1.1 ``IRIREF`` excludes (U+0000 to
 U+0020 and ``<>"{}|^`\\``), whether written raw or as an escape.
 
-Syntax errors abort the whole parse (no partial graph) and carry the
-1-based line number. Blank-node labels are renamed to ``_:b<n>`` in order of
-first appearance so that report output is stable across documents.
+``parse_ntriples`` returns the triples in document order, duplicates kept;
+``Graph`` dedups and sorts them. Syntax errors abort the whole parse (no
+partial result) and carry the 1-based line number. Blank-node labels are
+renamed to ``_:b<n>`` in order of first appearance so that report output is
+stable across documents.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 
-from .graph import Graph
 from .namespaces import RDF_LANGSTRING
 from .terms import _IRIS, BlankNode, Iri, Literal, Term, Triple
 
@@ -112,7 +114,7 @@ class _BlankScope:
         return self.get(f"\x00anon{len(self._map)}")
 
 
-def parse_ntriples(data: bytes | str) -> Graph:
+def parse_ntriples(data: bytes | str) -> list[Triple]:
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -147,7 +149,7 @@ def parse_ntriples(data: bytes | str) -> Graph:
         else:
             o = _term(m, 2, lineno, scope)
         triples.append(Triple(s, p, o))
-    return Graph(triples)
+    return triples
 
 
 def _term(m: re.Match[str], position: int, lineno: int, scope: _BlankScope) -> Term:
@@ -244,5 +246,7 @@ def _follow_error(m: re.Match[str], position: int) -> str:
     return "trailing content after '.': " + repr(line[end + 1 :].lstrip(" \t"))
 
 
-def serialize_ntriples(graph: Graph) -> str:
-    return graph.serialize_ntriples()
+def serialize_ntriples(triples: Iterable[Triple]) -> str:
+    """N-Triples, one triple per line with LF terminators, in iteration
+    order. A ``Graph`` iterates in sorted order, so its text is canonical."""
+    return "".join(f"{t}\n" for t in triples)

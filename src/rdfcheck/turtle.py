@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 
-from .graph import Graph
 from .namespaces import RDF_FIRST, RDF_LANGSTRING, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 from .ntriples import (ParseError, _BlankScope, _code_point, _iri_escape, _IRI_ESCAPES,
                        _STRING_ESCAPE, _STRING_ESCAPES, _UNTAGGED_LANGSTRING)
@@ -113,7 +112,8 @@ _REST = Iri(RDF_REST)
 _NIL = Iri(RDF_NIL)
 
 
-def parse_turtle(data: bytes | str) -> Graph:
+def parse_turtle(data: bytes | str) -> list[Triple]:
+    """The triples ``data`` states, in document order, duplicates kept."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -196,7 +196,7 @@ class _Parser:
 
     # grammar ------------------------------------------------------------
 
-    def parse(self) -> Graph:
+    def parse(self) -> list[Triple]:
         while self.kind != "end":
             if self.kind == "at_prefix":
                 self.next()
@@ -207,7 +207,7 @@ class _Parser:
                 self.fail("unsupported construct: SPARQL-style PREFIX (use @prefix)")
             else:
                 self.parse_triples_block()
-        return Graph(self.triples)
+        return self.triples
 
     def parse_prefix(self) -> None:
         if self.kind != "pname":

@@ -50,7 +50,7 @@ def ctx_for(g: Graph, catalog: Catalog | None = None) -> GraphContext:
 
 
 def load_fixture(name: str) -> Graph:
-    return parse_turtle((FIXTURES / name).read_bytes())
+    return Graph(parse_turtle((FIXTURES / name).read_bytes()))
 
 
 @pytest.fixture(scope="session")

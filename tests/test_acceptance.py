@@ -770,13 +770,13 @@ def test_criterion_8_parser_conformance(capsys):
                         datatype="http://www.w3.org/2001/XMLSchema#integer")
         triples.append(Triple(s, p, o))
     corpus = Graph(triples)
-    roundtrip_ok = isomorphic(corpus, parse_ntriples(serialize_ntriples(corpus)))
+    roundtrip_ok = isomorphic(corpus, Graph(parse_ntriples(serialize_ntriples(corpus))))
 
     fixtures_ok = True
     for name in ("eusilc.ttl", "cube.ttl", "thesaurus_clean.ttl",
                  "thesaurus_cycle.ttl"):
         g = load_fixture(name)
-        fixtures_ok &= isomorphic(g, parse_ntriples(serialize_ntriples(g)))
+        fixtures_ok &= isomorphic(g, Graph(parse_ntriples(serialize_ntriples(g))))
 
     corpus_dir = FIXTURES / "malformed"
     malformed = sorted(corpus_dir.iterdir())

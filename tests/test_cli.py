@@ -402,7 +402,7 @@ def test_unexpected_exception_exits_two_with_one_line(monkeypatch, capsys, name)
 
 
 def test_unexpected_exception_in_merge_exits_two(monkeypatch, capsys):
-    monkeypatch.setattr("rdfcheck.cli._shift_blanks", _raise_runtime_error)
+    monkeypatch.setattr("rdfcheck.cli._renumber_blanks", _raise_runtime_error)
     code = run_cli([fixture("thesaurus_clean.ttl"), fixture("cube.ttl")])
     assert code == 2
     assert capsys.readouterr().err.count("\n") == 1

@@ -92,9 +92,9 @@ def _random_corpus(rng, n):
 def test_roundtrip_on_random_corpus():
     # parse -> serialize -> parse is a fixpoint up to blank relabeling
     g = _random_corpus(random.Random(42), 1000)
-    reparsed = parse_ntriples(serialize_ntriples(g))
+    reparsed = Graph(parse_ntriples(serialize_ntriples(g)))
     assert isomorphic(g, reparsed)
-    assert isomorphic(reparsed, parse_ntriples(serialize_ntriples(reparsed)))
+    assert isomorphic(reparsed, Graph(parse_ntriples(serialize_ntriples(reparsed))))
 
 
 def test_roundtrip_blank_free_corpus_is_byte_identical():
@@ -104,14 +104,14 @@ def test_roundtrip_blank_free_corpus_is_byte_identical():
         if not isinstance(t.subject, BlankNode) and not isinstance(t.object, BlankNode)
     )
     once = serialize_ntriples(g)
-    assert serialize_ntriples(parse_ntriples(once)) == once
+    assert serialize_ntriples(Graph(parse_ntriples(once))) == once
 
 
 def test_fixtures_roundtrip():
     for name in ("eusilc.ttl", "cube.ttl", "thesaurus_clean.ttl",
                  "thesaurus_cycle.ttl"):
-        g = parse_turtle((FIXTURES / name).read_bytes())
-        assert isomorphic(g, parse_ntriples(serialize_ntriples(g)))
+        g = Graph(parse_turtle((FIXTURES / name).read_bytes()))
+        assert isomorphic(g, Graph(parse_ntriples(serialize_ntriples(g))))
 
 
 @pytest.mark.parametrize("line", [
@@ -204,7 +204,7 @@ def test_edge_lines_keep_their_outcome():
 def test_every_fixture_line_round_trips():
     for name in ("eusilc.ttl", "cube.ttl", "thesaurus_clean.ttl",
                  "thesaurus_cycle.ttl"):
-        text = serialize_ntriples(parse_turtle((FIXTURES / name).read_bytes()))
+        text = serialize_ntriples(Graph(parse_turtle((FIXTURES / name).read_bytes())))
         for line in text.splitlines():
             if "_:" not in line:
                 assert _outcome(line) == line
@@ -252,13 +252,13 @@ def test_generated_lines_agree_with_turtle(subject, predicate, obj, ws, end):
     if not line or line.startswith("#"):
         return
     try:
-        g = parse_ntriples(line)
+        g = Graph(parse_ntriples(line))
     except ParseError as err:
         assert err.line == 1 and str(err).startswith("line 1: ")
         assert "\n" not in str(err)
         return
     assert len(g) == 1
-    assert isomorphic(g, parse_turtle(line)), line
+    assert isomorphic(g, Graph(parse_turtle(line))), line
 
 
 # Each malformed N-Triples fixture and its diagnostic, as the per-character

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdfcheck.graph import isomorphic
+from rdfcheck.graph import Graph, isomorphic
 from rdfcheck.ntriples import ParseError, parse_ntriples
 from rdfcheck.terms import Literal
 from rdfcheck.turtle import parse_turtle
@@ -100,15 +100,15 @@ def test_equivalent_to_hand_expanded_ntriples():
     _:l2 <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://e/b> .
     _:l2 <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> <http://www.w3.org/1999/02/22-rdf-syntax-ns#nil> .
     """
-    assert isomorphic(parse_turtle(ttl), parse_ntriples(nt.strip()))
+    assert isomorphic(Graph(parse_turtle(ttl)), Graph(parse_ntriples(nt.strip())))
 
 
 def test_fixtures_match_their_ntriples_expansion():
     from rdfcheck.ntriples import serialize_ntriples
 
     for name in ("thesaurus_clean.ttl", "cube.ttl"):
-        g = parse_turtle((FIXTURES / name).read_bytes())
-        assert isomorphic(g, parse_ntriples(serialize_ntriples(g)))
+        g = Graph(parse_turtle((FIXTURES / name).read_bytes()))
+        assert isomorphic(g, Graph(parse_ntriples(serialize_ntriples(g))))
 
 
 @pytest.mark.parametrize(
@@ -627,4 +627,4 @@ def test_turtle_round_trips_against_ntriples(data):
     writer = _TurtleWriter(data.draw)
     ttl = writer.document()
     nt = "\n".join(writer.nt)
-    assert isomorphic(parse_turtle(ttl), parse_ntriples(nt)), (ttl, nt)
+    assert isomorphic(Graph(parse_turtle(ttl)), Graph(parse_ntriples(nt))), (ttl, nt)
