@@ -8,7 +8,7 @@ the very modeling errors the checkers look for.
 
 from __future__ import annotations
 
-from urllib.parse import urlparse
+import re
 
 from ..catalog import Catalog
 from ..graph import Graph
@@ -17,6 +17,10 @@ from ..terms import Iri, Literal, Term, term_sort_key
 
 _EMPTY_CATALOG = Catalog({}, {})
 
+# RFC 3986 section 3.1: scheme = ALPHA *( ALPHA / DIGIT / "+" / "-" / "." ),
+# ended by the first ":".
+_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*(?=:)")
+
 
 class GraphContext:
     def __init__(self, graph: Graph, catalog: Catalog | None = None):
@@ -24,7 +28,6 @@ class GraphContext:
         self.catalog = catalog if catalog is not None else _EMPTY_CATALOG
         self._types: dict[Term, frozenset[str]] | None = None
         self._extensions: dict[str, list[Term]] = {}
-        self._schemes: dict[Iri, str] = {}
 
     def _type_map(self) -> dict[Term, frozenset[str]]:
         if self._types is None:
@@ -54,11 +57,12 @@ class GraphContext:
         return cached
 
     def scheme(self, iri: Iri) -> str:
-        """The lowercased URI scheme of ``iri``, parsed once per run."""
-        scheme = self._schemes.get(iri)
-        if scheme is None:
-            scheme = self._schemes[iri] = urlparse(iri.value).scheme.lower()
-        return scheme
+        """The lowercased URI scheme of ``iri``, or ``""`` if it has none.
+
+        Only the scheme is read, so an IRI whose authority is not a valid
+        URL authority (such as ``http://[x/a``) still has one."""
+        m = _SCHEME.match(iri.value)
+        return m.group().lower() if m else ""
 
     def statements(self, prop: str) -> list:
         return self.graph.match(None, Iri(prop), None)

@@ -1,14 +1,20 @@
 """Immutable, index-backed triple store.
 
-The store keeps five lookup indexes (S, P, O, SP, PO), built when the
-graph is constructed. ``match`` answers any (s?, p?, o?) pattern through the
-narrowest applicable index and always returns triples in sorted order, so
-results are reproducible regardless of insertion order.
+The triples are kept as one tuple sorted by (subject, predicate, object),
+and the indexes built when the graph is constructed are nested, with no
+tuple keys (see ``Graph``). ``match`` answers any (s?, p?, o?) pattern
+through the narrowest applicable index and always returns triples in sorted
+order, so results are reproducible regardless of insertion order. A pattern
+that binds only the object has no index and scans the triples.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from itertools import groupby
+from operator import attrgetter
+from types import MappingProxyType
 
 from .namespaces import RDF_FIRST, RDF_NIL, RDF_REST
 from .terms import BlankNode, Iri, Literal, Term, Triple, term_sort_key
@@ -43,32 +49,48 @@ def triple_order() -> Callable[[Triple], TripleKey]:
     return lambda t: (key(t.subject), key(t.predicate), key(t.object))
 
 
+# The inner mapping of a nested index on a miss; immutable, so no caller
+# can fill it for every later miss.
+_NO_RUNS: Mapping[Term, tuple[Triple, ...] | list[Triple]] = MappingProxyType({})
+
+
 class Graph:
     """A set of triples, immutable after construction.
 
     The constructor dedups and sorts the triples and builds every index, so
     a run builds one graph once, from all of its inputs, and each lookup
-    only reads.
+    only reads. The indexes:
+
+    - ``_by_s``: subject → its triples, and ``_by_sp``: subject →
+      predicate → its triples. Since the triples are sorted, each subject's
+      triples, and each predicate's inside them, are one contiguous run,
+      kept as a tuple; one outer entry per subject.
+    - ``_by_p``: predicate → its triples, and ``_by_po``: predicate →
+      object → its triples, as lists in sorted order.
+
+    There is no object index: only ``match(o=...)`` with subject and
+    predicate unbound would read it, no checker calls that, and it scans
+    the triples instead.
     """
 
-    __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "_by_sp", "_by_po", "_iris")
+    __slots__ = ("_triples", "_by_s", "_by_sp", "_by_p", "_by_po", "_iris")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: tuple[Triple, ...] = tuple(sorted(set(triples), key=triple_order()))
         self._iris: list[Iri] | None = None
-        by_s: dict[Term, list[Triple]] = {}
+        predicate = attrgetter("predicate")
+        by_s: dict[Term, tuple[Triple, ...]] = {}
+        by_sp: dict[Term, dict[Term, tuple[Triple, ...]]] = {}
+        for s, run in groupby(self._triples, attrgetter("subject")):
+            by_s[s] = run = tuple(run)
+            by_sp[s] = {p: tuple(pairs) for p, pairs in groupby(run, predicate)}
         by_p: dict[Term, list[Triple]] = {}
-        by_o: dict[Term, list[Triple]] = {}
-        by_sp: dict[tuple[Term, Term], list[Triple]] = {}
-        by_po: dict[tuple[Term, Term], list[Triple]] = {}
+        by_po: dict[Term, dict[Term, list[Triple]]] = {}
         for t in self._triples:
-            by_s.setdefault(t.subject, []).append(t)
             by_p.setdefault(t.predicate, []).append(t)
-            by_o.setdefault(t.object, []).append(t)
-            by_sp.setdefault((t.subject, t.predicate), []).append(t)
-            by_po.setdefault((t.predicate, t.object), []).append(t)
-        self._by_s, self._by_p, self._by_o = by_s, by_p, by_o
-        self._by_sp, self._by_po = by_sp, by_po
+            by_po.setdefault(t.predicate, {}).setdefault(t.object, []).append(t)
+        self._by_s, self._by_sp = by_s, by_sp
+        self._by_p, self._by_po = by_p, by_po
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -77,7 +99,7 @@ class Graph:
         return iter(self._triples)
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._by_sp.get((triple.subject, triple.predicate), ())
+        return triple in self._by_sp.get(triple.subject, _NO_RUNS).get(triple.predicate, ())
 
     def match(
         self,
@@ -87,25 +109,30 @@ class Graph:
     ) -> list[Triple]:
         """Triples matching every bound position, in sorted order.
 
-        Each index list is in sorted order and holds exactly the triples
+        Each index run is in sorted order and holds exactly the triples
         that share its key, so only a bound position outside the key is
-        filtered."""
+        filtered. A pattern binding the object alone scans every triple."""
         if s is not None:
-            candidates = self._by_sp.get((s, p), ()) if p is not None else self._by_s.get(s, ())
+            if p is not None:
+                candidates = self._by_sp.get(s, _NO_RUNS).get(p, ())
+            else:
+                candidates = self._by_s.get(s, ())
             if o is not None:
                 return [t for t in candidates if t.object == o]
             return list(candidates)
         if p is not None:
-            return list(self._by_po.get((p, o), ()) if o is not None else self._by_p.get(p, ()))
+            if o is not None:
+                return list(self._by_po.get(p, _NO_RUNS).get(o, ()))
+            return list(self._by_p.get(p, ()))
         if o is not None:
-            return list(self._by_o.get(o, ()))
+            return [t for t in self._triples if t.object == o]
         return list(self._triples)
 
     def objects(self, s: Term, p: Term) -> list[Term]:
-        return [t.object for t in self.match(s, p)]
+        return [t.object for t in self._by_sp.get(s, _NO_RUNS).get(p, ())]
 
     def subjects(self, p: Term, o: Term) -> list[Term]:
-        return [t.subject for t in self.match(None, p, o)]
+        return [t.subject for t in self._by_po.get(p, _NO_RUNS).get(o, ())]
 
     def iris(self) -> list[Iri]:
         """Every distinct IRI appearing in subject, predicate, or object
@@ -223,16 +250,21 @@ def _blank_nodes(g: Graph) -> set[BlankNode]:
 
 
 def _refine(g: Graph, rounds: int = 4) -> dict[BlankNode, tuple]:
-    colors: dict[BlankNode, tuple] = {n: () for n in _blank_nodes(g)}
+    # each blank's edges, read in one pass, so that a round costs the
+    # blanks' degrees and not a scan of the graph per blank
+    out_edges: defaultdict[BlankNode, list[tuple[str, Term]]] = defaultdict(list)
+    in_edges: defaultdict[BlankNode, list[tuple[str, Term]]] = defaultdict(list)
+    for t in g:
+        if isinstance(t.subject, BlankNode):
+            out_edges[t.subject].append((str(t.predicate), t.object))
+        if isinstance(t.object, BlankNode):
+            in_edges[t.object].append((str(t.predicate), t.subject))
+    colors: dict[BlankNode, tuple] = {n: () for n in out_edges.keys() | in_edges.keys()}
     for _ in range(rounds):
         nxt: dict[BlankNode, tuple] = {}
         for n in colors:
-            out_sig = sorted(
-                (str(t.predicate), _term_color(t.object, colors)) for t in g.match(s=n)
-            )
-            in_sig = sorted(
-                (str(t.predicate), _term_color(t.subject, colors)) for t in g.match(o=n)
-            )
+            out_sig = sorted((p, _term_color(o, colors)) for p, o in out_edges[n])
+            in_sig = sorted((p, _term_color(s, colors)) for p, s in in_edges[n])
             nxt[n] = (tuple(out_sig), tuple(in_sig))
         if nxt == colors:
             break

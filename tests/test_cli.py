@@ -62,6 +62,18 @@ def test_unreadable_input_exits_two_with_one_line(tmp_path, monkeypatch, capsys)
     assert err == f"rdfcheck: error: cannot read input {data}: Permission denied\n"
 
 
+@pytest.mark.parametrize("suffix", [".nt", ".ttl"])
+def test_iri_with_brackets_has_an_http_scheme(tmp_path, capsys, suffix):
+    # IRIREF allows "[" and "]"; the scheme is read without parsing the
+    # authority, so a bracket there is no checker failure
+    data = tmp_path / f"data{suffix}"
+    data.write_text('<http://[x/a> <http://example.org/p> "v" .\n')
+    assert run_cli(["--report", "json", str(data)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["violations"] == []
+
+
 def test_parse_error_exits_two_with_line(capsys, tmp_path):
     bad = tmp_path / "bad.nt"
     bad.write_text('<http://a> <http://b> "ok" .\nbroken\n')

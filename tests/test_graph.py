@@ -199,3 +199,63 @@ def test_membership_before_any_match():
     g = graph(("ex:s", "ex:p", "ex:o"))
     assert triple("ex:s", "ex:p", "ex:o") in g
     assert triple("ex:s", "ex:p", "ex:s") not in g
+
+
+def test_membership_misses_at_every_index_level():
+    g = graph(("ex:s", "ex:p", "ex:o"), ("ex:s", "ex:q", "ex:o"))
+    assert triple("ex:absent", "ex:p", "ex:o") not in g
+    assert triple("ex:s", "ex:absent", "ex:o") not in g
+    assert triple("ex:s", "ex:p", "ex:absent") not in g
+    assert triple("ex:s", "ex:q", "ex:o") in g
+    # a miss leaves nothing behind for a later lookup to find
+    assert g.match(iri("ex:absent"), iri("ex:p")) == []
+    assert g.match(iri("ex:s"), iri("ex:absent")) == []
+    assert g.objects(iri("ex:absent"), iri("ex:p")) == []
+    assert g.subjects(iri("ex:absent"), iri("ex:o")) == []
+    assert g.subjects(iri("ex:p"), iri("ex:absent")) == []
+    assert triple("ex:absent", "ex:p", "ex:o") not in g
+
+
+def test_match_on_object_alone_equals_brute_force_filter():
+    en, upper = lit("x", lang="en"), lit("x", lang="EN")
+    g = graph(
+        ("ex:b", "ex:p", en), ("ex:a", "ex:q", upper), ("ex:a", "ex:p", "ex:o"),
+        ("ex:c", "ex:p", lit("x")), (BlankNode("n"), "ex:p", en),
+    )
+    for o in (en, upper, lit("x"), iri("ex:o"), iri("ex:absent")):
+        expected = [t for t in list(g) if t.object == o]
+        assert g.match(o=o) == expected
+    assert [t.subject for t in g.match(o=upper)] == [iri("ex:a"), iri("ex:b"), BlankNode("n")]
+
+
+def test_objects_and_subjects_return_fresh_lists():
+    g = graph(("ex:s", "ex:p", "ex:o"))
+    g.objects(iri("ex:s"), iri("ex:p")).append(None)
+    g.subjects(iri("ex:p"), iri("ex:o")).clear()
+    assert g.objects(iri("ex:s"), iri("ex:p")) == [iri("ex:o")]
+    assert g.subjects(iri("ex:p"), iri("ex:o")) == [iri("ex:s")]
+
+
+def _blank_chain(labels):
+    # each blank holds its position as a literal and points at the next
+    triples = []
+    for i, label in enumerate(labels):
+        triples.append(Triple(BlankNode(label), iri("ex:value"), lit(str(i))))
+        if i + 1 < len(labels):
+            triples.append(Triple(BlankNode(label), iri("ex:next"), BlankNode(labels[i + 1])))
+    return triples
+
+
+def test_isomorphic_relabelled_graph_with_hundreds_of_blanks(monkeypatch):
+    labels = [f"c{i}" for i in range(400)]
+    relabelled = [f"r{i}" for i in range(400)]
+    random.Random(5).shuffle(relabelled)
+    a = Graph(_blank_chain(labels))
+    b = Graph(_blank_chain(relabelled))
+    changed = _blank_chain(relabelled)
+    changed[-1] = Triple(changed[-1].subject, iri("ex:value"), lit("last"))
+    # refinement reads each blank's edges from one pass over the graph, not
+    # through one lookup per blank per round
+    monkeypatch.setattr(Graph, "match", lambda *args, **kwargs: pytest.fail("match called"))
+    assert isomorphic(a, b)
+    assert not isomorphic(a, Graph(changed))

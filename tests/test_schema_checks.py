@@ -1,8 +1,13 @@
 import random
+from urllib.parse import urlsplit
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rdfcheck.catalog import Catalog, Severity, VocabularyInventory, builtin_catalog
 from rdfcheck.checks import schema
 from rdfcheck.graph import Graph
+from rdfcheck.terms import Iri
 
 from conftest import ctx_for, expand, graph, iri, lit
 
@@ -659,6 +664,39 @@ def test_http_scheme_flags_urn():
 def test_http_scheme_accepts_https():
     g = graph(("https://secure/s", "http://p/", "https://secure/o"))
     assert schema.check_http_scheme(ctx_for(g)) == []
+
+
+# An IRI-like string: a head that is often a well-formed scheme, a separator,
+# and a tail. Every character is one an IRIREF may hold; "[" and "]" after
+# "//" are what urlsplit's authority check rejects.
+_IRI_CHARS = st.characters(
+    min_codepoint=0x21, exclude_characters='<>"{}|^`\\', exclude_categories=("Cs",)
+)
+_SCHEME_LIKE = st.text(st.sampled_from("aZhxQ09+-."), min_size=1, max_size=6)
+_IRI_LIKE = st.builds(
+    lambda head, sep, tail: head + sep + tail,
+    st.one_of(_SCHEME_LIKE, _SCHEME_LIKE, _SCHEME_LIKE, st.text(_IRI_CHARS, max_size=6)),
+    st.sampled_from([":", "://", "://[", ""]),
+    st.text(st.sampled_from(":/[]@") | _IRI_CHARS, max_size=10),
+)
+
+
+@given(_IRI_LIKE)
+@settings(max_examples=500, deadline=None)
+def test_scheme_agrees_with_urlsplit(value):
+    try:
+        expected = urlsplit(value).scheme.lower()
+    except ValueError:  # an authority urlsplit rejects, such as "//[x"
+        assume(False)
+    assert ctx_for(Graph()).scheme(Iri(value)) == expected
+
+
+def test_scheme_reads_only_the_rfc3986_scheme():
+    ctx = ctx_for(Graph())
+    assert ctx.scheme(Iri("http://[x/a")) == "http"
+    assert ctx.scheme(Iri("HTTPS://]")) == "https"
+    assert ctx.scheme(Iri("1http://a")) == ""
+    assert ctx.scheme(Iri("no-colon")) == ""
 
 
 def test_equivalent_properties_one_sided_use():
