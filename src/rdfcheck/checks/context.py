@@ -9,6 +9,8 @@ the very modeling errors the checkers look for.
 from __future__ import annotations
 
 import re
+from itertools import groupby
+from operator import attrgetter
 
 from ..catalog import Catalog
 from ..graph import Graph
@@ -30,13 +32,20 @@ class GraphContext:
         self._extensions: dict[str, list[Term]] = {}
 
     def _type_map(self) -> dict[Term, frozenset[str]]:
+        """Each typed node's closed class set. The rdf:type triples are
+        sorted, so a node's types are one run; nodes with equal sets share
+        one frozenset, since a graph holds far fewer distinct sets than
+        typed nodes."""
         if self._types is None:
-            mapping: dict[Term, set[str]] = {}
-            for triple in self.graph.match(None, Iri(RDF_TYPE), None):
-                if isinstance(triple.object, Iri):
-                    closed = self.catalog.superclasses(triple.object.value)
-                    mapping.setdefault(triple.subject, set()).update(closed)
-            self._types = {node: frozenset(types) for node, types in mapping.items()}
+            types: dict[Term, frozenset[str]] = {}
+            shared: dict[frozenset[str], frozenset[str]] = {}
+            typing = self.graph.match(None, Iri(RDF_TYPE), None)
+            for node, run in groupby(typing, attrgetter("subject")):
+                classes = [t.object.value for t in run if isinstance(t.object, Iri)]
+                if classes:
+                    closed = frozenset().union(*map(self.catalog.superclasses, classes))
+                    types[node] = shared.setdefault(closed, closed)
+            self._types = types
         return self._types
 
     def types_of(self, node: Term) -> frozenset[str]:

@@ -20,6 +20,7 @@ import os
 import sys
 from itertools import chain
 from pathlib import Path
+from typing import TextIO
 
 from .catalog import (
     BUILTIN_VOCABULARIES,
@@ -37,6 +38,7 @@ from .terms import BlankNode, Triple
 from .turtle import parse_turtle
 
 CATALOG_PATH_ENV = "RDFCHECK_CATALOG_PATH"
+_WRITE_SLICE = 1 << 16  # characters of the report written per call
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,13 +104,17 @@ def _load_inputs(paths: list[str], fmt: str | None) -> Graph:
         path = Path(spec)
         if not path.exists():
             raise FileNotFoundError(f"input file not found: {spec}")
+        chosen = fmt or ("ttl" if path.suffix.lower() == ".ttl" else "nt")
+        # Turtle's tokens may span lines, so it reads the whole text;
+        # N-Triples reads the open file a line at a time
         try:
-            data = path.read_bytes()
+            if chosen == "ttl":
+                part = parse_turtle(path.read_bytes())
+            else:
+                with path.open("rb") as lines:
+                    part = parse_ntriples(lines)
         except OSError as exc:
             raise OSError(f"cannot read input {spec}: {exc.strerror}") from None
-        chosen = fmt or ("ttl" if path.suffix.lower() == ".ttl" else "nt")
-        try:
-            part = parse_turtle(data) if chosen == "ttl" else parse_ntriples(data)
         except ParseError as exc:
             raise ParseError(exc.reason, exc.line, spec) from None
         # a last input read at offset 0 keeps its labels, and its count
@@ -150,6 +156,13 @@ def _renumber_blanks(triples: list[Triple], offset: int) -> int:
         s, p, o = triples[i].subject, triples[i].predicate, triples[i].object
         triples[i] = Triple(renamed.get(s, s), p, renamed.get(o, o))
     return len(order)
+
+
+def _write(text: str, out: TextIO) -> None:
+    """Write ``text`` in slices, so that its encoded bytes are never held
+    whole beside it."""
+    for start in range(0, len(text), _WRITE_SLICE):
+        out.write(text[start : start + _WRITE_SLICE])
 
 
 def run_cli(argv: list[str] | None = None) -> int:
@@ -235,11 +248,12 @@ def _run(argv: list[str] | None) -> int:
     rendered = write_report(report, args.report, threshold)
     if args.output:
         try:
-            Path(args.output).write_text(rendered, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as out:
+                _write(rendered, out)
         except OSError as exc:
             return _fail(f"cannot write report to {args.output}: {exc.strerror}")
     else:
-        sys.stdout.write(rendered)
+        _write(rendered, sys.stdout)
 
     fail_on = Severity.parse(args.fail_on)
     return 1 if report.at_or_above(fail_on) else 0

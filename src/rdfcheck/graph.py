@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -61,10 +61,11 @@ class Graph:
     a run builds one graph once, from all of its inputs, and each lookup
     only reads. The indexes:
 
-    - ``_by_s``: subject → its triples, and ``_by_sp``: subject →
-      predicate → its triples. Since the triples are sorted, each subject's
-      triples, and each predicate's inside them, are one contiguous run,
-      kept as a tuple; one outer entry per subject.
+    - ``_by_sp``: subject → predicate → its triples. Since the triples are
+      sorted, each (subject, predicate) pair's triples are one contiguous
+      run, kept as a tuple, and each subject's runs are in predicate order;
+      one outer entry per subject. ``match(s=x)`` reads ``x``'s runs one
+      after another, so no index per subject alone is kept.
     - ``_by_p``: predicate → its triples, and ``_by_po``: predicate →
       object → its triples, as lists in sorted order.
 
@@ -73,24 +74,21 @@ class Graph:
     the triples instead.
     """
 
-    __slots__ = ("_triples", "_by_s", "_by_sp", "_by_p", "_by_po", "_iris")
+    __slots__ = ("_triples", "_by_sp", "_by_p", "_by_po", "_iris")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: tuple[Triple, ...] = tuple(sorted(set(triples), key=triple_order()))
         self._iris: list[Iri] | None = None
         predicate = attrgetter("predicate")
-        by_s: dict[Term, tuple[Triple, ...]] = {}
         by_sp: dict[Term, dict[Term, tuple[Triple, ...]]] = {}
         for s, run in groupby(self._triples, attrgetter("subject")):
-            by_s[s] = run = tuple(run)
             by_sp[s] = {p: tuple(pairs) for p, pairs in groupby(run, predicate)}
         by_p: dict[Term, list[Triple]] = {}
         by_po: dict[Term, dict[Term, list[Triple]]] = {}
         for t in self._triples:
             by_p.setdefault(t.predicate, []).append(t)
             by_po.setdefault(t.predicate, {}).setdefault(t.object, []).append(t)
-        self._by_s, self._by_sp = by_s, by_sp
-        self._by_p, self._by_po = by_p, by_po
+        self._by_sp, self._by_p, self._by_po = by_sp, by_p, by_po
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -111,12 +109,15 @@ class Graph:
 
         Each index run is in sorted order and holds exactly the triples
         that share its key, so only a bound position outside the key is
-        filtered. A pattern binding the object alone scans every triple."""
+        filtered. A pattern binding the subject but not the predicate reads
+        the subject's runs in predicate order; one binding the object alone
+        scans every triple."""
         if s is not None:
+            candidates: Iterable[Triple]
             if p is not None:
                 candidates = self._by_sp.get(s, _NO_RUNS).get(p, ())
             else:
-                candidates = self._by_s.get(s, ())
+                candidates = chain.from_iterable(self._by_sp.get(s, _NO_RUNS).values())
             if o is not None:
                 return [t for t in candidates if t.object == o]
             return list(candidates)

@@ -13,11 +13,15 @@ statement, and ``\\u``/``\\U`` escapes must name Unicode scalar values.
 An IRI holds none of the characters RDF 1.1 ``IRIREF`` excludes (U+0000 to
 U+0020 and ``<>"{}|^`\\``), whether written raw or as an escape.
 
-``parse_ntriples`` returns the triples in document order, duplicates kept;
-``Graph`` dedups and sorts them. Syntax errors abort the whole parse (no
-partial result) and carry the 1-based line number. Blank-node labels are
-renamed to ``_:b<n>`` in order of first appearance so that report output is
-stable across documents.
+``parse_ntriples`` reads text, UTF-8 bytes, or an open binary file. A file
+is read, decoded and parsed one line at a time, so its bytes, their
+decoded text and a list of its lines are never held at once; an
+``OSError`` from reading it propagates. It returns the triples in document
+order, duplicates kept; ``Graph`` dedups and sorts them. Syntax errors,
+invalid UTF-8 among them, abort the whole parse (no partial result) and
+carry the 1-based line number. Blank-node labels are renamed to ``_:b<n>``
+in order of first appearance so that report output is stable across
+documents.
 """
 
 from __future__ import annotations
@@ -114,18 +118,32 @@ class _BlankScope:
         return self.get(f"\x00anon{len(self._map)}")
 
 
-def parse_ntriples(data: bytes | str) -> list[Triple]:
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}", 1) from None
+def _decode_utf8(data: bytes, first_line: int = 1) -> str:
+    """``data`` decoded as UTF-8. An invalid byte is a ParseError at its
+    line, counting ``data``'s first line as ``first_line``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = first_line + data.count(b"\n", 0, exc.start)
+        raise ParseError(f"input is not valid UTF-8: {exc}", line) from None
+
+
+def parse_ntriples(data: bytes | str | Iterable[bytes]) -> list[Triple]:
+    """The triples ``data`` states, in document order, duplicates kept.
+    ``data`` is text, UTF-8 bytes, or an open binary file, which is read
+    one line at a time."""
+    lines: Iterable[str]
+    if isinstance(data, str):
+        lines = data.split("\n")
+    elif isinstance(data, bytes):
+        lines = _decode_utf8(data).split("\n")
     else:
-        text = data
+        # a binary file's lines end at LF only, as the text's split lines do
+        lines = (_decode_utf8(raw, n) for n, raw in enumerate(data, start=1))
     scope, iris = _BlankScope(), _IRIS
     triples: list[Triple] = []
     match = _TOKEN.match
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue

@@ -38,42 +38,62 @@ def write_text(report: ValidationReport, threshold: Severity | None = None) -> s
     return "\n".join(lines) + "\n"
 
 
+# The C string encoder that json.dumps uses under ensure_ascii=False
+_string = json.encoder.encode_basestring
+
+
 def write_json(report: ValidationReport, threshold: Severity | None = None) -> str:
     """One object with keys summary, violations, skipped, metrics in exactly
-    that order; violations keep the engine's sorted order."""
+    that order; violations keep the engine's sorted order.
+
+    The text is what ``json.dumps(doc, ensure_ascii=False, indent=2)`` writes
+    for that object, plus a newline, laid out here one record at a time:
+    ``indent`` makes ``json`` use its pure-Python encoder, which builds
+    about thirty string chunks per violation before joining them."""
     shown = report.at_or_above(threshold)
     counts = severity_counts(shown)
-    doc = {
-        "summary": {
-            "info": counts["info"],
-            "warning": counts["warning"],
-            "error": counts["error"],
-        },
+    summary = {"info": counts["info"], "warning": counts["warning"], "error": counts["error"]}
+    arrays = {
         "violations": [
-            {
+            _object({
                 "id": v.constraint_id,
                 "severity": str(v.severity),
                 "focus": v.focus,
                 "detail": v.detail,
                 "message": v.message,
-            }
+            })
             for v in shown
         ],
         "skipped": [
-            {"id": s.constraint_id, "reason": s.status.split(": ", 1)[-1]}
+            _object({"id": s.constraint_id, "reason": s.status.split(": ", 1)[-1]})
             for s in report.skipped()
         ],
         "metrics": [
-            {
-                "id": m.constraint_id,
-                "focus": m.focus,
-                "name": m.name,
-                "value": m.value,
-            }
+            _object({"id": m.constraint_id, "focus": m.focus, "name": m.name, "value": m.value})
             for m in report.metrics
         ],
     }
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    # one join at the end, so that no string but the result holds a whole array
+    parts = ['{\n  "summary": ', _object(summary, "  ")]
+    for key, records in arrays.items():
+        parts.append(f',\n  "{key}": [')
+        for n, record in enumerate(records):
+            parts += (",\n    " if n else "\n    ", record)
+        parts.append("\n  ]" if records else "]")
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
+def _object(fields: dict[str, object], indent: str = "    ") -> str:
+    """``fields``, whose values are strings or numbers, as an ``indent=2``
+    JSON object whose closing brace is indented by ``indent``."""
+    inner = indent + "  "
+    members = ",\n".join(f"{inner}{_string(k)}: {_value(v)}" for k, v in fields.items())
+    return f"{{\n{members}\n{indent}}}"
+
+
+def _value(value: object) -> str:
+    return _string(value) if isinstance(value, str) else json.dumps(value)
 
 
 def write_report(

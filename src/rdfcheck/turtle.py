@@ -29,8 +29,8 @@ from __future__ import annotations
 import re
 
 from .namespaces import RDF_FIRST, RDF_LANGSTRING, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
-from .ntriples import (ParseError, _BlankScope, _code_point, _iri_escape, _IRI_ESCAPES,
-                       _STRING_ESCAPE, _STRING_ESCAPES, _UNTAGGED_LANGSTRING)
+from .ntriples import (ParseError, _BlankScope, _code_point, _decode_utf8, _iri_escape,
+                       _IRI_ESCAPES, _STRING_ESCAPE, _STRING_ESCAPES, _UNTAGGED_LANGSTRING)
 from .terms import BlankNode, Iri, Literal, Term, Triple
 
 MAX_NESTING = 128
@@ -114,13 +114,7 @@ _NIL = Iri(RDF_NIL)
 
 def parse_turtle(data: bytes | str) -> list[Triple]:
     """The triples ``data`` states, in document order, duplicates kept."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}", 1) from None
-    else:
-        text = data
+    text = _decode_utf8(data) if isinstance(data, bytes) else data
     return _Parser(text).parse()
 
 

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import re
@@ -49,17 +51,50 @@ def test_input_that_is_a_directory_exits_two_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_unreadable_input_exits_two_with_one_line(tmp_path, monkeypatch, capsys):
-    data = tmp_path / "data.nt"
+# N-Triples is read through an open file, Turtle as whole bytes
+@pytest.mark.parametrize("suffix, reader", [(".nt", "open"), (".ttl", "read_bytes")])
+def test_unreadable_input_exits_two_with_one_line(tmp_path, monkeypatch, capsys, suffix, reader):
+    data = tmp_path / f"data{suffix}"
     data.write_text("")
+    read = getattr(Path, reader)
 
-    def refuse(self):
-        raise PermissionError(13, "Permission denied")
+    def refuse(self, *args, **kwargs):
+        if self == data:
+            raise PermissionError(13, "Permission denied")
+        return read(self, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", refuse)
+    monkeypatch.setattr(Path, reader, refuse)
     assert run_cli([str(data)]) == 2
     err = capsys.readouterr().err
     assert err == f"rdfcheck: error: cannot read input {data}: Permission denied\n"
+
+
+def test_read_error_after_some_lines_exits_two_with_one_line(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data.nt"
+    data.write_text("")
+
+    class FailingFile(io.BytesIO):
+        def __iter__(self):
+            yield b'<http://a> <http://b> "one" .\n'
+            yield b'<http://a> <http://b> "two" .\n'
+            raise OSError(errno.EIO, "Input/output error")
+
+    read = Path.open
+    monkeypatch.setattr(
+        Path, "open", lambda self, *a, **kw: FailingFile() if self == data else read(self, *a, **kw)
+    )
+    assert run_cli([str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"rdfcheck: error: cannot read input {data}: Input/output error\n"
+
+
+def test_invalid_utf8_names_its_line(tmp_path, capsys):
+    data = tmp_path / "data.nt"
+    data.write_bytes(b'<http://a> <http://b> "1" .\n<http://a> <http://b> "2" .\n"\xff"\n')
+    assert run_cli([str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rdfcheck: error: {data}: line 3: input is not valid UTF-8: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("suffix", [".nt", ".ttl"])

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -61,6 +62,22 @@ def test_no_partial_graph_on_error():
 def test_non_utf8_rejected():
     with pytest.raises(ParseError):
         parse_ntriples(b"<http://a> <http://b> \xff .")
+
+
+@pytest.mark.parametrize("read", [bytes, io.BytesIO], ids=["bytes", "file"])
+def test_invalid_utf8_names_its_line(read):
+    data = b'<http://a> <http://b> "1" .\n<http://a> <http://b> "2" .\n<http://a> <http://b> "\xff" .\n'
+    with pytest.raises(ParseError) as err:
+        parse_ntriples(read(data))
+    assert err.value.line == 3
+    assert str(err.value).startswith("line 3: input is not valid UTF-8: ")
+
+
+def test_a_file_parses_as_its_bytes_and_its_text():
+    text = serialize_ntriples(Graph(parse_turtle((FIXTURES / "eusilc.ttl").read_bytes())))
+    for written in (text, text.replace("\n", "\r\n"), "# head\n\n" + text.rstrip("\n")):
+        data = written.encode("utf-8")
+        assert parse_ntriples(io.BytesIO(data)) == parse_ntriples(data) == parse_ntriples(written)
 
 
 def _random_corpus(rng, n):
@@ -295,6 +312,9 @@ def test_every_malformed_ntriples_fixture_is_pinned():
 def test_malformed_ntriples_error_matches_cursor_only_parse(path):
     with pytest.raises(ParseError) as err:
         parse_ntriples(path.read_bytes())
+    assert str(err.value) == MALFORMED_NT[path.name]
+    with path.open("rb") as lines, pytest.raises(ParseError) as err:
+        parse_ntriples(lines)
     assert str(err.value) == MALFORMED_NT[path.name]
 
 

@@ -1,7 +1,11 @@
 import json
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdfcheck.catalog import Severity
-from rdfcheck.engine import ValidationReport, ConstraintStatus, validate
+from rdfcheck.engine import ValidationReport, ConstraintStatus, severity_counts, validate
 from rdfcheck.report import write_json, write_report, write_text
 from rdfcheck.violations import MetricRecord, Violation
 
@@ -94,3 +98,78 @@ def test_fixture_json_report_is_golden_stable(eusilc, disco_catalog):
     parsed = json.loads(a)
     assert parsed["summary"] == {"info": 0, "warning": 0, "error": 0}
     assert len(parsed["metrics"]) == 7
+
+
+def _reference_json(report, threshold=None):
+    """The JSON report as ``json.dumps`` lays it out, which ``write_json``
+    reproduces without building the document."""
+    shown = report.at_or_above(threshold)
+    counts = severity_counts(shown)
+    doc = {
+        "summary": {"info": counts["info"], "warning": counts["warning"], "error": counts["error"]},
+        "violations": [
+            {"id": v.constraint_id, "severity": str(v.severity), "focus": v.focus,
+             "detail": v.detail, "message": v.message}
+            for v in shown
+        ],
+        "skipped": [
+            {"id": s.constraint_id, "reason": s.status.split(": ", 1)[-1]}
+            for s in report.skipped()
+        ],
+        "metrics": [
+            {"id": m.constraint_id, "focus": m.focus, "name": m.name, "value": m.value}
+            for m in report.metrics
+        ],
+    }
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, DEL, the JavaScript line
+# separators and non-BMP characters, among any others
+_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x7f\u2028\u2029'),
+    st.characters(max_codepoint=0x1F),
+    st.characters(min_codepoint=0x10000),
+    st.characters(),
+), max_size=8)
+_SEVERITY = st.sampled_from(list(Severity))
+_VIOLATIONS = st.lists(st.builds(Violation, _TEXT, _SEVERITY, _TEXT, _TEXT, _TEXT), max_size=4)
+_METRICS = st.lists(
+    st.builds(MetricRecord, _TEXT, _TEXT, _TEXT,
+              st.integers() | st.sampled_from([-1, -(2**63), 2**64, 10**40])),
+    max_size=4,
+)
+_STATUSES = st.lists(
+    st.builds(ConstraintStatus, _TEXT,
+              st.just("evaluated") | _TEXT | _TEXT.map("skipped: {}".format),
+              st.integers(0, 3), st.just(0.0)),
+    max_size=4,
+)
+
+
+@given(_VIOLATIONS, _METRICS, _STATUSES, st.none() | _SEVERITY)
+@settings(max_examples=200, deadline=None)
+def test_json_matches_json_dumps_layout(violations, metrics, statuses, threshold):
+    report = _report(violations, metrics, statuses)
+    assert write_json(report, threshold) == _reference_json(report, threshold)
+
+
+def test_json_render_allocates_under_four_times_its_output():
+    # tracemalloc counts every allocation, so the bound does not flake
+    report = _report(
+        [
+            Violation(f"C-{n % 40:02d}", Severity.WARNING, f"<http://example.org/node/{n}>",
+                      f"detail {n}", f"C-{n % 40:02d}: node {n} lacks a preferred label")
+            for n in range(5000)
+        ],
+        [MetricRecord("M-1", "<http://example.org/g>", "count", n) for n in range(50)],
+        [ConstraintStatus(f"S-{n}", "skipped: not evaluable (pattern)", 0, 0.0) for n in range(20)],
+    )
+    tracemalloc.start()
+    try:
+        text = write_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == _reference_json(report)
+    assert peak < 4 * len(text)

@@ -9,7 +9,7 @@ from rdfcheck.checks import schema
 from rdfcheck.graph import Graph
 from rdfcheck.terms import Iri
 
-from conftest import ctx_for, expand, graph, iri, lit
+from conftest import ctx_for, expand, graph, iri, lit, load_fixture
 
 DISCO = "http://rdf-vocabulary.ddialliance.org/discovery#"
 RDF_TYPE = "rdf:type"
@@ -697,6 +697,20 @@ def test_scheme_reads_only_the_rfc3986_scheme():
     assert ctx.scheme(Iri("HTTPS://]")) == "https"
     assert ctx.scheme(Iri("1http://a")) == ""
     assert ctx.scheme(Iri("no-colon")) == ""
+
+
+def test_equal_type_sets_share_one_frozenset(full_catalog):
+    g = load_fixture("eusilc.ttl")
+    types = ctx_for(g, full_catalog)._type_map()
+    expected: dict = {}
+    for t in g.match(None, iri(RDF_TYPE), None):
+        if isinstance(t.object, Iri):
+            expected.setdefault(t.subject, set()).update(full_catalog.superclasses(t.object.value))
+    assert types == expected
+    shared: dict = {}
+    for classes in types.values():
+        assert shared.setdefault(classes, classes) is classes
+    assert len(shared) < len(types)
 
 
 def test_equivalent_properties_one_sided_use():

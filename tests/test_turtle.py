@@ -133,6 +133,13 @@ def test_error_carries_line_number():
     assert err.value.line == 3
 
 
+def test_invalid_utf8_names_its_line():
+    with pytest.raises(ParseError) as err:
+        parse_turtle(b'@prefix ex: <http://e/> .\nex:s ex:p "a" .\nex:s ex:p "\xff" .\n')
+    assert err.value.line == 3
+    assert str(err.value).startswith("line 3: input is not valid UTF-8: ")
+
+
 @pytest.mark.parametrize("text", [
     '@prefix ex: <http://e/> .\nex:s ex:p "\\UFFFFFFFF" .',
     '@prefix ex: <http://e/> .\nex:s ex:p "\\uD800" .',
