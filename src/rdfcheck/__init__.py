@@ -1,6 +1,6 @@
 """Closed-world RDF constraint validation for SBE metadata vocabularies."""
 
-from .graph import Graph, MalformedListError, isomorphic, walk_rdf_list
+from .graph import Graph, MalformedListError, walk_rdf_list
 from .ntriples import ParseError, parse_ntriples, serialize_ntriples
 from .terms import BlankNode, Iri, Literal, Term, Triple
 from .turtle import parse_turtle
@@ -23,7 +23,6 @@ __all__ = [
     "Triple",
     "UnknownDatatypeError",
     "XsdValue",
-    "isomorphic",
     "parse_ntriples",
     "parse_turtle",
     "parse_xsd_value",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -91,15 +92,6 @@ def _int_in(*values: int) -> str:
 # The Data Cube integrity constraints that ``checks.cube`` implements.
 QB_INTEGRITY_CONSTRAINTS = (*range(3, 9), *range(10, 19), 20, 21)
 
-
-_RULE_SCHEMA = {
-    "property": ("iri", "load"),
-    "scope": ("iri", "load"),
-    "min": ("int", "opt"),
-    "max": ("int", "opt"),
-    "qualifier_class": ("iri", "opt"),
-    "qualifier_datatype": ("iri", "opt"),
-}
 
 _PART_SCHEMA = {"path": ("path", "load")}
 _DEFAULT_SCHEMA = {
@@ -685,8 +677,6 @@ def _expand_iri(value: Any, prefixes: dict[str, str], where: str) -> str:
     prefix, sep, local = value.partition(":")
     if sep and prefix in prefixes:
         return prefixes[prefix] + local
-    if sep and prefix in WELL_KNOWN_PREFIXES:
-        return WELL_KNOWN_PREFIXES[prefix] + local
     if _is_iri_like(value):
         return value
     raise CatalogError(f"{where}: {value!r} is not an IRI or known compact name")
@@ -749,9 +739,12 @@ def _validate_param(kind: str, value: Any, prefixes: dict[str, str], where: str)
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise CatalogError(f"{where}: expected a number")
         try:
-            float(value)
-        except (TypeError, ValueError):
+            # an int of any size is a number; float() would overflow on it
+            number = 0.0 if isinstance(value, int) else float(value)
+        except ValueError:
             raise CatalogError(f"{where}: expected a number, got {value!r}") from None
+        if math.isnan(number):
+            raise CatalogError(f"{where}: expected a number, not NaN ({value!r})")
         return value
     if kind == "bool":
         if not isinstance(value, bool):
@@ -817,7 +810,9 @@ def _validate_param(kind: str, value: Any, prefixes: dict[str, str], where: str)
     if kind == "path":
         return _validate_path(value, prefixes, where)
     if kind == "rule_list":
-        return _validate_obj_list(value, _RULE_SCHEMA, prefixes, where)
+        # each rule is a cardinality constraint's parameters
+        return _validate_obj_list(value, CONSTRAINT_TYPES["cardinality"].schema,
+                                  prefixes, where)
     if kind == "part_list":
         return _validate_obj_list(value, _PART_SCHEMA, prefixes, where)
     if kind == "default_list":
@@ -1016,12 +1011,8 @@ class Catalog:
                 f"unknown vocabulary {name!r}; known vocabularies: {known}"
             ) from None
 
-    def select(
-        self,
-        vocabularies: set[str] | None = None,
-        types: set[str] | None = None,
-    ) -> list[Constraint]:
-        """Constraints matching both filters (empty/None = no filter), by id."""
+    def select(self, vocabularies: set[str] | None = None) -> list[Constraint]:
+        """Constraints of the given vocabularies (empty/None = all), by id."""
         if vocabularies:
             unknown = vocabularies - set(self.inventories)
             if unknown:
@@ -1031,11 +1022,8 @@ class Catalog:
                 )
         chosen = []
         for constraint in self.constraints.values():
-            if vocabularies and constraint.vocabulary not in vocabularies:
-                continue
-            if types and constraint.type not in types:
-                continue
-            chosen.append(constraint)
+            if not vocabularies or constraint.vocabulary in vocabularies:
+                chosen.append(constraint)
         return sorted(chosen, key=lambda c: c.id)
 
     def explain(self, constraint_id: str) -> dict[str, Any]:
@@ -1055,48 +1043,6 @@ class Catalog:
             "requirements": list(ctype.requirements),
             "evaluable": constraint.evaluable,
         }
-
-    def to_json(self) -> str:
-        doc = {
-            "vocabularies": [
-                {
-                    "name": inv.name,
-                    "namespace": inv.namespace,
-                    "classes": sorted(inv.classes),
-                    "properties": sorted(inv.properties),
-                    "deprecated": sorted(inv.deprecated),
-                    "subclass_of": [list(e) for e in sorted(inv.subclass_of)],
-                    "subproperty_of": [list(e) for e in sorted(inv.subproperty_of)],
-                    "inverse_pairs": [list(e) for e in sorted(inv.inverse_pairs)],
-                    "equivalent_property_pairs": [
-                        list(e) for e in sorted(inv.equivalent_property_pairs)
-                    ],
-                    "controlled_vocabularies": {
-                        k: sorted(v) for k, v in sorted(inv.controlled_vocabularies.items())
-                    },
-                }
-                for inv in sorted(self.inventories.values(), key=lambda i: i.name)
-            ],
-            "constraints": [
-                _constraint_to_json(c)
-                for c in sorted(self.constraints.values(), key=lambda c: c.id)
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=False)
-
-
-def _constraint_to_json(c: Constraint) -> dict[str, Any]:
-    out: dict[str, Any] = {"id": c.id, "type": c.type, "severity": str(c.severity)}
-    if c.scope:
-        out["scope"] = c.scope
-    out["params"] = c.params
-    if c.vocabulary:
-        out["vocabulary"] = c.vocabulary
-    if c.reference:
-        out["reference"] = c.reference
-    if c.description:
-        out["description"] = c.description
-    return out
 
 
 def _parse_inventory(entry: Any, prefixes: dict[str, str]) -> VocabularyInventory:
@@ -1226,7 +1172,7 @@ def _read_document(document: bytes | str | dict) -> tuple[dict, dict[str, str]]:
     if isinstance(document, str):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past the digit limit
             raise CatalogError(f"catalog is not valid JSON: {exc}") from None
     else:
         doc = document
@@ -1246,29 +1192,10 @@ def _read_document(document: bytes | str | dict) -> tuple[dict, dict[str, str]]:
     return doc, prefixes
 
 
-def load_catalog(document: bytes | str | dict) -> Catalog:
-    """Parse and validate one catalog document."""
-    doc, prefixes = _read_document(document)
-
-    inventories: dict[str, VocabularyInventory] = {}
-    for entry in doc.get("vocabularies", []):
-        inv = _parse_inventory(entry, prefixes)
-        if inv.name in inventories:
-            raise CatalogError(f"duplicate vocabulary name {inv.name!r}")
-        inventories[inv.name] = inv
-
-    constraints: dict[str, Constraint] = {}
-    for entry in doc.get("constraints", []):
-        constraint = _parse_constraint(entry, prefixes)
-        if constraint.id in constraints:
-            raise CatalogError(f"duplicate constraint id {constraint.id!r}")
-        constraints[constraint.id] = constraint
-
-    return Catalog(constraints, inventories)
-
-
-def merge_catalogs(base: Catalog, override: Catalog | bytes | str | dict) -> Catalog:
-    """Layer ``override`` on top of ``base``.
+def merge_catalogs(base: Catalog, override: bytes | str | dict) -> Catalog:
+    """Layer the catalog document ``override`` (JSON bytes or text, or the
+    parsed object) on top of ``base``; the shipped catalogs and ``--catalog``
+    files are merged alike.
 
     Full entries (carrying a ``type``) replace or add; severity patches are
     plain objects with only ``id`` and ``severity`` and must name an
@@ -1276,13 +1203,6 @@ def merge_catalogs(base: Catalog, override: Catalog | bytes | str | dict) -> Cat
     """
     constraints = dict(base.constraints)
     inventories = dict(base.inventories)
-    if isinstance(override, Catalog):
-        for name, inv in override.inventories.items():
-            inventories[name] = inv
-        for cid, constraint in override.constraints.items():
-            constraints[cid] = constraint
-        return Catalog(constraints, inventories)
-
     doc, prefixes = _read_document(override)
 
     for entry in doc.get("vocabularies", []):
@@ -1337,9 +1257,8 @@ def builtin_catalog(names: set[str] | None = None) -> Catalog:
             f"unknown built-in vocabulary name(s) {sorted(unknown)}; "
             f"known: {', '.join(sorted(_BUILTIN_FILES))}"
         )
-    merged: Catalog | None = None
+    merged = Catalog({}, {})
     for name in chosen:
         data = resources.files("rdfcheck.data").joinpath(_BUILTIN_FILES[name]).read_text("utf-8")
-        catalog = load_catalog(data)
-        merged = catalog if merged is None else merge_catalogs(merged, catalog)
-    return merged if merged is not None else Catalog({}, {})
+        merged = merge_catalogs(merged, data)
+    return merged

@@ -8,7 +8,7 @@ import builtins
 from ..catalog import Severity
 from ..graph import MalformedListError, walk_rdf_list
 from ..namespaces import DCTERMS, SKOS, compact
-from ..terms import Iri, Literal, Term, Triple, term_sort_key
+from ..terms import Iri, Literal, Term, term_sort_key
 from ..violations import MetricRecord, Violation, make_violation
 from ..xsd import (
     InvalidLexicalError,
@@ -459,36 +459,6 @@ def check_subsuper_redundancy(
     return out
 
 
-def apply_default_values(
-    ctx: GraphContext,
-    defaults: list[dict],
-    *,
-    cid: str = "default-values",
-    severity: Severity = Severity.INFO,
-) -> tuple[list[Triple], list[Violation]]:
-    """Triples that WOULD be added (scope instances lacking the property
-    receive the default) plus one info note per application. The input
-    graph is never mutated."""
-    from .schema import _term_from_spec
-
-    additions: list[Triple] = []
-    violations: list[Violation] = []
-    for row in defaults:
-        scope, prop = row["scope"], row["property"]
-        value = _term_from_spec(row["value"])
-        for node in ctx.extension(scope):
-            if ctx.objects(node, prop):
-                continue
-            additions.append(Triple(node, Iri(prop), value))
-            violations.append(
-                make_violation(
-                    cid, severity, node, str(value),
-                    f"missing {compact(prop)} would default to {value}", (prop,),
-                )
-            )
-    return additions, violations
-
-
 def check_default_values(
     ctx: GraphContext,
     defaults: list[dict],
@@ -496,8 +466,25 @@ def check_default_values(
     cid: str = "default-values",
     severity: Severity = Severity.INFO,
 ) -> list[Violation]:
-    """The info notes of ``apply_default_values``, without the additions."""
-    return apply_default_values(ctx, defaults, cid=cid, severity=severity)[1]
+    """One info note per scope instance lacking a property that has a
+    default, naming the value it would default to. The graph is never
+    changed."""
+    from .schema import _term_from_spec
+
+    violations: list[Violation] = []
+    for row in defaults:
+        scope, prop = row["scope"], row["property"]
+        value = _term_from_spec(row["value"])
+        for node in ctx.extension(scope):
+            if ctx.objects(node, prop):
+                continue
+            violations.append(
+                make_violation(
+                    cid, severity, node, str(value),
+                    f"missing {compact(prop)} would default to {value}", (prop,),
+                )
+            )
+    return violations
 
 
 def check_value_datatype(

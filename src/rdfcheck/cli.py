@@ -216,6 +216,22 @@ def _run(argv: list[str] | None) -> int:
         print(_json.dumps(record, indent=2, ensure_ascii=False))
         return 0
 
+    try:
+        selected = catalog.select(vocabularies=vocabularies)
+    except CatalogError as exc:
+        return _fail(str(exc))
+    if args.only:
+        wanted = set(args.only)
+        unmatched = wanted - {c.id for c in selected} - {c.type for c in selected}
+        if unmatched:
+            # a typo would otherwise run nothing and pass
+            return _fail("--only matches no constraint id or type of the selected "
+                         f"vocabularies: {', '.join(sorted(unmatched))}")
+        selected = [c for c in selected if c.id in wanted or c.type in wanted]
+    if args.skip:
+        unwanted = set(args.skip)
+        selected = [c for c in selected if c.id not in unwanted and c.type not in unwanted]
+
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -227,17 +243,6 @@ def _run(argv: list[str] | None) -> int:
         gc.freeze()
     if enabled:
         gc.enable()
-
-    try:
-        selected = catalog.select(vocabularies=vocabularies)
-    except CatalogError as exc:
-        return _fail(str(exc))
-    if args.only:
-        wanted = set(args.only)
-        selected = [c for c in selected if c.id in wanted or c.type in wanted]
-    if args.skip:
-        unwanted = set(args.skip)
-        selected = [c for c in selected if c.id not in unwanted and c.type not in unwanted]
 
     try:
         report = validate(graph, catalog, selected)

@@ -62,20 +62,6 @@ WELL_KNOWN_PREFIXES: dict[str, str] = {
 }
 
 
-def expand(compact: str) -> str:
-    """Expand a ``prefix:local`` name against the well-known prefix table.
-
-    Absolute IRIs (anything containing ``://`` or starting with ``urn:``)
-    pass through unchanged.
-    """
-    if "://" in compact or compact.startswith("urn:"):
-        return compact
-    prefix, sep, local = compact.partition(":")
-    if sep and prefix in WELL_KNOWN_PREFIXES:
-        return WELL_KNOWN_PREFIXES[prefix] + local
-    return compact
-
-
 def compact(iri: str) -> str:
     """Render an IRI with a well-known prefix when one applies."""
     best = ""

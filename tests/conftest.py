@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from rdfcheck.catalog import Catalog, builtin_catalog
+from rdfcheck.catalog import Catalog, builtin_catalog, merge_catalogs
 from rdfcheck.checks.context import GraphContext
 from rdfcheck.graph import Graph
-from rdfcheck.namespaces import expand as _expand_wellknown
+from rdfcheck.namespaces import WELL_KNOWN_PREFIXES
 from rdfcheck.terms import BlankNode, Iri, Literal, Triple
 from rdfcheck.turtle import parse_turtle
 
@@ -15,9 +15,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def expand(compact: str) -> str:
+    """Expand ``ex:`` and well-known ``prefix:local`` names; absolute IRIs
+    and other text pass through unchanged."""
     if compact.startswith("ex:"):
         return "http://example.org/" + compact[3:]
-    return _expand_wellknown(compact)
+    if "://" in compact or compact.startswith("urn:"):
+        return compact
+    prefix, sep, local = compact.partition(":")
+    if sep and prefix in WELL_KNOWN_PREFIXES:
+        return WELL_KNOWN_PREFIXES[prefix] + local
+    return compact
 
 
 def iri(compact: str) -> Iri:
@@ -43,6 +50,11 @@ def triple(s, p, o) -> Triple:
 
 def graph(*spo_rows) -> Graph:
     return Graph([triple(*row) for row in spo_rows])
+
+
+def load_catalog(document) -> Catalog:
+    """One catalog document on its own: merged over an empty catalog."""
+    return merge_catalogs(Catalog({}, {}), document)
 
 
 def ctx_for(g: Graph, catalog: Catalog | None = None) -> GraphContext:

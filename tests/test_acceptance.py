@@ -29,12 +29,13 @@ from rdfcheck.checks.statistics import (
 )
 from rdfcheck.cli import run_cli
 from rdfcheck.engine import validate
-from rdfcheck.graph import Graph, isomorphic
+from rdfcheck.graph import Graph
 from rdfcheck.ntriples import parse_ntriples, serialize_ntriples
 from rdfcheck.report import write_json
 from rdfcheck.terms import Iri, Literal, Triple
 
 from conftest import FIXTURES, ctx_for, expand, iri, lit, load_fixture, triple
+from isomorphism import isomorphic
 
 
 def _verdict(criterion: str, ok: bool, detail: str) -> None:

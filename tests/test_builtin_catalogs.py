@@ -3,7 +3,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-from rdfcheck.catalog import CONSTRAINT_TYPES, Severity, load_catalog
+from rdfcheck.catalog import CONSTRAINT_TYPES, Severity
+
+from conftest import load_catalog
 
 DOCS = Path(__file__).parent.parent / "docs"
 

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rdfcheck.catalog import BUILTIN_VOCABULARIES
+from rdfcheck.catalog import BUILTIN_VOCABULARIES, builtin_catalog
 from rdfcheck.cli import run_cli
+from rdfcheck.engine import validate
 from rdfcheck.ntriples import serialize_ntriples
 
 from conftest import FIXTURES, load_fixture
@@ -306,6 +307,87 @@ def test_builtin_vocabulary_param_loads_outside_vocab_selection(tmp_path, capsys
     assert run_cli(["--vocab", "skos", "--catalog", str(user),
                     fixture("thesaurus_clean.ttl")]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("ctype, params", [
+    ("data-property-facets", {"property": "http://e/p", "min": "NaN"}),
+    ("data-property-facets", {"property": "http://e/p", "max": float("nan")}),
+    ("literal-range", {"property": "http://e/p", "datatype": "xsd:integer", "min": "-nan"}),
+    ("percentage-sum", {"tolerance": "nan"}),
+    ("cumulative-chain", {"mode": "chain", "tolerance": float("nan")}),
+], ids=["facets-string", "facets-bare", "range-signed", "percentage-sum", "cumulative-chain"])
+def test_nan_number_param_exits_two_at_load(tmp_path, capsys, ctype, params):
+    # json.dumps writes float("nan") as JSON's bare NaN; rejected when the
+    # catalog loads, so --only cannot hide it
+    user = tmp_path / "user.json"
+    user.write_text(json.dumps({"constraints": [{
+        "id": "USER-NAN", "type": ctype, "severity": "error", "params": params,
+    }]}))
+    assert run_cli(["--catalog", str(user), "--only", "http-scheme",
+                    fixture("eusilc.ttl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rdfcheck: error: ") and "USER-NAN" in err and "NaN" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bound", ["inf", "-Infinity", float("inf"), 10**400, "1e400"],
+                         ids=["inf", "-Infinity", "bare-inf", "10**400", "1e400"])
+def test_infinite_and_huge_number_params_load(tmp_path, capsys, bound):
+    user = tmp_path / "user.json"
+    user.write_text(json.dumps({"constraints": [{
+        "id": "USER-MAX", "type": "data-property-facets", "severity": "error",
+        "params": {"property": "http://e/p", "max": bound},
+    }]}))
+    data = tmp_path / "d.nt"
+    data.write_text('<http://e/s> <http://e/p> "5"^^<http://www.w3.org/2001/XMLSchema#integer> .\n')
+    assert run_cli(["--catalog", str(user), "--only", "USER-MAX", str(data)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+def test_integer_past_the_digit_limit_exits_two_at_load(tmp_path, capsys):
+    # Python refuses to convert integers of more than 4,300 digits by default
+    user = tmp_path / "user.json"
+    user.write_text('{"constraints": [{"id": "USER-BIG", "type": "data-property-facets", '
+                    '"severity": "error", "params": {"property": "http://e/p", "min": '
+                    + "9" * 5000 + "}}]}")
+    assert run_cli(["--catalog", str(user), fixture("thesaurus_clean.ttl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rdfcheck: error: catalog is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("only", [
+    ["TYPO-DOES-NOT-EXIST"],
+    ["http-scheme", "TYPO-DOES-NOT-EXIST"],
+    ["skos-structure"],  # a type, but not one of the qb constraints
+    ["SKOS-C-STRUCTURE-03"],  # an id, but not one of the qb constraints
+], ids=["typo", "typo-beside-type", "other-vocab-type", "other-vocab-id"])
+def test_only_that_selects_nothing_exits_two(capsys, only):
+    args = [arg for value in only for arg in ("--only", value)]
+    assert run_cli(["--vocab", "qb", *args, fixture("cube.ttl")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("rdfcheck: error: --only ")
+    assert captured.err.count("\n") == 1 and only[-1] in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("only", [
+    ["skos-structure"], ["http-scheme"], ["SKOS-C-STRUCTURE-03", "http-scheme"],
+], ids=["type", "shared-type", "id-and-type"])
+def test_only_that_selects_something_runs_just_that(monkeypatch, capsys, only):
+    ran = []
+
+    def record(graph, catalog, selected):
+        ran.extend(selected)
+        return validate(graph, catalog, selected)
+
+    monkeypatch.setattr("rdfcheck.cli.validate", record)
+    assert run_cli(["--vocab", "skos", *[a for v in only for a in ("--only", v)],
+                    fixture("thesaurus_cycle.ttl")]) == 0
+    assert capsys.readouterr().err == ""
+    expected = [c for c in builtin_catalog({"skos"}).select()
+                if c.id in only or c.type in only]
+    assert ran == expected and ran
 
 
 _TTL_SEEDS = [

@@ -3,12 +3,12 @@ import inspect
 
 import pytest
 
-from rdfcheck.catalog import CONSTRAINT_TYPES, Severity, load_catalog
+from rdfcheck.catalog import CONSTRAINT_TYPES, Severity
 from rdfcheck.engine import EngineError, validate
 from rdfcheck.graph import Graph
 from rdfcheck.report import write_json
 
-from conftest import expand, graph, lit
+from conftest import expand, graph, lit, load_catalog
 
 
 def _typed(node, cls):

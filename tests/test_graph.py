@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdfcheck.graph import Graph, MalformedListError, isomorphic, walk_rdf_list
+from rdfcheck.graph import Graph, MalformedListError, walk_rdf_list
 from rdfcheck.namespaces import RDF_FIRST, RDF_NIL, RDF_REST
 from rdfcheck.terms import BlankNode, Iri, Literal, Triple, term_sort_key
 
 from conftest import graph, iri, lit, triple
+from isomorphism import isomorphic
 
 
 def _triple_key(t):

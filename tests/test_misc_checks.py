@@ -448,9 +448,10 @@ DEFAULTS = [{
 
 def test_default_applied_to_missing_property():
     g = graph(_typed("ex:lds", "disco:LogicalDataSet"))
-    additions, violations = misc.apply_default_values(ctx_for(g), DEFAULTS)
-    assert len(additions) == 1 and len(violations) == 1
-    assert additions[0].object == lit("false", "xsd:boolean")
+    violations = misc.check_default_values(ctx_for(g), DEFAULTS)
+    assert len(violations) == 1
+    assert violations[0].focus == str(iri("ex:lds"))
+    assert violations[0].detail == str(lit("false", "xsd:boolean"))
 
 
 def test_default_not_applied_when_present():
@@ -458,23 +459,14 @@ def test_default_not_applied_when_present():
         _typed("ex:lds", "disco:LogicalDataSet"),
         ("ex:lds", "disco:isPublic", lit("true", "xsd:boolean")),
     )
-    additions, violations = misc.apply_default_values(ctx_for(g), DEFAULTS)
-    assert additions == [] and violations == []
-
-
-def test_default_application_is_idempotent_fixpoint():
-    g = graph(_typed("ex:lds", "disco:LogicalDataSet"))
-    additions, _ = misc.apply_default_values(ctx_for(g), DEFAULTS)
-    augmented = Graph(list(g) + additions)
-    again, _ = misc.apply_default_values(ctx_for(augmented), DEFAULTS)
-    assert again == []
+    assert misc.check_default_values(ctx_for(g), DEFAULTS) == []
 
 
 def test_default_never_mutates_input():
     g = graph(_typed("ex:lds", "disco:LogicalDataSet"))
-    before = len(g)
-    misc.apply_default_values(ctx_for(g), DEFAULTS)
-    assert len(g) == before
+    before = list(g)
+    misc.check_default_values(ctx_for(g), DEFAULTS)
+    assert list(g) == before
 
 
 # --- value datatype ------------------------------------------------------------------------

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdfcheck.graph import Graph, isomorphic
+from rdfcheck.graph import Graph
 from rdfcheck.ntriples import ParseError, parse_ntriples, serialize_ntriples
 from rdfcheck.terms import BlankNode, Iri, Literal, Triple
 from rdfcheck.turtle import parse_turtle
 
 from conftest import FIXTURES
+from isomorphism import isomorphic
 
 
 def test_plain_literal_defaults_to_string():

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdfcheck.graph import Graph, isomorphic
+from rdfcheck.graph import Graph
 from rdfcheck.ntriples import ParseError, parse_ntriples
 from rdfcheck.terms import Literal
 from rdfcheck.turtle import parse_turtle
 
 from conftest import FIXTURES, iri, lit, triple
+from isomorphism import isomorphic
 
 
 def test_prefix_expansion():
