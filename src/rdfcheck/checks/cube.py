@@ -9,10 +9,9 @@ stated per data set walk ``CubeModel.by_dataset``.
 
 from __future__ import annotations
 
-from ..catalog import Severity
 from ..namespaces import OWL_INVERSE_OF, QB, RDFS_RANGE, SKOS, compact
 from ..terms import BlankNode, Iri, Literal, Term
-from ..violations import ResourceLimit, Violation, make_violation
+from ..violations import Finding, ResourceLimit, finding
 from . import schema
 from .context import GraphContext
 from .models import CubeModel
@@ -27,31 +26,28 @@ def check_qb_integrity(
     ctx: GraphContext,
     cube: CubeModel,
     ic: int,
-    *,
-    cid: str = "qb-integrity",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     handler = _IC_HANDLERS.get(ic)
     if handler is None:
         raise ValueError(f"integrity constraint IC-{ic} is not implemented")
-    return handler(ctx, cube, cid, severity)
+    return handler(ctx, cube)
 
 
-def _ic3(ctx, cube, cid, severity):
+def _ic3(ctx, cube):
     out = []
     for node, dsd in cube.dsds.items():
         if not dsd.measures:
             out.append(
-                make_violation(
-                    cid, severity, node, "no-measure",
+                finding(
+                    node, "no-measure",
                     "data structure definition declares no measure component "
-                    "(IC-3)", (),
+                    "(IC-3)",
                 )
             )
     return out
 
 
-def _ic4(ctx, cube, cid, severity):
+def _ic4(ctx, cube):
     out = []
     for dim in cube.dimension_props:
         # qb:measureType's range is fixed by the cube vocabulary itself
@@ -59,30 +55,30 @@ def _ic4(ctx, cube, cid, severity):
             continue
         if not ctx.objects(dim, RDFS_RANGE):
             out.append(
-                make_violation(
-                    cid, severity, dim, "no-range",
-                    "dimension property declares no rdfs:range (IC-4)", (),
+                finding(
+                    dim, "no-range",
+                    "dimension property declares no rdfs:range (IC-4)",
                 )
             )
     return out
 
 
-def _ic5(ctx, cube, cid, severity):
+def _ic5(ctx, cube):
     concept = Iri(SKOS + "Concept")
     out = []
     for dim in cube.dimension_props:
         if concept in ctx.objects(dim, RDFS_RANGE) and not ctx.objects(dim, QB + "codeList"):
             out.append(
-                make_violation(
-                    cid, severity, dim, "no-codelist",
+                finding(
+                    dim, "no-codelist",
                     "dimension ranging over skos:Concept has no qb:codeList "
-                    "(IC-5)", (),
+                    "(IC-5)",
                 )
             )
     return out
 
 
-def _ic6(ctx, cube, cid, severity):
+def _ic6(ctx, cube):
     out = []
     for dsd in cube.dsds.values():
         for comp in dsd.components:
@@ -94,30 +90,30 @@ def _ic6(ctx, cube, cid, severity):
             )
             if not is_attribute:
                 out.append(
-                    make_violation(
-                        cid, severity, comp.spec, str(prop),
+                    finding(
+                        comp.spec, str(prop),
                         "only attribute components may be marked optional via "
-                        "qb:componentRequired (IC-6)", (),
+                        "qb:componentRequired (IC-6)",
                     )
                 )
     return out
 
 
-def _ic7(ctx, cube, cid, severity):
+def _ic7(ctx, cube):
     out = []
     for key in cube.slice_keys:
         if not ctx.subjects(QB + "sliceKey", key):
             out.append(
-                make_violation(
-                    cid, severity, key, "unattached",
+                finding(
+                    key, "unattached",
                     "slice key is not associated with any data structure "
-                    "definition via qb:sliceKey (IC-7)", (),
+                    "definition via qb:sliceKey (IC-7)",
                 )
             )
     return out
 
 
-def _ic8(ctx, cube, cid, severity):
+def _ic8(ctx, cube):
     out = []
     for key in cube.slice_keys:
         props = [
@@ -132,16 +128,16 @@ def _ic8(ctx, cube, cid, severity):
             for prop in props:
                 if prop not in declared:
                     out.append(
-                        make_violation(
-                            cid, severity, key, str(prop),
+                        finding(
+                            key, str(prop),
                             f"slice key property {prop} is not declared as a "
-                            "component of the associated structure (IC-8)", (),
+                            "component of the associated structure (IC-8)",
                         )
                     )
     return out
 
 
-def _ic10(ctx, cube, cid, severity):
+def _ic10(ctx, cube):
     out = []
     for slice_node, keys in cube.slices.items():
         for key in keys:
@@ -152,16 +148,16 @@ def _ic10(ctx, cube, cid, severity):
                     continue
                 if not ctx.graph.objects(slice_node, prop):
                     out.append(
-                        make_violation(
-                            cid, severity, slice_node, str(prop),
+                        finding(
+                            slice_node, str(prop),
                             f"slice has no value for dimension {prop} declared "
-                            "in its slice structure (IC-10)", (),
+                            "in its slice structure (IC-10)",
                         )
                     )
     return out
 
 
-def _ic11(ctx, cube, cid, severity):
+def _ic11(ctx, cube):
     out = []
     for obs, datasets in cube.observations.items():
         for ds in datasets:
@@ -169,16 +165,16 @@ def _ic11(ctx, cube, cid, severity):
                 for dim in dsd.dimensions:
                     if not ctx.graph.objects(obs, dim):
                         out.append(
-                            make_violation(
-                                cid, severity, obs, str(dim),
+                            finding(
+                                obs, str(dim),
                                 f"observation has no value for dimension {dim} "
-                                "declared in its structure (IC-11)", (),
+                                "declared in its structure (IC-11)",
                             )
                         )
     return out
 
 
-def _ic12(ctx, cube, cid, severity):
+def _ic12(ctx, cube):
     out = []
     for ds, obs_list in cube.by_dataset.items():
         dims = {dim for dsd in cube.dataset_dsds(ds) for dim in dsd.dimensions}
@@ -200,16 +196,16 @@ def _ic12(ctx, cube, cid, severity):
             if len(members) > 1:
                 listing = ", ".join(str(m) for m in members)
                 out.append(
-                    make_violation(
-                        cid, severity, members[0], f"duplicates:{len(members)}",
+                    finding(
+                        members[0], f"duplicates:{len(members)}",
                         f"observations {listing} share identical values for "
-                        "all dimensions (IC-12)", (),
+                        "all dimensions (IC-12)",
                     )
                 )
     return out
 
 
-def _ic13(ctx, cube, cid, severity):
+def _ic13(ctx, cube):
     observation_cls = Iri(QB + "Observation")
     out = []
     for ds, obs_list in cube.by_dataset.items():
@@ -224,16 +220,16 @@ def _ic13(ctx, cube, cid, severity):
                 for obs in obs_list:
                     if not ctx.graph.objects(obs, comp.prop):
                         out.append(
-                            make_violation(
-                                cid, severity, obs, str(comp.prop),
+                            finding(
+                                obs, str(comp.prop),
                                 f"observation lacks required attribute "
-                                f"{comp.prop} (IC-13)", (),
+                                f"{comp.prop} (IC-13)",
                             )
                         )
     return out
 
 
-def _ic14(ctx, cube, cid, severity):
+def _ic14(ctx, cube):
     out = []
     for ds, obs_list in cube.by_dataset.items():
         for dsd in cube.dataset_dsds(ds):
@@ -243,16 +239,16 @@ def _ic14(ctx, cube, cid, severity):
                 for obs in obs_list:
                     if not ctx.graph.objects(obs, measure):
                         out.append(
-                            make_violation(
-                                cid, severity, obs, str(measure),
+                            finding(
+                                obs, str(measure),
                                 f"observation lacks a value for the declared "
-                                f"measure {measure} (IC-14)", (),
+                                f"measure {measure} (IC-14)",
                             )
                         )
     return out
 
 
-def _ic15(ctx, cube, cid, severity):
+def _ic15(ctx, cube):
     out = []
     for ds, obs_list in cube.by_dataset.items():
         for dsd in cube.dataset_dsds(ds):
@@ -264,16 +260,16 @@ def _ic15(ctx, cube, cid, severity):
                         continue
                     if not ctx.graph.objects(obs, mt):
                         out.append(
-                            make_violation(
-                                cid, severity, obs, str(mt),
+                            finding(
+                                obs, str(mt),
                                 f"observation lacks a value for the measure "
-                                f"{mt} named by its qb:measureType (IC-15)", (),
+                                f"{mt} named by its qb:measureType (IC-15)",
                             )
                         )
     return out
 
 
-def _ic16(ctx, cube, cid, severity):
+def _ic16(ctx, cube):
     out = []
     for ds, obs_list in cube.by_dataset.items():
         for dsd in cube.dataset_dsds(ds):
@@ -284,16 +280,16 @@ def _ic16(ctx, cube, cid, severity):
                 if len(present) > 1:
                     listing = ", ".join(str(m) for m in present)
                     out.append(
-                        make_violation(
-                            cid, severity, obs, f"measures:{len(present)}",
+                        finding(
+                            obs, f"measures:{len(present)}",
                             f"observation in a measure-dimension cube carries "
-                            f"values for several measures: {listing} (IC-16)", (),
+                            f"values for several measures: {listing} (IC-16)",
                         )
                     )
     return out
 
 
-def _ic17(ctx, cube, cid, severity):
+def _ic17(ctx, cube):
     out = []
     for ds, obs_list in cube.by_dataset.items():
         if len(obs_list) > GROUP_LIMIT:
@@ -321,17 +317,17 @@ def _ic17(ctx, cube, cid, severity):
                 for measure in dsd.measures:
                     if measure not in measures:
                         out.append(
-                            make_violation(
-                                cid, severity, first, str(measure),
+                            finding(
+                                first, str(measure),
                                 "a dimension-value combination lacks an "
                                 f"observation for the declared measure {measure} "
-                                "(IC-17)", (),
+                                "(IC-17)",
                             )
                         )
     return out
 
 
-def _ic18(ctx, cube, cid, severity):
+def _ic18(ctx, cube):
     out = []
     for ds in cube.datasets:
         for slice_node in ctx.objects(ds, QB + "slice"):
@@ -343,10 +339,10 @@ def _ic18(ctx, cube, cid, severity):
                 datasets = cube.observations.get(obs, [])
                 if ds not in datasets:
                     out.append(
-                        make_violation(
-                            cid, severity, obs, str(ds),
+                        finding(
+                            obs, str(ds),
                             f"observation reached through a slice of {ds} "
-                            f"belongs to a different data set (IC-18)", (),
+                            f"belongs to a different data set (IC-18)",
                         )
                     )
     return out
@@ -385,7 +381,7 @@ def _hierarchy_reachable(
     return reachable, props
 
 
-def _codes_from_hierarchy(ctx, cube, cid, severity, *, inverse: bool):
+def _codes_from_hierarchy(ctx, cube, *, inverse: bool):
     out = []
     hcl_cls = QB + "HierarchicalCodeList"
     for dim in cube.dimension_props:
@@ -402,22 +398,21 @@ def _codes_from_hierarchy(ctx, cube, cid, severity, *, inverse: bool):
                     if value not in reachable:
                         which = "IC-21" if inverse else "IC-20"
                         out.append(
-                            make_violation(
-                                cid, severity, obs, str(value),
+                            finding(
+                                obs, str(value),
                                 f"dimension value {value} is not reachable from "
                                 f"a root of the hierarchical code list ({which})",
-                                (),
                             )
                         )
     return out
 
 
-def _ic20(ctx, cube, cid, severity):
-    return _codes_from_hierarchy(ctx, cube, cid, severity, inverse=False)
+def _ic20(ctx, cube):
+    return _codes_from_hierarchy(ctx, cube, inverse=False)
 
 
-def _ic21(ctx, cube, cid, severity):
-    return _codes_from_hierarchy(ctx, cube, cid, severity, inverse=True)
+def _ic21(ctx, cube):
+    return _codes_from_hierarchy(ctx, cube, inverse=True)
 
 
 _IC_HANDLERS = {
@@ -449,20 +444,17 @@ def check_membership(
     property: str | None = None,
     scope: str | None = None,
     scheme: str | None = None,
-    cid: str = "vocab-membership",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Controlled-vocabulary membership against the catalog's member lists:
     of ``property`` values in ``scheme`` (mode scheme), or of dimension
     values in their code lists (mode qb-codelist, IC-19)."""
     members = ctx.catalog.controlled_vocabularies
     if mode == "qb-codelist":
         return check_qb_codelist_membership(
-            ctx, cube, inventory_members=members, cid=cid, severity=severity
+            ctx, cube, inventory_members=members
         )
     return schema.check_vocab_membership(
         ctx, property, scheme, scope=scope, inventory_members=members,
-        cid=cid, severity=severity,
     )
 
 
@@ -471,9 +463,7 @@ def check_qb_codelist_membership(
     cube: CubeModel,
     *,
     inventory_members: dict[str, list[str]] | None = None,
-    cid: str = "vocab-membership",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """IC-19: dimension values must come from the dimension's qb:codeList
     (skos:inScheme / skos:member / skos:hasTopConcept linkage, or a member
     list shipped with the catalog inventory)."""
@@ -509,10 +499,10 @@ def check_qb_codelist_membership(
                         else str(code_list)
                     )
                     out.append(
-                        make_violation(
-                            cid, severity, obs, str(value),
+                        finding(
+                            obs, str(value),
                             f"dimension value {value} is not in the code list "
-                            f"{name} (IC-19)", (),
+                            f"{name} (IC-19)",
                         )
                     )
     return out

@@ -10,10 +10,9 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 
-from ..catalog import Severity
 from ..namespaces import RDFS_LABEL, SKOS, compact
 from ..terms import Iri, Literal, Term
-from ..violations import Violation, make_violation
+from ..violations import Finding, finding
 from ..xsd import (
     InvalidLexicalError,
     UnknownDatatypeError,
@@ -50,9 +49,7 @@ def check_facets(
     max=None,
     min_exclusive: bool = False,
     max_exclusive: bool = False,
-    cid: str = "data-property-facets",
-    severity: Severity = Severity.WARNING,
-) -> list[Violation]:
+) -> list[Finding]:
     """One violation per literal per failed facet. Lengths count Unicode
     scalar values of the lexical form."""
     compiled = re.compile(pattern) if pattern is not None else None
@@ -61,24 +58,24 @@ def check_facets(
         length = len(lit.lexical)
         if min_length is not None and length < min_length:
             out.append(
-                make_violation(
-                    cid, severity, subject, f"minLength|{lit}",
+                finding(
+                    subject, f"minLength|{lit}",
                     f"value of {compact(prop)} has length {length}, "
                     f"minimum is {min_length}", (prop,),
                 )
             )
         if max_length is not None and length > max_length:
             out.append(
-                make_violation(
-                    cid, severity, subject, f"maxLength|{lit}",
+                finding(
+                    subject, f"maxLength|{lit}",
                     f"value of {compact(prop)} has length {length}, "
                     f"maximum is {max_length}", (prop,),
                 )
             )
         if compiled is not None and not compiled.fullmatch(lit.lexical):
             out.append(
-                make_violation(
-                    cid, severity, subject, f"pattern|{lit}",
+                finding(
+                    subject, f"pattern|{lit}",
                     f"value {lit} of {compact(prop)} does not match the "
                     f"facet pattern {pattern!r}", (prop,),
                 )
@@ -93,8 +90,8 @@ def check_facets(
                     bound = Decimal(str(min))
                     if key < bound or (min_exclusive and key == bound):
                         out.append(
-                            make_violation(
-                                cid, severity, subject, f"minValue|{lit}",
+                            finding(
+                                subject, f"minValue|{lit}",
                                 f"value {lit} of {compact(prop)} is below the "
                                 f"minimum {min}", (prop,),
                             )
@@ -103,8 +100,8 @@ def check_facets(
                     bound = Decimal(str(max))
                     if key > bound or (max_exclusive and key == bound):
                         out.append(
-                            make_violation(
-                                cid, severity, subject, f"maxValue|{lit}",
+                            finding(
+                                subject, f"maxValue|{lit}",
                                 f"value {lit} of {compact(prop)} is above the "
                                 f"maximum {max}", (prop,),
                             )
@@ -121,9 +118,7 @@ def check_literal_pattern(
     negated: bool = False,
     substring: bool = False,
     case_insensitive: bool = False,
-    cid: str = "literal-pattern",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """Full-match anchoring by default; substring mode is opt-in."""
     flags = re.IGNORECASE if case_insensitive else 0
     compiled = re.compile(pattern, flags)
@@ -135,8 +130,8 @@ def check_literal_pattern(
         if matched == negated:
             verb = "matches the forbidden" if negated else "does not match the required"
             out.append(
-                make_violation(
-                    cid, severity, subject, str(lit),
+                finding(
+                    subject, str(lit),
                     f"value {lit} of {compact(prop)} {verb} pattern {pattern!r}",
                     (prop,),
                 )
@@ -150,9 +145,7 @@ def check_iri_pattern(
     pattern: str,
     *,
     scope: str | None = None,
-    cid: str = "iri-pattern",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """IRIs in the stated triple position must match the pattern. With a
     scope, subjects are filtered by type (subject position) or the IRI set
     is limited to scope instances."""
@@ -174,10 +167,10 @@ def check_iri_pattern(
         seen.add(term)
         if not compiled.fullmatch(term.value):
             out.append(
-                make_violation(
-                    cid, severity, term, position,
+                finding(
+                    term, position,
                     f"IRI {term.value} in {position} position does not match "
-                    f"pattern {pattern!r}", (),
+                    f"pattern {pattern!r}",
                 )
             )
     return out
@@ -194,9 +187,7 @@ def check_literal_range(
     min_exclusive: bool = False,
     max_exclusive: bool = False,
     negated: bool = False,
-    cid: str = "literal-range",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Value-space bound check; bounds are inclusive unless flagged.
 
     A literal of the wrong datatype or with an invalid lexical form
@@ -208,8 +199,8 @@ def check_literal_range(
     for subject, lit in _scoped_literals(ctx, prop, scope):
         if lit.datatype != datatype:
             out.append(
-                make_violation(
-                    cid, severity, subject, str(lit),
+                finding(
+                    subject, str(lit),
                     f"value {lit} of {compact(prop)} must have datatype "
                     f"{compact(datatype)}", (prop, datatype),
                 )
@@ -219,8 +210,8 @@ def check_literal_range(
             key = numeric_key(literal_value(lit))
         except (InvalidLexicalError, UnknownDatatypeError) as exc:
             out.append(
-                make_violation(
-                    cid, severity, subject, str(lit),
+                finding(
+                    subject, str(lit),
                     f"value of {compact(prop)} is not a valid "
                     f"{compact(datatype)}: {exc}", (prop, datatype),
                 )
@@ -228,8 +219,8 @@ def check_literal_range(
             continue
         if key is None:
             out.append(
-                make_violation(
-                    cid, severity, subject, str(lit),
+                finding(
+                    subject, str(lit),
                     f"value {lit} of {compact(prop)} is not comparable "
                     "(non-finite)", (prop, datatype),
                 )
@@ -245,8 +236,8 @@ def check_literal_range(
                    f"{max if max is not None else 'inf'}]"
             verb = "falls inside the forbidden" if negated else "falls outside the allowed"
             out.append(
-                make_violation(
-                    cid, severity, subject, str(lit),
+                finding(
+                    subject, str(lit),
                     f"value {lit} of {compact(prop)} {verb} range {span}",
                     (prop,),
                 )
@@ -271,9 +262,7 @@ def check_literal_comparison(
     op: str,
     *,
     scope: str | None = None,
-    cid: str = "literal-comparison",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Per focus holding both properties: every value pair must satisfy the
     operator in the shared value space; incomparable datatypes are their
     own violation."""
@@ -293,8 +282,8 @@ def check_literal_comparison(
                     v2 = literal_value(l2)
                 except (InvalidLexicalError, UnknownDatatypeError) as exc:
                     out.append(
-                        make_violation(
-                            cid, severity, subject, f"{l1}|{l2}",
+                        finding(
+                            subject, f"{l1}|{l2}",
                             f"cannot compare {compact(prop1)} and {compact(prop2)}: "
                             f"{exc}", (prop1, prop2),
                         )
@@ -302,8 +291,8 @@ def check_literal_comparison(
                     continue
                 if not v1.comparable_with(v2):
                     out.append(
-                        make_violation(
-                            cid, severity, subject, f"{l1}|{l2}",
+                        finding(
+                            subject, f"{l1}|{l2}",
                             f"values of {compact(prop1)} and {compact(prop2)} have "
                             f"incomparable datatypes ({compact(l1.datatype)} vs "
                             f"{compact(l2.datatype)})", (prop1, prop2),
@@ -321,8 +310,8 @@ def check_literal_comparison(
                     ok = False
                 if not ok:
                     out.append(
-                        make_violation(
-                            cid, severity, subject, f"{l1}|{l2}",
+                        finding(
+                            subject, f"{l1}|{l2}",
                             f"expected {compact(prop1)} {op} {compact(prop2)} "
                             f"but {l1.lexical} {op} {l2.lexical} does not hold",
                             (prop1, prop2),
@@ -354,9 +343,7 @@ def check_language_tags(
     min_per_lang: int = 0,
     max_per_lang: int | None = None,
     allow_untagged_as: str | None = None,
-    cid: str = "language-tag",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """Per focus and required language, the count of values carrying that
     tag (case-insensitive primary-subtag match) must respect the bounds.
 
@@ -373,8 +360,8 @@ def check_language_tags(
     def report(node: Term, lang: str, count: int, bound: int, which: str) -> None:
         label = "any language" if lang == "*" else f"language {lang!r}"
         out.append(
-            make_violation(
-                cid, severity, node, f"{lang}|{count}",
+            finding(
+                node, f"{lang}|{count}",
                 f"{compact(prop)} has {count} value(s) for {label}, "
                 f"{which} {bound} {'required' if which == 'at least' else 'allowed'}",
                 (prop,),
@@ -424,9 +411,7 @@ def check_language_coverage(
     properties: list[str] | None = None,
     *,
     concept_class: str = SKOS + "Concept",
-    cid: str = "language-coverage",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """Vocabulary-wide language checks over label/note properties.
 
     omitted-or-invalid: untagged or malformed tags on label literals.
@@ -440,16 +425,16 @@ def check_language_coverage(
             for subject, lit in _scoped_literals(ctx, prop, None):
                 if lit.lang is None:
                     out.append(
-                        make_violation(
-                            cid, severity, subject, f"{compact(prop)}|{lit}",
+                        finding(
+                            subject, f"{compact(prop)}|{lit}",
                             f"label {lit} of {compact(prop)} carries no language tag",
                             (prop,),
                         )
                     )
                 elif not _BCP47_SHAPE.fullmatch(lit.lang):
                     out.append(
-                        make_violation(
-                            cid, severity, subject, f"{compact(prop)}|{lit}",
+                        finding(
+                            subject, f"{compact(prop)}|{lit}",
                             f"label {lit} of {compact(prop)} has a malformed "
                             f"language tag {lit.lang!r}", (prop,),
                         )
@@ -467,8 +452,8 @@ def check_language_coverage(
             missing = sorted(all_langs - langs_per_concept[node])
             if missing:
                 out.append(
-                    make_violation(
-                        cid, severity, node, ",".join(missing),
+                    finding(
+                        node, ",".join(missing),
                         f"concept lacks labels in language(s) {', '.join(missing)} "
                         "used elsewhere in the vocabulary", tuple(label_props),
                     )
@@ -479,8 +464,8 @@ def check_language_coverage(
             common = set.intersection(*langs_per_concept.values())
             if not common:
                 out.append(
-                    make_violation(
-                        cid, severity, None, "no-common-language",
+                    finding(
+                        None, "no-common-language",
                         "no single language is shared by all labeled concepts",
                         tuple(label_props),
                     )
@@ -497,9 +482,7 @@ def check_whitespace(
     prop: str,
     *,
     scopes: list[str] | None = None,
-    cid: str = "whitespace",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """Leading/trailing whitespace in lexical forms; the report carries the
     trimmed suggestion, the graph is never touched."""
     out = []
@@ -514,8 +497,8 @@ def check_whitespace(
         ):
             trimmed = lit.lexical.strip("".join(_WHITESPACE))
             out.append(
-                make_violation(
-                    cid, severity, triple.subject, str(lit),
+                finding(
+                    triple.subject, str(lit),
                     f"value of {compact(prop)} has leading or trailing "
                     f"whitespace; suggested value: {trimmed!r}", (prop,),
                 )
@@ -556,9 +539,7 @@ def check_html_balance(
     mode: str = "vocab-properties",
     property: str | None = None,
     scope: str | None = None,
-    cid: str = "html-balance",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """Literals whose HTML-like tags do not nest, optionally limited to one
     ``property`` and ``scope``. With ``vocabulary``, mode vocab-properties
     checks only the vocabulary's properties, class-subjects only subjects
@@ -587,8 +568,8 @@ def check_html_balance(
         offender = html_imbalance(lit.lexical)
         if offender is not None:
             out.append(
-                make_violation(
-                    cid, severity, triple.subject, f"{compact(pred)}|{lit}",
+                finding(
+                    triple.subject, f"{compact(pred)}|{lit}",
                     f"HTML tag <{offender}> in value of {compact(pred)} is not "
                     "closed properly", (pred,),
                 )
@@ -603,9 +584,7 @@ def check_string_composition(
     parts: list[dict],
     *,
     separator: str = " ",
-    cid: str = "string-composition",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """Target literal must equal the part values joined with the separator.
 
     When any part value is absent the instance is skipped: missing parts
@@ -634,8 +613,8 @@ def check_string_composition(
         for lit in targets:
             if lit.lexical != expected:
                 out.append(
-                    make_violation(
-                        cid, severity, node, str(lit),
+                    finding(
+                        node, str(lit),
                         f"value {lit} of {compact(target)} differs from the "
                         f"expected composition {expected!r}", (target,),
                     )

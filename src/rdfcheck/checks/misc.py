@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import builtins
 
-from ..catalog import Severity
 from ..graph import MalformedListError, walk_rdf_list
 from ..namespaces import DCTERMS, SKOS, compact
 from ..terms import Iri, Literal, Term, term_sort_key
-from ..violations import MetricRecord, Violation, make_violation
+from ..violations import Finding, finding
 from ..xsd import (
     InvalidLexicalError,
     UnknownDatatypeError,
+    integer_text,
     literal_value_or_none,
     parse_xsd_value,
 )
@@ -27,9 +27,7 @@ def check_presence(
     properties: list[str] | None = None,
     path: list[str] | None = None,
     qualifier_class: str | None = None,
-    cid: str = "presence",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """Per instance of ``scope``: at least one value of one listed property
     (or one path endpoint), optionally typed ``qualifier_class``."""
     out = []
@@ -47,8 +45,8 @@ def check_presence(
             else:
                 names = " / ".join(path or [])
             out.append(
-                make_violation(
-                    cid, severity, node, names,
+                finding(
+                    node, names,
                     f"instance of {compact(scope)} has no value for {names}",
                     tuple(properties or []),
                 )
@@ -65,9 +63,7 @@ def check_conditional_properties(
     require_all: list[str] | None = None,
     require_any: list[str] | None = None,
     via: str | None = None,
-    cid: str = "conditional-properties",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """When every ``if_present`` property is present and every ``if_absent``
     property absent, the requirements fire: each ``require_all`` property
     must be present, and at least one of ``require_any``. With both
@@ -87,8 +83,8 @@ def check_conditional_properties(
             missing = [p for p in require_all or [] if not ctx.objects(target, p)]
             for prop in missing:
                 out.append(
-                    make_violation(
-                        cid, severity, target, compact(prop),
+                    finding(
+                        target, compact(prop),
                         f"required property {compact(prop)} is missing",
                         (prop,),
                     )
@@ -97,16 +93,16 @@ def check_conditional_properties(
                 if not any(ctx.objects(target, p) for p in require_any):
                     names = " or ".join(compact(p) for p in require_any)
                     out.append(
-                        make_violation(
-                            cid, severity, target, "none-of-required",
+                        finding(
+                            target, "none-of-required",
                             f"at least one of {names} must be present", tuple(require_any),
                         )
                     )
             elif not require_all:
                 absent = ", ".join(compact(p) for p in if_absent or [])
                 out.append(
-                    make_violation(
-                        cid, severity, target, "condition-met",
+                    finding(
+                        target, "condition-met",
                         f"none of the expected properties are present ({absent})",
                         tuple(if_absent or ()),
                     )
@@ -143,10 +139,7 @@ def check_ordering(
     link: str,
     member_type: str,
     mode: str,
-    *,
-    cid: str = "ordering",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """linked-collection: containers holding members through ``link`` need
     an attached well-formed skos:OrderedCollection of those members.
     representation: a coded representation reached through ``link`` must
@@ -164,8 +157,8 @@ def check_ordering(
             ]
             if not candidates:
                 out.append(
-                    make_violation(
-                        cid, severity, node, "no-ordered-collection",
+                    finding(
+                        node, "no-ordered-collection",
                         f"members via {compact(link)} should be ordered, but no "
                         "skos:OrderedCollection is attached", (link,),
                     )
@@ -178,8 +171,8 @@ def check_ordering(
                 for defects in defect_lists:
                     for defect in defects:
                         out.append(
-                            make_violation(
-                                cid, severity, node, defect[:80],
+                            finding(
+                                node, defect[:80],
                                 f"ordered collection is not well-formed: {defect}",
                                 (link,),
                             )
@@ -196,8 +189,8 @@ def check_ordering(
                     continue  # no codes to order
                 for defect in _ordered_collection_defects(ctx, rep, member_type):
                     out.append(
-                        make_violation(
-                            cid, severity, node, defect[:80],
+                        finding(
+                            node, defect[:80],
                             f"coded representation should be an ordered "
                             f"collection: {defect}", (link,),
                         )
@@ -218,39 +211,30 @@ def check_aggregation(
     expect: int | None = None,
     min: int | None = None,
     max: int | None = None,
-    cid: str = "aggregation",
-    severity: Severity = Severity.INFO,
-) -> tuple[list[Violation], list[MetricRecord]]:
+) -> tuple[list[Finding], list[tuple[str, str, int]]]:
     """Counts per focus. With an expectation (expect/min/max) the count is
-    validated; without one it is emitted as an informational metric."""
-    violations: list[Violation] = []
-    metrics: list[MetricRecord] = []
+    validated; without one it is emitted as an informational metric, a
+    (focus, name, count) triple."""
+    violations: list[Finding] = []
+    metrics: list[tuple[str, str, int]] = []
     has_expectation = expect is not None or min is not None or max is not None
 
     def verdict(node: Term, count: int, what: str) -> None:
         if not has_expectation:
-            metrics.append(MetricRecord(cid, str(node), what, count))
+            metrics.append((str(node), what, count))
             return
+        shown = integer_text(count)
         if expect is not None and count != expect:
             violations.append(
-                make_violation(
-                    cid, severity, node, count,
-                    f"{what} is {count}, expected exactly {expect}", (),
-                )
+                finding(node, shown, f"{what} is {shown}, expected exactly {expect}")
             )
         if min is not None and count < min:
             violations.append(
-                make_violation(
-                    cid, severity, node, count,
-                    f"{what} is {count}, expected at least {min}", (),
-                )
+                finding(node, shown, f"{what} is {shown}, expected at least {min}")
             )
         if max is not None and count > max:
             violations.append(
-                make_violation(
-                    cid, severity, node, count,
-                    f"{what} is {count}, expected at most {max}", (),
-                )
+                finding(node, shown, f"{what} is {shown}, expected at most {max}")
             )
 
     if kind == "path-count":
@@ -289,11 +273,12 @@ def check_aggregation(
                 continue
             actual = builtins.max(len(collection_members(ctx, c)) for c in collections)
             if actual != declared:
+                shown = integer_text(declared)
                 violations.append(
-                    make_violation(
-                        cid, severity, node, f"{actual}|{declared}",
+                    finding(
+                        node, f"{actual}|{shown}",
                         f"collection holds {actual} member(s) but "
-                        f"{compact(declared_property)} declares {declared}", (),
+                        f"{compact(declared_property)} declares {shown}",
                     )
                 )
     else:
@@ -306,22 +291,19 @@ def check_variable_comparability(
     stats: StatisticsModel | None,
     variables: list[str],
     mode: str,
-    *,
-    cid: str = "variable-comparability",
-    severity: Severity = Severity.WARNING,
-) -> list[Violation]:
+) -> list[Finding]:
     """Checks over a declared comparison group of variables."""
     by_node = (stats or StatisticsModel([])).by_node()
     nodes = [Iri(v) for v in variables]
-    out: list[Violation] = []
+    out: list[Finding] = []
     if mode == "presence":
         for node in nodes:
             if node not in by_node:
                 out.append(
-                    make_violation(
-                        cid, severity, node, "absent",
+                    finding(
+                        node, "absent",
                         "variable declared for comparison is not present in "
-                        "the data", (),
+                        "the data",
                     )
                 )
         return out
@@ -330,10 +312,9 @@ def check_variable_comparability(
         for var in present:
             if not ctx.objects(var.node, DCTERMS + "description"):
                 out.append(
-                    make_violation(
-                        cid, severity, var.node, "no-description",
+                    finding(
+                        var.node, "no-description",
                         "variable under comparison has no dcterms:description",
-                        (),
                     )
                 )
         return out
@@ -343,10 +324,10 @@ def check_variable_comparability(
             if not sound:
                 reason = var.list_defect or "no code list"
                 out.append(
-                    make_violation(
-                        cid, severity, var.node, reason[:80],
+                    finding(
+                        var.node, reason[:80],
                         f"variable under comparison lacks a structurally sound "
-                        f"code list: {reason}", (),
+                        f"code list: {reason}",
                     )
                 )
         return out
@@ -355,10 +336,10 @@ def check_variable_comparability(
             for code in var.codes:
                 if not ctx.objects(code, SKOS + "prefLabel"):
                     out.append(
-                        make_violation(
-                            cid, severity, code, "no-category-label",
+                        finding(
+                            code, "no-category-label",
                             f"code {code} of {var.node} has no category label "
-                            "(skos:prefLabel)", (),
+                            "(skos:prefLabel)",
                         )
                     )
         return out
@@ -370,10 +351,10 @@ def check_variable_comparability(
             ))
             first = min(sizes, key=term_sort_key)
             out.append(
-                make_violation(
-                    cid, severity, first, "size-mismatch",
+                finding(
+                    first, "size-mismatch",
                     f"compared variables have code lists of different sizes: "
-                    f"{listing}", (),
+                    f"{listing}",
                 )
             )
         return out
@@ -383,10 +364,7 @@ def check_variable_comparability(
 def check_single_root(
     ctx: GraphContext,
     link_property: str,
-    *,
-    cid: str = "single-root",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Concept schemes reached through ``link_property`` values must have
     exactly one hierarchy root (a member concept with no broader link to
     another member)."""
@@ -411,10 +389,10 @@ def check_single_root(
         if len(roots) != 1:
             listing = ", ".join(str(r) for r in roots) or "(none)"
             out.append(
-                make_violation(
-                    cid, severity, scheme, f"roots:{len(roots)}",
+                finding(
+                    scheme, f"roots:{len(roots)}",
                     f"concept hierarchy must have exactly one root but has "
-                    f"{len(roots)}: {listing}", (),
+                    f"{len(roots)}: {listing}",
                 )
             )
     return out
@@ -426,9 +404,7 @@ def check_subsuper_redundancy(
     specifics: list[str],
     *,
     flag_redundant: bool = False,
-    cid: str = "subsuper-redundancy",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """Subjects using only the general property get a suggestion to use a
     sub-property. With ``flag_redundant``, equal values under the general
     and a specific property are flagged as verbose data."""
@@ -438,8 +414,8 @@ def check_subsuper_redundancy(
         if not has_specific:
             names = " or ".join(compact(p) for p in specifics)
             out.append(
-                make_violation(
-                    cid, severity, subject, compact(general),
+                finding(
+                    subject, compact(general),
                     f"consider the more specific {names} instead of "
                     f"{compact(general)}", (general, *specifics),
                 )
@@ -450,8 +426,8 @@ def check_subsuper_redundancy(
                 for value in ctx.objects(subject, prop):
                     if value in general_values:
                         out.append(
-                            make_violation(
-                                cid, severity, subject, str(value),
+                            finding(
+                                subject, str(value),
                                 f"value {value} is stated redundantly under "
                                 f"{compact(general)} and {compact(prop)}", (general, prop),
                             )
@@ -462,16 +438,13 @@ def check_subsuper_redundancy(
 def check_default_values(
     ctx: GraphContext,
     defaults: list[dict],
-    *,
-    cid: str = "default-values",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """One info note per scope instance lacking a property that has a
     default, naming the value it would default to. The graph is never
     changed."""
     from .schema import _term_from_spec
 
-    violations: list[Violation] = []
+    violations: list[Finding] = []
     for row in defaults:
         scope, prop = row["scope"], row["property"]
         value = _term_from_spec(row["value"])
@@ -479,8 +452,8 @@ def check_default_values(
             if ctx.objects(node, prop):
                 continue
             violations.append(
-                make_violation(
-                    cid, severity, node, str(value),
+                finding(
+                    node, str(value),
                     f"missing {compact(prop)} would default to {value}", (prop,),
                 )
             )
@@ -493,9 +466,7 @@ def check_value_datatype(
     properties: list[str] | None = None,
     datatype: str | None = None,
     mode: str = "listed",
-    cid: str = "value-datatype",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """listed: literals of the listed properties must be valid instances of
     the required datatype. all-literals: every literal in the graph with a
     supported datatype must have a valid lexical form (unknown datatypes
@@ -507,8 +478,8 @@ def check_value_datatype(
                 parse_xsd_value(lit.lexical, lit.datatype)
             except InvalidLexicalError as exc:
                 out.append(
-                    make_violation(
-                        cid, severity, triple.subject, str(lit),
+                    finding(
+                        triple.subject, str(lit),
                         f"literal is not valid for its datatype: {exc}",
                         (triple.predicate.value,),
                     )
@@ -524,8 +495,8 @@ def check_value_datatype(
             target = datatype or lit.datatype
             if lit.datatype != target:
                 out.append(
-                    make_violation(
-                        cid, severity, triple.subject, str(lit),
+                    finding(
+                        triple.subject, str(lit),
                         f"value of {compact(prop)} has datatype "
                         f"{compact(lit.datatype)}, expected {compact(target)}",
                         (prop, target),
@@ -536,8 +507,8 @@ def check_value_datatype(
                 parse_xsd_value(lit.lexical, target)
             except InvalidLexicalError as exc:
                 out.append(
-                    make_violation(
-                        cid, severity, triple.subject, str(lit),
+                    finding(
+                        triple.subject, str(lit),
                         f"value of {compact(prop)} is not a valid "
                         f"{compact(target)}: {exc}", (prop, target),
                     )

@@ -1,15 +1,15 @@
 """Class- and property-axiom checkers, evaluated over asserted triples.
 
 Every checker is a pure function of (context, parameters): no state, no
-mutation. Findings come back in any order; the engine sorts them.
+mutation. Findings come back in any order and carry no constraint id or
+severity; the engine stamps both on each and sorts them.
 """
 
 from __future__ import annotations
 
-from ..catalog import Severity
 from ..namespaces import RDF_TYPE, compact
 from ..terms import Iri, Literal, Term, term_sort_key
-from ..violations import Violation, make_violation
+from ..violations import Finding, finding
 from ..xsd import InvalidLexicalError, UnknownDatatypeError, parse_xsd_value
 from .context import GraphContext
 
@@ -18,16 +18,11 @@ def check_subsumption(
     ctx: GraphContext,
     cls: str,
     superclass: str,
-    *,
-    cid: str = "subsumption",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Instances typed ``cls`` but not ``superclass`` (closed-world)."""
     return [
-        make_violation(
-            cid,
-            severity,
-            node,
+        finding(
+                        node,
             superclass,
             f"instance of {compact(cls)} is not also typed {compact(superclass)}",
             (cls, superclass),
@@ -41,33 +36,25 @@ def check_class_equivalence(
     ctx: GraphContext,
     class1: str,
     class2: str,
-    *,
-    cid: str = "class-equivalence",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """Instances in exactly one of the two extensions."""
-    out = check_subsumption(ctx, class1, class2, cid=cid, severity=severity)
-    return out + check_subsumption(ctx, class2, class1, cid=cid, severity=severity)
+    out = check_subsumption(ctx, class1, class2)
+    return out + check_subsumption(ctx, class2, class1)
 
 
 def check_subproperty(
     ctx: GraphContext,
     prop: str,
     superproperty: str,
-    *,
-    cid: str = "subproperty",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """(x, prop, y) without the entailed (x, superproperty, y)."""
     sup = Iri(superproperty)
     out = []
     for triple in ctx.statements(prop):
         if triple.object not in ctx.graph.objects(triple.subject, sup):
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    triple.subject,
+                finding(
+                                        triple.subject,
                     triple.object,
                     f"{compact(prop)} statement lacks the implied "
                     f"{compact(superproperty)} statement for {triple.object}",
@@ -81,10 +68,7 @@ def check_domain(
     ctx: GraphContext,
     prop: str,
     allowed: list[str],
-    *,
-    cid: str = "property-domain",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Subjects of ``prop`` not typed by any allowed class."""
     out = []
     seen: set[Term] = set()
@@ -97,10 +81,8 @@ def check_domain(
         if not any(cls in types for cls in allowed):
             names = " or ".join(compact(c) for c in allowed)
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    subject,
+                finding(
+                                        subject,
                     prop,
                     f"subject of {compact(prop)} is not typed {names}",
                     (prop, *allowed),
@@ -112,14 +94,11 @@ def check_domain(
 def check_domain_table(
     ctx: GraphContext,
     domains: dict[str, list[str]],
-    *,
-    cid: str = "domain-table",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """``check_domain`` for each property of a property -> classes table."""
-    out: list[Violation] = []
+    out: list[Finding] = []
     for prop, classes in domains.items():
-        out.extend(check_domain(ctx, prop, classes, cid=cid, severity=severity))
+        out.extend(check_domain(ctx, prop, classes))
     return out
 
 
@@ -147,9 +126,7 @@ def check_range(
     classes: list[str] | None = None,
     datatype: str | None = None,
     scope: str | None = None,
-    cid: str = "property-range",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Objects of ``prop`` must be typed by an allowed class or carry the
     allowed datatype (and a valid lexical form).
 
@@ -162,10 +139,8 @@ def check_range(
         subject, obj = triple.subject, triple.object
         if scope is not None and not ctx.has_type(subject, scope):
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    subject,
+                finding(
+                                        subject,
                     prop,
                     f"only instances of {compact(scope)} may use {compact(prop)}",
                     (prop, scope),
@@ -176,10 +151,8 @@ def check_range(
             if datatype is None:
                 if classes is not None:
                     out.append(
-                        make_violation(
-                            cid,
-                            severity,
-                            subject,
+                        finding(
+                                                        subject,
                             obj,
                             f"value of {compact(prop)} is a literal but must be an "
                             "object resource",
@@ -190,8 +163,8 @@ def check_range(
             ok, reason = _literal_matches_datatype(obj, datatype)
             if not ok:
                 out.append(
-                    make_violation(
-                        cid, severity, subject, obj,
+                    finding(
+                        subject, obj,
                         f"value of {compact(prop)}: {reason}", (prop, datatype)
                     )
                 )
@@ -199,10 +172,8 @@ def check_range(
             if classes is None:
                 if datatype is not None:
                     out.append(
-                        make_violation(
-                            cid,
-                            severity,
-                            subject,
+                        finding(
+                                                        subject,
                             obj,
                             f"value of {compact(prop)} must be a literal of "
                             f"{compact(datatype)}",
@@ -213,10 +184,8 @@ def check_range(
             if not _object_matches_class(ctx, obj, classes):
                 names = " or ".join(compact(c) for c in classes)
                 out.append(
-                    make_violation(
-                        cid,
-                        severity,
-                        subject,
+                    finding(
+                                                subject,
                         obj,
                         f"value of {compact(prop)} is not typed {names}",
                         (prop, *classes),
@@ -228,14 +197,11 @@ def check_range(
 def check_range_table(
     ctx: GraphContext,
     ranges: dict[str, dict],
-    *,
-    cid: str = "range-table",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """``check_range`` for each property of a property -> range spec table."""
-    out: list[Violation] = []
+    out: list[Finding] = []
     for prop, spec in ranges.items():
-        out.extend(check_range(ctx, prop, cid=cid, severity=severity, **spec))
+        out.extend(check_range(ctx, prop, **spec))
     return out
 
 
@@ -245,9 +211,7 @@ def check_inverse_pair(
     inverse: str,
     *,
     scope: str | None = None,
-    cid: str = "inverse-pair",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Each (x, prop, y) needs (y, inverse, x) and vice versa.
 
     ``scope`` restricts the check to pairs whose prop-subject (equivalently
@@ -265,10 +229,8 @@ def check_inverse_pair(
             continue
         if x not in ctx.graph.objects(y, inv):
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    x,
+                finding(
+                                        x,
                     y,
                     f"({x} {compact(prop)} {y}) lacks the inverse "
                     f"({y} {compact(inverse)} {x})",
@@ -283,10 +245,8 @@ def check_inverse_pair(
             continue
         if y not in ctx.graph.objects(x, fwd):
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    y,
+                finding(
+                                        y,
                     x,
                     f"({y} {compact(inverse)} {x}) lacks the inverse "
                     f"({x} {compact(prop)} {y})",
@@ -299,10 +259,7 @@ def check_inverse_pair(
 def check_asymmetric(
     ctx: GraphContext,
     prop: str,
-    *,
-    cid: str = "asymmetric-property",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Unordered pairs {x, y}, x != y, connected in both directions."""
     out = []
     reported: set[tuple[Term, Term]] = set()
@@ -317,10 +274,8 @@ def check_asymmetric(
             reported.add(key)  # type: ignore[arg-type]
             a, b = key
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    a,
+                finding(
+                                        a,
                     b,
                     f"{compact(prop)} is asymmetric but connects {a} and {b} "
                     "in both directions",
@@ -335,9 +290,7 @@ def check_irreflexive(
     prop: str,
     *,
     scope: str | None = None,
-    cid: str = "irreflexive-property",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     out = []
     for triple in ctx.statements(prop):
         if triple.subject != triple.object:
@@ -345,10 +298,8 @@ def check_irreflexive(
         if scope is not None and not ctx.has_type(triple.subject, scope):
             continue
         out.append(
-            make_violation(
-                cid,
-                severity,
-                triple.subject,
+            finding(
+                                triple.subject,
                 prop,
                 f"{triple.subject} is related to itself via {compact(prop)}",
                 (prop,),
@@ -360,14 +311,11 @@ def check_irreflexive(
 def check_irreflexive_table(
     ctx: GraphContext,
     vocabulary: str,
-    *,
-    cid: str = "irreflexive-table",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """``check_irreflexive`` for every property the vocabulary declares."""
-    out: list[Violation] = []
+    out: list[Finding] = []
     for prop in ctx.catalog.inventory(vocabulary).properties:
-        out.extend(check_irreflexive(ctx, prop, cid=cid, severity=severity))
+        out.extend(check_irreflexive(ctx, prop))
     return out
 
 
@@ -377,9 +325,7 @@ def check_disjoint_properties(
     *,
     vocabulary: str | None = None,
     exempt_pairs: list[tuple[str, str]] | None = None,
-    cid: str = "disjoint-properties",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """(x, y) pairs connected by two or more group properties.
 
     Pairs related by sub-property edges are never disjoint, and explicitly
@@ -405,10 +351,8 @@ def check_disjoint_properties(
                 if ctx.catalog.subproperty_related(p, q):
                     continue
                 out.append(
-                    make_violation(
-                        cid,
-                        severity,
-                        x,
+                    finding(
+                                                x,
                         f"{compact(p)}|{compact(q)}|{y}",
                         f"{x} is connected to {y} by the disjoint properties "
                         f"{compact(p)} and {compact(q)}",
@@ -424,9 +368,7 @@ def check_disjoint_classes(
     *,
     vocabulary: str | None = None,
     exempt_pairs: list[tuple[str, str]] | None = None,
-    cid: str = "disjoint-classes",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Individuals typed by two or more group classes (subclass-related
     pairs are never disjoint). Without ``classes`` the group is every class
     ``vocabulary`` declares."""
@@ -449,10 +391,8 @@ def check_disjoint_classes(
                     if ctx.catalog.subclass_related(a, b):
                         continue
                     out.append(
-                        make_violation(
-                            cid,
-                            severity,
-                            node,
+                        finding(
+                                                        node,
                             f"{compact(a)}|{compact(b)}",
                             f"{node} is an instance of the disjoint classes "
                             f"{compact(a)} and {compact(b)}",
@@ -471,9 +411,7 @@ def check_cardinality(
     max: int | None = None,
     qualifier_class: str | None = None,
     qualifier_datatype: str | None = None,
-    cid: str = "cardinality",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Distinct-value counts of ``prop`` per instance of ``scope``."""
     out = []
     for node in ctx.extension(scope):
@@ -491,10 +429,8 @@ def check_cardinality(
         count = len(values)
         if min is not None and count < min:
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    node,
+                finding(
+                                        node,
                     count,
                     f"{compact(prop)} occurs {count} time(s), at least "
                     f"{min} required",
@@ -503,10 +439,8 @@ def check_cardinality(
             )
         if max is not None and count > max:
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    node,
+                finding(
+                                        node,
                     count,
                     f"{compact(prop)} occurs {count} time(s), at most "
                     f"{max} allowed",
@@ -519,16 +453,13 @@ def check_cardinality(
 def check_cardinality_table(
     ctx: GraphContext,
     rules: list[dict],
-    *,
-    cid: str = "cardinality-table",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """``check_cardinality`` for each rule (property, scope, bounds)."""
-    out: list[Violation] = []
+    out: list[Finding] = []
     for rule in rules:
         bounds = {k: v for k, v in rule.items() if k not in ("property", "scope")}
         out.extend(check_cardinality(
-            ctx, rule["property"], rule["scope"], cid=cid, severity=severity, **bounds
+            ctx, rule["property"], rule["scope"], **bounds
         ))
     return out
 
@@ -537,10 +468,7 @@ def check_exclusive_property_groups(
     ctx: GraphContext,
     scope: str,
     groups: list[list[str]],
-    *,
-    cid: str = "exclusive-property-groups",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """A group matches when all its properties are present; exactly one
     group must match per instance."""
     out = []
@@ -556,10 +484,8 @@ def check_exclusive_property_groups(
             ]
             what = "no property group" if not matched else "groups " + " and ".join(names)
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    node,
+                finding(
+                                        node,
                     len(matched),
                     f"exactly one property group must match, but {what} matched",
                     tuple(p for g in groups for p in g),
@@ -573,9 +499,7 @@ def check_uniqueness_key(
     prop: str,
     *,
     scope: str | None = None,
-    cid: str = "uniqueness-key",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Key values shared by two or more focus nodes; with a scope, key
     totality over the scope's instances as well."""
     by_value: dict[Term, list[Term]] = {}
@@ -588,10 +512,8 @@ def check_uniqueness_key(
             listing = ", ".join(str(h) for h in holders)
             for holder in holders:
                 out.append(
-                    make_violation(
-                        cid,
-                        severity,
-                        holder,
+                    finding(
+                                                holder,
                         value,
                         f"key value {value} of {compact(prop)} is shared by "
                         f"{listing}",
@@ -602,10 +524,8 @@ def check_uniqueness_key(
         for node in ctx.extension(scope):
             if not ctx.objects(node, prop):
                 out.append(
-                    make_violation(
-                        cid,
-                        severity,
-                        node,
+                    finding(
+                                                node,
                         prop,
                         f"instance of {compact(scope)} lacks its key property "
                         f"{compact(prop)}",
@@ -634,9 +554,7 @@ def check_allowed_values(
     *,
     scope: str | None = None,
     negated: bool = False,
-    cid: str = "allowed-values",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Values outside the enumeration (inside it, when negated). Literal
     comparison includes the language tag."""
     allowed = {_term_from_spec(v) for v in values}
@@ -648,10 +566,8 @@ def check_allowed_values(
         if inside == negated:
             what = "is not among the allowed values" if not negated else "is explicitly excluded"
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    triple.subject,
+                finding(
+                                        triple.subject,
                     triple.object,
                     f"value {triple.object} of {compact(prop)} {what}",
                     (prop,),
@@ -667,9 +583,7 @@ def check_vocab_membership(
     *,
     scope: str | None = None,
     inventory_members: dict[str, list[str]] | None = None,
-    cid: str = "vocab-membership",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """Values of ``prop`` must belong to the controlled vocabulary
     ``scheme``: either (value skos:inScheme scheme) is asserted, the scheme
     lists the value via skos:member/skos:hasTopConcept, or the catalog
@@ -691,10 +605,8 @@ def check_vocab_membership(
         if isinstance(value, Iri) and value.value in listed:
             continue
         out.append(
-            make_violation(
-                cid,
-                severity,
-                triple.subject,
+            finding(
+                                triple.subject,
                 value,
                 f"value {value} of {compact(prop)} is not a member of the "
                 f"controlled vocabulary {compact(scheme)}",
@@ -708,10 +620,7 @@ def check_deprecated_terms(
     ctx: GraphContext,
     vocabulary: str,
     kind: str = "properties",
-    *,
-    cid: str = "deprecated-terms",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """Uses of deprecated terms: predicate position for properties, object
     of rdf:type for classes."""
     inventory = ctx.catalog.inventory(vocabulary)
@@ -720,10 +629,8 @@ def check_deprecated_terms(
         for prop in inventory.deprecated:
             for triple in ctx.statements(prop):
                 out.append(
-                    make_violation(
-                        cid,
-                        severity,
-                        triple.subject,
+                    finding(
+                                                triple.subject,
                         prop,
                         f"statement uses the deprecated property {compact(prop)}",
                         (prop,),
@@ -734,10 +641,8 @@ def check_deprecated_terms(
         for cls in inventory.deprecated:
             for triple in ctx.graph.match(None, rdf_type, Iri(cls)):
                 out.append(
-                    make_violation(
-                        cid,
-                        severity,
-                        triple.subject,
+                    finding(
+                                                triple.subject,
                         cls,
                         f"instance is typed by the deprecated class {compact(cls)}",
                         (cls,),
@@ -749,10 +654,7 @@ def check_deprecated_terms(
 def check_undefined_terms(
     ctx: GraphContext,
     vocabulary: str,
-    *,
-    cid: str = "undefined-terms",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """IRIs inside the inventory's namespace that the inventory does not
     declare. Terms outside every inventory namespace are never flagged."""
     inventory = ctx.catalog.inventory(vocabulary)
@@ -763,10 +665,8 @@ def check_undefined_terms(
     for iri in ctx.graph.iris():
         if iri.value.startswith(inventory.namespace) and iri.value not in declared:
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    iri,
+                finding(
+                                        iri,
                     iri.value,
                     f"term {compact(iri.value)} is not defined by the "
                     f"{inventory.name} vocabulary",
@@ -778,23 +678,17 @@ def check_undefined_terms(
 
 def check_http_scheme(
     ctx: GraphContext,
-    *,
-    cid: str = "http-scheme",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """IRIs whose scheme is neither http nor https."""
     out = []
     for iri in ctx.graph.iris():
         scheme = ctx.scheme(iri)
         if scheme not in ("http", "https"):
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    iri,
+                finding(
+                                        iri,
                     scheme or "(none)",
                     f"IRI {iri.value} does not use the http or https scheme",
-                    (),
                 )
             )
     return out
@@ -805,9 +699,7 @@ def check_equivalent_properties(
     pairs: list[tuple[str, str]] | None = None,
     *,
     vocabulary: str | None = None,
-    cid: str = "equivalent-properties",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     """(x, y) asserted under exactly one member of an equivalent pair;
     without ``pairs``, the pairs ``vocabulary`` declares."""
     if pairs is None:
@@ -815,22 +707,20 @@ def check_equivalent_properties(
     out = []
     for p, q in pairs:
         out.extend(
-            _one_sided(ctx, p, q, cid, severity) + _one_sided(ctx, q, p, cid, severity)
+            _one_sided(ctx, p, q) + _one_sided(ctx, q, p)
         )
     return out
 
 
 def _one_sided(
-    ctx: GraphContext, present: str, missing: str, cid: str, severity: Severity
-) -> list[Violation]:
+    ctx: GraphContext, present: str, missing: str
+) -> list[Finding]:
     out = []
     for triple in ctx.statements(present):
         if triple.object not in ctx.graph.objects(triple.subject, Iri(missing)):
             out.append(
-                make_violation(
-                    cid,
-                    severity,
-                    triple.subject,
+                finding(
+                                        triple.subject,
                     f"{compact(present)}|{triple.object}",
                     f"statement uses {compact(present)} without its declared "
                     f"equivalent {compact(missing)} for {triple.object}",

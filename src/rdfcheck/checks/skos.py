@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..catalog import Severity
 from ..namespaces import DC11, DCTERMS, RDFS_LABEL, SKOS, compact
 from ..terms import Iri, Literal, Term, term_sort_key
-from ..violations import Violation, make_violation
+from ..violations import Finding, finding
 from .context import GraphContext
 from .graphalg import strongly_connected_components, weakly_connected_components
 from .models import HierarchyGraph
@@ -99,29 +99,27 @@ def check_skos_structure(
     mode: str,
     *,
     depth_limit: int = DEFAULT_REDUNDANCY_DEPTH,
-    cid: str = "skos-structure",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     handler = _STRUCTURE_MODES.get(mode)
     if handler is None:
         raise ValueError(f"unknown skos-structure mode {mode!r}")
-    return handler(ctx, hierarchy, depth_limit, cid, severity)
+    return handler(ctx, hierarchy, depth_limit)
 
 
-def _mode_orphan(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
+def _mode_orphan(ctx, hierarchy, depth_limit) -> list[Finding]:
     linked = {node for edge in _semantic_edges(ctx) for node in edge}
     return [
-        make_violation(
-            cid, severity, node, "orphan",
+        finding(
+            node, "orphan",
             "concept has no hierarchical or associative relation to any "
-            "other resource", (),
+            "other resource",
         )
         for node in _concepts(ctx)
         if node not in linked
     ]
 
 
-def _mode_disconnected(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
+def _mode_disconnected(ctx, hierarchy, depth_limit) -> list[Finding]:
     edges = _semantic_edges(ctx)
     linked = {node for edge in edges for node in edge}
     nodes = [c for c in _concepts(ctx) if c in linked]
@@ -134,16 +132,15 @@ def _mode_disconnected(ctx, hierarchy, depth_limit, cid, severity) -> list[Viola
     for island in ranked[1:]:
         members = ", ".join(str(n) for n in island)
         out.append(
-            make_violation(
-                cid, severity, island[0], f"component:{len(island)}",
+            finding(
+                island[0], f"component:{len(island)}",
                 f"disconnected concept cluster of size {len(island)}: {members}",
-                (),
             )
         )
     return out
 
 
-def _mode_cycles(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
+def _mode_cycles(ctx, hierarchy, depth_limit) -> list[Finding]:
     succ = hierarchy.successor_map
     components = strongly_connected_components(hierarchy.nodes, lambda n: succ.get(n, []))
     out = []
@@ -156,16 +153,16 @@ def _mode_cycles(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
             continue
         members = ", ".join(str(n) for n in component)
         out.append(
-            make_violation(
-                cid, severity, component[0], f"cycle:{len(component)}",
+            finding(
+                component[0], f"cycle:{len(component)}",
                 f"cyclic hierarchical relation through {len(component)} "
-                f"concept(s): {members}", (),
+                f"concept(s): {members}",
             )
         )
     return out
 
 
-def _mode_valueless(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
+def _mode_valueless(ctx, hierarchy, depth_limit) -> list[Finding]:
     by_parent: dict[Term, set[Term]] = {}
     for child, parent in hierarchy.edges:
         by_parent.setdefault(parent, set()).add(child)
@@ -181,17 +178,17 @@ def _mode_valueless(ctx, hierarchy, depth_limit, cid, severity) -> list[Violatio
             for b in siblings[i + 1 :]:
                 if (a, b) in related or (b, a) in related:
                     out.append(
-                        make_violation(
-                            cid, severity, a, str(b),
+                        finding(
+                            a, str(b),
                             f"sibling concepts {a} and {b} are also connected "
                             "by skos:related; the associative relation adds no "
-                            "value", (),
+                            "value",
                         )
                     )
     return out
 
 
-def _mode_solely_transitive(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
+def _mode_solely_transitive(ctx, hierarchy, depth_limit) -> list[Finding]:
     out = []
     for trans, direct in (
         (SKOS + "broaderTransitive", SKOS + "broader"),
@@ -202,8 +199,8 @@ def _mode_solely_transitive(ctx, hierarchy, depth_limit, cid, severity) -> list[
                 continue
             if triple.object not in ctx.objects(triple.subject, direct):
                 out.append(
-                    make_violation(
-                        cid, severity, triple.subject, f"{compact(trans)}|{triple.object}",
+                    finding(
+                        triple.subject, f"{compact(trans)}|{triple.object}",
                         f"{compact(trans)} is not meant for assertions; "
                         f"{triple.subject} and {triple.object} are related by "
                         "it alone", (trans,),
@@ -212,7 +209,7 @@ def _mode_solely_transitive(ctx, hierarchy, depth_limit, cid, severity) -> list[
     return out
 
 
-def _mode_unidirectional(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
+def _mode_unidirectional(ctx, hierarchy, depth_limit) -> list[Finding]:
     out = []
     for prop, inverse in INVERSE_TABLE.items():
         for triple in ctx.statements(prop):
@@ -222,8 +219,8 @@ def _mode_unidirectional(ctx, hierarchy, depth_limit, cid, severity) -> list[Vio
                 continue
             if triple.subject not in ctx.graph.objects(triple.object, Iri(inverse)):
                 out.append(
-                    make_violation(
-                        cid, severity, triple.subject,
+                    finding(
+                        triple.subject,
                         f"{compact(prop)}|{triple.object}",
                         f"({triple.subject} {compact(prop)} {triple.object}) "
                         f"lacks the reciprocal {compact(inverse)} statement", (prop,),
@@ -232,7 +229,7 @@ def _mode_unidirectional(ctx, hierarchy, depth_limit, cid, severity) -> list[Vio
     return out
 
 
-def _mode_omitted_top(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
+def _mode_omitted_top(ctx, hierarchy, depth_limit) -> list[Finding]:
     out = []
     for scheme in ctx.extension(SKOS + "ConceptScheme"):
         has_top = bool(ctx.objects(scheme, SKOS + "hasTopConcept")) or bool(
@@ -240,16 +237,15 @@ def _mode_omitted_top(ctx, hierarchy, depth_limit, cid, severity) -> list[Violat
         )
         if not has_top:
             out.append(
-                make_violation(
-                    cid, severity, scheme, "no-top-concept",
+                finding(
+                    scheme, "no-top-concept",
                     "concept scheme declares no top concept as an entry point",
-                    (),
                 )
             )
     return out
 
 
-def _mode_top_with_broader(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
+def _mode_top_with_broader(ctx, hierarchy, depth_limit) -> list[Finding]:
     tops: set[Term] = set()
     for triple in ctx.statements(SKOS + "hasTopConcept"):
         if not isinstance(triple.object, Literal):
@@ -260,34 +256,35 @@ def _mode_top_with_broader(ctx, hierarchy, depth_limit, cid, severity) -> list[V
         broader = [o for o in ctx.objects(top, SKOS + "broader") if not isinstance(o, Literal)]
         for parent in broader:
             out.append(
-                make_violation(
-                    cid, severity, top, str(parent),
+                finding(
+                    top, str(parent),
                     f"top concept has a broader concept {parent}; concepts "
-                    "internal to the tree should not be top concepts", (),
+                    "internal to the tree should not be top concepts",
                 )
             )
     return out
 
 
-def _mode_redundancy(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
+def _mode_redundancy(ctx, hierarchy, depth_limit) -> list[Finding]:
     succ = hierarchy.successor_map
     out = []
     for a, b in hierarchy.edges:
         verdict = _alt_path_exists(succ, a, b, depth_limit)
         if verdict is True:
             out.append(
-                make_violation(
-                    cid, severity, a, str(b),
+                finding(
+                    a, str(b),
                     f"direct hierarchical link {a} -> {b} is redundant with a "
-                    "longer hierarchical path", (),
+                    "longer hierarchical path",
                 )
             )
         elif verdict is None:
             out.append(
-                make_violation(
-                    cid, Severity.INFO, a, f"depth-limit|{b}",
+                Finding(
+                    str(a), f"depth-limit|{b}",
                     f"redundancy search for {a} -> {b} hit the depth limit "
-                    f"({depth_limit}); result indeterminate", (),
+                    f"({depth_limit}); result indeterminate",
+                    severity=Severity.INFO,
                 )
             )
     return out
@@ -323,14 +320,14 @@ def _alt_path_exists(
     return None if limited else False
 
 
-def _mode_reflexive(ctx, hierarchy, depth_limit, cid, severity) -> list[Violation]:
+def _mode_reflexive(ctx, hierarchy, depth_limit) -> list[Finding]:
     out = []
     for prop in SEMANTIC_RELATIONS:
         for triple in ctx.statements(prop):
             if triple.subject == triple.object:
                 out.append(
-                    make_violation(
-                        cid, severity, triple.subject, compact(prop),
+                    finding(
+                        triple.subject, compact(prop),
                         f"concept is related to itself via {compact(prop)}", (prop,),
                     )
                 )
@@ -359,16 +356,13 @@ def check_skos_clashes(
     ctx: GraphContext,
     hierarchy: HierarchyGraph,
     mode: str,
-    *,
-    cid: str = "skos-clashes",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     if mode == "relation":
-        return _clash_relation(ctx, hierarchy, cid, severity)
+        return _clash_relation(ctx, hierarchy)
     if mode == "mapping":
-        return _clash_mapping(ctx, cid, severity)
+        return _clash_mapping(ctx)
     if mode == "misuse":
-        return _clash_misuse(ctx, cid, severity)
+        return _clash_misuse(ctx)
     raise ValueError(f"unknown skos-clashes mode {mode!r}")
 
 
@@ -384,7 +378,7 @@ def _reachable(succ: dict[Term, list[Term]], start: Term) -> set[Term]:
     return seen
 
 
-def _clash_relation(ctx, hierarchy: HierarchyGraph, cid, severity) -> list[Violation]:
+def _clash_relation(ctx, hierarchy: HierarchyGraph) -> list[Finding]:
     succ = hierarchy.successor_map
     reach_cache: dict[Term, set[Term]] = {}
     out = []
@@ -402,11 +396,10 @@ def _clash_relation(ctx, hierarchy: HierarchyGraph, cid, severity) -> list[Viola
                 reach_cache[src] = _reachable(succ, src)
             if dst in reach_cache[src]:
                 out.append(
-                    make_violation(
-                        cid, severity, key[0], str(key[1]),
+                    finding(
+                        key[0], str(key[1]),
                         f"concepts {key[0]} and {key[1]} are associatively "
                         "related and also hierarchically connected (SKOS S27)",
-                        (),
                     )
                 )
                 break
@@ -424,7 +417,7 @@ def _pair_props(ctx, props) -> dict[tuple[Term, Term], set[str]]:
     return pairs
 
 
-def _clash_mapping(ctx, cid, severity) -> list[Violation]:
+def _clash_mapping(ctx) -> list[Finding]:
     pairs = _pair_props(ctx, MAPPING_RELATIONS)
     out = []
     for (a, b), props in pairs.items():
@@ -432,8 +425,8 @@ def _clash_mapping(ctx, cid, severity) -> list[Violation]:
             continue
         for prop in props.intersection(EXACT_MATCH_CLASHES):
             out.append(
-                make_violation(
-                    cid, severity, a, f"{compact(prop)}|{b}",
+                finding(
+                    a, f"{compact(prop)}|{b}",
                     f"concepts {a} and {b} carry skos:exactMatch together with "
                     f"the clashing {compact(prop)} (SKOS S46)", (prop,),
                 )
@@ -441,7 +434,7 @@ def _clash_mapping(ctx, cid, severity) -> list[Violation]:
     return out
 
 
-def _clash_misuse(ctx, cid, severity) -> list[Violation]:
+def _clash_misuse(ctx) -> list[Finding]:
     out = []
     seen: set[tuple[Term, Term]] = set()
     for prop in MAPPING_RELATIONS:
@@ -462,8 +455,8 @@ def _clash_misuse(ctx, cid, severity) -> list[Violation]:
                     else "are members of no concept scheme"
                 )
                 out.append(
-                    make_violation(
-                        cid, severity, key[0], str(key[1]),
+                    finding(
+                        key[0], str(key[1]),
                         f"mapping relation between {key[0]} and {key[1]} is "
                         f"misused: the concepts {reason}", (prop,),
                     )
@@ -478,33 +471,30 @@ def _clash_misuse(ctx, cid, severity) -> list[Violation]:
 def check_skos_labeling(
     ctx: GraphContext,
     mode: str,
-    *,
-    cid: str = "skos-labeling",
-    severity: Severity = Severity.INFO,
-) -> list[Violation]:
+) -> list[Finding]:
     handler = _LABELING_MODES.get(mode)
     if handler is None:
         raise ValueError(f"unknown skos-labeling mode {mode!r}")
-    return handler(ctx, cid, severity)
+    return handler(ctx)
 
 
 def _subjects_of(ctx: GraphContext, props) -> set[Term]:
     return {t.subject for prop in props for t in ctx.statements(prop)}
 
 
-def _mode_undocumented(ctx, cid, severity) -> list[Violation]:
+def _mode_undocumented(ctx) -> list[Finding]:
     documented = _subjects_of(ctx, DOCUMENTATION_PROPERTIES)
     return [
-        make_violation(
-            cid, severity, concept, "undocumented",
-            "concept carries none of the seven SKOS documentation properties", (),
+        finding(
+            concept, "undocumented",
+            "concept carries none of the seven SKOS documentation properties",
         )
         for concept in _concepts(ctx)
         if concept not in documented
     ]
 
 
-def _mode_overlapping(ctx, cid, severity) -> list[Violation]:
+def _mode_overlapping(ctx) -> list[Finding]:
     groups: dict[tuple, list[Term]] = {}
     for concept in _concepts(ctx):
         schemes = ctx.objects(concept, SKOS + "inScheme") or [None]
@@ -518,10 +508,10 @@ def _mode_overlapping(ctx, cid, severity) -> list[Violation]:
         if len(distinct) > 1:
             listing = ", ".join(str(m) for m in distinct)
             out.append(
-                make_violation(
-                    cid, severity, distinct[0], f"{text}@{lang}",
+                finding(
+                    distinct[0], f"{text}@{lang}",
                     f"preferred label {text!r} ({lang or 'no language'}) is "
-                    f"shared by {listing} in one concept scheme", (),
+                    f"shared by {listing} in one concept scheme",
                 )
             )
     return out
@@ -532,21 +522,21 @@ _LABELED_CLASSES = tuple(
 )
 
 
-def _mode_missing(ctx, cid, severity) -> list[Violation]:
+def _mode_missing(ctx) -> list[Finding]:
     labeled = _subjects_of(ctx, LABEL_PROPERTIES)
     # a node of several focus classes is reported once
     unlabeled = dict.fromkeys(
         node for cls in _LABELED_CLASSES for node in ctx.extension(cls) if node not in labeled
     )
     return [
-        make_violation(
-            cid, severity, node, "unlabeled", "SKOS resource has no human-readable label", (),
+        finding(
+            node, "unlabeled", "SKOS resource has no human-readable label",
         )
         for node in unlabeled
     ]
 
 
-def _mode_unprintable(ctx, cid, severity) -> list[Violation]:
+def _mode_unprintable(ctx) -> list[Finding]:
     out = []
     for prop in (SKOS + "prefLabel", SKOS + "altLabel", SKOS + "hiddenLabel"):
         for triple in ctx.statements(prop):
@@ -556,8 +546,8 @@ def _mode_unprintable(ctx, cid, severity) -> list[Violation]:
             bad = sorted({ch for ch in lit.lexical if not (ch.isalnum() or ch == " ")})
             if bad:
                 out.append(
-                    make_violation(
-                        cid, severity, triple.subject, f"{compact(prop)}|{lit}",
+                    finding(
+                        triple.subject, f"{compact(prop)}|{lit}",
                         f"label {lit} contains non-alphanumeric, non-blank "
                         f"character(s): {''.join(bad)!r}", (prop,),
                     )
@@ -565,7 +555,7 @@ def _mode_unprintable(ctx, cid, severity) -> list[Violation]:
     return out
 
 
-def _mode_empty(ctx, cid, severity) -> list[Violation]:
+def _mode_empty(ctx) -> list[Finding]:
     out = []
     for prop in (SKOS + "prefLabel", SKOS + "altLabel", SKOS + "hiddenLabel"):
         for triple in ctx.statements(prop):
@@ -574,15 +564,15 @@ def _mode_empty(ctx, cid, severity) -> list[Violation]:
                 continue
             if "".join(lit.lexical.split()) == "":
                 out.append(
-                    make_violation(
-                        cid, severity, triple.subject, f"{compact(prop)}|{lit}",
+                    finding(
+                        triple.subject, f"{compact(prop)}|{lit}",
                         "label is empty after removing whitespace", (prop,),
                     )
                 )
     return out
 
 
-def _mode_ambiguous_notation(ctx, cid, severity) -> list[Violation]:
+def _mode_ambiguous_notation(ctx) -> list[Finding]:
     groups: dict[tuple, list[Term]] = {}
     for concept in _concepts(ctx):
         for scheme in ctx.objects(concept, SKOS + "inScheme"):
@@ -594,10 +584,10 @@ def _mode_ambiguous_notation(ctx, cid, severity) -> list[Violation]:
         if len(distinct) > 1:
             listing = ", ".join(str(m) for m in distinct)
             out.append(
-                make_violation(
-                    cid, severity, distinct[0], f"{text}|{scheme}",
+                finding(
+                    distinct[0], f"{text}|{scheme}",
                     f"notation {text!r} is shared by {listing} within one "
-                    "concept scheme", (),
+                    "concept scheme",
                 )
             )
     return out

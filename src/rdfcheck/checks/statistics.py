@@ -12,7 +12,7 @@ from decimal import Decimal
 
 from ..catalog import Severity
 from ..terms import Literal, Term
-from ..violations import Violation, make_violation
+from ..violations import Finding, finding
 from ..xsd import exact_decimal
 from .models import (
     SUM_INVALID_CASES,
@@ -57,9 +57,7 @@ def check_percentage_sum(
     stats: StatisticsModel,
     *,
     tolerance=DEFAULT_TOLERANCE,
-    cid: str = "percentage-sum",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     tolerance = Decimal(str(tolerance))
     out = []
     for var in stats.variables:
@@ -69,10 +67,9 @@ def check_percentage_sum(
         total = sum(percentages, Decimal(0))
         if abs(total - HUNDRED) > tolerance:
             out.append(
-                make_violation(
-                    cid, severity, var.node, str(total),
+                finding(
+                    var.node, str(total),
                     f"percentages over the code list sum to {total}, expected 100",
-                    (),
                 )
             )
     return out
@@ -112,9 +109,7 @@ def check_frequency_totals(
     mode: str,
     *,
     country_property: str | None = None,
-    cid: str = "frequency-totals",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     out = []
     for var in stats.variables:
         cases = _first_decimal(var.summary_values(SUM_NUMBER_OF_CASES))
@@ -126,10 +121,10 @@ def check_frequency_totals(
                 continue
             if total != cases:
                 out.append(
-                    make_violation(
-                        cid, severity, var.node, f"{total}|{cases}",
+                    finding(
+                        var.node, f"{total}|{cases}",
                         f"code frequencies sum to {total} but the number of "
-                        f"cases is {cases}", (),
+                        f"cases is {cases}",
                     )
                 )
         elif mode == "valid-sum":
@@ -138,10 +133,10 @@ def check_frequency_totals(
                 continue
             if total != valid_cases:
                 out.append(
-                    make_violation(
-                        cid, severity, var.node, f"{total}|{valid_cases}",
+                    finding(
+                        var.node, f"{total}|{valid_cases}",
                         f"frequencies of valid codes sum to {total} but the "
-                        f"valid-cases statistic is {valid_cases}", (),
+                        f"valid-cases statistic is {valid_cases}",
                     )
                 )
         elif mode == "invalid-sum":
@@ -150,10 +145,10 @@ def check_frequency_totals(
                 continue
             if total != invalid_cases:
                 out.append(
-                    make_violation(
-                        cid, severity, var.node, f"{total}|{invalid_cases}",
+                    finding(
+                        var.node, f"{total}|{invalid_cases}",
                         f"frequencies of invalid codes sum to {total} but the "
-                        f"invalid-cases statistic is {invalid_cases}", (),
+                        f"invalid-cases statistic is {invalid_cases}",
                     )
                 )
         elif mode == "valid-plus-invalid":
@@ -161,16 +156,16 @@ def check_frequency_totals(
                 continue
             if valid_cases + invalid_cases != cases:
                 out.append(
-                    make_violation(
-                        cid, severity, var.node,
+                    finding(
+                        var.node,
                         f"{valid_cases}+{invalid_cases}|{cases}",
                         f"valid ({valid_cases}) plus invalid ({invalid_cases}) "
-                        f"cases differ from the number of cases ({cases})", (),
+                        f"cases differ from the number of cases ({cases})",
                     )
                 )
         elif mode == "country-totals":
             out.extend(
-                _country_totals(var, country_property, ctx, cid, severity)
+                _country_totals(var, country_property, ctx)
             )
         else:
             raise ValueError(f"unknown frequency-totals mode {mode!r}")
@@ -178,8 +173,8 @@ def check_frequency_totals(
 
 
 def _country_totals(
-    var: VariableStats, country_property: str | None, ctx, cid: str, severity: Severity
-) -> list[Violation]:
+    var: VariableStats, country_property: str | None, ctx
+) -> list[Finding]:
     """Per-country number-of-cases totals must sum to the 'All' total.
 
     Only runs when the catalog configures the country annotation property;
@@ -208,10 +203,10 @@ def _country_totals(
     total = sum(per_country.values(), Decimal(0))
     if total != all_total:
         return [
-            make_violation(
-                cid, severity, var.node, f"{total}|{all_total}",
+            finding(
+                var.node, f"{total}|{all_total}",
                 f"per-country case counts sum to {total} but the 'All' total "
-                f"is {all_total}", (),
+                f"is {all_total}",
             )
         ]
     return []
@@ -219,10 +214,7 @@ def _country_totals(
 
 def check_min_max(
     stats: StatisticsModel,
-    *,
-    cid: str = "min-max-consistency",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     out = []
     for var in stats.variables:
         minimum = _first_decimal(var.summary_values(SUM_MINIMUM))
@@ -231,10 +223,10 @@ def check_min_max(
             continue
         if minimum > maximum:
             out.append(
-                make_violation(
-                    cid, severity, var.node, f"{minimum}|{maximum}",
+                finding(
+                    var.node, f"{minimum}|{maximum}",
                     f"minimum summary statistic ({minimum}) exceeds the "
-                    f"maximum ({maximum})", (),
+                    f"maximum ({maximum})",
                 )
             )
     return out
@@ -245,9 +237,7 @@ def check_cumulative_chain(
     mode: str,
     *,
     tolerance=DEFAULT_TOLERANCE,
-    cid: str = "cumulative-chain",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """chain: cum(i) = cum(i-1) + pct(i) within tolerance (cum(0) = pct(0));
     last-100: the final cumulative percentage is 100 within tolerance.
 
@@ -278,10 +268,11 @@ def check_cumulative_chain(
         if not var.ordered:
             if mode == "chain":
                 out.append(
-                    make_violation(
-                        cid, Severity.INFO, var.node, "unordered",
+                    Finding(
+                        str(var.node), "unordered",
                         "cumulative percentages require an ordered code list "
-                        "(skos:OrderedCollection with skos:memberList)", (),
+                        "(skos:OrderedCollection with skos:memberList)",
+                        severity=Severity.INFO,
                     )
                 )
             continue
@@ -293,10 +284,10 @@ def check_cumulative_chain(
                 expected = previous + pct  # type: ignore[operator]
                 if abs(cum - expected) > tolerance:
                     out.append(
-                        make_violation(
-                            cid, severity, var.node, f"{code}|{cum}",
+                        finding(
+                            var.node, f"{code}|{cum}",
                             f"cumulative percentage at code {code} is {cum}, "
-                            f"expected {expected}", (),
+                            f"expected {expected}",
                         )
                     )
                 previous = cum
@@ -304,10 +295,10 @@ def check_cumulative_chain(
             last_cum = cums[-1][1]
             if abs(last_cum - HUNDRED) > tolerance:
                 out.append(
-                    make_violation(
-                        cid, severity, var.node, str(last_cum),
+                    finding(
+                        var.node, str(last_cum),
                         f"cumulative percentage of the last code is {last_cum}, "
-                        "expected 100", (),
+                        "expected 100",
                     )
                 )
         else:
@@ -318,10 +309,7 @@ def check_cumulative_chain(
 def check_statistic_applicability(
     stats: StatisticsModel,
     mode: str,
-    *,
-    cid: str = "statistic-applicability",
-    severity: Severity = Severity.ERROR,
-) -> list[Violation]:
+) -> list[Finding]:
     """string-stats: no minimum/maximum/mean for string-typed variables;
     categorical-mean: no mean for code-list-represented variables."""
     from ..namespaces import XSD_STRING, compact
@@ -341,8 +329,8 @@ def check_statistic_applicability(
         for type_iri in inapplicable:
             for node in var.summary_nodes(type_iri):
                 out.append(
-                    make_violation(
-                        cid, severity, var.node, str(node),
+                    finding(
+                        var.node, str(node),
                         f"summary statistic {compact(type_iri)} cannot be "
                         f"computed for this variable's representation", (type_iri,),
                     )

@@ -3,7 +3,9 @@
 The catalog registry names every constraint type's checker and the shared
 objects it takes (``ConstraintType.check`` and ``needs``); one generic call
 maps a constraint's parameters onto the checker's arguments, so no
-per-type code lives here. Constraints run in id order. Checkers may return
+per-type code lives here. Checkers never see a constraint's id or severity:
+this module alone stamps each finding with both, leading its message with
+the id, and each metric with the id. Constraints run in id order. Checkers may return
 their findings in any order: ``_dedup`` alone orders them, by severity
 (desc), constraint id, focus, detail, message and check path, so equal
 inputs give byte-identical reports. The cube, statistics and hierarchy models are
@@ -14,6 +16,7 @@ rest of the run.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -30,7 +33,7 @@ from .checks.models import (
     extract_statistics,
 )
 from .graph import Graph
-from .violations import MetricRecord, ResourceLimit, Violation
+from .violations import Finding, MetricRecord, ResourceLimit, Violation
 
 _CHECK_MODULES = {
     module.__name__.rsplit(".", 1)[-1]: module
@@ -95,7 +98,9 @@ class RunContext:
         return extract_hierarchy(self.ctx)
 
 
-def _evaluate(rc: RunContext, c: Constraint) -> tuple[list[Violation], list[MetricRecord]]:
+def _evaluate(
+    rc: RunContext, c: Constraint
+) -> tuple[list[Finding], list[tuple[str, str, int]]]:
     """Call the type's checker with its ``needs``, the required parameters
     in schema order and the optional ones the constraint sets; an optional
     ``scope`` falls back to the constraint's own scope."""
@@ -112,7 +117,7 @@ def _evaluate(rc: RunContext, c: Constraint) -> tuple[list[Violation], list[Metr
     module, function = ctype.check.split(".")
     # looked up at call time, so a wrapper installed on the module applies
     check = getattr(_CHECK_MODULES[module], function)
-    result = check(*args, **kwargs, cid=c.id, severity=c.severity)
+    result = check(*args, **kwargs)
     return result if isinstance(result, tuple) else (result, [])
 
 
@@ -127,13 +132,24 @@ def _run_one(
         status = f"skipped: not evaluable ({missing})"
     else:
         try:
-            found, metrics = _evaluate(rc, c)
+            findings, counts = _evaluate(rc, c)
         except ResourceLimit as exc:
             status = f"skipped: limit ({exc})"
         except Exception as exc:
             raise EngineError(f"{c.id}: checker failed: {exc}") from exc
         else:
-            violations = _dedup(found)
+            violations = _dedup(
+                Violation(
+                    c.id,
+                    c.severity if f.severity is None else f.severity,
+                    f.focus,
+                    f.detail,
+                    f"{c.id}: {f.message}",
+                    f.check_path,
+                )
+                for f in findings
+            )
+            metrics = [MetricRecord(c.id, *count) for count in counts]
             status = "evaluated"
     elapsed = time.perf_counter() - started
     return ConstraintStatus(c.id, status, len(violations), elapsed), violations, metrics
@@ -165,7 +181,7 @@ def validate(
     )
 
 
-def _dedup(violations: list[Violation]) -> list[Violation]:
+def _dedup(violations: Iterable[Violation]) -> list[Violation]:
     """Sorted by (sort key, message, check path), one per (constraint, focus,
     detail); the key is total, so the checker's order never picks the one
     that survives."""

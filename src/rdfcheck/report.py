@@ -6,6 +6,7 @@ import json
 
 from .catalog import Severity
 from .engine import ValidationReport, severity_counts
+from .xsd import integer_text
 
 
 def write_text(report: ValidationReport, threshold: Severity | None = None) -> str:
@@ -25,7 +26,7 @@ def write_text(report: ValidationReport, threshold: Severity | None = None) -> s
     for metric in report.metrics:
         lines.append(
             f"METRIC {metric.constraint_id} {metric.focus} - {metric.name} = "
-            f"{metric.value}"
+            f"{integer_text(metric.value)}"
         )
     skipped = report.skipped()
     for status in skipped:
@@ -85,15 +86,15 @@ def write_json(report: ValidationReport, threshold: Severity | None = None) -> s
 
 
 def _object(fields: dict[str, object], indent: str = "    ") -> str:
-    """``fields``, whose values are strings or numbers, as an ``indent=2``
+    """``fields``, whose values are strings or integers, as an ``indent=2``
     JSON object whose closing brace is indented by ``indent``."""
     inner = indent + "  "
     members = ",\n".join(f"{inner}{_string(k)}: {_value(v)}" for k, v in fields.items())
     return f"{{\n{members}\n{indent}}}"
 
 
-def _value(value: object) -> str:
-    return _string(value) if isinstance(value, str) else json.dumps(value)
+def _value(value: str | int) -> str:
+    return _string(value) if isinstance(value, str) else integer_text(value)
 
 
 def write_report(

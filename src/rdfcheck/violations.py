@@ -1,8 +1,14 @@
-"""Violation records produced by every checker."""
+"""What checkers report, and the records the engine makes of it.
+
+A checker returns ``Finding``s: focus, detail, message and check path. It
+never sees its constraint's id or severity; the engine stamps both on each
+finding when it turns it into a ``Violation``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import Severity
 from .terms import Term
@@ -27,9 +33,36 @@ class ResourceLimit(Exception):
     constraint as skipped instead of failing the run."""
 
 
+class Finding(NamedTuple):
+    """One finding of a checker. ``severity`` is set only by the notes that
+    are INFO whatever their constraint's severity; None takes the
+    constraint's."""
+
+    focus: str
+    detail: str
+    message: str
+    check_path: tuple[str, ...] = ()
+    severity: Severity | None = None
+
+
+def finding(
+    focus: Term | str | None,
+    detail: Term | str | int | None,
+    message: str,
+    check_path: tuple[str, ...] = (),
+) -> Finding:
+    """A finding with ``focus`` and ``detail`` serialized as text."""
+    return Finding(
+        "" if focus is None else str(focus),
+        "" if detail is None else str(detail),
+        message,
+        check_path,
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class Violation:
-    """One finding.
+    """One finding, stamped with its constraint's id and severity.
 
     Two violations are equal iff (constraint_id, focus, detail) are equal;
     the engine dedups on that key. ``focus`` and ``detail`` are kept as
@@ -45,24 +78,3 @@ class Violation:
 
     def sort_key(self) -> tuple[int, str, str, str]:
         return (-int(self.severity), self.constraint_id, self.focus, self.detail)
-
-
-def make_violation(
-    constraint_id: str,
-    severity: Severity,
-    focus: Term | str | None,
-    detail: Term | str | int | None,
-    message: str,
-    check_path: tuple[str, ...] = (),
-) -> Violation:
-    """Build a violation; the message always leads with the constraint id."""
-    focus_text = "" if focus is None else str(focus)
-    detail_text = "" if detail is None else str(detail)
-    return Violation(
-        constraint_id=constraint_id,
-        severity=severity,
-        focus=focus_text,
-        detail=detail_text,
-        message=f"{constraint_id}: {message}",
-        check_path=check_path,
-    )

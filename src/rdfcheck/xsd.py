@@ -102,7 +102,7 @@ def parse_xsd_value(lexical: str, datatype: str) -> XsdValue:
     if datatype in _INTEGER_FACETS:
         if not _INTEGER_RE.fullmatch(lexical):
             raise InvalidLexicalError(f"{lexical!r} is not an integer")
-        value = int(lexical)
+        value = _integer(lexical)
         lo, hi = _INTEGER_FACETS[datatype]
         if (lo is not None and value < lo) or (hi is not None and value > hi):
             raise InvalidLexicalError(
@@ -161,8 +161,18 @@ def parse_xsd_value(lexical: str, datatype: str) -> XsdValue:
         m = _GYEAR_RE.fullmatch(lexical)
         if not m:
             raise InvalidLexicalError(f"{lexical!r} is not an xsd:gYear")
-        return XsdValue("gYear", int(m.group(1)))
+        return XsdValue("gYear", _integer(m.group(1)))
     raise UnknownDatatypeError(f"unsupported datatype {datatype}")
+
+
+def _integer(digits: str) -> int:
+    # through Decimal: int(str) refuses more than 4,300 digits
+    return int(Decimal(digits))
+
+
+def integer_text(value: int) -> str:
+    """``str(value)``, also past the 4,300 digits that ``str`` refuses."""
+    return f"{Decimal(value):f}"
 
 
 def _tz_minutes(tz: str | None) -> int | None:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,40 @@ def test_integer_past_the_digit_limit_exits_two_at_load(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("rdfcheck: error: catalog is not valid JSON: ")
     assert err.count("\n") == 1
+
+
+_HUGE = "1" * 5000  # past the 4,300 digits that int() and str() take by default
+
+
+def _huge_integer_input(tmp_path, name):
+    path = tmp_path / name
+    if name == "frequency.nt":
+        path.write_text(
+            "<http://example.org/v> <http://rdf-vocabulary.ddialliance.org/discovery#frequency> "
+            f'"{_HUGE}"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+        )
+    else:
+        # every integer of the survey: frequency sums, declared sizes, metrics
+        survey = (FIXTURES / "eusilc.ttl").read_text()
+        path.write_text(re.sub(r'"\d+"(?=\^\^xsd:nonNegativeInteger)', f'"{_HUGE}"', survey))
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", ["frequency.nt", "eusilc.ttl"])
+def test_integers_past_the_digit_limit_are_validated(tmp_path, capsys, fmt, name):
+    data = _huge_integer_input(tmp_path, name)
+    out = tmp_path / f"report.{fmt}"
+    assert run_cli([str(data), "--report", fmt, "--output", str(out)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    text = out.read_text(encoding="utf-8")
+    if fmt == "json":
+        # json.loads, too, refuses such integers unless told how to read them
+        report = json.loads(text, parse_int=Decimal)
+        values = [m["value"] for m in report["metrics"]]
+        assert name != "eusilc.ttl" or max(values) > 10**4300
+    else:
+        assert text.endswith(" constraint(s) skipped\n")
 
 
 @pytest.mark.parametrize("only", [

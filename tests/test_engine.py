@@ -8,7 +8,7 @@ from rdfcheck.engine import EngineError, validate
 from rdfcheck.graph import Graph
 from rdfcheck.report import write_json
 
-from conftest import expand, graph, lit, load_catalog
+from conftest import expand, graph, iri, lit, load_catalog
 
 
 def _typed(node, cls):
@@ -58,20 +58,58 @@ def test_reports_identical_across_repeated_runs(eusilc, disco_catalog):
     assert reports[0] == reports[1] == reports[2]
 
 
-@pytest.mark.parametrize("type_id", sorted(set(CONSTRAINT_TYPES) - {"not-evaluable"}))
+def _registered_checker(type_id):
+    module, name = CONSTRAINT_TYPES[type_id].check.split(".")
+    return getattr(importlib.import_module(f"rdfcheck.checks.{module}"), name)
+
+
+_CHECKED_TYPES = sorted(set(CONSTRAINT_TYPES) - {"not-evaluable"})
+
+
+@pytest.mark.parametrize("type_id", _CHECKED_TYPES)
 def test_registered_checker_accepts_the_engine_call(type_id):
     # the engine passes the needs objects, the load/eval params positionally
-    # in schema order, then the opt params as keywords, then cid and severity
+    # in schema order, then the opt params as keywords, and nothing else
     ctype = CONSTRAINT_TYPES[type_id]
-    module, name = ctype.check.split(".")
-    check = getattr(importlib.import_module(f"rdfcheck.checks.{module}"), name)
+    check = _registered_checker(type_id)
     assert inspect.isfunction(check)
     assert set(ctype.needs) <= {"ctx", "cube", "stats", "hierarchy"}
     required = [p for p, (_kind, req) in ctype.schema.items() if req != "opt"]
     optional = {p: None for p, (_kind, req) in ctype.schema.items() if req == "opt"}
-    inspect.signature(check).bind(
-        *ctype.needs, *required, **optional, cid=type_id, severity=Severity.ERROR
-    )
+    inspect.signature(check).bind(*ctype.needs, *required, **optional)
+
+
+def test_no_registered_checker_takes_an_id_or_a_severity():
+    # the engine alone decides which constraint and severity a finding carries
+    for type_id in _CHECKED_TYPES:
+        params = inspect.signature(_registered_checker(type_id)).parameters
+        assert not {"cid", "severity"} & set(params), type_id
+
+
+def test_engine_stamps_findings_and_metrics_with_their_constraint():
+    doc = {"constraints": [
+        {"id": "T-ERROR", "type": "subsumption", "severity": "error",
+         "params": {"class": expand("ex:A"), "superclass": expand("ex:B")}},
+        {"id": "T-INFO", "type": "class-equivalence", "severity": "info",
+         "params": {"class1": expand("ex:A"), "class2": expand("ex:B")}},
+        {"id": "T-WARNING", "type": "data-property-facets", "severity": "warning",
+         "params": {"property": expand("ex:p"), "min_length": 80}},
+        {"id": "T-COUNT", "type": "aggregation", "severity": "error",
+         "params": {"scope": expand("ex:A"), "path": [expand("ex:p")]}},
+    ]}
+    g = graph(_typed("ex:a", "ex:A"), ("ex:a", "ex:p", lit("too short")))
+    report = validate(g, load_catalog(doc))
+    assert [(v.constraint_id, v.severity) for v in report.violations] == [
+        ("T-ERROR", Severity.ERROR),
+        ("T-WARNING", Severity.WARNING),
+        ("T-INFO", Severity.INFO),
+    ]
+    for v in report.violations:
+        assert v.message.startswith(f"{v.constraint_id}: ")
+        assert not v.message.startswith(f"{v.constraint_id}: {v.constraint_id}")
+    assert [(m.constraint_id, m.focus, m.value) for m in report.metrics] == [
+        ("T-COUNT", str(iri("ex:a")), 1)
+    ]
 
 
 def test_union_of_constraint_subsets_equals_full_run(eusilc, disco_catalog):

@@ -1,6 +1,5 @@
 import random
 
-from rdfcheck.catalog import Severity
 from rdfcheck.checks import lexical
 
 from conftest import ctx_for, expand, graph, lit
@@ -21,7 +20,7 @@ def test_min_length_facet():
         ctx_for(g), expand("dcterms:abstract"), scope=expand("disco:Study"),
         min_length=80,
     )
-    assert len(out) == 1 and out[0].severity is Severity.WARNING
+    assert len(out) == 1 and out[0].detail.startswith("minLength|")
 
 
 def test_empty_facet_set_no_violations():

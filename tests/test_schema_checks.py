@@ -4,7 +4,7 @@ from urllib.parse import urlsplit
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rdfcheck.catalog import Catalog, Severity, VocabularyInventory, builtin_catalog
+from rdfcheck.catalog import Catalog, VocabularyInventory, builtin_catalog
 from rdfcheck.checks import schema
 from rdfcheck.graph import Graph
 from rdfcheck.terms import Iri
@@ -27,7 +27,6 @@ def test_subsumption_flags_missing_supertype():
                                    expand("skos:Concept"))
     assert len(out) == 1
     assert out[0].focus == str(iri("ex:u1"))
-    assert out[0].severity is Severity.ERROR
 
 
 def test_subsumption_passes_when_both_types_present():
@@ -77,9 +76,8 @@ def test_equivalence_flags_one_sided_instance():
     g = graph(_typed("ex:v", "sio:SIO_000367"))
     out = schema.check_class_equivalence(
         ctx_for(g), expand("sio:SIO_000367"), expand("disco:Variable"),
-        severity=Severity.INFO,
     )
-    assert len(out) == 1 and out[0].severity is Severity.INFO
+    assert len(out) == 1 and out[0].focus == str(iri("ex:v"))
 
 
 def test_equivalence_is_union_of_both_subsumptions():
@@ -91,7 +89,7 @@ def test_equivalence_is_union_of_both_subsumptions():
     ctx = ctx_for(g)
     c1, c2 = expand("ex:C1"), expand("ex:C2")
     combined = schema.check_subsumption(ctx, c1, c2) + schema.check_subsumption(ctx, c2, c1)
-    got = schema.check_class_equivalence(ctx, c1, c2, severity=Severity.ERROR)
+    got = schema.check_class_equivalence(ctx, c1, c2)
     assert {(v.focus, v.detail) for v in got} == {
         (v.focus, v.detail) for v in combined
     }

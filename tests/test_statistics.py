@@ -11,6 +11,7 @@ from rdfcheck.checks.statistics import (
     check_percentage_sum,
     check_statistic_applicability,
 )
+from rdfcheck.engine import validate
 from rdfcheck.graph import Graph
 from rdfcheck.terms import BlankNode, Iri, Triple
 
@@ -19,7 +20,12 @@ from conftest import ctx_for, expand, graph, lit
 SUMSTAT = "http://rdf-vocabulary.ddialliance.org/cv/SummaryStatisticType#"
 
 
-def stats_fixture(
+def stats_fixture(codes, summaries=(), ordered=True, repr_kind="ordered"):
+    """The statistics model of ``stats_graph``."""
+    return extract_statistics(ctx_for(stats_graph(codes, summaries, ordered, repr_kind)))
+
+
+def stats_graph(
     codes,  # list of (freq, pct, cum, valid) or None fields
     summaries=(),  # list of (type local name, lexical, datatype)
     ordered=True,
@@ -68,7 +74,7 @@ def stats_fixture(
         rows.append((f"ex:ss{i}", "disco:statisticsVariable", "ex:v"))
         rows.append((f"ex:ss{i}", "disco:summaryStatisticsType", SUMSTAT + local))
         rows.append((f"ex:ss{i}", "rdf:value", lit(lexical, datatype)))
-    return extract_statistics(ctx_for(graph(*rows)))
+    return graph(*rows)
 
 
 def test_percentage_sum_exact():
@@ -226,6 +232,16 @@ def test_unordered_list_gets_ordering_note():
     assert "ordered" in out[0].message
     # last-100 stays silent for unordered lists
     assert check_cumulative_chain(stats, "last-100") == []
+
+
+def test_ordering_note_is_info_under_an_error_constraint(disco_catalog):
+    chain = disco_catalog.constraints["DISCO-C-DATA-MODEL-CONSISTENCY-01"]
+    assert chain.type == "cumulative-chain" and chain.severity is Severity.ERROR
+    g = stats_graph([(None, "100.0", "100.0", None)], repr_kind="scheme")
+    report = validate(g, disco_catalog, [chain])
+    assert [(v.constraint_id, v.severity, v.detail) for v in report.violations] == [
+        ("DISCO-C-DATA-MODEL-CONSISTENCY-01", Severity.INFO, "unordered")
+    ]
 
 
 def test_mean_on_categorical_flagged():
