@@ -242,13 +242,13 @@ def check_aggregation(
             count = len(ctx.follow_path(node, path or []))
             verdict(node, count, "count over " + "/".join(path or []))
     elif kind == "valid-frequency-sum":
-        from .statistics import _total_frequency
+        from .statistics import valid_frequency_sum
 
         for var in (stats.variables if stats else []):
-            total = _total_frequency(var, True)
+            total = valid_frequency_sum(var)
             if total is None:
                 continue
-            verdict(var.node, int(total), "frequency sum over valid codes")
+            verdict(var.node, total, "frequency sum over valid codes")
     elif kind == "collection-size-vs-declared":
         if declared_property is None:
             return violations, metrics

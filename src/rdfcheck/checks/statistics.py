@@ -1,14 +1,16 @@
 """Statistical-arithmetic checks over the extracted statistics model.
 
 All sums run on exact Decimal values read digit-for-digit from the lexical
-forms; the configured tolerance applies only at the final comparison.
+forms, in a context whose precision holds every sum of a variable's
+statistics whole (see ``_exact_context``); the configured tolerance applies
+only at the final comparison.
 Variables whose relevant numbers are missing or unparseable are skipped
 here; the datatype and range constraints report those defects.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 from ..catalog import Severity
 from ..terms import Literal, Term
@@ -27,6 +29,25 @@ from .models import (
 
 HUNDRED = Decimal(100)
 DEFAULT_TOLERANCE = Decimal("0.01")
+
+
+def _exact_context(var: VariableStats) -> Context:
+    """The decimal context for arithmetic over one variable's statistics.
+
+    Its precision is the characters the lexical forms of those statistics
+    write, plus one carry digit each and three for the 100 that percentages
+    are held to. A sum or difference of numbers written without an exponent
+    never needs more, so it is exact; one written with an exponent, such as
+    ``"1e400000000"``, is rounded to that many digits instead of being
+    expanded. The exponent range is the widest, and nothing traps, so no
+    statistic can make the arithmetic raise.
+    """
+    lits = [lit for stat in var.summaries for lit in stat.values]
+    for stats in var.catstats.values():
+        for stat in stats:
+            lits += stat.frequencies + stat.percentages + stat.cumulatives
+    digits = sum(len(lit.lexical) + 1 for lit in lits) + 3
+    return Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
 
 
 def _first_decimal(lits: list[Literal]) -> Decimal | None:
@@ -64,8 +85,10 @@ def check_percentage_sum(
         percentages = _code_percentages(var)
         if percentages is None:
             continue
-        total = sum(percentages, Decimal(0))
-        if abs(total - HUNDRED) > tolerance:
+        with localcontext(_exact_context(var)):
+            total = sum(percentages, Decimal(0))
+            off = abs(total - HUNDRED) > tolerance
+        if off:
             out.append(
                 finding(
                     var.node, str(total),
@@ -83,7 +106,7 @@ def _total_frequency(var: VariableStats, valid: bool | None) -> Decimal | None:
     """
     if not var.codes:
         return None
-    total = Decimal(0)
+    frequencies = []
     for code in var.codes:
         flag = var.code_valid.get(code)
         if valid is not None:
@@ -99,8 +122,22 @@ def _total_frequency(var: VariableStats, valid: bool | None) -> Decimal | None:
         ]
         if not freq:
             return None
-        total += freq[0]
-    return total
+        frequencies.append(freq[0])
+    with localcontext(_exact_context(var)):
+        return sum(frequencies, Decimal(0))
+
+
+def valid_frequency_sum(var: VariableStats) -> int | None:
+    """The frequencies of the valid codes summed, as an integer: None where
+    ``_total_frequency`` gives none, and where the integer would have more
+    digits than the variable's statistics write, which only an exponent
+    such as ``"1e400000000"`` can cause."""
+    total = _total_frequency(var, True)
+    if total is None or not total.is_finite():
+        return None
+    if total.adjusted() >= _exact_context(var).prec:
+        return None
+    return int(total)
 
 
 def check_frequency_totals(
@@ -154,7 +191,9 @@ def check_frequency_totals(
         elif mode == "valid-plus-invalid":
             if cases is None or valid_cases is None or invalid_cases is None:
                 continue
-            if valid_cases + invalid_cases != cases:
+            with localcontext(_exact_context(var)):
+                both = valid_cases + invalid_cases
+            if both != cases:
                 out.append(
                     finding(
                         var.node,
@@ -184,23 +223,24 @@ def _country_totals(
         return []
     per_country: dict[str, Decimal] = {}
     all_total: Decimal | None = None
-    for stat in var.summaries:
-        if SUM_NUMBER_OF_CASES not in stat.types:
-            continue
-        countries = [
-            o.lexical for o in ctx.literal_objects(stat.node, country_property)
-        ]
-        value = _first_decimal(stat.values)
-        if value is None or not countries:
-            continue
-        for country in countries:
-            if country == "All":
-                all_total = value
-            else:
-                per_country[country] = per_country.get(country, Decimal(0)) + value
-    if all_total is None or not per_country:
-        return []
-    total = sum(per_country.values(), Decimal(0))
+    with localcontext(_exact_context(var)):
+        for stat in var.summaries:
+            if SUM_NUMBER_OF_CASES not in stat.types:
+                continue
+            countries = [
+                o.lexical for o in ctx.literal_objects(stat.node, country_property)
+            ]
+            value = _first_decimal(stat.values)
+            if value is None or not countries:
+                continue
+            for country in countries:
+                if country == "All":
+                    all_total = value
+                else:
+                    per_country[country] = per_country.get(country, Decimal(0)) + value
+        if all_total is None or not per_country:
+            return []
+        total = sum(per_country.values(), Decimal(0))
     if total != all_total:
         return [
             finding(
@@ -278,31 +318,32 @@ def check_cumulative_chain(
             continue
         if any(c is None for _, c in cums) or any(p is None for p in pcts):
             continue
-        if mode == "chain":
-            previous = Decimal(0)
-            for (code, cum), pct in zip(cums, pcts):
-                expected = previous + pct  # type: ignore[operator]
-                if abs(cum - expected) > tolerance:
+        with localcontext(_exact_context(var)):
+            if mode == "chain":
+                previous = Decimal(0)
+                for (code, cum), pct in zip(cums, pcts):
+                    expected = previous + pct  # type: ignore[operator]
+                    if abs(cum - expected) > tolerance:
+                        out.append(
+                            finding(
+                                var.node, f"{code}|{cum}",
+                                f"cumulative percentage at code {code} is {cum}, "
+                                f"expected {expected}",
+                            )
+                        )
+                    previous = cum
+            elif mode == "last-100":
+                last_cum = cums[-1][1]
+                if abs(last_cum - HUNDRED) > tolerance:
                     out.append(
                         finding(
-                            var.node, f"{code}|{cum}",
-                            f"cumulative percentage at code {code} is {cum}, "
-                            f"expected {expected}",
+                            var.node, str(last_cum),
+                            f"cumulative percentage of the last code is {last_cum}, "
+                            "expected 100",
                         )
                     )
-                previous = cum
-        elif mode == "last-100":
-            last_cum = cums[-1][1]
-            if abs(last_cum - HUNDRED) > tolerance:
-                out.append(
-                    finding(
-                        var.node, str(last_cum),
-                        f"cumulative percentage of the last code is {last_cum}, "
-                        "expected 100",
-                    )
-                )
-        else:
-            raise ValueError(f"unknown cumulative-chain mode {mode!r}")
+            else:
+                raise ValueError(f"unknown cumulative-chain mode {mode!r}")
     return out
 
 

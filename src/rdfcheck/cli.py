@@ -18,6 +18,7 @@ import argparse
 import gc
 import os
 import sys
+from collections.abc import Callable
 from itertools import chain
 from pathlib import Path
 from typing import TextIO
@@ -31,10 +32,10 @@ from .catalog import (
     merge_catalogs,
 )
 from .engine import EngineError, validate
-from .graph import Graph, TripleKey, triple_order
+from .graph import Graph
 from .ntriples import ParseError, parse_ntriples
 from .report import write_report
-from .terms import BlankNode, Triple
+from .terms import BlankNode, Term, Triple, term_sort_key
 from .turtle import parse_turtle
 
 CATALOG_PATH_ENV = "RDFCHECK_CATALOG_PATH"
@@ -123,6 +124,24 @@ def _load_inputs(paths: list[str], fmt: str | None) -> Graph:
             blank_offset += _renumber_blanks(part, blank_offset)
         parts.append(part)
     return Graph(chain.from_iterable(parts))
+
+
+TripleKey = tuple[tuple[int, str], tuple[int, str], tuple[int, str]]
+
+
+def triple_order() -> Callable[[Triple], TripleKey]:
+    """The sort key of a graph's triples: their terms' ``term_sort_key``,
+    subject first. The key function caches each term's key, so use one for
+    one batch of triples."""
+    keys: dict[Term, tuple[int, str]] = {}
+
+    def key(term: Term) -> tuple[int, str]:
+        k = keys.get(term)
+        if k is None:
+            k = keys[term] = term_sort_key(term)
+        return k
+
+    return lambda t: (key(t.subject), key(t.predicate), key(t.object))
 
 
 def _renumber_blanks(triples: list[Triple], offset: int) -> int:

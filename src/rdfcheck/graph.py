@@ -1,17 +1,18 @@
 """Immutable, index-backed triple store.
 
 The triples are kept as one tuple sorted by (subject, predicate, object),
-and the indexes built when the graph is constructed are nested, with no
-tuple keys (see ``Graph``). ``match`` answers any (s?, p?, o?) pattern
-through the narrowest applicable index and always returns triples in sorted
-order, so results are reproducible regardless of insertion order. A pattern
-that binds only the object has no index and scans the triples.
+each term ordered by ``term_sort_key``, and the indexes built when the
+graph is constructed are nested, with no tuple keys (see ``Graph``).
+``match`` answers any (s?, p?, o?) pattern through the narrowest applicable
+index and always returns triples in sorted order, so results are
+reproducible regardless of insertion order. A pattern that binds only the
+object has no index and scans the triples.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import chain, groupby
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -30,22 +31,11 @@ class MalformedListError(Exception):
         self.prefix = prefix
 
 
-TripleKey = tuple[tuple[int, str], tuple[int, str], tuple[int, str]]
+_iri_text = attrgetter("value")
 
 
-def triple_order() -> Callable[[Triple], TripleKey]:
-    """The sort key of a graph's triples: their terms' ``term_sort_key``,
-    subject first. The key function caches each term's key, so use one for
-    one batch of triples."""
-    keys: dict[Term, tuple[int, str]] = {}
-
-    def key(term: Term) -> tuple[int, str]:
-        k = keys.get(term)
-        if k is None:
-            k = keys[term] = term_sort_key(term)
-        return k
-
-    return lambda t: (key(t.subject), key(t.predicate), key(t.object))
+def _object_key(t: Triple) -> tuple[int, str]:
+    return term_sort_key(t.object)
 
 
 # The inner mapping of a nested index on a miss; immutable, so no caller
@@ -58,12 +48,21 @@ class Graph:
 
     The constructor dedups and sorts the triples and builds every index, so
     a run builds one graph once, from all of its inputs, and each lookup
-    only reads. The indexes:
+    only reads.
 
-    - ``_by_sp``: subject → predicate → its triples. Since the triples are
-      sorted, each (subject, predicate) pair's triples are one contiguous
-      run, kept as a tuple, and each subject's runs are in predicate order;
-      one outer entry per subject. ``match(s=x)`` reads ``x``'s runs one
+    The build reads its input once and groups it by subject, then by
+    predicate, so it never sorts the triples as a whole. It sorts the
+    subjects, then each subject's predicates, and only a (subject,
+    predicate) pair holding more than one triple sorts its triples, by
+    object. Nearly every pair holds one. Of equal triples the first one read
+    is kept, as ``set()`` keeps it: equal literals may be spelled apart,
+    such as ``"x"@en`` and ``"x"@EN``, and the spelling kept is the one a
+    report shows. Each triple sorts by its own object's spelling. The
+    indexes:
+
+    - ``_by_sp``: subject → predicate → its triples, the pair's run of the
+      sorted triples kept as a tuple; subjects and each subject's
+      predicates are in sorted order. ``match(s=x)`` reads ``x``'s runs one
       after another, so no index per subject alone is kept.
     - ``_by_p``: predicate → its triples, and ``_by_po``: predicate →
       object → its triples, as lists in sorted order.
@@ -76,17 +75,43 @@ class Graph:
     __slots__ = ("_triples", "_by_sp", "_by_p", "_by_po", "_iris")
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: tuple[Triple, ...] = tuple(sorted(set(triples), key=triple_order()))
-        self._iris: list[Iri] | None = None
-        predicate = attrgetter("predicate")
+        # subject → predicate → its triples; a pair's entry stays the bare
+        # triple until a second one arrives, so no list is made per pair
+        grouped: dict[Term, dict[Term, Triple | list[Triple]]] = {}
+        for t in triples:
+            runs = grouped.get(t.subject)
+            if runs is None:
+                grouped[t.subject] = {t.predicate: t}
+                continue
+            run = runs.get(t.predicate)
+            if run is None:
+                runs[t.predicate] = t
+            elif type(run) is list:
+                run.append(t)
+            else:
+                runs[t.predicate] = [run, t]
+        ordered: list[Triple] = []
         by_sp: dict[Term, dict[Term, tuple[Triple, ...]]] = {}
-        for s, run in groupby(self._triples, attrgetter("subject")):
-            by_sp[s] = {p: tuple(pairs) for p, pairs in groupby(run, predicate)}
         by_p: dict[Term, list[Triple]] = {}
         by_po: dict[Term, dict[Term, list[Triple]]] = {}
-        for t in self._triples:
-            by_p.setdefault(t.predicate, []).append(t)
-            by_po.setdefault(t.predicate, {}).setdefault(t.object, []).append(t)
+        for s in sorted(grouped, key=term_sort_key):
+            runs = grouped.pop(s)
+            by_sp[s] = ordered_runs = {}
+            # every predicate is an IRI, so its text alone orders them
+            for p in sorted(runs, key=_iri_text):
+                run = runs[p]
+                if type(run) is list:
+                    run = tuple(sorted(dict.fromkeys(run), key=_object_key))
+                else:
+                    run = (run,)
+                ordered_runs[p] = run
+                ordered += run
+                by_p.setdefault(p, []).extend(run)
+                same_po = by_po.setdefault(p, {})
+                for t in run:
+                    same_po.setdefault(t.object, []).append(t)
+        self._triples: tuple[Triple, ...] = tuple(ordered)
+        self._iris: list[Iri] | None = None
         self._by_sp, self._by_p, self._by_po = by_sp, by_p, by_po
 
     def __len__(self) -> int:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -389,6 +390,65 @@ def test_integers_past_the_digit_limit_are_validated(tmp_path, capsys, fmt, name
         assert name != "eusilc.ttl" or max(values) > 10**4300
     else:
         assert text.endswith(" constraint(s) skipped\n")
+
+
+_BIG = 10**29  # past the 28 digits of the default decimal context
+
+
+def _survey_with(tmp_path, replacements):
+    survey = (FIXTURES / "eusilc.ttl").read_text()
+    for pattern, value in replacements:
+        survey, n = re.subn(pattern, rf"\g<1>{value}", survey, flags=re.S)
+        assert n == 1, pattern
+    path = tmp_path / "survey.ttl"
+    path.write_text(survey)
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_counts_past_28_digits_are_summed_exactly(tmp_path, capsys, fmt):
+    # every count is its exact sum, so nothing is wrong with the survey
+    data = _survey_with(tmp_path, [
+        (r'(disco:frequency )"600"', f'"{_BIG + 601}"'),
+        (r'(disco:frequency )"300"', f'"{_BIG + 302}"'),
+        (r'(disco:frequency )"100"', f'"{_BIG + 103}"'),
+        (r'(ex:ssV1Cases .*?rdf:value )"1000"', f'"{3 * _BIG + 1006}"'),
+        (r'(ex:ssV1Valid .*?rdf:value )"900"', f'"{2 * _BIG + 903}"'),
+        (r'(ex:ssV1Invalid .*?rdf:value )"100"', f'"{_BIG + 103}"'),
+    ])
+    out = tmp_path / f"report.{fmt}"
+    args = [str(data), "--vocab", "disco", "--report", fmt, "--output", str(out)]
+    assert run_cli(args) == 0
+    assert capsys.readouterr().err == ""
+    text = out.read_text(encoding="utf-8")
+    if fmt == "json":
+        report = json.loads(text)
+        assert report["summary"]["error"] == 0
+        sums = [m["value"] for m in report["metrics"] if m["id"] == "DISCO-C-AGGREGATION-07"]
+        assert sums == [2 * _BIG + 903]
+    else:
+        assert f"frequency sum over valid codes = {2 * _BIG + 903}\n" in text
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_huge_exponent_is_rounded_not_expanded(tmp_path, capsys, fmt):
+    # the exact sum of these frequencies would have 400 million digits
+    data = _survey_with(tmp_path, [
+        (r'(disco:frequency )"600"\^\^xsd:nonNegativeInteger', '"1e400000000"^^xsd:double'),
+        (r'(disco:percentage )"30.0"', '"1e-400000000"'),
+        (r'(ex:ssV1Valid .*?rdf:value )"900"\^\^xsd:nonNegativeInteger',
+         '"1e400000000"^^xsd:double'),
+    ])
+    out = tmp_path / f"report.{fmt}"
+    args = [str(data), "--vocab", "disco", "--report", fmt, "--output", str(out)]
+    started = time.perf_counter()
+    assert run_cli(args) in (0, 1)
+    assert time.perf_counter() - started < 5
+    assert capsys.readouterr().err == ""
+    text = out.read_text(encoding="utf-8")
+    assert re.search(r"code frequencies sum to 1\.0*E\+400000000 but the number of cases", text)
+    # the metric would be an integer of 400 million digits, so it is left out
+    assert "frequency sum over valid codes" not in text
 
 
 @pytest.mark.parametrize("only", [

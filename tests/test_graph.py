@@ -1,4 +1,6 @@
 import random
+from itertools import groupby, permutations
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,122 @@ def test_graph_deduplicates_and_sorts(size, seed):
     assert len(g) == len(set(triples))
     listed = list(g)
     assert listed == sorted(listed, key=_triple_key)
+
+
+def _sorted_build(triples):
+    """The graph's contents built the plain way, as the reference: one sort
+    of every distinct triple, then one pass per index. Each triple is keyed
+    by its own terms, so an equal literal spelled otherwise elsewhere in the
+    input cannot move it."""
+    ordered = tuple(sorted(set(triples), key=_triple_key))
+    by_sp = {}
+    for s, run in groupby(ordered, attrgetter("subject")):
+        by_sp[s] = {p: tuple(pairs) for p, pairs in groupby(run, attrgetter("predicate"))}
+    by_p, by_po = {}, {}
+    for t in ordered:
+        by_p.setdefault(t.predicate, []).append(t)
+        by_po.setdefault(t.predicate, {}).setdefault(t.object, []).append(t)
+    return ordered, by_sp, by_p, by_po
+
+
+def _in_order(index):
+    """A nested index as nested lists of items, so that equal also means in
+    the same order."""
+    if isinstance(index, dict):
+        return [(key, _in_order(value)) for key, value in index.items()]
+    return index
+
+
+def _assert_built_as_sorted(g, triples):
+    ordered, by_sp, by_p, by_po = _sorted_build(triples)
+    assert len(g._triples) == len(ordered)
+    assert all(a is b for a, b in zip(g._triples, ordered))
+    assert _in_order(g._by_sp) == _in_order(by_sp)
+    assert _in_order(g._by_p) == _in_order(by_p)
+    assert _in_order(g._by_po) == _in_order(by_po)
+
+
+_BUILD_SUBJECTS = [Iri(f"http://t/s{i}") for i in range(4)] + [
+    BlankNode(f"b{i}") for i in range(3)
+]
+_BUILD_PREDICATES = [Iri(f"http://t/p{i}") for i in range(12)]
+_BUILD_OBJECTS = st.sampled_from(_BUILD_SUBJECTS + [
+    Literal("x", lang="en"),
+    Literal("x", lang="EN"),
+    Literal("x", lang="de"),
+    Literal("x"),
+    Literal("1", datatype="http://www.w3.org/2001/XMLSchema#integer"),
+]) | st.integers(0, 50).map(lambda n: Literal(str(n)))
+
+
+@st.composite
+def _build_inputs(draw):
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(_BUILD_SUBJECTS), st.sampled_from(_BUILD_PREDICATES),
+                  _BUILD_OBJECTS),
+        max_size=40,
+    ))
+    # one subject with many predicates, and one pair with a run of many objects
+    wide = _BUILD_SUBJECTS[draw(st.integers(0, len(_BUILD_SUBJECTS) - 1))]
+    rows += [(wide, p, draw(_BUILD_OBJECTS))
+             for p in draw(st.lists(st.sampled_from(_BUILD_PREDICATES), max_size=12))]
+    s, p = draw(st.sampled_from(_BUILD_SUBJECTS)), draw(st.sampled_from(_BUILD_PREDICATES))
+    rows += [(s, p, o) for o in draw(st.lists(_BUILD_OBJECTS, max_size=30))]
+    # exact duplicates: equal triples made as distinct objects
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=10))
+    triples = [Triple(*row) for row in rows]
+    draw(st.randoms(use_true_random=False)).shuffle(triples)
+    return triples
+
+
+@given(_build_inputs())
+@settings(max_examples=300, deadline=None)
+def test_grouped_build_equals_one_sort_of_every_triple(triples):
+    _assert_built_as_sorted(Graph(triples), triples)
+    _assert_built_as_sorted(Graph(iter(triples)), triples)
+
+
+def test_build_of_nothing_is_empty():
+    for g in (Graph(), Graph(iter(()))):
+        assert (g._triples, g._by_sp, g._by_p, g._by_po) == ((), {}, {}, {})
+        assert g.match() == [] and len(g) == 0
+
+
+def test_build_reads_a_generator_once():
+    triples = [triple("ex:b", "ex:p", "ex:o"), triple("ex:a", "ex:p", lit("x")),
+               triple("ex:a", "ex:p", lit("w")), triple("ex:b", "ex:p", "ex:o")]
+    reads = []
+
+    def read():
+        for t in triples:
+            reads.append(t)
+            yield t
+
+    g = Graph(read())
+    assert reads == triples
+    _assert_built_as_sorted(g, triples)
+
+
+@pytest.mark.parametrize("others", [[], [lit("a"), lit("z")]])
+def test_build_keeps_the_first_spelling_of_equal_triples(others):
+    # the pair holds the two spellings alone, or among other objects
+    en, upper = (triple("ex:s", "ex:p", lit("x", lang=tag)) for tag in ("en", "EN"))
+    rest = [triple("ex:s", "ex:p", o) for o in others]
+    for first, second in ((en, upper), (upper, en)):
+        g = Graph([first, *rest, second])
+        kept = [t for t in g if t.object == en.object]
+        assert len(kept) == 1 and kept[0] is first
+        assert len(g) == 1 + len(others)
+
+
+def test_run_order_ignores_an_equal_literal_spelled_otherwise_elsewhere():
+    # "x"@EN sorts before "x"@de by its own spelling, though "x"@en, equal
+    # to it, would sort after
+    elsewhere = triple("ex:a", "ex:p", lit("x", lang="en"))
+    run = [triple("ex:b", "ex:p", lit("x", lang=tag)) for tag in ("EN", "de")]
+    for order in permutations([elsewhere, *run]):
+        assert Graph(order).match(s=iri("ex:b")) == run
 
 
 def _list_graph(members):

@@ -163,6 +163,48 @@ def test_country_totals():
     assert len(out) == 1 and "31" in out[0].message
 
 
+_BIG = 10**29  # past the 28 digits of the default decimal context
+
+
+def test_sums_past_28_digits_are_exact():
+    # every count is its exact sum, and the percentages and the chain of
+    # cumulatives hold exactly
+    stats = stats_fixture(
+        [
+            (_BIG + 601, "1000000000000000000000000000000.5",
+             "1000000000000000000000000000000.5", True),
+            (_BIG + 302, "0.5", "1000000000000000000000000000001", True),
+            (_BIG + 103, "-999999999999999999999999999901", "100", False),
+        ],
+        summaries=[
+            ("NumberOfCases", str(3 * _BIG + 1006), "xsd:nonNegativeInteger"),
+            ("ValidCases", str(2 * _BIG + 903), "xsd:nonNegativeInteger"),
+            ("InvalidCases", str(_BIG + 103), "xsd:nonNegativeInteger"),
+        ],
+    )
+    for mode in ("sum-vs-total", "valid-sum", "invalid-sum", "valid-plus-invalid"):
+        assert check_frequency_totals(None, stats, mode) == []
+    assert check_percentage_sum(stats, tolerance=0) == []
+    assert check_cumulative_chain(stats, "chain", tolerance=0) == []
+    assert check_cumulative_chain(stats, "last-100", tolerance=0) == []
+
+
+def test_country_totals_past_28_digits_are_exact():
+    rows = [("ex:v", "rdf:type", "disco:Variable")]
+    for country, cases in (("All", 2 * _BIG + 31), ("AT", _BIG + 10), ("BE", _BIG + 20)):
+        rows += [
+            (f"ex:ss{country}", "disco:statisticsVariable", "ex:v"),
+            (f"ex:ss{country}", "disco:summaryStatisticsType", SUMSTAT + "NumberOfCases"),
+            (f"ex:ss{country}", "rdf:value", lit(str(cases), "xsd:nonNegativeInteger")),
+            (f"ex:ss{country}", "ex:country", lit(country)),
+        ]
+    ctx = ctx_for(graph(*rows))
+    out = check_frequency_totals(ctx, extract_statistics(ctx), "country-totals",
+                                 country_property=expand("ex:country"))
+    assert len(out) == 1
+    assert f"sum to {2 * _BIG + 30} but the 'All' total is {2 * _BIG + 31}" in out[0].message
+
+
 def test_min_max_ordered():
     stats = stats_fixture([], summaries=[("Minimum", "3", "xsd:integer"),
                                           ("Maximum", "7", "xsd:integer")])
