@@ -58,22 +58,26 @@ class ConstraintType:
 
     ``check`` names the checker as ``"<module>.<function>"`` under
     ``rdfcheck.checks`` (a string, because the checkers import this module).
-    ``needs`` lists the shared run objects it takes first, from "ctx" (the
-    graph context), "cube", "stats" and "hierarchy" (the extracted models).
-    The engine calls it with those objects, then the "load"/"eval"
-    parameters positionally in schema order, then the "opt" parameters the
-    constraint sets as keywords under their schema names (an optional
-    ``scope`` falls back to the constraint's own scope), then ``cid`` and
-    ``severity``.
+    A type whose modes each have their own checker sets ``by`` to the
+    parameter that picks one, and ``check`` to a table from each value of
+    that parameter to its checker; the table's keys are the parameter's
+    allowed values. ``needs`` lists the shared run objects the checker takes
+    first, from "ctx" (the graph context), "cube", "stats" and "hierarchy"
+    (the extracted models). The engine calls it with those objects, then
+    the "load"/"eval" parameters positionally in schema order, then the
+    "opt" parameters the constraint sets as keywords under their schema
+    names (an optional ``scope`` falls back to the constraint's own scope).
+    It never passes the ``by`` parameter.
     """
 
     id: str
-    check: str | None
+    check: str | dict[Any, str] | None
     schema: dict[str, tuple[str, str]]
     requirements: tuple[str, ...] = ()
     description: str = ""
     eval_any_of: tuple[tuple[str, ...], ...] = ()
     needs: tuple[str, ...] = ("ctx",)
+    by: str | None = None
 
     def __post_init__(self) -> None:
         for name, (kind, req) in self.schema.items():
@@ -87,10 +91,6 @@ def _mode(*values: str) -> str:
 
 def _int_in(*values: int) -> str:
     return "int_in:" + "|".join(map(str, values))
-
-
-# The Data Cube integrity constraints that ``checks.cube`` implements.
-QB_INTEGRITY_CONSTRAINTS = (*range(3, 9), *range(10, 19), 20, 21)
 
 
 _PART_SCHEMA = {"path": ("path", "load")}
@@ -111,9 +111,15 @@ def _register(
     description: str = "",
     eval_any_of: tuple[tuple[str, ...], ...] = (),
     needs: tuple[str, ...] = ("ctx",),
+    by: str | None = None,
 ) -> None:
+    if by is not None:
+        # the selector comes first in the schema; its values are the table's keys
+        keys = list(check)
+        kind = _int_in(*keys) if isinstance(keys[0], int) else _mode(*keys)
+        schema = {by: (kind, "load"), **schema}
     CONSTRAINT_TYPES[type_id] = ConstraintType(
-        type_id, check, schema, requirements, description, eval_any_of, needs
+        type_id, check, schema, requirements, description, eval_any_of, needs, by
     )
 
 
@@ -505,48 +511,60 @@ _register(
 )
 _register(
     "qb-integrity",
-    "cube.check_qb_integrity",
-    {"ic": (_int_in(*QB_INTEGRITY_CONSTRAINTS), "load")},
+    {ic: f"cube.check_ic{ic}" for ic in (*range(3, 9), *range(10, 19), 20, 21)},
+    {},
     ("R-86-EXISTENTIAL-QUANTIFICATION-ON-PROPERTIES", "R-211-CARDINALITY-CONSTRAINTS"),
     "One of the Data Cube integrity constraints (IC-3 through IC-21).",
     needs=("ctx", "cube"),
+    by="ic",
 )
 _register(
     "skos-structure",
-    "skos.check_skos_structure",
     {
-        "mode": (
-            _mode("orphan", "disconnected", "cycles", "valueless-associative",
-                  "solely-transitive", "unidirectional", "omitted-top-concepts",
-                  "top-with-broader", "hierarchical-redundancy", "reflexive"),
-            "load",
-        ),
-        "depth_limit": ("int", "opt"),
+        "orphan": "skos.check_orphan",
+        "disconnected": "skos.check_disconnected",
+        "cycles": "skos.check_cycles",
+        "valueless-associative": "skos.check_valueless_associative",
+        "solely-transitive": "skos.check_solely_transitive",
+        "unidirectional": "skos.check_unidirectional",
+        "omitted-top-concepts": "skos.check_omitted_top_concepts",
+        "top-with-broader": "skos.check_top_with_broader",
+        "hierarchical-redundancy": "skos.check_hierarchical_redundancy",
+        "reflexive": "skos.check_reflexive",
     },
+    {"depth_limit": ("int", "opt")},
     (),
     "Graph-structural quality checks over the concept hierarchy.",
     needs=("ctx", "hierarchy"),
+    by="mode",
 )
 _register(
     "skos-clashes",
-    "skos.check_skos_clashes",
-    {"mode": (_mode("relation", "mapping", "misuse"), "load")},
+    {
+        "relation": "skos.check_relation_clash",
+        "mapping": "skos.check_mapping_clash",
+        "misuse": "skos.check_mapping_misuse",
+    },
+    {},
     (),
     "Semi-formal consistency checks between hierarchical, associative, and mapping links.",
     needs=("ctx", "hierarchy"),
+    by="mode",
 )
 _register(
     "skos-labeling",
-    "skos.check_skos_labeling",
     {
-        "mode": (
-            _mode("undocumented", "overlapping", "missing", "unprintable", "empty",
-                  "ambiguous-notation"),
-            "load",
-        )
+        "undocumented": "skos.check_undocumented",
+        "overlapping": "skos.check_overlapping_labels",
+        "missing": "skos.check_missing_labels",
+        "unprintable": "skos.check_unprintable_labels",
+        "empty": "skos.check_empty_labels",
+        "ambiguous-notation": "skos.check_ambiguous_notation",
     },
+    {},
     (),
     "Labeling and documentation quality checks over concepts and schemes.",
+    by="mode",
 )
 _register(
     "presence",
@@ -941,23 +959,32 @@ def _transitive_closure(edges: list[tuple[str, str]]) -> dict[str, set[str]]:
     for child, parent in edges:
         direct.setdefault(child, set()).add(parent)
     closure: dict[str, set[str]] = {}
-
-    def ancestors(node: str, trail: tuple[str, ...]) -> set[str]:
-        if node in closure:
-            return closure[node]
-        if node in trail:
-            raise CatalogError(
-                "cycle in hierarchy edges through " + " -> ".join(trail + (node,))
-            )
-        result: set[str] = set()
-        for parent in direct.get(node, ()):
-            result.add(parent)
-            result |= ancestors(parent, trail + (node,))
-        closure[node] = result
-        return result
-
-    for node in list(direct):
-        ancestors(node, ())
+    for root in direct:
+        if root in closure:
+            continue
+        # depth-first, without recursion: the stack is the path from root,
+        # each node with its unvisited parents and its ancestors so far
+        stack = [(root, iter(direct[root]), set())]
+        on_path = {root}
+        while stack:
+            node, parents, result = stack[-1]
+            for parent in parents:
+                result.add(parent)
+                if parent in closure:
+                    result |= closure[parent]
+                    continue
+                if parent in on_path:
+                    trail = " -> ".join([entry[0] for entry in stack] + [parent])
+                    raise CatalogError(f"cycle in hierarchy edges through {trail}")
+                stack.append((parent, iter(direct.get(parent, ())), set()))
+                on_path.add(parent)
+                break
+            else:
+                stack.pop()
+                on_path.discard(node)
+                closure[node] = result
+                if stack:
+                    stack[-1][2].update(result)
     return closure
 
 
@@ -1172,7 +1199,9 @@ def _read_document(document: bytes | str | dict) -> tuple[dict, dict[str, str]]:
     if isinstance(document, str):
         try:
             doc = json.loads(document)
-        except ValueError as exc:  # also an integer past the digit limit
+        # also an integer past the digit limit, or arrays nested past the
+        # recursion limit
+        except (ValueError, RecursionError) as exc:
             raise CatalogError(f"catalog is not valid JSON: {exc}") from None
     else:
         doc = document

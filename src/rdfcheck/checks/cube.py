@@ -2,9 +2,10 @@
 
 IC-1/IC-2/IC-9 arrive through plain cardinality constraints and IC-0
 through datatype validity; everything else lives here, built on the
-extracted CubeModel. Each function mirrors the normative SPARQL of the
-corresponding IC as a closed-world check over asserted triples. The ICs
-stated per data set walk ``CubeModel.by_dataset``.
+extracted CubeModel. ``check_ic<n>`` mirrors the normative SPARQL of IC-n
+as a closed-world check over asserted triples; the registry's
+``qb-integrity`` table picks one by the ``ic`` parameter. The ICs stated
+per data set walk ``CubeModel.by_dataset``.
 """
 
 from __future__ import annotations
@@ -22,18 +23,7 @@ _MEASURE_TYPE = Iri(QB + "measureType")
 GROUP_LIMIT = 10**6
 
 
-def check_qb_integrity(
-    ctx: GraphContext,
-    cube: CubeModel,
-    ic: int,
-) -> list[Finding]:
-    handler = _IC_HANDLERS.get(ic)
-    if handler is None:
-        raise ValueError(f"integrity constraint IC-{ic} is not implemented")
-    return handler(ctx, cube)
-
-
-def _ic3(ctx, cube):
+def check_ic3(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for node, dsd in cube.dsds.items():
         if not dsd.measures:
@@ -47,7 +37,7 @@ def _ic3(ctx, cube):
     return out
 
 
-def _ic4(ctx, cube):
+def check_ic4(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for dim in cube.dimension_props:
         # qb:measureType's range is fixed by the cube vocabulary itself
@@ -63,7 +53,7 @@ def _ic4(ctx, cube):
     return out
 
 
-def _ic5(ctx, cube):
+def check_ic5(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     concept = Iri(SKOS + "Concept")
     out = []
     for dim in cube.dimension_props:
@@ -78,7 +68,7 @@ def _ic5(ctx, cube):
     return out
 
 
-def _ic6(ctx, cube):
+def check_ic6(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for dsd in cube.dsds.values():
         for comp in dsd.components:
@@ -99,7 +89,7 @@ def _ic6(ctx, cube):
     return out
 
 
-def _ic7(ctx, cube):
+def check_ic7(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for key in cube.slice_keys:
         if not ctx.subjects(QB + "sliceKey", key):
@@ -113,7 +103,7 @@ def _ic7(ctx, cube):
     return out
 
 
-def _ic8(ctx, cube):
+def check_ic8(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for key in cube.slice_keys:
         props = [
@@ -137,7 +127,7 @@ def _ic8(ctx, cube):
     return out
 
 
-def _ic10(ctx, cube):
+def check_ic10(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for slice_node, keys in cube.slices.items():
         for key in keys:
@@ -157,7 +147,7 @@ def _ic10(ctx, cube):
     return out
 
 
-def _ic11(ctx, cube):
+def check_ic11(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for obs, datasets in cube.observations.items():
         for ds in datasets:
@@ -174,7 +164,7 @@ def _ic11(ctx, cube):
     return out
 
 
-def _ic12(ctx, cube):
+def check_ic12(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for ds, obs_list in cube.by_dataset.items():
         dims = {dim for dsd in cube.dataset_dsds(ds) for dim in dsd.dimensions}
@@ -205,7 +195,7 @@ def _ic12(ctx, cube):
     return out
 
 
-def _ic13(ctx, cube):
+def check_ic13(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     observation_cls = Iri(QB + "Observation")
     out = []
     for ds, obs_list in cube.by_dataset.items():
@@ -229,7 +219,7 @@ def _ic13(ctx, cube):
     return out
 
 
-def _ic14(ctx, cube):
+def check_ic14(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for ds, obs_list in cube.by_dataset.items():
         for dsd in cube.dataset_dsds(ds):
@@ -248,7 +238,7 @@ def _ic14(ctx, cube):
     return out
 
 
-def _ic15(ctx, cube):
+def check_ic15(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for ds, obs_list in cube.by_dataset.items():
         for dsd in cube.dataset_dsds(ds):
@@ -269,7 +259,7 @@ def _ic15(ctx, cube):
     return out
 
 
-def _ic16(ctx, cube):
+def check_ic16(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for ds, obs_list in cube.by_dataset.items():
         for dsd in cube.dataset_dsds(ds):
@@ -289,7 +279,7 @@ def _ic16(ctx, cube):
     return out
 
 
-def _ic17(ctx, cube):
+def check_ic17(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for ds, obs_list in cube.by_dataset.items():
         if len(obs_list) > GROUP_LIMIT:
@@ -327,7 +317,7 @@ def _ic17(ctx, cube):
     return out
 
 
-def _ic18(ctx, cube):
+def check_ic18(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     out = []
     for ds in cube.datasets:
         for slice_node in ctx.objects(ds, QB + "slice"):
@@ -407,33 +397,12 @@ def _codes_from_hierarchy(ctx, cube, *, inverse: bool):
     return out
 
 
-def _ic20(ctx, cube):
+def check_ic20(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     return _codes_from_hierarchy(ctx, cube, inverse=False)
 
 
-def _ic21(ctx, cube):
+def check_ic21(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     return _codes_from_hierarchy(ctx, cube, inverse=True)
-
-
-_IC_HANDLERS = {
-    3: _ic3,
-    4: _ic4,
-    5: _ic5,
-    6: _ic6,
-    7: _ic7,
-    8: _ic8,
-    10: _ic10,
-    11: _ic11,
-    12: _ic12,
-    13: _ic13,
-    14: _ic14,
-    15: _ic15,
-    16: _ic16,
-    17: _ic17,
-    18: _ic18,
-    20: _ic20,
-    21: _ic21,
-}
 
 
 def check_membership(
@@ -448,22 +417,12 @@ def check_membership(
     """Controlled-vocabulary membership against the catalog's member lists:
     of ``property`` values in ``scheme`` (mode scheme), or of dimension
     values in their code lists (mode qb-codelist, IC-19)."""
-    members = ctx.catalog.controlled_vocabularies
     if mode == "qb-codelist":
-        return check_qb_codelist_membership(
-            ctx, cube, inventory_members=members
-        )
-    return schema.check_vocab_membership(
-        ctx, property, scheme, scope=scope, inventory_members=members,
-    )
+        return check_qb_codelist_membership(ctx, cube)
+    return schema.check_vocab_membership(ctx, property, scheme, scope=scope)
 
 
-def check_qb_codelist_membership(
-    ctx: GraphContext,
-    cube: CubeModel,
-    *,
-    inventory_members: dict[str, list[str]] | None = None,
-) -> list[Finding]:
+def check_qb_codelist_membership(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     """IC-19: dimension values must come from the dimension's qb:codeList
     (skos:inScheme / skos:member / skos:hasTopConcept linkage, or a member
     list shipped with the catalog inventory)."""
@@ -483,8 +442,8 @@ def check_qb_codelist_membership(
                 if not isinstance(o, Literal)
             )
             listed: set[str] = set()
-            if inventory_members and isinstance(code_list, Iri):
-                listed = set(inventory_members.get(code_list.value, ()))
+            if isinstance(code_list, Iri):
+                listed = set(ctx.catalog.controlled_vocabularies.get(code_list.value, ()))
             for obs in cube.observations:
                 for value in ctx.graph.objects(obs, dim):
                     if isinstance(value, Literal):

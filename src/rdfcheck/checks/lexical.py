@@ -409,8 +409,6 @@ def check_language_coverage(
     ctx: GraphContext,
     mode: str,
     properties: list[str] | None = None,
-    *,
-    concept_class: str = SKOS + "Concept",
 ) -> list[Finding]:
     """Vocabulary-wide language checks over label/note properties.
 
@@ -443,7 +441,7 @@ def check_language_coverage(
 
     langs_per_concept: dict[Term, set[str]] = {}
     for prop in label_props:
-        for subject, lit in _scoped_literals(ctx, prop, concept_class):
+        for subject, lit in _scoped_literals(ctx, prop, SKOS + "Concept"):
             if lit.lang is not None:
                 langs_per_concept.setdefault(subject, set()).add(_primary(lit.lang))
     if mode == "incomplete":
@@ -459,19 +457,16 @@ def check_language_coverage(
                     )
                 )
         return out
-    if mode == "no-common":
-        if langs_per_concept:
-            common = set.intersection(*langs_per_concept.values())
-            if not common:
-                out.append(
-                    finding(
-                        None, "no-common-language",
-                        "no single language is shared by all labeled concepts",
-                        tuple(label_props),
-                    )
-                )
-        return out
-    raise ValueError(f"unknown language-coverage mode {mode!r}")
+    # no-common
+    if langs_per_concept and not set.intersection(*langs_per_concept.values()):
+        out.append(
+            finding(
+                None, "no-common-language",
+                "no single language is shared by all labeled concepts",
+                tuple(label_props),
+            )
+        )
+    return out
 
 
 _WHITESPACE = (" ", "\t", "\r", "\n")

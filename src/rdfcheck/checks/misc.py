@@ -177,7 +177,7 @@ def check_ordering(
                                 (link,),
                             )
                         )
-        elif mode == "representation":
+        else:  # representation
             for rep in ctx.objects(node, link):
                 if isinstance(rep, Literal):
                     continue
@@ -195,8 +195,6 @@ def check_ordering(
                             f"collection: {defect}", (link,),
                         )
                     )
-        else:
-            raise ValueError(f"unknown ordering mode {mode!r}")
     return out
 
 
@@ -249,7 +247,7 @@ def check_aggregation(
             if total is None:
                 continue
             verdict(var.node, total, "frequency sum over valid codes")
-    elif kind == "collection-size-vs-declared":
+    else:  # collection-size-vs-declared
         if declared_property is None:
             return violations, metrics
         for node in ctx.extension(scope):
@@ -281,8 +279,6 @@ def check_aggregation(
                         f"{compact(declared_property)} declares {shown}",
                     )
                 )
-    else:
-        raise ValueError(f"unknown aggregation kind {kind!r}")
     return violations, metrics
 
 
@@ -343,22 +339,21 @@ def check_variable_comparability(
                         )
                     )
         return out
-    if mode == "sizes":
-        sizes = {var.node: len(var.codes) for var in present if var.codes}
-        if len(set(sizes.values())) > 1:
-            listing = ", ".join(f"{node}={size}" for node, size in sorted(
-                sizes.items(), key=lambda kv: term_sort_key(kv[0])
-            ))
-            first = min(sizes, key=term_sort_key)
-            out.append(
-                finding(
-                    first, "size-mismatch",
-                    f"compared variables have code lists of different sizes: "
-                    f"{listing}",
-                )
+    # sizes
+    sizes = {var.node: len(var.codes) for var in present if var.codes}
+    if len(set(sizes.values())) > 1:
+        listing = ", ".join(f"{node}={size}" for node, size in sorted(
+            sizes.items(), key=lambda kv: term_sort_key(kv[0])
+        ))
+        first = min(sizes, key=term_sort_key)
+        out.append(
+            finding(
+                first, "size-mismatch",
+                f"compared variables have code lists of different sizes: "
+                f"{listing}",
             )
-        return out
-    raise ValueError(f"unknown variable-comparability mode {mode!r}")
+        )
+    return out
 
 
 def check_single_root(

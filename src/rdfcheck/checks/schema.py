@@ -22,7 +22,7 @@ def check_subsumption(
     """Instances typed ``cls`` but not ``superclass`` (closed-world)."""
     return [
         finding(
-                        node,
+            node,
             superclass,
             f"instance of {compact(cls)} is not also typed {compact(superclass)}",
             (cls, superclass),
@@ -54,7 +54,7 @@ def check_subproperty(
         if triple.object not in ctx.graph.objects(triple.subject, sup):
             out.append(
                 finding(
-                                        triple.subject,
+                    triple.subject,
                     triple.object,
                     f"{compact(prop)} statement lacks the implied "
                     f"{compact(superproperty)} statement for {triple.object}",
@@ -82,7 +82,7 @@ def check_domain(
             names = " or ".join(compact(c) for c in allowed)
             out.append(
                 finding(
-                                        subject,
+                    subject,
                     prop,
                     f"subject of {compact(prop)} is not typed {names}",
                     (prop, *allowed),
@@ -140,7 +140,7 @@ def check_range(
         if scope is not None and not ctx.has_type(subject, scope):
             out.append(
                 finding(
-                                        subject,
+                    subject,
                     prop,
                     f"only instances of {compact(scope)} may use {compact(prop)}",
                     (prop, scope),
@@ -152,7 +152,7 @@ def check_range(
                 if classes is not None:
                     out.append(
                         finding(
-                                                        subject,
+                            subject,
                             obj,
                             f"value of {compact(prop)} is a literal but must be an "
                             "object resource",
@@ -173,7 +173,7 @@ def check_range(
                 if datatype is not None:
                     out.append(
                         finding(
-                                                        subject,
+                            subject,
                             obj,
                             f"value of {compact(prop)} must be a literal of "
                             f"{compact(datatype)}",
@@ -185,7 +185,7 @@ def check_range(
                 names = " or ".join(compact(c) for c in classes)
                 out.append(
                     finding(
-                                                subject,
+                        subject,
                         obj,
                         f"value of {compact(prop)} is not typed {names}",
                         (prop, *classes),
@@ -230,7 +230,7 @@ def check_inverse_pair(
         if x not in ctx.graph.objects(y, inv):
             out.append(
                 finding(
-                                        x,
+                    x,
                     y,
                     f"({x} {compact(prop)} {y}) lacks the inverse "
                     f"({y} {compact(inverse)} {x})",
@@ -246,7 +246,7 @@ def check_inverse_pair(
         if y not in ctx.graph.objects(x, fwd):
             out.append(
                 finding(
-                                        y,
+                    y,
                     x,
                     f"({y} {compact(inverse)} {x}) lacks the inverse "
                     f"({x} {compact(prop)} {y})",
@@ -275,7 +275,7 @@ def check_asymmetric(
             a, b = key
             out.append(
                 finding(
-                                        a,
+                    a,
                     b,
                     f"{compact(prop)} is asymmetric but connects {a} and {b} "
                     "in both directions",
@@ -299,7 +299,7 @@ def check_irreflexive(
             continue
         out.append(
             finding(
-                                triple.subject,
+                triple.subject,
                 prop,
                 f"{triple.subject} is related to itself via {compact(prop)}",
                 (prop,),
@@ -352,7 +352,7 @@ def check_disjoint_properties(
                     continue
                 out.append(
                     finding(
-                                                x,
+                        x,
                         f"{compact(p)}|{compact(q)}|{y}",
                         f"{x} is connected to {y} by the disjoint properties "
                         f"{compact(p)} and {compact(q)}",
@@ -392,7 +392,7 @@ def check_disjoint_classes(
                         continue
                     out.append(
                         finding(
-                                                        node,
+                            node,
                             f"{compact(a)}|{compact(b)}",
                             f"{node} is an instance of the disjoint classes "
                             f"{compact(a)} and {compact(b)}",
@@ -430,7 +430,7 @@ def check_cardinality(
         if min is not None and count < min:
             out.append(
                 finding(
-                                        node,
+                    node,
                     count,
                     f"{compact(prop)} occurs {count} time(s), at least "
                     f"{min} required",
@@ -440,7 +440,7 @@ def check_cardinality(
         if max is not None and count > max:
             out.append(
                 finding(
-                                        node,
+                    node,
                     count,
                     f"{compact(prop)} occurs {count} time(s), at most "
                     f"{max} allowed",
@@ -485,7 +485,7 @@ def check_exclusive_property_groups(
             what = "no property group" if not matched else "groups " + " and ".join(names)
             out.append(
                 finding(
-                                        node,
+                    node,
                     len(matched),
                     f"exactly one property group must match, but {what} matched",
                     tuple(p for g in groups for p in g),
@@ -513,7 +513,7 @@ def check_uniqueness_key(
             for holder in holders:
                 out.append(
                     finding(
-                                                holder,
+                        holder,
                         value,
                         f"key value {value} of {compact(prop)} is shared by "
                         f"{listing}",
@@ -525,7 +525,7 @@ def check_uniqueness_key(
             if not ctx.objects(node, prop):
                 out.append(
                     finding(
-                                                node,
+                        node,
                         prop,
                         f"instance of {compact(scope)} lacks its key property "
                         f"{compact(prop)}",
@@ -567,7 +567,7 @@ def check_allowed_values(
             what = "is not among the allowed values" if not negated else "is explicitly excluded"
             out.append(
                 finding(
-                                        triple.subject,
+                    triple.subject,
                     triple.object,
                     f"value {triple.object} of {compact(prop)} {what}",
                     (prop,),
@@ -582,7 +582,6 @@ def check_vocab_membership(
     scheme: str,
     *,
     scope: str | None = None,
-    inventory_members: dict[str, list[str]] | None = None,
 ) -> list[Finding]:
     """Values of ``prop`` must belong to the controlled vocabulary
     ``scheme``: either (value skos:inScheme scheme) is asserted, the scheme
@@ -591,7 +590,7 @@ def check_vocab_membership(
     from ..namespaces import SKOS
 
     scheme_node = Iri(scheme)
-    listed = set((inventory_members or {}).get(scheme, ()))
+    listed = set(ctx.catalog.controlled_vocabularies.get(scheme, ()))
     in_scheme = set(ctx.subjects(SKOS + "inScheme", scheme_node))
     in_scheme.update(ctx.objects(scheme_node, SKOS + "member"))
     in_scheme.update(ctx.objects(scheme_node, SKOS + "hasTopConcept"))
@@ -606,7 +605,7 @@ def check_vocab_membership(
             continue
         out.append(
             finding(
-                                triple.subject,
+                triple.subject,
                 value,
                 f"value {value} of {compact(prop)} is not a member of the "
                 f"controlled vocabulary {compact(scheme)}",
@@ -630,7 +629,7 @@ def check_deprecated_terms(
             for triple in ctx.statements(prop):
                 out.append(
                     finding(
-                                                triple.subject,
+                        triple.subject,
                         prop,
                         f"statement uses the deprecated property {compact(prop)}",
                         (prop,),
@@ -642,7 +641,7 @@ def check_deprecated_terms(
             for triple in ctx.graph.match(None, rdf_type, Iri(cls)):
                 out.append(
                     finding(
-                                                triple.subject,
+                        triple.subject,
                         cls,
                         f"instance is typed by the deprecated class {compact(cls)}",
                         (cls,),
@@ -666,7 +665,7 @@ def check_undefined_terms(
         if iri.value.startswith(inventory.namespace) and iri.value not in declared:
             out.append(
                 finding(
-                                        iri,
+                    iri,
                     iri.value,
                     f"term {compact(iri.value)} is not defined by the "
                     f"{inventory.name} vocabulary",
@@ -686,7 +685,7 @@ def check_http_scheme(
         if scheme not in ("http", "https"):
             out.append(
                 finding(
-                                        iri,
+                    iri,
                     scheme or "(none)",
                     f"IRI {iri.value} does not use the http or https scheme",
                 )
@@ -720,7 +719,7 @@ def _one_sided(
         if triple.object not in ctx.graph.objects(triple.subject, Iri(missing)):
             out.append(
                 finding(
-                                        triple.subject,
+                    triple.subject,
                     f"{compact(present)}|{triple.object}",
                     f"statement uses {compact(present)} without its declared "
                     f"equivalent {compact(missing)} for {triple.object}",

@@ -2,9 +2,11 @@
 
 These mirror the qSKOS quality issue catalog: structural issues over the
 broader/narrower hierarchy, the S13/S27/S46 consistency conditions, and
-labeling/documentation coverage. As in qSKOS, the orphan, disconnected,
-undocumented and missing-label modes read the statements of their relations
-once instead of probing the graph concept by concept.
+labeling/documentation coverage. Each mode of the three constraint types
+is its own ``check_*`` function, which the registry's tables pick by the
+``mode`` parameter. As in qSKOS, the orphan, disconnected, undocumented
+and missing-label modes read the statements of their relations once
+instead of probing the graph concept by concept.
 """
 
 from __future__ import annotations
@@ -93,20 +95,11 @@ def _semantic_edges(ctx: GraphContext) -> list[tuple[Term, Term]]:
     ]
 
 
-def check_skos_structure(
-    ctx: GraphContext,
-    hierarchy: HierarchyGraph,
-    mode: str,
-    *,
-    depth_limit: int = DEFAULT_REDUNDANCY_DEPTH,
-) -> list[Finding]:
-    handler = _STRUCTURE_MODES.get(mode)
-    if handler is None:
-        raise ValueError(f"unknown skos-structure mode {mode!r}")
-    return handler(ctx, hierarchy, depth_limit)
+# Each structure check takes the type's optional ``depth_limit``; only
+# hierarchical-redundancy reads it.
 
 
-def _mode_orphan(ctx, hierarchy, depth_limit) -> list[Finding]:
+def check_orphan(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     linked = {node for edge in _semantic_edges(ctx) for node in edge}
     return [
         finding(
@@ -119,7 +112,7 @@ def _mode_orphan(ctx, hierarchy, depth_limit) -> list[Finding]:
     ]
 
 
-def _mode_disconnected(ctx, hierarchy, depth_limit) -> list[Finding]:
+def check_disconnected(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     edges = _semantic_edges(ctx)
     linked = {node for edge in edges for node in edge}
     nodes = [c for c in _concepts(ctx) if c in linked]
@@ -140,7 +133,7 @@ def _mode_disconnected(ctx, hierarchy, depth_limit) -> list[Finding]:
     return out
 
 
-def _mode_cycles(ctx, hierarchy, depth_limit) -> list[Finding]:
+def check_cycles(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     succ = hierarchy.successor_map
     components = strongly_connected_components(hierarchy.nodes, lambda n: succ.get(n, []))
     out = []
@@ -162,7 +155,7 @@ def _mode_cycles(ctx, hierarchy, depth_limit) -> list[Finding]:
     return out
 
 
-def _mode_valueless(ctx, hierarchy, depth_limit) -> list[Finding]:
+def check_valueless_associative(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     by_parent: dict[Term, set[Term]] = {}
     for child, parent in hierarchy.edges:
         by_parent.setdefault(parent, set()).add(child)
@@ -188,7 +181,7 @@ def _mode_valueless(ctx, hierarchy, depth_limit) -> list[Finding]:
     return out
 
 
-def _mode_solely_transitive(ctx, hierarchy, depth_limit) -> list[Finding]:
+def check_solely_transitive(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     out = []
     for trans, direct in (
         (SKOS + "broaderTransitive", SKOS + "broader"),
@@ -209,7 +202,7 @@ def _mode_solely_transitive(ctx, hierarchy, depth_limit) -> list[Finding]:
     return out
 
 
-def _mode_unidirectional(ctx, hierarchy, depth_limit) -> list[Finding]:
+def check_unidirectional(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     out = []
     for prop, inverse in INVERSE_TABLE.items():
         for triple in ctx.statements(prop):
@@ -229,7 +222,7 @@ def _mode_unidirectional(ctx, hierarchy, depth_limit) -> list[Finding]:
     return out
 
 
-def _mode_omitted_top(ctx, hierarchy, depth_limit) -> list[Finding]:
+def check_omitted_top_concepts(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     out = []
     for scheme in ctx.extension(SKOS + "ConceptScheme"):
         has_top = bool(ctx.objects(scheme, SKOS + "hasTopConcept")) or bool(
@@ -245,7 +238,7 @@ def _mode_omitted_top(ctx, hierarchy, depth_limit) -> list[Finding]:
     return out
 
 
-def _mode_top_with_broader(ctx, hierarchy, depth_limit) -> list[Finding]:
+def check_top_with_broader(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     tops: set[Term] = set()
     for triple in ctx.statements(SKOS + "hasTopConcept"):
         if not isinstance(triple.object, Literal):
@@ -265,7 +258,9 @@ def _mode_top_with_broader(ctx, hierarchy, depth_limit) -> list[Finding]:
     return out
 
 
-def _mode_redundancy(ctx, hierarchy, depth_limit) -> list[Finding]:
+def check_hierarchical_redundancy(
+    ctx, hierarchy, *, depth_limit=DEFAULT_REDUNDANCY_DEPTH
+) -> list[Finding]:
     succ = hierarchy.successor_map
     out = []
     for a, b in hierarchy.edges:
@@ -294,33 +289,35 @@ def _alt_path_exists(
     succ: dict[Term, list[Term]], start: Term, goal: Term, depth_limit: int
 ) -> bool | None:
     """Simple path of length >= 2 from start to goal, skipping the direct
-    edge as first hop. None when the depth limit was hit without an answer."""
+    edge as first hop. None when the depth limit was hit without an answer.
+    Depth-first without recursion: the stack holds, per level of the path,
+    its depth and its unvisited successors."""
+    if depth_limit < 1:
+        return None
     limited = False
-
-    def dfs(node: Term, visited: set[Term], depth: int) -> bool:
-        nonlocal limited
-        if depth > depth_limit:
-            limited = True
-            return False
-        for child in succ.get(node, []):
-            if depth == 1 and child == goal:
-                continue  # the direct edge itself
+    visited = {start}
+    stack = [(1, iter(succ.get(start, [])))]
+    while stack:
+        depth, children = stack[-1]
+        for child in children:
             if child == goal:
+                if depth == 1:
+                    continue  # the direct edge itself
                 return True
             if child in visited:
                 continue
             visited.add(child)
-            if dfs(child, visited, depth + 1):
-                return True
-        return False
-
-    found = dfs(start, {start}, 1)
-    if found:
-        return True
+            if depth + 1 > depth_limit:
+                limited = True
+                continue
+            stack.append((depth + 1, iter(succ.get(child, []))))
+            break
+        else:
+            stack.pop()
     return None if limited else False
 
 
-def _mode_reflexive(ctx, hierarchy, depth_limit) -> list[Finding]:
+def check_reflexive(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     out = []
     for prop in SEMANTIC_RELATIONS:
         for triple in ctx.statements(prop):
@@ -334,36 +331,8 @@ def _mode_reflexive(ctx, hierarchy, depth_limit) -> list[Finding]:
     return out
 
 
-_STRUCTURE_MODES = {
-    "orphan": _mode_orphan,
-    "disconnected": _mode_disconnected,
-    "cycles": _mode_cycles,
-    "valueless-associative": _mode_valueless,
-    "solely-transitive": _mode_solely_transitive,
-    "unidirectional": _mode_unidirectional,
-    "omitted-top-concepts": _mode_omitted_top,
-    "top-with-broader": _mode_top_with_broader,
-    "hierarchical-redundancy": _mode_redundancy,
-    "reflexive": _mode_reflexive,
-}
-
-
 # --------------------------------------------------------------------------
 # clashes
-
-
-def check_skos_clashes(
-    ctx: GraphContext,
-    hierarchy: HierarchyGraph,
-    mode: str,
-) -> list[Finding]:
-    if mode == "relation":
-        return _clash_relation(ctx, hierarchy)
-    if mode == "mapping":
-        return _clash_mapping(ctx)
-    if mode == "misuse":
-        return _clash_misuse(ctx)
-    raise ValueError(f"unknown skos-clashes mode {mode!r}")
 
 
 def _reachable(succ: dict[Term, list[Term]], start: Term) -> set[Term]:
@@ -378,7 +347,7 @@ def _reachable(succ: dict[Term, list[Term]], start: Term) -> set[Term]:
     return seen
 
 
-def _clash_relation(ctx, hierarchy: HierarchyGraph) -> list[Finding]:
+def check_relation_clash(ctx, hierarchy: HierarchyGraph) -> list[Finding]:
     succ = hierarchy.successor_map
     reach_cache: dict[Term, set[Term]] = {}
     out = []
@@ -417,7 +386,7 @@ def _pair_props(ctx, props) -> dict[tuple[Term, Term], set[str]]:
     return pairs
 
 
-def _clash_mapping(ctx) -> list[Finding]:
+def check_mapping_clash(ctx, hierarchy: HierarchyGraph) -> list[Finding]:
     pairs = _pair_props(ctx, MAPPING_RELATIONS)
     out = []
     for (a, b), props in pairs.items():
@@ -434,7 +403,7 @@ def _clash_mapping(ctx) -> list[Finding]:
     return out
 
 
-def _clash_misuse(ctx) -> list[Finding]:
+def check_mapping_misuse(ctx, hierarchy: HierarchyGraph) -> list[Finding]:
     out = []
     seen: set[tuple[Term, Term]] = set()
     for prop in MAPPING_RELATIONS:
@@ -468,21 +437,11 @@ def _clash_misuse(ctx) -> list[Finding]:
 # labeling and documentation
 
 
-def check_skos_labeling(
-    ctx: GraphContext,
-    mode: str,
-) -> list[Finding]:
-    handler = _LABELING_MODES.get(mode)
-    if handler is None:
-        raise ValueError(f"unknown skos-labeling mode {mode!r}")
-    return handler(ctx)
-
-
 def _subjects_of(ctx: GraphContext, props) -> set[Term]:
     return {t.subject for prop in props for t in ctx.statements(prop)}
 
 
-def _mode_undocumented(ctx) -> list[Finding]:
+def check_undocumented(ctx) -> list[Finding]:
     documented = _subjects_of(ctx, DOCUMENTATION_PROPERTIES)
     return [
         finding(
@@ -494,7 +453,7 @@ def _mode_undocumented(ctx) -> list[Finding]:
     ]
 
 
-def _mode_overlapping(ctx) -> list[Finding]:
+def check_overlapping_labels(ctx) -> list[Finding]:
     groups: dict[tuple, list[Term]] = {}
     for concept in _concepts(ctx):
         schemes = ctx.objects(concept, SKOS + "inScheme") or [None]
@@ -522,7 +481,7 @@ _LABELED_CLASSES = tuple(
 )
 
 
-def _mode_missing(ctx) -> list[Finding]:
+def check_missing_labels(ctx) -> list[Finding]:
     labeled = _subjects_of(ctx, LABEL_PROPERTIES)
     # a node of several focus classes is reported once
     unlabeled = dict.fromkeys(
@@ -536,7 +495,7 @@ def _mode_missing(ctx) -> list[Finding]:
     ]
 
 
-def _mode_unprintable(ctx) -> list[Finding]:
+def check_unprintable_labels(ctx) -> list[Finding]:
     out = []
     for prop in (SKOS + "prefLabel", SKOS + "altLabel", SKOS + "hiddenLabel"):
         for triple in ctx.statements(prop):
@@ -555,7 +514,7 @@ def _mode_unprintable(ctx) -> list[Finding]:
     return out
 
 
-def _mode_empty(ctx) -> list[Finding]:
+def check_empty_labels(ctx) -> list[Finding]:
     out = []
     for prop in (SKOS + "prefLabel", SKOS + "altLabel", SKOS + "hiddenLabel"):
         for triple in ctx.statements(prop):
@@ -572,7 +531,7 @@ def _mode_empty(ctx) -> list[Finding]:
     return out
 
 
-def _mode_ambiguous_notation(ctx) -> list[Finding]:
+def check_ambiguous_notation(ctx) -> list[Finding]:
     groups: dict[tuple, list[Term]] = {}
     for concept in _concepts(ctx):
         for scheme in ctx.objects(concept, SKOS + "inScheme"):
@@ -591,13 +550,3 @@ def _mode_ambiguous_notation(ctx) -> list[Finding]:
                 )
             )
     return out
-
-
-_LABELING_MODES = {
-    "undocumented": _mode_undocumented,
-    "overlapping": _mode_overlapping,
-    "missing": _mode_missing,
-    "unprintable": _mode_unprintable,
-    "empty": _mode_empty,
-    "ambiguous-notation": _mode_ambiguous_notation,
-}

@@ -202,12 +202,8 @@ def check_frequency_totals(
                         f"cases differ from the number of cases ({cases})",
                     )
                 )
-        elif mode == "country-totals":
-            out.extend(
-                _country_totals(var, country_property, ctx)
-            )
-        else:
-            raise ValueError(f"unknown frequency-totals mode {mode!r}")
+        else:  # country-totals
+            out.extend(_country_totals(var, country_property, ctx))
     return out
 
 
@@ -332,7 +328,7 @@ def check_cumulative_chain(
                             )
                         )
                     previous = cum
-            elif mode == "last-100":
+            else:  # last-100
                 last_cum = cums[-1][1]
                 if abs(last_cum - HUNDRED) > tolerance:
                     out.append(
@@ -342,8 +338,6 @@ def check_cumulative_chain(
                             "expected 100",
                         )
                     )
-            else:
-                raise ValueError(f"unknown cumulative-chain mode {mode!r}")
     return out
 
 
@@ -361,12 +355,10 @@ def check_statistic_applicability(
             if var.repr_kind != "datatype" or var.repr_datatype != XSD_STRING:
                 continue
             inapplicable = (SUM_MINIMUM, SUM_MAXIMUM, SUM_MEAN)
-        elif mode == "categorical-mean":
+        else:  # categorical-mean
             if var.repr_kind not in ("ordered", "scheme"):
                 continue
             inapplicable = (SUM_MEAN,)
-        else:
-            raise ValueError(f"unknown statistic-applicability mode {mode!r}")
         for type_iri in inapplicable:
             for node in var.summary_nodes(type_iri):
                 out.append(

@@ -1,9 +1,10 @@
 """Orchestration: run each catalog constraint through its checker, merge findings.
 
-The catalog registry names every constraint type's checker and the shared
-objects it takes (``ConstraintType.check`` and ``needs``); one generic call
-maps a constraint's parameters onto the checker's arguments, so no
-per-type code lives here. Checkers never see a constraint's id or severity:
+The catalog registry names every constraint type's checker, or a table of
+checkers keyed by one parameter, and the shared objects it takes
+(``ConstraintType.check``, ``by`` and ``needs``); one generic call maps a
+constraint's parameters onto the checker's arguments, so no per-type code
+lives here. Checkers never see a constraint's id or severity:
 this module alone stamps each finding with both, leading its message with
 the id, and each metric with the id. Constraints run in id order. Checkers may return
 their findings in any order: ``_dedup`` alone orders them, by severity
@@ -101,23 +102,27 @@ class RunContext:
 def _evaluate(
     rc: RunContext, c: Constraint
 ) -> tuple[list[Finding], list[tuple[str, str, int]]]:
-    """Call the type's checker with its ``needs``, the required parameters
-    in schema order and the optional ones the constraint sets; an optional
-    ``scope`` falls back to the constraint's own scope."""
+    """Call the type's checker, or for a type with a ``by`` parameter the
+    checker its table gives that parameter's value, with its ``needs``, the
+    other required parameters in schema order and the optional ones the
+    constraint sets; an optional ``scope`` falls back to the constraint's
+    own scope."""
     ctype = CONSTRAINT_TYPES[c.type]
     args = [getattr(rc, need) for need in ctype.needs]
     kwargs: dict[str, Any] = {}
     for name, (_kind, req) in ctype.schema.items():
+        if name == ctype.by:
+            continue
         if req != "opt":
             args.append(c.params[name])
         elif name in c.params:
             kwargs[name] = c.params[name]
         elif name == "scope":
             kwargs[name] = c.scope
-    module, function = ctype.check.split(".")
+    check = ctype.check if ctype.by is None else ctype.check[c.params[ctype.by]]
+    module, function = check.split(".")
     # looked up at call time, so a wrapper installed on the module applies
-    check = getattr(_CHECK_MODULES[module], function)
-    result = check(*args, **kwargs)
+    result = getattr(_CHECK_MODULES[module], function)(*args, **kwargs)
     return result if isinstance(result, tuple) else (result, [])
 
 

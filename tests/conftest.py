@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
 
 import pytest
 
-from rdfcheck.catalog import Catalog, builtin_catalog, merge_catalogs
+from rdfcheck.catalog import CONSTRAINT_TYPES, Catalog, builtin_catalog, merge_catalogs
 from rdfcheck.checks.context import GraphContext
 from rdfcheck.graph import Graph
 from rdfcheck.namespaces import WELL_KNOWN_PREFIXES
@@ -55,6 +56,16 @@ def graph(*spo_rows) -> Graph:
 def load_catalog(document) -> Catalog:
     """One catalog document on its own: merged over an empty catalog."""
     return merge_catalogs(Catalog({}, {}), document)
+
+
+def checker(type_id: str, key=None):
+    """The checker the registry names for a type; for a type with a table,
+    the one its table gives ``key``."""
+    name = CONSTRAINT_TYPES[type_id].check
+    if key is not None:
+        name = name[key]
+    module, function = name.split(".")
+    return getattr(importlib.import_module(f"rdfcheck.checks.{module}"), function)
 
 
 def ctx_for(g: Graph, catalog: Catalog | None = None) -> GraphContext:

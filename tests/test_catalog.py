@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -97,6 +98,20 @@ def test_integrity_constraint_number_checked_at_load(ic, accepted):
             load_catalog(doc)
 
 
+@pytest.mark.parametrize("ic, message", [
+    (99, "expected one of [3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 21], "
+         "got 99"),
+    (3.0, "expected an integer"), (True, "expected an integer"), ("3", "expected an integer"),
+])
+def test_integrity_constraint_diagnostic_text(ic, message):
+    doc = {"constraints": [{
+        "id": "QB-1", "type": "qb-integrity", "severity": "error", "params": {"ic": ic},
+    }]}
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(doc)
+    assert str(caught.value) == f"constraint 'QB-1'.params.ic: {message}"
+
+
 @pytest.mark.parametrize("name, accepted", [
     ("toy", True), ("disco", True), ("skos", True),
     ("x", False), ("", False), ("http://e/", False), ("Toy", False),
@@ -146,6 +161,41 @@ def test_cyclic_subclass_edges_rejected():
     ]
     with pytest.raises(CatalogError, match="cycle"):
         load_catalog(doc)
+
+
+def test_cycle_diagnostic_names_the_path():
+    doc = minimal_doc()
+    doc["vocabularies"][0]["classes"] = ["http://toy/A", "http://toy/B", "http://toy/C"]
+    doc["vocabularies"][0]["subclass_of"] = [
+        ["http://toy/A", "http://toy/B"],
+        ["http://toy/B", "http://toy/C"],
+        ["http://toy/C", "http://toy/A"],
+    ]
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(doc)
+    assert str(caught.value) == (
+        "cycle in hierarchy edges through "
+        "http://toy/A -> http://toy/B -> http://toy/C -> http://toy/A"
+    )
+
+
+def test_subclass_chain_deeper_than_the_recursion_limit():
+    # the closure is quadratic in the chain's length, so only just deeper
+    n = sys.getrecursionlimit() + 100
+    classes = [f"http://toy/C{i}" for i in range(n + 1)]
+    doc = minimal_doc()
+    doc["vocabularies"][0]["classes"] = classes
+    doc["vocabularies"][0]["subclass_of"] = [list(edge) for edge in zip(classes, classes[1:])]
+    catalog = load_catalog(doc)
+    assert catalog.superclasses(classes[0]) == set(classes)
+    assert catalog.superclasses(classes[-1]) == {classes[-1]}
+
+
+def test_nesting_past_the_recursion_limit_is_not_valid_json():
+    depth = 100_000
+    document = '{"constraints": ' + "[" * depth + "]" * depth + "}"
+    with pytest.raises(CatalogError, match="^catalog is not valid JSON: "):
+        load_catalog(document)
 
 
 def test_undeclared_edge_endpoint_in_namespace_rejected():

@@ -267,7 +267,7 @@ def test_merged_blank_labels_follow_each_inputs_sorted_order(tmp_path):
     )
 
 
-@pytest.mark.parametrize("ic", [0, -1, 9, 19, 22, 10**30, True, "3"])
+@pytest.mark.parametrize("ic", [0, -1, 9, 19, 22, 99, 10**30, 3.0, True, "3"])
 def test_unimplemented_integrity_constraint_exits_two_at_load(tmp_path, capsys, ic):
     # rejected when the catalog loads, so --only cannot hide it
     user = tmp_path / "user.json"

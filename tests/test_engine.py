@@ -1,4 +1,3 @@
-import importlib
 import inspect
 
 import pytest
@@ -8,7 +7,7 @@ from rdfcheck.engine import EngineError, validate
 from rdfcheck.graph import Graph
 from rdfcheck.report import write_json
 
-from conftest import expand, graph, iri, lit, load_catalog
+from conftest import checker, expand, graph, iri, lit, load_catalog
 
 
 def _typed(node, cls):
@@ -58,32 +57,51 @@ def test_reports_identical_across_repeated_runs(eusilc, disco_catalog):
     assert reports[0] == reports[1] == reports[2]
 
 
-def _registered_checker(type_id):
-    module, name = CONSTRAINT_TYPES[type_id].check.split(".")
-    return getattr(importlib.import_module(f"rdfcheck.checks.{module}"), name)
-
-
 _CHECKED_TYPES = sorted(set(CONSTRAINT_TYPES) - {"not-evaluable"})
+
+
+def _table_keys(type_id):
+    """The keys of the type's checker table, or [None] for a single checker."""
+    ctype = CONSTRAINT_TYPES[type_id]
+    return [None] if ctype.by is None else list(ctype.check)
 
 
 @pytest.mark.parametrize("type_id", _CHECKED_TYPES)
 def test_registered_checker_accepts_the_engine_call(type_id):
     # the engine passes the needs objects, the load/eval params positionally
-    # in schema order, then the opt params as keywords, and nothing else
+    # in schema order, then the opt params as keywords, and nothing else:
+    # a table's selector picks the checker and is not passed
     ctype = CONSTRAINT_TYPES[type_id]
-    check = _registered_checker(type_id)
-    assert inspect.isfunction(check)
     assert set(ctype.needs) <= {"ctx", "cube", "stats", "hierarchy"}
-    required = [p for p, (_kind, req) in ctype.schema.items() if req != "opt"]
-    optional = {p: None for p, (_kind, req) in ctype.schema.items() if req == "opt"}
-    inspect.signature(check).bind(*ctype.needs, *required, **optional)
+    params = {p: req for p, (_kind, req) in ctype.schema.items() if p != ctype.by}
+    required = [p for p, req in params.items() if req != "opt"]
+    optional = {p: None for p, req in params.items() if req == "opt"}
+    for key in _table_keys(type_id):
+        check = checker(type_id, key)
+        assert inspect.isfunction(check)
+        inspect.signature(check).bind(*ctype.needs, *required, **optional)
 
 
 def test_no_registered_checker_takes_an_id_or_a_severity():
     # the engine alone decides which constraint and severity a finding carries
     for type_id in _CHECKED_TYPES:
-        params = inspect.signature(_registered_checker(type_id)).parameters
-        assert not {"cid", "severity"} & set(params), type_id
+        for key in _table_keys(type_id):
+            params = inspect.signature(checker(type_id, key)).parameters
+            assert not {"cid", "severity"} & set(params), (type_id, key)
+
+
+def test_every_registered_checker_is_a_check_function_of_its_module():
+    # the benchmark's tracer wraps the check_* functions each checker module
+    # defines; a checker named otherwise would drop out of its module's time
+    for type_id in _CHECKED_TYPES:
+        ctype = CONSTRAINT_TYPES[type_id]
+        for key in _table_keys(type_id):
+            name = ctype.check if key is None else ctype.check[key]
+            module, function = name.split(".")
+            check = checker(type_id, key)
+            assert function.startswith("check_"), name
+            assert check.__module__ == f"rdfcheck.checks.{module}", name
+            assert check.__name__ == function, name
 
 
 def test_engine_stamps_findings_and_metrics_with_their_constraint():

@@ -310,9 +310,7 @@ LABELS = [expand("skos:prefLabel")]
 
 def test_untagged_label_warned():
     g = _labeled_concepts({"ex:c": ["-"]})
-    out = lexical.check_language_coverage(
-        ctx_for(g), "omitted-or-invalid", LABELS, concept_class=expand("skos:Concept")
-    )
+    out = lexical.check_language_coverage(ctx_for(g), "omitted-or-invalid", LABELS)
     assert len(out) == 1
 
 
@@ -321,18 +319,13 @@ def test_malformed_tag_warned():
     from rdfcheck.terms import Literal
 
     rows.append(("ex:c", "skos:prefLabel", Literal("x", lang="en-toolongsubtag99")))
-    out = lexical.check_language_coverage(
-        ctx_for(graph(*rows)), "omitted-or-invalid", LABELS,
-        concept_class=expand("skos:Concept"),
-    )
+    out = lexical.check_language_coverage(ctx_for(graph(*rows)), "omitted-or-invalid", LABELS)
     assert len(out) == 1
 
 
 def test_incomplete_coverage_difference_oracle():
     g = _labeled_concepts({"ex:a": ["en", "de"], "ex:b": ["en"], "ex:c": ["de"]})
-    out = lexical.check_language_coverage(
-        ctx_for(g), "incomplete", LABELS, concept_class=expand("skos:Concept")
-    )
+    out = lexical.check_language_coverage(ctx_for(g), "incomplete", LABELS)
     missing = {v.focus: v.detail for v in out}
     assert missing == {str(iri_b := "<http://example.org/b>"): "de",
                        "<http://example.org/c>": "en"}
@@ -340,17 +333,13 @@ def test_incomplete_coverage_difference_oracle():
 
 def test_no_common_language():
     g = _labeled_concepts({"ex:a": ["en"], "ex:b": ["de"]})
-    out = lexical.check_language_coverage(
-        ctx_for(g), "no-common", LABELS, concept_class=expand("skos:Concept")
-    )
+    out = lexical.check_language_coverage(ctx_for(g), "no-common", LABELS)
     assert len(out) == 1
 
 
 def test_common_language_passes():
     g = _labeled_concepts({"ex:a": ["en"], "ex:b": ["en", "de"]})
-    assert lexical.check_language_coverage(
-        ctx_for(g), "no-common", LABELS, concept_class=expand("skos:Concept")
-    ) == []
+    assert lexical.check_language_coverage(ctx_for(g), "no-common", LABELS) == []
 
 
 # --- whitespace ----------------------------------------------------------------------

@@ -605,9 +605,11 @@ def test_vocab_membership_empty_scheme_every_use_violates():
 
 def test_vocab_membership_inventory_list():
     g = graph(("ex:ss", "ex:p", "ex:member"))
+    inv = VocabularyInventory(
+        name="toy", controlled_vocabularies={expand("ex:scheme"): [expand("ex:member")]}
+    )
     out = schema.check_vocab_membership(
-        ctx_for(g), expand("ex:p"), expand("ex:scheme"),
-        inventory_members={expand("ex:scheme"): [expand("ex:member")]},
+        ctx_for(g, Catalog({}, {"toy": inv})), expand("ex:p"), expand("ex:scheme")
     )
     assert out == []
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -8,15 +9,9 @@ from rdfcheck.checks.graphalg import (
     weakly_connected_components,
 )
 from rdfcheck.checks.models import extract_hierarchy
-from rdfcheck.checks.skos import (
-    DOCUMENTATION_PROPERTIES,
-    LABEL_PROPERTIES,
-    check_skos_clashes,
-    check_skos_labeling,
-    check_skos_structure,
-)
+from rdfcheck.checks.skos import DOCUMENTATION_PROPERTIES, LABEL_PROPERTIES
 
-from conftest import ctx_for, expand, graph, lit
+from conftest import checker, ctx_for, expand, graph, iri, lit
 
 
 def _typed(node, cls="skos:Concept"):
@@ -25,12 +20,12 @@ def _typed(node, cls="skos:Concept"):
 
 def _structure(g, mode, **kw):
     ctx = ctx_for(g)
-    return check_skos_structure(ctx, extract_hierarchy(ctx), mode, **kw)
+    return checker("skos-structure", mode)(ctx, extract_hierarchy(ctx), **kw)
 
 
 def _clashes(g, mode):
     ctx = ctx_for(g)
-    return check_skos_clashes(ctx, extract_hierarchy(ctx), mode)
+    return checker("skos-clashes", mode)(ctx, extract_hierarchy(ctx))
 
 
 # --- graph algorithm units ------------------------------------------------------
@@ -242,6 +237,16 @@ def test_redundancy_depth_limit_indeterminate():
     assert indeterminate
 
 
+def test_redundancy_search_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    rows = [_typed(f"ex:c{i}") for i in range(n + 1)]
+    rows += [(f"ex:c{i}", "skos:broader", f"ex:c{i + 1}") for i in range(n)]
+    rows.append(("ex:c0", "skos:broader", f"ex:c{n}"))
+    out = _structure(graph(*rows), "hierarchical-redundancy", depth_limit=2 * n)
+    assert [(v.focus, v.detail) for v in out] == [(str(iri("ex:c0")), str(iri(f"ex:c{n}")))]
+    assert "redundant" in out[0].message
+
+
 def test_reflexive_relation():
     g = graph(_typed("ex:a"), ("ex:a", "skos:related", "ex:a"))
     assert len(_structure(g, "reflexive")) == 1
@@ -317,7 +322,7 @@ def test_mapping_misuse_no_scheme_at_all():
 # --- labeling ---------------------------------------------------------------------------
 
 def _labeling(g, mode):
-    return check_skos_labeling(ctx_for(g), mode)
+    return checker("skos-labeling", mode)(ctx_for(g))
 
 
 def test_undocumented_concept():
