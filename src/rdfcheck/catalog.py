@@ -955,9 +955,11 @@ class VocabularyInventory:
 
 
 def _transitive_closure(edges: list[tuple[str, str]]) -> dict[str, set[str]]:
-    direct: dict[str, set[str]] = {}
+    # each class's parents in edge order, so a cycle is found, and named,
+    # the same way under every hash seed
+    direct: dict[str, dict[str, None]] = {}
     for child, parent in edges:
-        direct.setdefault(child, set()).add(parent)
+        direct.setdefault(child, {})[parent] = None
     closure: dict[str, set[str]] = {}
     for root in direct:
         if root in closure:

@@ -110,6 +110,20 @@ class GraphContext:
         return sorted(frontier, key=term_sort_key)
 
 
+def scoped_literals(
+    ctx: GraphContext, prop: str, scope: str | None
+) -> list[tuple[Term, Literal]]:
+    """(subject, literal) of each ``prop`` statement with a literal object,
+    from one scan; with a ``scope``, only those whose subject has that type."""
+    out = []
+    for triple in ctx.statements(prop):
+        if scope is not None and not ctx.has_type(triple.subject, scope):
+            continue
+        if isinstance(triple.object, Literal):
+            out.append((triple.subject, triple.object))
+    return out
+
+
 def collection_members(ctx: GraphContext, node: Term) -> list[Term]:
     """Members of a code-list-ish node, however it is organized.
 

@@ -8,6 +8,7 @@ trimmed, case-folded, or normalized before checking.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from decimal import Decimal
 
 from ..namespaces import RDFS_LABEL, SKOS, compact
@@ -19,22 +20,10 @@ from ..xsd import (
     literal_value,
     numeric_key,
 )
-from .context import GraphContext
+from .context import GraphContext, scoped_literals
 from .skos import DOCUMENTATION_PROPERTIES
 
 _BCP47_SHAPE = re.compile(r"[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8})*")
-
-
-def _scoped_literals(
-    ctx: GraphContext, prop: str, scope: str | None
-) -> list[tuple[Term, Literal]]:
-    out = []
-    for triple in ctx.statements(prop):
-        if scope is not None and not ctx.has_type(triple.subject, scope):
-            continue
-        if isinstance(triple.object, Literal):
-            out.append((triple.subject, triple.object))
-    return out
 
 
 def check_facets(
@@ -54,7 +43,7 @@ def check_facets(
     scalar values of the lexical form."""
     compiled = re.compile(pattern) if pattern is not None else None
     out = []
-    for subject, lit in _scoped_literals(ctx, prop, scope):
+    for subject, lit in scoped_literals(ctx, prop, scope):
         length = len(lit.lexical)
         if min_length is not None and length < min_length:
             out.append(
@@ -123,7 +112,7 @@ def check_literal_pattern(
     flags = re.IGNORECASE if case_insensitive else 0
     compiled = re.compile(pattern, flags)
     out = []
-    for subject, lit in _scoped_literals(ctx, prop, scope):
+    for subject, lit in scoped_literals(ctx, prop, scope):
         matched = bool(
             compiled.search(lit.lexical) if substring else compiled.fullmatch(lit.lexical)
         )
@@ -196,7 +185,7 @@ def check_literal_range(
     lo = Decimal(str(min)) if min is not None else None
     hi = Decimal(str(max)) if max is not None else None
     out = []
-    for subject, lit in _scoped_literals(ctx, prop, scope):
+    for subject, lit in scoped_literals(ctx, prop, scope):
         if lit.datatype != datatype:
             out.append(
                 finding(
@@ -380,11 +369,11 @@ def check_language_tags(
                     if tagged < min_per_lang:
                         report(node, "*", tagged, min_per_lang, "at least")
                 if max_per_lang is not None:
-                    for obs in {_primary(l.lang) for l in lits if l.lang}:
-                        count = sum(
-                            1 for l in lits
-                            if _tag_matches(l.lang, obs, allow_untagged_as)
-                        )
+                    counts = Counter(_primary(l.lang) for l in lits if l.lang)
+                    untagged = len(lits) - counts.total()
+                    for obs, count in counts.items():
+                        if _tag_matches(None, obs, allow_untagged_as):  # untagged count too
+                            count += untagged
                         if count > max_per_lang:
                             report(node, obs, count, max_per_lang, "at most")
             else:
@@ -420,7 +409,7 @@ def check_language_coverage(
     out = []
     if mode == "omitted-or-invalid":
         for prop in label_props:
-            for subject, lit in _scoped_literals(ctx, prop, None):
+            for subject, lit in scoped_literals(ctx, prop, None):
                 if lit.lang is None:
                     out.append(
                         finding(
@@ -440,10 +429,15 @@ def check_language_coverage(
         return out
 
     langs_per_concept: dict[Term, set[str]] = {}
+    primaries: dict[str, str] = {}  # each tag's primary subtag, for this call
     for prop in label_props:
-        for subject, lit in _scoped_literals(ctx, prop, SKOS + "Concept"):
-            if lit.lang is not None:
-                langs_per_concept.setdefault(subject, set()).add(_primary(lit.lang))
+        for subject, lit in scoped_literals(ctx, prop, SKOS + "Concept"):
+            tag = lit.lang
+            if tag is not None:
+                primary = primaries.get(tag)
+                if primary is None:
+                    primary = primaries[tag] = _primary(tag)
+                langs_per_concept.setdefault(subject, set()).add(primary)
     if mode == "incomplete":
         all_langs = set().union(*langs_per_concept.values()) if langs_per_concept else set()
         for node in langs_per_concept:

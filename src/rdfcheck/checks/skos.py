@@ -4,18 +4,19 @@ These mirror the qSKOS quality issue catalog: structural issues over the
 broader/narrower hierarchy, the S13/S27/S46 consistency conditions, and
 labeling/documentation coverage. Each mode of the three constraint types
 is its own ``check_*`` function, which the registry's tables pick by the
-``mode`` parameter. As in qSKOS, the orphan, disconnected, undocumented
-and missing-label modes read the statements of their relations once
-instead of probing the graph concept by concept.
+``mode`` parameter. As in qSKOS, the orphan, disconnected, unidirectional,
+undocumented, missing-label, overlapping and ambiguous-notation modes read
+the statements of their relations once instead of probing the graph
+concept by concept.
 """
 
 from __future__ import annotations
 
 from ..catalog import Severity
 from ..namespaces import DC11, DCTERMS, RDFS_LABEL, SKOS, compact
-from ..terms import Iri, Literal, Term, term_sort_key
+from ..terms import Literal, Term, term_sort_key
 from ..violations import Finding, finding
-from .context import GraphContext
+from .context import GraphContext, scoped_literals
 from .graphalg import strongly_connected_components, weakly_connected_components
 from .models import HierarchyGraph
 
@@ -205,18 +206,18 @@ def check_solely_transitive(ctx, hierarchy, *, depth_limit=None) -> list[Finding
 def check_unidirectional(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     out = []
     for prop, inverse in INVERSE_TABLE.items():
+        stated = {(t.subject, t.object) for t in ctx.statements(inverse)}
+        shown, shown_inverse = compact(prop), compact(inverse)
         for triple in ctx.statements(prop):
-            if isinstance(triple.object, Literal):
+            s, o = triple.subject, triple.object
+            if isinstance(o, Literal) or (prop == inverse and s == o):
                 continue
-            if prop == inverse and triple.subject == triple.object:
-                continue
-            if triple.subject not in ctx.graph.objects(triple.object, Iri(inverse)):
+            if (o, s) not in stated:
                 out.append(
                     finding(
-                        triple.subject,
-                        f"{compact(prop)}|{triple.object}",
-                        f"({triple.subject} {compact(prop)} {triple.object}) "
-                        f"lacks the reciprocal {compact(inverse)} statement", (prop,),
+                        s, f"{shown}|{o}",
+                        f"({s} {shown} {o}) lacks the reciprocal {shown_inverse} statement",
+                        (prop,),
                     )
                 )
     return out
@@ -453,16 +454,26 @@ def check_undocumented(ctx) -> list[Finding]:
     ]
 
 
+def _schemes(ctx: GraphContext) -> dict[Term, list[Term]]:
+    """Each subject's skos:inScheme objects, from one scan."""
+    schemes: dict[Term, list[Term]] = {}
+    for t in ctx.statements(SKOS + "inScheme"):
+        schemes.setdefault(t.subject, []).append(t.object)
+    return schemes
+
+
 def check_overlapping_labels(ctx) -> list[Finding]:
+    schemes = _schemes(ctx)
     groups: dict[tuple, list[Term]] = {}
-    for concept in _concepts(ctx):
-        schemes = ctx.objects(concept, SKOS + "inScheme") or [None]
-        for lit in ctx.literal_objects(concept, SKOS + "prefLabel"):
-            lang = lit.lang.lower() if lit.lang else ""
-            for scheme in schemes:
-                groups.setdefault((str(scheme), lang, lit.lexical), []).append(concept)
+    for concept, lit in scoped_literals(ctx, SKOS + "prefLabel", SKOS + "Concept"):
+        lang = lit.lang.lower() if lit.lang else ""
+        # a concept in no scheme is grouped under the key str(None)
+        for scheme in schemes.get(concept) or (None,):
+            groups.setdefault((str(scheme), lang, lit.lexical), []).append(concept)
     out = []
     for (scheme, lang, text), members in groups.items():
+        if len(members) < 2:
+            continue
         distinct = sorted(set(members), key=term_sort_key)
         if len(distinct) > 1:
             listing = ", ".join(str(m) for m in distinct)
@@ -532,13 +543,15 @@ def check_empty_labels(ctx) -> list[Finding]:
 
 
 def check_ambiguous_notation(ctx) -> list[Finding]:
+    schemes = _schemes(ctx)
     groups: dict[tuple, list[Term]] = {}
-    for concept in _concepts(ctx):
-        for scheme in ctx.objects(concept, SKOS + "inScheme"):
-            for lit in ctx.literal_objects(concept, SKOS + "notation"):
-                groups.setdefault((str(scheme), lit.lexical, lit.datatype), []).append(concept)
+    for concept, lit in scoped_literals(ctx, SKOS + "notation", SKOS + "Concept"):
+        for scheme in schemes.get(concept, ()):
+            groups.setdefault((str(scheme), lit.lexical, lit.datatype), []).append(concept)
     out = []
     for (scheme, text, datatype), members in groups.items():
+        if len(members) < 2:
+            continue
         distinct = sorted(set(members), key=term_sort_key)
         if len(distinct) > 1:
             listing = ", ".join(str(m) for m in distinct)

@@ -19,6 +19,20 @@ subject needs a predicate list unless it is a ``[ ... ]`` holding one.
 together; deeper input is a ParseError, as the parser recurses once per
 level.
 
+The parser reads one token per regex match, with one exception, the fused
+path. After a prefixed-name subject and after each ``;``, one match of
+``_FUSED`` reads a whole ``verb object`` pair and the ``;``, ``,`` or ``.``
+after it; after each ``,`` it reads the object and its separator. It
+accepts the shapes most documents are made of: ASCII prefixed names without
+escapes, ``a``, IRIs without ``\\``, and short double-quoted strings without
+``\\``, which ``@lang``, or ``^^`` and a prefixed name, may follow right
+after the quote; only whitespace may come between the parts. Anything
+else misses: comments, ``[ ]``, ``( )``, numbers, long or single-quoted
+strings, escapes and non-ASCII names, and also an undeclared prefix, a
+relative IRI or an ``rdf:langString`` datatype. On a miss the parser reads
+the same text token by token, as if the fused path did not exist, so every
+triple and every diagnostic is the token path's.
+
 Anything outside the subset (``@base``, relative IRIs, SPARQL-style
 directives) raises an "unsupported construct" ParseError rather than being
 skipped: silently dropping data would corrupt validation results.
@@ -31,7 +45,7 @@ import re
 from .namespaces import RDF_FIRST, RDF_LANGSTRING, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 from .ntriples import (ParseError, _BlankScope, _code_point, _decode_utf8, _iri_escape,
                        _IRI_ESCAPES, _STRING_ESCAPE, _STRING_ESCAPES, _UNTAGGED_LANGSTRING)
-from .terms import BlankNode, Iri, Literal, Term, Triple
+from .terms import _IRIS, BlankNode, Iri, Literal, Term, Triple
 
 MAX_NESTING = 128
 
@@ -101,6 +115,21 @@ _TOKEN = re.compile(
     rf"|(?P<number>{_NUMBER_BODY})"
     r"|(?P<badiri><)|(?P<badstr>[\"'])"
     r"|(?P<end>\Z)|(?P<other>))"
+)
+# The fused path (see the module docstring). The separator's group closes
+# last, so a match stands in for the separator's token. A local name may
+# end before a '.' here where the token path would read on, as in
+# "ex:a.b\\!", so a '.' before a character that may continue a name (after
+# any more dots) is no separator here.
+_ASCII_PREFIX = r"(?:[A-Za-z][A-Za-z0-9_.\-]*)?"
+_ASCII_LOCAL = r"(?![-.])[A-Za-z0-9_.:\-]*(?<!\.)"
+_FUSED = re.compile(
+    rf"[ \t\r\n]*(?:(?P<verb>(?P<vp>{_ASCII_PREFIX}):(?P<vl>{_ASCII_LOCAL})|a)[ \t\r\n]+)?"
+    rf"(?:(?P<op>{_ASCII_PREFIX}):(?P<ol>{_ASCII_LOCAL})"
+    rf"|<(?P<oi>{_IRI_CHARS})>"
+    r'|"(?P<os>[^"\\\n]*)"(?:@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)'
+    rf"|\^\^(?P<dp>{_ASCII_PREFIX}):(?P<dl>{_ASCII_LOCAL}))?)"
+    r"[ \t\r\n]*(?:(?P<semi>;)|(?P<comma>,)|(?P<dot>\.(?!\.*(?:[A-Za-z0-9_:%\\-]|[^\x00-\x7F]))))"
 )
 _LOCAL_ESCAPE = re.compile(r"\\(.)")
 _SHORT_PREFIX = {'"': re.compile(_SHORT_DQ), "'": re.compile(_SHORT_SQ)}
@@ -220,19 +249,24 @@ class _Parser:
 
     def parse_triples_block(self) -> None:
         kind, count = self.kind, len(self.triples)
-        subject = self.parse_subject()
+        predicate = None
+        if kind == "pname":
+            subject = self.pname()
+            predicate = self.fused(self.m.end(), subject, None)
+        else:
+            subject = self.parse_subject()
         # Only a "[ ... ]" that holds predicates (a blankNodePropertyList, so
         # not "[]") may stand alone before the '.'.
         if self.kind == "dot" and kind == "lbracket" and len(self.triples) > count:
             self.next()
             return
-        self.parse_predicate_object_list(subject)
+        self.parse_predicate_object_list(subject, predicate)
         self.expect(".")
 
     def parse_subject(self) -> Term:
+        """A subject other than a prefixed name, which parse_triples_block
+        reads itself."""
         kind = self.kind
-        if kind == "pname":
-            return self.parse_pname()
         if kind == "iri" or kind == "badiri":
             return self.parse_iriref()
         if kind == "blank":
@@ -244,17 +278,64 @@ class _Parser:
         self.fail(f"expected subject, found {self.found()!r}")
         raise AssertionError
 
-    def parse_predicate_object_list(self, subject: Term) -> None:
+    def parse_predicate_object_list(self, subject: Term, predicate: Iri | None = None) -> None:
+        """A ``predicate`` given is the verb of the first pair, which the
+        fused path has read; the current token is the separator after it."""
+        append = self.triples.append
         while True:
-            predicate = self.parse_verb()
-            self.parse_object_list(subject, predicate)
+            if predicate is None:
+                predicate = self.parse_verb()
+                append(Triple(subject, predicate, self.parse_object()))
+            while self.kind == "comma":
+                if self.fused(self.m.end(), subject, predicate) is None:
+                    append(Triple(subject, predicate, self.parse_object()))
             if self.kind != "semi":
                 return
-            while self.kind == "semi":
-                self.next()
+            predicate = None
+            while self.kind == "semi" and predicate is None:
+                predicate = self.fused(self.m.end(), subject, None)
             # tolerate trailing ';' before '.' or ']'
-            if self.kind in ("dot", "rbracket", "end"):
+            if predicate is None and self.kind in ("dot", "rbracket", "end"):
                 return
+
+    def fused(self, pos: int, subject: Term, predicate: Iri | None) -> Iri | None:
+        """Read a verb, when ``predicate`` is None, then one object and the
+        separator after them with one match of _FUSED. On a hit record the
+        triple, make the separator the current token and return the
+        predicate. On a miss, an undeclared prefix, a relative IRI or an
+        rdf:langString datatype, scan the token at ``pos`` and return None:
+        the token path then reads the same text, and raises any error."""
+        m = _FUSED.match(self.text, pos)
+        if m is not None and (m["verb"] is None) == (predicate is not None):
+            # the groups in pattern order, up to the separators
+            verb, vp, vl, op, ol, iri, lexical, lang, dp, dl = m.groups()[:10]
+            prefixes = self.prefixes
+            try:
+                if verb == "a":
+                    predicate = _TYPE
+                elif verb is not None:
+                    predicate = _IRIS[prefixes[vp] + vl]
+                if op is not None:
+                    obj = _IRIS[prefixes[op] + ol]
+                elif iri is not None:
+                    obj = _IRIS[iri] if ":" in iri else None
+                elif lang is not None:
+                    obj = Literal(lexical, lang=lang)
+                elif dp is None:
+                    obj = Literal(lexical)
+                else:
+                    # the interned text, so equal datatypes share one string
+                    datatype = _IRIS[prefixes[dp] + dl].value
+                    obj = None if datatype == RDF_LANGSTRING else Literal(lexical, datatype=datatype)
+            except KeyError:  # an undeclared prefix
+                obj = None
+            if obj is not None:
+                self.triples.append(Triple(subject, predicate, obj))
+                self.m = m
+                self.kind = m.lastgroup
+                return predicate
+        self.scan(pos)
+        return None
 
     def parse_verb(self) -> Iri:
         kind = self.kind
@@ -269,14 +350,6 @@ class _Parser:
             self.fail("unexpected end of input")
         self.fail(f"expected predicate, found {self.found()!r}")
         raise AssertionError
-
-    def parse_object_list(self, subject: Term, predicate: Iri) -> None:
-        append = self.triples.append
-        while True:
-            append(Triple(subject, predicate, self.parse_object()))
-            if self.kind != "comma":
-                return
-            self.next()
 
     def parse_object(self) -> Term:
         kind = self.kind
@@ -331,6 +404,12 @@ class _Parser:
         return Iri(value)
 
     def parse_pname(self) -> Iri:
+        iri = self.pname()
+        self.next()
+        return iri
+
+    def pname(self) -> Iri:
+        """The IRI of the current token, a prefixed name."""
         m = self.m
         prefix = m["prefix"] or ""
         try:
@@ -341,7 +420,6 @@ class _Parser:
         local = m["local"] or ""
         if "\\" in local:
             local = _LOCAL_ESCAPE.sub(r"\1", local)
-        self.next()
         return Iri(namespace + local)
 
     def parse_blank_label(self) -> BlankNode:

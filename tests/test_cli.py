@@ -556,6 +556,36 @@ def test_report_does_not_depend_on_the_hash_seed(args):
     assert _cli_bytes(args, "1") == first
 
 
+def test_catalog_cycle_diagnostic_does_not_depend_on_the_hash_seed(tmp_path):
+    # A's parents B and C both lead to D, whose parent is A again: the
+    # diagnostic names the path through the parent listed first
+    toy = "http://example.org/"
+    edges = [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"), ("D", "A")]
+    catalog = tmp_path / "diamond.json"
+    catalog.write_text(json.dumps({
+        "vocabularies": [{
+            "name": "toy", "namespace": toy, "properties": [],
+            "classes": [toy + name for name in "ABCD"],
+            "subclass_of": [[toy + child, toy + parent] for child, parent in edges],
+        }],
+        "constraints": [],
+    }))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "rdfcheck.cli", "--catalog", str(catalog),
+             fixture("eusilc.ttl")],
+            env=dict(env, PYTHONHASHSEED=seed), capture_output=True, check=False,
+        )
+        for seed in ("0", "5")
+    ]
+    assert [(run.returncode, run.stderr) for run in runs] == [(2, (
+        f"rdfcheck: error: cycle in hierarchy edges through {toy}A -> {toy}B -> "
+        f"{toy}D -> {toy}A\n"
+    ).encode())] * 2
+
+
 def test_explain_flag(capsys):
     assert run_cli(["--explain", "DISCO-C-LITERAL-RANGES-01", "ignored.ttl"]) == 0
     doc = json.loads(capsys.readouterr().out)

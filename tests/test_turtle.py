@@ -1,3 +1,4 @@
+import re
 import signal
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from rdfcheck.graph import Graph
 from rdfcheck.ntriples import ParseError, parse_ntriples
 from rdfcheck.terms import Literal
+from rdfcheck import turtle as turtle_module
 from rdfcheck.turtle import parse_turtle
 
 from conftest import FIXTURES, iri, lit, triple
@@ -636,3 +638,72 @@ def test_turtle_round_trips_against_ntriples(data):
     ttl = writer.document()
     nt = "\n".join(writer.nt)
     assert isomorphic(Graph(parse_turtle(ttl)), Graph(parse_ntriples(nt))), (ttl, nt)
+
+
+# The fused path against the token path: forcing every fused match to miss
+# leaves the token path alone, which must read every text the same way.
+
+def _outcome(text: str, fused: bool):
+    with pytest.MonkeyPatch.context() as patch:
+        if not fused:
+            patch.setattr(turtle_module, "_FUSED", re.compile(r"(?!)"))
+        try:
+            return parse_turtle(text)
+        except ParseError as exc:
+            return exc.reason, exc.line
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fused_path_reads_as_the_token_path(data):
+    text = _TurtleWriter(data.draw).document()
+    # one character dropped makes most documents an error somewhere
+    if data.draw(st.booleans()):
+        cut = data.draw(st.integers(0, len(text) - 1))
+        text = text[:cut] + text[cut + 1:]
+    assert _outcome(text, fused=True) == _outcome(text, fused=False), text
+
+
+_DECLARED = (
+    "@prefix ex: <http://e/> . @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+    "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+)
+
+
+@pytest.mark.parametrize("body", [
+    "ex:s ex:p ex:a.",
+    "ex:s ex:p ex:o .5",
+    'ex:s ex:p "x" @en .',
+    'ex:s ex:p "x"^^ xsd:int .',
+    'ex:s ex:p "x"^^xsd:int.',
+    'ex:s ex:p "x"^^rdf:langString .',
+    'ex:s ex:p "x"@en-GB , "y"@de ; a ex:T .',
+    "ex:s ex:p <rel> .",
+    "ex:s ex:p <http://e/o>.",
+    "ex:s ex:p un:x .",
+    "ex:s un:p ex:x .",
+    "un:s ex:p ex:x .",
+    "ex:s ex:p é:x .",
+    "ex:s ex:p ex:aé .",
+    "ex:s ex:p ex:a.é .",
+    "ex:s ex:p ex:a..é .",
+    "ex:s ex:p ex:a.b\\! .",
+    "ex:s ex:p ex:a.%41 .",
+    "ex:s ex:p ex:o ;; ex:q ex:r .",
+    "ex:s ex:p ex:o ; ; .",
+    "ex:s ex:p [ ex:q ex:r ; ] .",
+    "ex:s ex:p [ ex:q ex:r . ] .",
+    "ex:s ex:p ex:o # a comment\n ; ex:q ex:r .",
+    "ex:s ex:p ex:o , # a comment\n ex:r .",
+    "ex:s a:p ex:o .",
+    "@prefix a: <http://a/> . ex:s a:p ex:o . ex:s a a:T .",
+    "ex:s ex:p ex:o , ex:a ex:b .",
+    "ex:s ex:p ex:o ; ex:q .",
+    "ex:s ex:o .",
+    "ex:s ex:p ex:o",
+    "ex:s ex:p ex:o ;",
+    'ex:s ex:p "a\\"b" , """c""" , "" .',
+])
+def test_fused_path_edges_read_as_the_token_path(body):
+    text = _DECLARED + body
+    assert _outcome(text, fused=True) == _outcome(text, fused=False)
