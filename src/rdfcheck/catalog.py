@@ -954,40 +954,54 @@ class VocabularyInventory:
         return self.classes | self.properties | self.deprecated
 
 
-def _transitive_closure(edges: list[tuple[str, str]]) -> dict[str, set[str]]:
-    # each class's parents in edge order, so a cycle is found, and named,
-    # the same way under every hash seed
+def _parents(edges: list[tuple[str, str]]) -> dict[str, dict[str, None]]:
+    """Each child's parents, in edge order, so that a cycle is found, and
+    named, the same way under every hash seed."""
     direct: dict[str, dict[str, None]] = {}
     for child, parent in edges:
         direct.setdefault(child, {})[parent] = None
-    closure: dict[str, set[str]] = {}
+    return direct
+
+
+def _check_acyclic(direct: dict[str, dict[str, None]]) -> None:
+    """Raise CatalogError naming the path of the first cycle found. One
+    depth-first pass in edge order, without recursion: a class is on the
+    path while its parents are read, and done after, so each edge is
+    followed once."""
+    done: set[str] = set()
     for root in direct:
-        if root in closure:
+        if root in done:
             continue
-        # depth-first, without recursion: the stack is the path from root,
-        # each node with its unvisited parents and its ancestors so far
-        stack = [(root, iter(direct[root]), set())]
+        # the path from root, each class with its parents still to read
+        stack = [(root, iter(direct[root]))]
         on_path = {root}
         while stack:
-            node, parents, result = stack[-1]
+            node, parents = stack[-1]
             for parent in parents:
-                result.add(parent)
-                if parent in closure:
-                    result |= closure[parent]
+                if parent in done:
                     continue
                 if parent in on_path:
                     trail = " -> ".join([entry[0] for entry in stack] + [parent])
                     raise CatalogError(f"cycle in hierarchy edges through {trail}")
-                stack.append((parent, iter(direct.get(parent, ())), set()))
+                stack.append((parent, iter(direct.get(parent, ()))))
                 on_path.add(parent)
                 break
             else:
                 stack.pop()
                 on_path.discard(node)
-                closure[node] = result
-                if stack:
-                    stack[-1][2].update(result)
-    return closure
+                done.add(node)
+
+
+def _ancestors(direct: dict[str, dict[str, None]], start: str) -> frozenset[str]:
+    """``start`` and every class above it."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for parent in direct.get(stack.pop(), ()):
+            if parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    return frozenset(seen)
 
 
 class Catalog:
@@ -1008,8 +1022,15 @@ class Catalog:
             subclass_edges.extend(inv.subclass_of)
             subproperty_edges.extend(inv.subproperty_of)
             self.controlled_vocabularies.update(inv.controlled_vocabularies)
-        self.subclass_closure = _transitive_closure(subclass_edges)
-        self.subproperty_closure = _transitive_closure(subproperty_edges)
+        # the direct edges only; the ancestors of a class or property are
+        # found and kept when first asked for, so memory stays linear in
+        # the edges the catalog states
+        self._subclass_of = _parents(subclass_edges)
+        self._subproperty_of = _parents(subproperty_edges)
+        _check_acyclic(self._subclass_of)
+        _check_acyclic(self._subproperty_of)
+        self._superclasses: dict[str, frozenset[str]] = {}
+        self._superproperties: dict[str, frozenset[str]] = {}
         known = set(BUILTIN_VOCABULARIES) | set(self.inventories)
         for constraint in self.constraints.values():
             name = constraint.params.get("vocabulary")
@@ -1019,11 +1040,19 @@ class Catalog:
                     f"{name!r}; known vocabularies: {', '.join(sorted(known))}"
                 )
 
-    def superclasses(self, cls: str) -> set[str]:
-        return {cls} | self.subclass_closure.get(cls, set())
+    def superclasses(self, cls: str) -> frozenset[str]:
+        """``cls`` and every class above it."""
+        found = self._superclasses.get(cls)
+        if found is None:
+            found = self._superclasses[cls] = _ancestors(self._subclass_of, cls)
+        return found
 
-    def superproperties(self, prop: str) -> set[str]:
-        return {prop} | self.subproperty_closure.get(prop, set())
+    def superproperties(self, prop: str) -> frozenset[str]:
+        """``prop`` and every property above it."""
+        found = self._superproperties.get(prop)
+        if found is None:
+            found = self._superproperties[prop] = _ancestors(self._subproperty_of, prop)
+        return found
 
     def subclass_related(self, a: str, b: str) -> bool:
         return b in self.superclasses(a) or a in self.superclasses(b)

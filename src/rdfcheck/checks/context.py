@@ -9,7 +9,7 @@ the very modeling errors the checkers look for.
 from __future__ import annotations
 
 import re
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 
 from ..catalog import Catalog
@@ -24,44 +24,59 @@ _EMPTY_CATALOG = Catalog({}, {})
 _SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*(?=:)")
 
 
+# the type set of every untyped node
+_NO_TYPES: frozenset[str] = frozenset()
+
+
 class GraphContext:
     def __init__(self, graph: Graph, catalog: Catalog | None = None):
         self.graph = graph
         self.catalog = catalog if catalog is not None else _EMPTY_CATALOG
         self._types: dict[Term, frozenset[str]] | None = None
+        self._groups: dict[frozenset[str], list[Term]] = {}
         self._extensions: dict[str, list[Term]] = {}
 
     def _type_map(self) -> dict[Term, frozenset[str]]:
         """Each typed node's closed class set. The rdf:type triples are
         sorted, so a node's types are one run; nodes with equal sets share
         one frozenset, since a graph holds far fewer distinct sets than
-        typed nodes."""
+        typed nodes. ``_groups`` lists the nodes of each set in the order
+        read, which is sorted."""
         if self._types is None:
             types: dict[Term, frozenset[str]] = {}
-            shared: dict[frozenset[str], frozenset[str]] = {}
             typing = self.graph.match(None, Iri(RDF_TYPE), None)
             for node, run in groupby(typing, attrgetter("subject")):
                 classes = [t.object.value for t in run if isinstance(t.object, Iri)]
                 if classes:
                     closed = frozenset().union(*map(self.catalog.superclasses, classes))
-                    types[node] = shared.setdefault(closed, closed)
+                    group = self._groups.setdefault(closed, [])
+                    if group:
+                        closed = types[group[0]]
+                    types[node] = closed
+                    group.append(node)
             self._types = types
         return self._types
 
     def types_of(self, node: Term) -> frozenset[str]:
-        return self._type_map().get(node, frozenset())
+        types = self._types if self._types is not None else self._type_map()
+        return types.get(node, _NO_TYPES)
 
     def has_type(self, node: Term, cls: str) -> bool:
-        return cls in self.types_of(node)
+        types = self._types if self._types is not None else self._type_map()
+        return cls in types.get(node, _NO_TYPES)
 
     def extension(self, cls: str) -> list[Term]:
-        """Instances of ``cls`` under closed-world typing, in sorted order."""
+        """Instances of ``cls`` under closed-world typing, in sorted order:
+        the nodes of each type set that holds ``cls``, sorted again only
+        when more than one set does."""
         cached = self._extensions.get(cls)
         if cached is None:
-            cached = sorted(
-                (node for node, types in self._type_map().items() if cls in types),
-                key=term_sort_key,
-            )
+            self._type_map()
+            joined = [group for closed, group in self._groups.items() if cls in closed]
+            if len(joined) == 1:
+                cached = list(joined[0])
+            else:
+                cached = sorted(chain.from_iterable(joined), key=term_sort_key)
             self._extensions[cls] = cached
         return cached
 

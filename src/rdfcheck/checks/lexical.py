@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterable
 from decimal import Decimal
+from itertools import chain
 
 from ..namespaces import RDFS_LABEL, SKOS, compact
-from ..terms import Iri, Literal, Term
+from ..terms import Iri, Literal, Term, Triple
 from ..violations import Finding, finding
 from ..xsd import (
     InvalidLexicalError,
@@ -532,7 +534,9 @@ def check_html_balance(
     """Literals whose HTML-like tags do not nest, optionally limited to one
     ``property`` and ``scope``. With ``vocabulary``, mode vocab-properties
     checks only the vocabulary's properties, class-subjects only subjects
-    typed by one of its classes."""
+    typed by one of its classes. Only the statements of the properties it
+    may report are read: ``property``'s, or each vocabulary property's, or
+    without either the whole graph."""
     properties = scope_classes = None
     if vocabulary is not None:
         inventory = ctx.catalog.inventory(vocabulary)
@@ -540,19 +544,20 @@ def check_html_balance(
             properties = inventory.properties
         else:
             scope_classes = inventory.classes
+    triples: Iterable[Triple] = ctx.graph
+    if property is not None:
+        triples = ctx.statements(property) if properties is None or property in properties else []
+    elif properties is not None:
+        triples = chain.from_iterable(ctx.statements(p) for p in sorted(properties))
     out = []
-    for triple in ctx.graph:
+    for triple in triples:
         lit = triple.object
         if not isinstance(lit, Literal):
             continue
         pred = triple.predicate.value
-        if property is not None and pred != property:
-            continue
-        if properties is not None and pred not in properties:
-            continue
         if scope is not None and not ctx.has_type(triple.subject, scope):
             continue
-        if scope_classes is not None and not ctx.types_of(triple.subject) & scope_classes:
+        if scope_classes is not None and ctx.types_of(triple.subject).isdisjoint(scope_classes):
             continue
         offender = html_imbalance(lit.lexical)
         if offender is not None:

@@ -468,19 +468,27 @@ def check_value_datatype(
     are left alone)."""
     out = []
     if mode == "all-literals":
+        # each distinct (lexical form, datatype) parsed once: its error, or None
+        errors: dict[tuple[str, str], str | None] = {}
         for triple, lit in ctx.graph.literals():
-            try:
-                parse_xsd_value(lit.lexical, lit.datatype)
-            except InvalidLexicalError as exc:
+            key = (lit.lexical, lit.datatype)
+            if key not in errors:
+                try:
+                    parse_xsd_value(*key)
+                    errors[key] = None
+                except InvalidLexicalError as exc:
+                    errors[key] = str(exc)
+                except UnknownDatatypeError:
+                    errors[key] = None
+            error = errors[key]
+            if error is not None:
                 out.append(
                     finding(
                         triple.subject, str(lit),
-                        f"literal is not valid for its datatype: {exc}",
+                        f"literal is not valid for its datatype: {error}",
                         (triple.predicate.value,),
                     )
                 )
-            except UnknownDatatypeError:
-                continue
         return out
     for prop in properties or []:
         for triple in ctx.statements(prop):

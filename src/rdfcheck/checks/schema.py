@@ -335,14 +335,17 @@ def check_disjoint_properties(
     if properties is None:
         properties = ctx.catalog.inventory(vocabulary).properties
     exempt = {frozenset(p) for p in (exempt_pairs or [])}
-    by_pair: dict[tuple[Term, Term], list[str]] = {}
+    # the first property of each (x, y); a list only from a second one on
+    first: dict[tuple[Term, Term], str] = {}
+    shared: dict[tuple[Term, Term], list[str]] = {}
     for prop in properties:
         for triple in ctx.statements(prop):
-            by_pair.setdefault((triple.subject, triple.object), []).append(prop)
+            pair = (triple.subject, triple.object)
+            seen = first.setdefault(pair, prop)
+            if seen != prop:
+                shared.setdefault(pair, [seen]).append(prop)
     out = []
-    for (x, y), props in by_pair.items():
-        if len(props) < 2:
-            continue
+    for (x, y), props in shared.items():
         props = sorted(set(props))
         for i, p in enumerate(props):
             for q in props[i + 1 :]:

@@ -12,11 +12,26 @@ their findings in any order: ``_dedup`` alone orders them, by severity
 inputs give byte-identical reports. The cube, statistics and hierarchy models are
 extracted when the first constraint needing them runs, and shared by the
 rest of the run.
+
+Constraints that make the same checker call share one result. Before the
+run, each constraint gets a key: its checker's name and a canonical JSON
+text of the arguments bound from its parameters (the shared run objects
+are the same for every call of a run, so they are left out). A result is
+kept only while a later constraint of the run has its key, and dropped
+after that one's use; a call that raises ``ResourceLimit`` is not kept.
+Findings carry no constraint id or severity, so each constraint stamps the
+shared result with its own. A key can miss but never hit falsely: JSON
+tells ``1``, ``1.0`` and ``true`` apart, and arguments that JSON would
+blur, such as tuples, sets or dicts with keys other than strings, or that it
+cannot write at all, give no key, so that constraint's checker is simply
+called.
 """
 
 from __future__ import annotations
 
+import json
 import time
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -79,12 +94,18 @@ class ValidationReport:
         return [s for s in self.statuses if s.status != "evaluated"]
 
 
+_Result = tuple[list[Finding], list[tuple[str, str, int]]]
+
+
 class RunContext:
     """The objects a checker may need: the graph context and the models,
-    each model extracted on first use."""
+    each model extracted on first use; and the results shared by
+    constraints with one key, with each key's uses still to come."""
 
     def __init__(self, graph: Graph, catalog: Catalog):
         self.ctx = GraphContext(graph, catalog)
+        self.results: dict[str, _Result] = {}
+        self.uses: Counter[str] = Counter()
 
     @cached_property
     def cube(self) -> CubeModel:
@@ -99,16 +120,14 @@ class RunContext:
         return extract_hierarchy(self.ctx)
 
 
-def _evaluate(
-    rc: RunContext, c: Constraint
-) -> tuple[list[Finding], list[tuple[str, str, int]]]:
-    """Call the type's checker, or for a type with a ``by`` parameter the
-    checker its table gives that parameter's value, with its ``needs``, the
-    other required parameters in schema order and the optional ones the
-    constraint sets; an optional ``scope`` falls back to the constraint's
-    own scope."""
+def _bind(c: Constraint) -> tuple[str, list[Any], dict[str, Any]]:
+    """The checker for ``c``, as ``"<module>.<function>"``, and the
+    arguments bound from its parameters: for a type with a ``by`` parameter
+    the checker its table gives that parameter's value, the other required
+    parameters in schema order and the optional ones the constraint sets;
+    an optional ``scope`` falls back to the constraint's own scope."""
     ctype = CONSTRAINT_TYPES[c.type]
-    args = [getattr(rc, need) for need in ctype.needs]
+    args: list[Any] = []
     kwargs: dict[str, Any] = {}
     for name, (_kind, req) in ctype.schema.items():
         if name == ctype.by:
@@ -120,14 +139,52 @@ def _evaluate(
         elif name == "scope":
             kwargs[name] = c.scope
     check = ctype.check if ctype.by is None else ctype.check[c.params[ctype.by]]
+    return check, args, kwargs
+
+
+def _is_plain(value: Any) -> bool:
+    """Whether JSON writes ``value`` so that no other value reads the same."""
+    if value is None or type(value) in (str, int, float, bool):
+        return True
+    if type(value) is list:
+        return all(map(_is_plain, value))
+    if type(value) is dict:
+        return all(type(k) is str and _is_plain(v) for k, v in value.items())
+    return False
+
+
+def _key(c: Constraint) -> str | None:
+    """The key of ``c``'s checker call, or None if its arguments have none."""
+    check, args, kwargs = _bind(c)
+    try:
+        if _is_plain([args, kwargs]):
+            return check + " " + json.dumps([args, kwargs], sort_keys=True, allow_nan=False)
+    except (ValueError, RecursionError):  # NaN, an int too long to write, deep nesting
+        pass
+    return None
+
+
+def _evaluate(rc: RunContext, c: Constraint, key: str | None) -> _Result:
+    """The findings and counts of ``c``'s checker, called with the type's
+    ``needs`` and then the arguments ``_bind`` gives, or the result kept
+    under ``key``."""
+    if key is not None:
+        rc.uses[key] -= 1
+        if key in rc.results:
+            return rc.results[key] if rc.uses[key] else rc.results.pop(key)
+    check, args, kwargs = _bind(c)
+    needs = [getattr(rc, need) for need in CONSTRAINT_TYPES[c.type].needs]
     module, function = check.split(".")
     # looked up at call time, so a wrapper installed on the module applies
-    result = getattr(_CHECK_MODULES[module], function)(*args, **kwargs)
-    return result if isinstance(result, tuple) else (result, [])
+    result = getattr(_CHECK_MODULES[module], function)(*needs, *args, **kwargs)
+    result = result if isinstance(result, tuple) else (result, [])
+    if key is not None and rc.uses[key]:
+        rc.results[key] = result
+    return result
 
 
 def _run_one(
-    rc: RunContext, c: Constraint
+    rc: RunContext, c: Constraint, key: str | None
 ) -> tuple[ConstraintStatus, list[Violation], list[MetricRecord]]:
     started = time.perf_counter()
     violations: list[Violation] = []
@@ -137,7 +194,7 @@ def _run_one(
         status = f"skipped: not evaluable ({missing})"
     else:
         try:
-            findings, counts = _evaluate(rc, c)
+            findings, counts = _evaluate(rc, c, key)
         except ResourceLimit as exc:
             status = f"skipped: limit ({exc})"
         except Exception as exc:
@@ -171,11 +228,13 @@ def validate(
         catalog.select() if constraints is None else constraints, key=lambda c: c.id
     )
     rc = RunContext(graph, catalog)
+    keys = [_key(c) if c.evaluable else None for c in selected]
+    rc.uses.update(key for key in keys if key is not None)
     all_violations: list[Violation] = []
     all_metrics: list[MetricRecord] = []
     statuses: list[ConstraintStatus] = []
-    for constraint in selected:
-        status, violations, metrics = _run_one(rc, constraint)
+    for constraint, key in zip(selected, keys):
+        status, violations, metrics = _run_one(rc, constraint, key)
         statuses.append(status)
         all_violations.extend(violations)
         all_metrics.extend(metrics)

@@ -161,14 +161,16 @@ class Graph:
 
     def iris(self) -> list[Iri]:
         """Every distinct IRI appearing in subject, predicate, or object
-        position, sorted. Computed once; each call returns a new list."""
+        position, sorted by text. Computed once, from the index keys alone:
+        the subjects of ``_by_sp``, the predicates of ``_by_p`` and the
+        objects of ``_by_po``, each distinct term once, so no triple is
+        read. Each call returns a new list."""
         if self._iris is None:
-            seen: set[Iri] = set()
-            for t in self._triples:
-                for term in (t.subject, t.predicate, t.object):
-                    if isinstance(term, Iri):
-                        seen.add(term)
-            self._iris = sorted(seen, key=lambda i: i.value)
+            seen: set[Iri] = {s for s in self._by_sp if type(s) is Iri}
+            seen.update(self._by_p)
+            for same_po in self._by_po.values():
+                seen.update(o for o in same_po if type(o) is Iri)
+            self._iris = sorted(seen, key=_iri_text)
         return list(self._iris)
 
     def literals(self) -> list[tuple[Triple, Literal]]:

@@ -1,8 +1,14 @@
 """Line-oriented N-Triples parser.
 
 A line is stripped, and skipped if it is then empty or starts with ``#``.
-Any other line is read by one compiled token regex, ``_TOKEN``, matched for
-the subject, the predicate and the object in turn. Each term pattern carries
+Any other line is first matched whole by ``_LINE``, which reads the common
+shape in one match: absolute IRIs without ``\\``, blank-node labels, and a
+string without ``\\`` that ``@lang`` or ``^^<IRI>`` may follow, separated by
+spaces or tabs, then the ``.`` and an optional comment. A line ``_LINE``
+misses, and one whose datatype is ``rdf:langString``, is read by one
+compiled token regex, ``_TOKEN``, matched for the subject, the predicate and
+the object in turn, as if the fast path did not exist; so every diagnostic
+and its line number come from the token path. Each term pattern carries
 what may follow it, so a well-formed line needs no other scanning; a term
 that is not well formed matches the empty group ``bad``.
 
@@ -56,6 +62,10 @@ _UNTAGGED_LANGSTRING = "rdf:langString literal requires a language tag"
 # well-formed escapes only.
 _IRI_EXCLUDED = '<>"{}|^`'
 _IRI_BODY = r'[^\x00-\x20<>"{}|^`]*'
+# an absolute IRI body with no escape, and a blank-node label
+_ABSOLUTE = r'[^\x00-\x20<>"{}|^`\\:]*:[^\x00-\x20<>"{}|^`\\]*'
+_LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-]|)"
+_LANG = r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"
 _STRING_BODY = r'[^"\\]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\]*)*'
 # What follows a term: "end" ('.', a comment, the end of the line) or "space".
 _FOLLOW = r"(?:[ \t]*(?:(?P<{0}_end>\.[ \t]*(?:#.*)?\Z)|(?P<{0}_space>(?<=[ \t])))|)"
@@ -65,12 +75,19 @@ _FOLLOW = r"(?:[ \t]*(?:(?P<{0}_end>\.[ \t]*(?:#.*)?\Z)|(?P<{0}_space>(?<=[ \t])
 # shorten a blank label or a language tag; optional parts are written as an
 # empty last alternative, which the regex engine runs faster than "?".
 _TOKEN = re.compile(
-    r'<(?P<iri>[^\x00-\x20<>"{}|^`\\:]*:[^\x00-\x20<>"{}|^`\\]*)>' + _FOLLOW.format("iri")
-    + rf"|<(?P<iriref>{_IRI_BODY})>{_FOLLOW.format('iriref')}"
-    rf"|_:(?P<blank>[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-]|)){_FOLLOW.format('blank')}"
+    rf"<(?P<iri>{_ABSOLUTE})>{_FOLLOW.format('iri')}"
+    rf"|<(?P<iriref>{_IRI_BODY})>{_FOLLOW.format('iriref')}"
+    rf"|_:(?P<blank>{_LABEL}){_FOLLOW.format('blank')}"
     rf'|"(?P<string>{_STRING_BODY})"'
-    rf"(?:@(?P<lang>[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|\^\^<(?P<datatype>{_IRI_BODY})>|)"
+    rf"(?:@(?P<lang>{_LANG})|\^\^<(?P<datatype>{_IRI_BODY})>|)"
     rf"{_FOLLOW.format('literal')}|(?P<bad>)"
+)
+# A whole line of the common shape; its groups in order: subject IRI or
+# label, predicate, object IRI or label, string, language tag, datatype.
+_LINE = re.compile(
+    rf"(?:<({_ABSOLUTE})>|_:({_LABEL}))[ \t]+<({_ABSOLUTE})>[ \t]+"
+    rf'(?:<({_ABSOLUTE})>|_:({_LABEL})|"([^"\\]*)"(?:@({_LANG})|\^\^<({_ABSOLUTE})>|))'
+    r"[ \t]*\.[ \t]*(?:#.*|)\Z"
 )
 _KINDS = (("iri", "iriref", "blank"), ("iri", "iriref"), ("iri", "iriref", "blank", "literal"))
 _EXPECTED = ("expected IRI or blank node subject", "expected '<'",
@@ -142,31 +159,37 @@ def parse_ntriples(data: bytes | str | Iterable[bytes]) -> list[Triple]:
         lines = (_decode_utf8(raw, n) for n, raw in enumerate(data, start=1))
     scope, iris = _BlankScope(), _IRIS
     triples: list[Triple] = []
-    match = _TOKEN.match
+    match, whole = _TOKEN.match, _LINE.match
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
-        # the commonest terms are read here, any other match by _term
+        m = whole(line)
+        if m is not None:
+            si, sb, pi, oi, ob, lexical, lang, dt = m.groups()
+            if dt is not None:
+                # the interned text, so equal datatypes share one string
+                dt = iris[dt].value
+            if dt != RDF_LANGSTRING:
+                s: Term = iris[si] if sb is None else scope.get(sb)
+                if oi is not None:
+                    o: Term = iris[oi]
+                elif ob is not None:
+                    o = scope.get(ob)
+                elif lang is not None:
+                    o = Literal(lexical, lang=lang)
+                else:
+                    o = Literal(lexical) if dt is None else Literal(lexical, datatype=dt)
+                triples.append(Triple(s, iris[pi], o))
+                continue
+        # any other line is read term by term, so a ParseError names its
+        # first fault in reading order
         m = match(line)
-        kind = m.lastgroup
-        if kind == "iri_space":
-            s: Term = iris[m["iri"]]
-        elif kind == "blank_space":
-            s = scope.get(m["blank"])
-        else:
-            s = _term(m, 0, lineno, scope)
+        s = _term(m, 0, lineno, scope)
         m = match(line, m.end())
-        p = iris[m["iri"]] if m.lastgroup == "iri_space" else _term(m, 1, lineno, scope)
+        p = _term(m, 1, lineno, scope)
         m = match(line, m.end())
-        kind = m.lastgroup
-        if kind == "iri_end":
-            o: Term = iris[m["iri"]]
-        elif kind == "literal_end":
-            o = _literal(m, lineno)
-        else:
-            o = _term(m, 2, lineno, scope)
-        triples.append(Triple(s, p, o))
+        triples.append(Triple(s, p, _term(m, 2, lineno, scope)))
     return triples
 
 

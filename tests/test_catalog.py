@@ -2,7 +2,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdfcheck.catalog import (
@@ -329,3 +329,80 @@ def test_disco_catalog_size_and_literal_ranges(disco_catalog):
     ranges = disco_catalog.constraints["DISCO-C-LITERAL-RANGES-01"]
     assert ranges.severity is Severity.ERROR
     assert ranges.params["min"] == 0 and ranges.params["max"] == 100
+
+
+def _eager_closure(edges):
+    """The hierarchy as the catalog once kept it, every class's full set of
+    ancestors computed at load: the reference the on-demand one must match."""
+    direct: dict = {}
+    for child, parent in edges:
+        direct.setdefault(child, {})[parent] = None
+    closure: dict = {}
+    for root in direct:
+        if root in closure:
+            continue
+        stack = [(root, iter(direct[root]), set())]
+        on_path = {root}
+        while stack:
+            node, parents, result = stack[-1]
+            for parent in parents:
+                result.add(parent)
+                if parent in closure:
+                    result |= closure[parent]
+                    continue
+                if parent in on_path:
+                    trail = " -> ".join([entry[0] for entry in stack] + [parent])
+                    raise CatalogError(f"cycle in hierarchy edges through {trail}")
+                stack.append((parent, iter(direct.get(parent, ())), set()))
+                on_path.add(parent)
+                break
+            else:
+                stack.pop()
+                on_path.discard(node)
+                closure[node] = result
+                if stack:
+                    stack[-1][2].update(result)
+    return closure
+
+
+def _verdict(edges):
+    try:
+        return _eager_closure(edges)
+    except CatalogError as exc:
+        return str(exc)
+
+
+_NAMES = list("ABCDEFGH")
+# any edges, which often close a cycle or a self-loop, or only edges from an
+# earlier name to a later one, which never do
+_EDGE_LISTS = st.one_of(
+    st.lists(st.tuples(st.sampled_from(_NAMES), st.sampled_from(_NAMES)), max_size=12),
+    st.lists(st.lists(st.sampled_from(_NAMES), min_size=2, max_size=2, unique=True).map(sorted)
+             .map(tuple), max_size=16),
+)
+
+
+@given(classes=_EDGE_LISTS, properties=_EDGE_LISTS)
+@settings(max_examples=300, deadline=None)
+def test_hierarchy_answers_as_the_eager_closure(classes, properties):
+    from rdfcheck.catalog import VocabularyInventory
+
+    inventory = VocabularyInventory("toy", subclass_of=classes, subproperty_of=properties)
+    expected = [_verdict(classes), _verdict(properties)]
+    errors = [e for e in expected if isinstance(e, str)]
+    if errors:
+        # the class edges are checked first, as the eager closure was built
+        with pytest.raises(CatalogError) as caught:
+            Catalog({}, {"toy": inventory})
+        assert str(caught.value) == errors[0]
+        return
+    catalog = Catalog({}, {"toy": inventory})
+    above_class, above_property = expected
+    for a in _NAMES:
+        assert catalog.superclasses(a) == {a} | above_class.get(a, set())
+        assert catalog.superproperties(a) == {a} | above_property.get(a, set())
+        for b in _NAMES:
+            assert catalog.subclass_related(a, b) == (
+                b in above_class.get(a, ()) or a in above_class.get(b, ()) or a == b)
+            assert catalog.subproperty_related(a, b) == (
+                b in above_property.get(a, ()) or a in above_property.get(b, ()) or a == b)

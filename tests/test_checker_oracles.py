@@ -1,10 +1,15 @@
-"""Brute-force oracles for the set-based SKOS and language-tag checkers.
+"""Brute-force oracles for set-based checkers.
 
 Each oracle states its constraint naively over the plain list of triples
 and the catalog's class hierarchy, with no ``Graph`` index and no
-``GraphContext``. Hypothesis draws small SKOS graphs, and every constraint
-of a covered type must report exactly the ``(focus, detail)`` pairs its
-oracle gives. Messages are not compared.
+``GraphContext``. Hypothesis draws small graphs, and every constraint of a
+covered type must report exactly the ``(focus, detail)`` pairs its oracle
+gives. Messages are not compared. The first part covers the SKOS and
+language-tag checkers over SKOS graphs; the second covers
+``disjoint-properties``, ``disjoint-classes``, ``http-scheme``,
+``undefined-terms``, ``html-balance``, ``value-datatype`` (``all-literals``)
+and ``presence`` (by properties) over DISCO-shaped graphs, against
+hierarchies closed here from the catalog's stated edges.
 """
 
 from __future__ import annotations
@@ -13,10 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdfcheck.catalog import builtin_catalog, merge_catalogs
+from rdfcheck.checks.lexical import html_imbalance
 from rdfcheck.engine import validate
 from rdfcheck.graph import Graph
-from rdfcheck.namespaces import RDF_TYPE, SKOS
+from rdfcheck.namespaces import DCTERMS, DISCO, RDF_TYPE, SKOS, compact
 from rdfcheck.terms import BlankNode, Iri, Literal, Triple, term_sort_key
+from rdfcheck.xsd import InvalidLexicalError, UnknownDatatypeError, parse_xsd_value
 
 EX = "http://example.org/"
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -216,3 +223,317 @@ def test_language_tags_match_their_oracle(triples):
         if constraint.type == "language-tag":
             expected = _language_tag(plain, types, constraint.params)
             assert _reported(g, constraint.id) == expected, constraint.id
+
+
+# The second part: DISCO-shaped graphs. A user vocabulary adds a class below
+# disco:Variable and one below that, a subproperty pair, and user
+# constraints of the shapes the shipped catalogs lack: a property listed
+# twice, exempt pairs, html-balance with ``property`` and ``scope`` in each
+# mode, all-literals datatype checks, and presence with a qualifier class.
+SUB, SUBSUB = EX + "Sub", EX + "SubSub"
+P, Q = EX + "p", EX + "q"  # q is a subproperty of p
+_LISTED = [P, Q, DISCO + "variable", DISCO + "containsVariable", DCTERMS + "description", P]
+_DISCO_USER = {
+    "vocabularies": [{
+        "name": "oracle2", "namespace": EX, "classes": [SUB, SUBSUB], "properties": [P, Q],
+        "subclass_of": [[SUB, DISCO + "Variable"], [SUBSUB, SUB]],
+        "subproperty_of": [[Q, P]],
+    }],
+    "constraints": [
+        {"id": "ORACLE-DP-0", "type": "disjoint-properties", "severity": "warning",
+         "params": {"properties": _LISTED,
+                    "exempt_pairs": [[DISCO + "variable", DISCO + "containsVariable"]]}},
+        {"id": "ORACLE-DP-1", "type": "disjoint-properties", "severity": "warning",
+         "params": {"vocabulary": "oracle2"}},
+        {"id": "ORACLE-DC-0", "type": "disjoint-classes", "severity": "warning",
+         "params": {"classes": [DISCO + "Variable", SUB, DISCO + "Study",
+                                DISCO + "Instrument", DISCO + "Questionnaire", DISCO + "Study"],
+                    "exempt_pairs": [[DISCO + "Study", DISCO + "Instrument"]]}},
+        {"id": "ORACLE-DC-1", "type": "disjoint-classes", "severity": "warning",
+         "params": {"vocabulary": "oracle2"}},
+        *({"id": f"ORACLE-HTML-{i}", "type": "html-balance", "severity": "warning",
+           "params": params}
+          for i, params in enumerate([
+              {},
+              {"property": DCTERMS + "description"},
+              {"property": DCTERMS + "description", "scope": DISCO + "Variable"},
+              {"vocabulary": "disco", "mode": "vocab-properties", "scope": SUB},
+              {"vocabulary": "disco", "mode": "vocab-properties",
+               "property": DISCO + "universe"},
+              {"vocabulary": "disco", "mode": "vocab-properties",
+               "property": DCTERMS + "description"},
+              {"vocabulary": "oracle2", "mode": "class-subjects"},
+              {"vocabulary": "oracle2", "mode": "class-subjects",
+               "property": DCTERMS + "description", "scope": DISCO + "Study"},
+          ])),
+        {"id": "ORACLE-VD-0", "type": "value-datatype", "severity": "error",
+         "params": {"mode": "all-literals"}},
+        {"id": "ORACLE-PRES-0", "type": "presence", "severity": "warning",
+         "params": {"scope": DISCO + "Variable", "properties": [DISCO + "concept", P],
+                    "qualifier_class": DISCO + "Study"}},
+        {"id": "ORACLE-PRES-1", "type": "presence", "severity": "warning",
+         "params": {"scope": SUB, "properties": [Q]}},
+    ],
+}
+DISCO_CATALOG = merge_catalogs(builtin_catalog({"disco"}), _DISCO_USER)
+
+
+def _covered(type_id: str) -> list[str]:
+    """The ids of the evaluable constraints of ``type_id`` the oracles cover:
+    presence only by properties, value-datatype only over all literals."""
+    return sorted(
+        cid for cid, c in DISCO_CATALOG.constraints.items()
+        if c.type == type_id and c.evaluable and "path" not in c.params
+        and (type_id != "value-datatype" or c.params.get("mode") == "all-literals")
+    )
+
+
+_D_NODES = [Iri(EX + f"n{i}") for i in range(4)] + [BlankNode("oracle1")]
+_D_CLASSES = [Iri(c) for c in (DISCO + "Variable", DISCO + "RepresentedVariable", SUB, SUBSUB,
+                               DISCO + "Study", DISCO + "Instrument", DISCO + "Questionnaire")]
+_D_PROPERTIES = [Iri(p) for p in (
+    P, Q, DISCO + "variable", DISCO + "containsVariable", DISCO + "universe", DISCO + "concept",
+    DISCO + "fundedBy", DISCO + "bogus", DCTERMS + "contributor", DCTERMS + "description",
+    SKOS + "prefLabel",
+)]
+# IRIs with and without an http(s) scheme, and ones inside the DISCO
+# namespace that it does or does not declare
+_D_IRIS = [Iri(v) for v in (
+    "urn:x", "HTTP://e/x", "https://e/y", "ftp://e/z", "mailto:a@e", "x+y.z-1:w", "1a:b",
+    "a_b:c", ":x", DISCO + "Variable", DISCO + "Nothing", DISCO,
+)]
+_XSD_TYPED = [("1", "integer"), ("x", "integer"), ("2020-13-01", "date"), ("2020-12-01", "date"),
+              ("maybe", "boolean"), ("true", "boolean"), ("-1", "nonNegativeInteger")]
+_UNBALANCED = [Literal("<b>x"), Literal("<p><i>x</p></i>"), Literal("<i>x", lang="en")]
+_D_LITERALS = (
+    [Literal(text) for text in ("<b>x</b>", "a < b", "<br/>", "x")]
+    + [Literal("y", datatype=EX + "unknown")]
+    + [Literal(text, datatype=XSD + name) for text, name in _XSD_TYPED]
+)
+
+
+@st.composite
+def _disco_graphs(draw) -> list[Triple]:
+    """Up to 63 triples: per node up to three types from a small pool, then
+    links from a few subjects to nodes, IRIs and literals (two thirds of
+    them literals, half of those with unbalanced tags), each stated by one
+    to three pooled properties, so that two properties often join one
+    pair."""
+    triples = []
+    for node in _D_NODES:
+        triples += [Triple(node, Iri(RDF_TYPE), cls)
+                    for cls in draw(st.lists(st.sampled_from(_D_CLASSES), max_size=3))]
+    objects = st.one_of(st.sampled_from(_D_NODES[:2] + _D_IRIS), st.sampled_from(_D_LITERALS),
+                        st.sampled_from(_UNBALANCED))
+    links = st.tuples(st.sampled_from(_D_NODES[:3] + _D_IRIS[:2]), objects,
+                      st.lists(st.sampled_from(_D_PROPERTIES), min_size=1, max_size=3))
+    for s, o, props in draw(st.lists(links, max_size=16)):
+        triples += [Triple(s, p, o) for p in props]
+    return triples
+
+
+def _above(edges, start: str) -> set:
+    """``start`` and everything the stated ``edges`` put above it."""
+    found = {start}
+    while True:
+        more = {parent for child, parent in edges if child in found} - found
+        if not more:
+            return found
+        found |= more
+
+
+def _edges(kind: str) -> list:
+    return [edge for inv in DISCO_CATALOG.inventories.values() for edge in getattr(inv, kind)]
+
+
+_SUBCLASS, _SUBPROPERTY = _edges("subclass_of"), _edges("subproperty_of")
+
+
+def _closed_types(triples) -> dict:
+    types: dict = {}
+    for t in triples:
+        if t.predicate.value == RDF_TYPE and isinstance(t.object, Iri):
+            types.setdefault(t.subject, set()).update(_above(_SUBCLASS, t.object.value))
+    return types
+
+
+def _group_pairs(members, exempt, edges):
+    """Each unordered pair of distinct sorted ``members`` that is neither
+    exempt nor related by the stated ``edges``."""
+    ordered = sorted(set(members))
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            if {a, b} in exempt or a in _above(edges, b) or b in _above(edges, a):
+                continue
+            yield a, b
+
+
+def _disjoint_properties(triples, params) -> set:
+    group = params.get("properties") or DISCO_CATALOG.inventory(params["vocabulary"]).properties
+    exempt = [set(pair) for pair in params.get("exempt_pairs", [])]
+    out = set()
+    for x, y in {(t.subject, t.object) for t in triples}:
+        props = [t.predicate.value for t in triples
+                 if t.subject == x and t.object == y and t.predicate.value in group]
+        for p, q in _group_pairs(props, exempt, _SUBPROPERTY):
+            out.add((str(x), f"{compact(p)}|{compact(q)}|{y}"))
+    return out
+
+
+def _disjoint_classes(triples, params) -> set:
+    group = params.get("classes") or DISCO_CATALOG.inventory(params["vocabulary"]).classes
+    exempt = [set(pair) for pair in params.get("exempt_pairs", [])]
+    out = set()
+    for node, classes in _closed_types(triples).items():
+        for a, b in _group_pairs(classes & set(group), exempt, _SUBCLASS):
+            out.add((str(node), f"{compact(a)}|{compact(b)}"))
+    return out
+
+
+def _all_iris(triples) -> set:
+    return {term for t in triples for term in (t.subject, t.predicate, t.object)
+            if isinstance(term, Iri)}
+
+
+def _http_scheme(triples, params) -> set:
+    out = set()
+    for iri in _all_iris(triples):
+        head, colon, _ = iri.value.partition(":")
+        valid = (colon and head[:1].isascii() and head[:1].isalpha()
+                 and all(ch.isascii() and (ch.isalnum() or ch in "+-.") for ch in head))
+        scheme = head.lower() if valid else ""
+        if scheme not in ("http", "https"):
+            out.add((str(iri), scheme or "(none)"))
+    return out
+
+
+def _undefined_terms(triples, params) -> set:
+    inventory = DISCO_CATALOG.inventory(params["vocabulary"])
+    declared = inventory.classes | inventory.properties | inventory.deprecated
+    return {(str(iri), iri.value) for iri in _all_iris(triples)
+            if iri.value.startswith(inventory.namespace) and iri.value not in declared}
+
+
+def _html_balance(triples, params) -> set:
+    types = _closed_types(triples)
+    prop, scope = params.get("property"), params.get("scope")
+    properties = classes = None
+    if "vocabulary" in params:
+        inventory = DISCO_CATALOG.inventory(params["vocabulary"])
+        if params.get("mode", "vocab-properties") == "vocab-properties":
+            properties = inventory.properties
+        else:
+            classes = inventory.classes
+    out = set()
+    for t in triples:
+        pred, lit, subject_types = t.predicate.value, t.object, types.get(t.subject, set())
+        if (
+            isinstance(lit, Literal) and html_imbalance(lit.lexical) is not None
+            and prop in (None, pred) and scope in (None, *subject_types)
+            and (properties is None or pred in properties)
+            and (classes is None or subject_types & classes)
+        ):
+            out.add((str(t.subject), f"{compact(pred)}|{lit}"))
+    return out
+
+
+def _value_datatype(triples, params) -> set:
+    out = set()
+    for t in triples:
+        if isinstance(t.object, Literal):
+            try:
+                parse_xsd_value(t.object.lexical, t.object.datatype)
+            except InvalidLexicalError:
+                out.add((str(t.subject), str(t.object)))
+            except UnknownDatatypeError:
+                pass
+    return out
+
+
+def _presence(triples, params) -> set:
+    types = _closed_types(triples)
+    scope, props = params["scope"], params["properties"]
+    qualifier = params.get("qualifier_class")
+    names = " or ".join(compact(p) for p in props)
+    out = set()
+    for node, classes in types.items():
+        if scope not in classes:
+            continue
+        values = [t.object for t in triples if t.subject == node and t.predicate.value in props]
+        if qualifier is not None:
+            values = [v for v in values if qualifier in types.get(v, set())]
+        if not values:
+            out.add((str(node), names))
+    return out
+
+
+_DISCO_ORACLES = {
+    "disjoint-properties": _disjoint_properties,
+    "disjoint-classes": _disjoint_classes,
+    "http-scheme": _http_scheme,
+    "undefined-terms": _undefined_terms,
+    "html-balance": _html_balance,
+    "value-datatype": _value_datatype,
+    "presence": _presence,
+}
+
+
+def test_every_disco_oracle_covers_some_constraint():
+    for type_id in _DISCO_ORACLES:
+        assert _covered(type_id), type_id
+
+
+def _agrees(type_id: str, triples) -> None:
+    """Every covered constraint of ``type_id``, run together through
+    ``validate``, reports what its oracle gives."""
+    plain = _plain(triples)
+    ids = _covered(type_id)
+    report = validate(Graph(triples), DISCO_CATALOG, [DISCO_CATALOG.constraints[c] for c in ids])
+    reported: dict = {cid: set() for cid in ids}
+    for v in report.violations:
+        reported[v.constraint_id].add((v.focus, v.detail))
+    oracle = _DISCO_ORACLES[type_id]
+    expected = {cid: oracle(plain, DISCO_CATALOG.constraints[cid].params) for cid in ids}
+    assert reported == expected
+
+
+@given(_disco_graphs())
+@settings(max_examples=200, deadline=None)
+def test_disjoint_properties_match_their_oracle(triples):
+    _agrees("disjoint-properties", triples)
+
+
+@given(_disco_graphs())
+@settings(max_examples=200, deadline=None)
+def test_disjoint_classes_match_their_oracle(triples):
+    _agrees("disjoint-classes", triples)
+
+
+@given(_disco_graphs())
+@settings(max_examples=200, deadline=None)
+def test_http_scheme_matches_its_oracle(triples):
+    _agrees("http-scheme", triples)
+
+
+@given(_disco_graphs())
+@settings(max_examples=200, deadline=None)
+def test_undefined_terms_match_their_oracle(triples):
+    _agrees("undefined-terms", triples)
+
+
+@given(_disco_graphs())
+@settings(max_examples=200, deadline=None)
+def test_html_balance_matches_its_oracle(triples):
+    _agrees("html-balance", triples)
+
+
+@given(_disco_graphs())
+@settings(max_examples=200, deadline=None)
+def test_all_literals_datatypes_match_their_oracle(triples):
+    _agrees("value-datatype", triples)
+
+
+@given(_disco_graphs())
+@settings(max_examples=200, deadline=None)
+def test_presence_matches_its_oracle(triples):
+    _agrees("presence", triples)

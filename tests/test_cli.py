@@ -586,6 +586,37 @@ def test_catalog_cycle_diagnostic_does_not_depend_on_the_hash_seed(tmp_path):
     ).encode())] * 2
 
 
+def _peak_mb(args: list[str]) -> tuple[int, float]:
+    """Exit code and peak RSS in MB of one ``python -m rdfcheck.cli`` child."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    child = subprocess.Popen([sys.executable, "-m", "rdfcheck.cli", *args], env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, usage.ru_maxrss / 1024  # KiB on Linux
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_a_deep_catalog_hierarchy_costs_little_memory(tmp_path):
+    # a 3,000-edge subclass chain: the ancestors of the classes the graph
+    # types are found on demand, never every class's full set
+    toy = "http://example.org/chain/"
+    classes = [f"{toy}C{i}" for i in range(3001)]
+    catalog = tmp_path / "chain.json"
+    catalog.write_text(json.dumps({
+        "vocabularies": [{
+            "name": "chain", "namespace": toy, "classes": classes, "properties": [],
+            "subclass_of": [list(edge) for edge in zip(classes, classes[1:])],
+        }],
+        "constraints": [],
+    }))
+    plain = _peak_mb([fixture("eusilc.ttl")])
+    chained = _peak_mb(["--catalog", str(catalog), fixture("eusilc.ttl")])
+    assert chained[0] == plain[0]
+    assert chained[1] < plain[1] + 10
+
+
 def test_explain_flag(capsys):
     assert run_cli(["--explain", "DISCO-C-LITERAL-RANGES-01", "ignored.ttl"]) == 0
     doc = json.loads(capsys.readouterr().out)

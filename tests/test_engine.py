@@ -230,3 +230,98 @@ def test_missing_triple_violation_disappears_when_satisfied(disco_catalog):
         ("ex:s", "dcterms:contributor", "ex:agency"))))])
     after = validate(fixed, disco_catalog, only)
     assert after.violations == ()
+
+
+# Constraints that make the same checker call share one result.
+
+def _counting(monkeypatch, module, name, behave):
+    """Replace ``module.name`` with a wrapper that records the arguments of
+    each call after the graph context, then returns ``behave(original,
+    *args, **kwargs)``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args[1:], kwargs))
+        return behave(original, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_equal_checker_calls_run_once_and_each_constraint_keeps_its_own_result(monkeypatch):
+    from rdfcheck.checks import schema
+
+    calls = _counting(monkeypatch, schema, "check_http_scheme",
+                      lambda original, *a, **k: original(*a, **k))
+    severities = ["error", "warning", "info", "warning"]
+    doc = {"constraints": [
+        {"id": f"T-HTTP-{i}", "type": "http-scheme", "severity": severity, "params": {}}
+        for i, severity in enumerate(severities)
+    ]}
+    g = graph(("ex:a", "ex:p", iri("urn:x")), ("ex:a", "ex:q", iri("ftp://e/y")))
+    report = validate(g, load_catalog(doc))
+    assert len(calls) == 1
+    assert [(s.constraint_id, s.status, s.violations) for s in report.statuses] == [
+        (f"T-HTTP-{i}", "evaluated", 2) for i in range(4)
+    ]
+    stamped = {(v.constraint_id, str(v.severity), v.detail) for v in report.violations}
+    assert stamped == {(f"T-HTTP-{i}", severity, detail)
+                       for i, severity in enumerate(severities) for detail in ("urn", "ftp")}
+    assert all(v.message.startswith(f"{v.constraint_id}: ") for v in report.violations)
+
+
+def test_a_call_that_hits_its_limit_is_not_kept(monkeypatch):
+    from rdfcheck.checks import schema
+    from rdfcheck.violations import ResourceLimit
+
+    def limited(original, *args, **kwargs):
+        raise ResourceLimit("too big")
+
+    calls = _counting(monkeypatch, schema, "check_http_scheme", limited)
+    doc = {"constraints": [
+        {"id": f"T-HTTP-{i}", "type": "http-scheme", "severity": "error", "params": {}}
+        for i in range(2)
+    ]}
+    report = validate(graph(("ex:a", "ex:p", iri("urn:x"))), load_catalog(doc))
+    assert len(calls) == 2
+    assert [s.status for s in report.statuses] == ["skipped: limit (too big)"] * 2
+
+
+def test_arguments_that_json_would_blur_never_share_a_result(monkeypatch):
+    from rdfcheck.catalog import Constraint
+    from rdfcheck.checks import misc
+
+    calls = _counting(monkeypatch, misc, "check_value_datatype", lambda original, *a, **k: [])
+    variants = [
+        {"properties": [1]}, {"properties": [1.0]}, {"properties": [True]},
+        {"properties": ["a"]}, {"properties": ("a",)},
+        {"datatype": {"1": "x"}}, {"datatype": {1: "x"}},
+        {"properties": ["a"]},  # the one exact repeat
+    ]
+    constraints = [Constraint(f"T-{i}", "value-datatype", Severity.ERROR, params)
+                   for i, params in enumerate(variants)]
+    validate(Graph(), load_catalog({"constraints": []}), constraints)
+    assert sorted(map(repr, calls)) == sorted(map(repr, [
+        ((), {"properties": [1]}), ((), {"properties": [1.0]}), ((), {"properties": [True]}),
+        ((), {"properties": ["a"]}), ((), {"properties": ("a",)}),
+        ((), {"datatype": {"1": "x"}}), ((), {"datatype": {1: "x"}}),
+    ]))
+
+
+def test_no_result_is_kept_after_the_run(monkeypatch):
+    from rdfcheck import engine
+    from rdfcheck.catalog import builtin_catalog
+
+    contexts = []
+
+    class Recorded(engine.RunContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    monkeypatch.setattr(engine, "RunContext", Recorded)
+    validate(graph(("ex:a", "ex:p", iri("urn:x"))), builtin_catalog())
+    [rc] = contexts
+    assert rc.results == {}
+    assert set(rc.uses.values()) == {0}

@@ -1,10 +1,12 @@
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdfcheck import ntriples as ntriples_module
 from rdfcheck.graph import Graph
 from rdfcheck.ntriples import ParseError, parse_ntriples, serialize_ntriples
 from rdfcheck.terms import BlankNode, Iri, Literal, Triple
@@ -389,3 +391,81 @@ def test_equal_iris_share_one_object():
     objects = {id(term) for t in g for term in (t.subject, t.predicate, t.object)
                if isinstance(term, Iri)}
     assert len(objects) == 3
+
+
+# The one-match line path against the token path: forcing every _LINE match
+# to miss leaves the token path alone, which must read every text the same
+# way, the same triples in order with the same spelling, or the same error
+# on the same line.
+
+def _read(text: str, fast: bool):
+    with pytest.MonkeyPatch.context() as patch:
+        if not fast:
+            patch.setattr(ntriples_module, "_LINE", re.compile(r"(?!)"))
+        try:
+            return [(t, str(t)) for t in parse_ntriples(text)]
+        except ParseError as exc:
+            return exc.reason, exc.line
+
+
+def _same_both_ways(text: str) -> None:
+    assert _read(text, fast=True) == _read(text, fast=False), text
+
+
+@given(
+    subject=st.one_of(_IRIS, _BLANKS),
+    predicate=_IRIS,
+    obj=st.one_of(_IRIS, _BLANKS, _LITERALS),
+    ws=st.lists(_WS, min_size=3, max_size=3),
+    end=_ENDS,
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_line_path_reads_as_the_token_path(subject, predicate, obj, ws, end, data):
+    line = f"{subject}{ws[0]}{predicate}{ws[1]}{obj}{ws[2]}{end}"
+    # one character dropped makes most lines an error somewhere
+    if data.draw(st.booleans()):
+        cut = data.draw(st.integers(0, len(line) - 1))
+        line = line[:cut] + line[cut + 1:]
+    # a second line, so that blank labels and line numbers carry over
+    _same_both_ways(f"_:a <http://p> _:z .\n{line}\n")
+
+
+def test_line_path_reads_every_fixture_line_as_the_token_path():
+    for name in ("eusilc.ttl", "cube.ttl", "thesaurus_clean.ttl", "thesaurus_cycle.ttl"):
+        _same_both_ways(serialize_ntriples(Graph(parse_turtle((FIXTURES / name).read_bytes()))))
+
+
+@pytest.mark.parametrize("line", [
+    *_EDGE_LINES,
+    "_:a. <http://p> <http://o> .",
+    "_:a.b <http://p> <http://o> .",
+    "<http://s> <http://p> _:a.",
+    "<http://s> <http://p> _:a.b",
+    "<http://s> <http://p> _:a.b .",
+    '<http://s> <http://p> "x"@en.',
+    '<http://s> <http://p> "x"@en-',
+    '<http://s> <http://p> "x"@en- .',
+    '<http://s> <http://p> "x"^^<rel> .',
+    '<http://s> <http://p> "x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> .',
+    '<http://s> <http://p> "x"@en^^<http://d> .',
+    "<http://s> <http://p> <http://o>\t.",
+    "<http://s> <http://p> <http://o> . # c",
+    "<http://s> <http://p> <http://o> .#c",
+    "<http://s> <http://p> <http://o> . #",
+    "<a:bA> <a:bA> <a:bA> .",
+    '<http://s> <http://p> "a\\"b" .',
+    '<http://s> <http://p> "a\\tb\\u00E9" .',
+    '<http://s> <http://p> "x"^^<http://d/\\u0041> .',
+    "<http://s/\\u0041> <http://p> <http://o> .",
+    '<http://s> <http://p> "a\rb" .',
+    '<http://s> <http://p> "a\r" .',
+    "<http://s><http://p><http://o>.",
+    "<http://s> <http://p><http://o> .",
+    '<http://s> <http://p>"x".',
+    '<http://s> <http://p> "x"<http://o> .',
+    "<http://s> <http://p> <http://o> <http://o> .",
+    '<http://s> <http://p> "x" "y" .',
+])
+def test_line_path_edges_read_as_the_token_path(line):
+    _same_both_ways(line)
