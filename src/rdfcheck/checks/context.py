@@ -15,7 +15,7 @@ from operator import attrgetter
 from ..catalog import Catalog
 from ..graph import Graph
 from ..namespaces import RDF_TYPE
-from ..terms import Iri, Literal, Term, term_sort_key
+from ..terms import _IRIS, Iri, Literal, Term, term_sort_key
 
 _EMPTY_CATALOG = Catalog({}, {})
 
@@ -88,17 +88,19 @@ class GraphContext:
         m = _SCHEME.match(iri.value)
         return m.group().lower() if m else ""
 
+    # The lookups below read the predicate from the intern table ``Iri()``
+    # reads, which skips one Python call per probe.
     def statements(self, prop: str) -> list:
-        return self.graph.match(None, Iri(prop), None)
+        return self.graph.match(None, _IRIS[prop], None)
 
     def objects(self, node: Term, prop: str) -> list[Term]:
-        return self.graph.objects(node, Iri(prop))
+        return self.graph.objects(node, _IRIS[prop])
 
     def subjects(self, prop: str, obj: Term) -> list[Term]:
-        return self.graph.subjects(Iri(prop), obj)
+        return self.graph.subjects(_IRIS[prop], obj)
 
     def literal_objects(self, node: Term, prop: str) -> list[Literal]:
-        return [o for o in self.objects(node, prop) if isinstance(o, Literal)]
+        return [o for o in self.graph.objects(node, _IRIS[prop]) if isinstance(o, Literal)]
 
     def follow_path(self, node: Term, path: list[str]) -> list[Term]:
         """Walk a property path; ``^p`` steps go backward, ``@members``

@@ -35,7 +35,7 @@ from .engine import EngineError, validate
 from .graph import Graph
 from .ntriples import ParseError, parse_ntriples
 from .report import write_report
-from .terms import BlankNode, Term, Triple, term_sort_key
+from .terms import BlankNode, Term, Triple, _new_triple, term_sort_key
 from .turtle import parse_turtle
 
 CATALOG_PATH_ENV = "RDFCHECK_CATALOG_PATH"
@@ -173,7 +173,7 @@ def _renumber_blanks(triples: list[Triple], offset: int) -> int:
     renamed = {node: BlankNode(f"b{offset + n}") for n, node in enumerate(order)}
     for i in held:
         s, p, o = triples[i].subject, triples[i].predicate, triples[i].object
-        triples[i] = Triple(renamed.get(s, s), p, renamed.get(o, o))
+        triples[i] = _new_triple(renamed.get(s, s), p, renamed.get(o, o))
     return len(order)
 
 

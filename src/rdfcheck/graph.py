@@ -12,7 +12,6 @@ object has no index and scans the triples.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -40,7 +39,7 @@ def _object_key(t: Triple) -> tuple[int, str]:
 
 # The inner mapping of a nested index on a miss; immutable, so no caller
 # can fill it for every later miss.
-_NO_RUNS: Mapping[Term, tuple[Triple, ...] | list[Triple]] = MappingProxyType({})
+_NO_RUNS: Mapping[Term, Triple | tuple[Triple, ...] | list[Triple]] = MappingProxyType({})
 
 
 class Graph:
@@ -60,10 +59,13 @@ class Graph:
     report shows. Each triple sorts by its own object's spelling. The
     indexes:
 
-    - ``_by_sp``: subject → predicate → its triples, the pair's run of the
-      sorted triples kept as a tuple; subjects and each subject's
-      predicates are in sorted order. ``match(s=x)`` reads ``x``'s runs one
-      after another, so no index per subject alone is kept.
+    - ``_by_sp``: subject → predicate → its triples: the bare triple when
+      the pair holds one, else the pair's run of the sorted triples kept
+      as a tuple. Readers tell the two apart by ``type(run) is tuple``, so
+      a ``Triple`` subclass is read as a bare triple too. Subjects and
+      each subject's predicates are in sorted order. ``match(s=x)`` reads
+      ``x``'s runs one after another, so no index per subject alone is
+      kept.
     - ``_by_p``: predicate → its triples, and ``_by_po``: predicate →
       object → its triples, as lists in sorted order.
 
@@ -91,7 +93,7 @@ class Graph:
             else:
                 runs[t.predicate] = [run, t]
         ordered: list[Triple] = []
-        by_sp: dict[Term, dict[Term, tuple[Triple, ...]]] = {}
+        by_sp: dict[Term, dict[Term, Triple | tuple[Triple, ...]]] = {}
         by_p: dict[Term, list[Triple]] = {}
         by_po: dict[Term, dict[Term, list[Triple]]] = {}
         for s in sorted(grouped, key=term_sort_key):
@@ -104,7 +106,8 @@ class Graph:
                     run = tuple(sorted(dict.fromkeys(run), key=_object_key))
                 else:
                     run = (run,)
-                ordered_runs[p] = run
+                # a pair holding one triple keeps it bare, not in a 1-tuple
+                ordered_runs[p] = run if len(run) > 1 else run[0]
                 ordered += run
                 by_p.setdefault(p, []).extend(run)
                 same_po = by_po.setdefault(p, {})
@@ -121,7 +124,8 @@ class Graph:
         return iter(self._triples)
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._by_sp.get(triple.subject, _NO_RUNS).get(triple.predicate, ())
+        run = self._by_sp.get(triple.subject, _NO_RUNS).get(triple.predicate, ())
+        return triple in run if type(run) is tuple else run == triple
 
     def match(
         self,
@@ -137,14 +141,20 @@ class Graph:
         the subject's runs in predicate order; one binding the object alone
         scans every triple."""
         if s is not None:
-            candidates: Iterable[Triple]
+            runs = self._by_sp.get(s, _NO_RUNS)
             if p is not None:
-                candidates = self._by_sp.get(s, _NO_RUNS).get(p, ())
+                run = runs.get(p, ())
+                if type(run) is not tuple:
+                    return [run] if o is None or run.object == o else []
+                found = list(run)
             else:
-                candidates = chain.from_iterable(self._by_sp.get(s, _NO_RUNS).values())
-            if o is not None:
-                return [t for t in candidates if t.object == o]
-            return list(candidates)
+                found = []
+                for run in runs.values():
+                    if type(run) is tuple:
+                        found += run
+                    else:
+                        found.append(run)
+            return found if o is None else [t for t in found if t.object == o]
         if p is not None:
             if o is not None:
                 return list(self._by_po.get(p, _NO_RUNS).get(o, ()))
@@ -154,7 +164,10 @@ class Graph:
         return list(self._triples)
 
     def objects(self, s: Term, p: Term) -> list[Term]:
-        return [t.object for t in self._by_sp.get(s, _NO_RUNS).get(p, ())]
+        run = self._by_sp.get(s, _NO_RUNS).get(p, ())
+        if type(run) is tuple:
+            return [t.object for t in run]
+        return [run.object]
 
     def subjects(self, p: Term, o: Term) -> list[Term]:
         return [t.subject for t in self._by_po.get(p, _NO_RUNS).get(o, ())]

@@ -27,7 +27,9 @@ order, duplicates kept; ``Graph`` dedups and sorts them. Syntax errors,
 invalid UTF-8 among them, abort the whole parse (no partial result) and
 carry the 1-based line number. Blank-node labels are renamed to ``_:b<n>``
 in order of first appearance so that report output is stable across
-documents.
+documents. Each parse makes one ``Literal`` per spelling (lexical form,
+datatype, raw language tag), which every triple that repeats it shares
+(see ``_LiteralTable``).
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 
-from .namespaces import RDF_LANGSTRING
-from .terms import _IRIS, BlankNode, Iri, Literal, Term, Triple
+from .namespaces import RDF_LANGSTRING, XSD_STRING
+from .terms import _IRIS, BlankNode, Iri, Literal, Term, Triple, _new_literal, _new_triple
 
 
 class ParseError(Exception):
@@ -135,6 +137,36 @@ class _BlankScope:
         return self.get(f"\x00anon{len(self._map)}")
 
 
+class _LiteralTable(dict):
+    """One parse's literals, in two levels: a raw language tag, or a
+    datatype IRI's text, maps to the ``_Spellings`` of that kind, which map
+    each lexical form to its one ``Literal``. A tag holds no ``:`` and an
+    absolute IRI always does, so the two kinds of key never collide. A
+    parser reads ``literals[lang or datatype][lexical]``; only a miss runs
+    Python code."""
+
+    def __missing__(self, key: str) -> _Spellings:
+        spellings = self[key] = _Spellings(key)
+        return spellings
+
+
+class _Spellings(dict):
+    """The literals of one tag or datatype, by lexical form."""
+
+    __slots__ = ("datatype", "lang")
+
+    def __init__(self, key: str):
+        if ":" in key:
+            # the interned text, so equal datatypes share one string
+            self.datatype, self.lang = _IRIS[key].value, None
+        else:
+            self.datatype, self.lang = RDF_LANGSTRING, key
+
+    def __missing__(self, lexical: str) -> Literal:
+        literal = self[lexical] = _new_literal(lexical, self.datatype, self.lang)
+        return literal
+
+
 def _decode_utf8(data: bytes, first_line: int = 1) -> str:
     """``data`` decoded as UTF-8. An invalid byte is a ParseError at its
     line, counting ``data``'s first line as ``first_line``."""
@@ -157,7 +189,7 @@ def parse_ntriples(data: bytes | str | Iterable[bytes]) -> list[Triple]:
     else:
         # a binary file's lines end at LF only, as the text's split lines do
         lines = (_decode_utf8(raw, n) for n, raw in enumerate(data, start=1))
-    scope, iris = _BlankScope(), _IRIS
+    scope, iris, literals = _BlankScope(), _IRIS, _LiteralTable()
     triples: list[Triple] = []
     match, whole = _TOKEN.match, _LINE.match
     for lineno, raw in enumerate(lines, start=1):
@@ -167,33 +199,30 @@ def parse_ntriples(data: bytes | str | Iterable[bytes]) -> list[Triple]:
         m = whole(line)
         if m is not None:
             si, sb, pi, oi, ob, lexical, lang, dt = m.groups()
-            if dt is not None:
-                # the interned text, so equal datatypes share one string
-                dt = iris[dt].value
             if dt != RDF_LANGSTRING:
                 s: Term = iris[si] if sb is None else scope.get(sb)
                 if oi is not None:
                     o: Term = iris[oi]
                 elif ob is not None:
                     o = scope.get(ob)
-                elif lang is not None:
-                    o = Literal(lexical, lang=lang)
                 else:
-                    o = Literal(lexical) if dt is None else Literal(lexical, datatype=dt)
-                triples.append(Triple(s, iris[pi], o))
+                    o = literals[lang or dt or XSD_STRING][lexical]
+                triples.append(_new_triple(s, iris[pi], o))
                 continue
         # any other line is read term by term, so a ParseError names its
         # first fault in reading order
         m = match(line)
-        s = _term(m, 0, lineno, scope)
+        s = _term(m, 0, lineno, scope, literals)
         m = match(line, m.end())
-        p = _term(m, 1, lineno, scope)
+        p = _term(m, 1, lineno, scope, literals)
         m = match(line, m.end())
-        triples.append(Triple(s, p, _term(m, 2, lineno, scope)))
+        triples.append(_new_triple(s, p, _term(m, 2, lineno, scope, literals)))
     return triples
 
 
-def _term(m: re.Match[str], position: int, lineno: int, scope: _BlankScope) -> Term:
+def _term(
+    m: re.Match[str], position: int, lineno: int, scope: _BlankScope, literals: _LiteralTable
+) -> Term:
     """The term ``m`` matched at ``position`` (0 subject, 1 predicate, 2
     object); a ParseError names the first fault in it or in what follows
     it, in reading order."""
@@ -208,7 +237,7 @@ def _term(m: re.Match[str], position: int, lineno: int, scope: _BlankScope) -> T
     elif kind == "blank":
         term = scope.get(m["blank"])
     else:
-        term = _literal(m, lineno)
+        term = _literal(m, lineno, literals)
     if follow != ("end" if position == 2 else "space"):
         raise ParseError(_follow_error(m, position), lineno)
     return term
@@ -224,16 +253,15 @@ def _iri(raw: str, lineno: int) -> str:
     return value
 
 
-def _literal(m: re.Match[str], lineno: int) -> Literal:
+def _literal(m: re.Match[str], lineno: int, literals: _LiteralTable) -> Literal:
     lexical, lang, datatype = m.group("string", "lang", "datatype")
     if "\\" in lexical:
         lexical = _STRING_ESCAPE.sub(lambda e: _unescape(e, lineno), lexical)
-    if lang is not None or datatype is None:
-        return Literal(lexical, lang=lang)
-    datatype = _iri(datatype, lineno)
-    if datatype == RDF_LANGSTRING:
-        raise ParseError(_UNTAGGED_LANGSTRING, lineno)
-    return Literal(lexical, datatype=datatype)
+    if lang is None and datatype is not None:
+        datatype = _iri(datatype, lineno)
+        if datatype == RDF_LANGSTRING:
+            raise ParseError(_UNTAGGED_LANGSTRING, lineno)
+    return literals[lang or datatype or XSD_STRING][lexical]
 
 
 def _unescape(e: re.Match[str], lineno: int) -> str:

@@ -5,8 +5,16 @@ returns the one object for ``v``, and ``BlankNode(label)`` the one object for
 ``label``. So they compare and hash by identity, which runs in C, and an
 equal string always gives the same term. The intern tables live for the
 process and are never emptied. IRIs compare by exact string (no
-normalization). Literals are not interned and compare structurally, by
-(lexical form, datatype IRI, lowercased language tag).
+normalization). Literals are not interned across the process: each parse
+shares one ``Literal`` per spelling (lexical form, datatype IRI, raw
+language tag) among the triples it reads. They compare structurally, by
+(lexical form, datatype IRI, lowercased language tag), so ``"x"@en`` and
+``"x"@EN`` are two objects that are equal.
+
+The parsers and the CLI's blank renumbering build terms whose checks their
+own grammar has already made with ``_new_literal`` and ``_new_triple``,
+which set the slots directly and skip the dataclass ``__init__`` and
+``__post_init__``. ``Literal(...)`` and ``Triple(...)`` keep every check.
 """
 
 from __future__ import annotations
@@ -155,3 +163,32 @@ class Triple:
 
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."
+
+
+_new = object.__new__
+_set_lexical, _set_datatype, _set_lang, _set_lang_key = (
+    getattr(Literal, name).__set__ for name in ("lexical", "datatype", "lang", "_lang_key")
+)
+_set_subject, _set_predicate, _set_object = (
+    getattr(Triple, name).__set__ for name in ("subject", "predicate", "object")
+)
+
+
+def _new_literal(lexical: str, datatype: str, lang: str | None) -> Literal:
+    """The ``Literal`` of a checked spelling: ``datatype`` is
+    ``rdf:langString`` exactly when ``lang`` is a non-empty tag."""
+    literal = _new(Literal)
+    _set_lexical(literal, lexical)
+    _set_datatype(literal, datatype)
+    _set_lang(literal, lang)
+    _set_lang_key(literal, None if lang is None else lang.lower())
+    return literal
+
+
+def _new_triple(s: Term, p: Iri, o: Term) -> Triple:
+    """The ``Triple`` of checked terms: the subject ``s`` is no literal."""
+    triple = _new(Triple)
+    _set_subject(triple, s)
+    _set_predicate(triple, p)
+    _set_object(triple, o)
+    return triple

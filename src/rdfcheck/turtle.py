@@ -33,6 +33,10 @@ relative IRI or an ``rdf:langString`` datatype. On a miss the parser reads
 the same text token by token, as if the fused path did not exist, so every
 triple and every diagnostic is the token path's.
 
+Both paths take each literal from one per-parse table, as the N-Triples
+parser does, so every triple that repeats a spelling (lexical form,
+datatype, raw language tag) shares one ``Literal``.
+
 Anything outside the subset (``@base``, relative IRIs, SPARQL-style
 directives) raises an "unsupported construct" ParseError rather than being
 skipped: silently dropping data would corrupt validation results.
@@ -42,10 +46,12 @@ from __future__ import annotations
 
 import re
 
-from .namespaces import RDF_FIRST, RDF_LANGSTRING, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
+from .namespaces import (RDF_FIRST, RDF_LANGSTRING, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN,
+                         XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING)
 from .ntriples import (ParseError, _BlankScope, _code_point, _decode_utf8, _iri_escape,
-                       _IRI_ESCAPES, _STRING_ESCAPE, _STRING_ESCAPES, _UNTAGGED_LANGSTRING)
-from .terms import _IRIS, BlankNode, Iri, Literal, Term, Triple
+                       _IRI_ESCAPES, _LiteralTable, _STRING_ESCAPE, _STRING_ESCAPES,
+                       _UNTAGGED_LANGSTRING)
+from .terms import _IRIS, BlankNode, Iri, Literal, Term, Triple, _new_triple
 
 MAX_NESTING = 128
 
@@ -156,6 +162,7 @@ class _Parser:
         self.text = text
         self.prefixes: dict[str, str] = {}
         self.scope = _BlankScope()
+        self.literals = _LiteralTable()
         self.triples: list[Triple] = []
         self.depth = 0
         self.scan(0)
@@ -285,10 +292,10 @@ class _Parser:
         while True:
             if predicate is None:
                 predicate = self.parse_verb()
-                append(Triple(subject, predicate, self.parse_object()))
+                append(_new_triple(subject, predicate, self.parse_object()))
             while self.kind == "comma":
                 if self.fused(self.m.end(), subject, predicate) is None:
-                    append(Triple(subject, predicate, self.parse_object()))
+                    append(_new_triple(subject, predicate, self.parse_object()))
             if self.kind != "semi":
                 return
             predicate = None
@@ -319,18 +326,15 @@ class _Parser:
                     obj = _IRIS[prefixes[op] + ol]
                 elif iri is not None:
                     obj = _IRIS[iri] if ":" in iri else None
-                elif lang is not None:
-                    obj = Literal(lexical, lang=lang)
                 elif dp is None:
-                    obj = Literal(lexical)
+                    obj = self.literals[lang or XSD_STRING][lexical]
                 else:
-                    # the interned text, so equal datatypes share one string
-                    datatype = _IRIS[prefixes[dp] + dl].value
-                    obj = None if datatype == RDF_LANGSTRING else Literal(lexical, datatype=datatype)
+                    datatype = prefixes[dp] + dl
+                    obj = None if datatype == RDF_LANGSTRING else self.literals[datatype][lexical]
             except KeyError:  # an undeclared prefix
                 obj = None
             if obj is not None:
-                self.triples.append(Triple(subject, predicate, obj))
+                self.triples.append(_new_triple(subject, predicate, obj))
                 self.m = m
                 self.kind = m.lastgroup
                 return predicate
@@ -367,17 +371,17 @@ class _Parser:
             return self.parse_collection()
         if kind == "true" or kind == "false":
             self.next()
-            return Literal(kind, datatype=XSD_BOOLEAN)
+            return self.literals[XSD_BOOLEAN][kind]
         if kind == "number":
             lexical = self.m["number"]
             self.next()
-            return _number(lexical)
+            return self.number(lexical)
         if kind == "dot":
             # '.' ends a statement except where an object starts: ".5"
             number = _NUMBER.match(self.text, self.start())
             if number:
                 self.scan(number.end())
-                return _number(number.group())
+                return self.number(number.group())
         if kind == "badstr":
             self.fail_string()
         if kind == "end":
@@ -452,13 +456,13 @@ class _Parser:
         head = self.scope.fresh()
         node = head
         for i, member in enumerate(members):
-            self.triples.append(Triple(node, _FIRST, member))
+            self.triples.append(_new_triple(node, _FIRST, member))
             if i + 1 < len(members):
                 nxt = self.scope.fresh()
-                self.triples.append(Triple(node, _REST, nxt))
+                self.triples.append(_new_triple(node, _REST, nxt))
                 node = nxt
             else:
-                self.triples.append(Triple(node, _REST, _NIL))
+                self.triples.append(_new_triple(node, _REST, _NIL))
         return head
 
     def parse_string_literal(self) -> Literal:
@@ -471,13 +475,9 @@ class _Parser:
             # A short string holds no newline; a long one reports escape
             # errors on the line it ends on.
             lexical = self.unescape(lexical, m.end(body))
-        lang = m["lang"]
-        if lang is not None:
-            self.next()
-            return Literal(lexical, lang=lang)
         if m["datatype"] is None:
             self.next()
-            return Literal(lexical)
+            return self.literals[m["lang"] or XSD_STRING][lexical]
         self.next()
         end = self.m.end()
         if self.kind == "pname":
@@ -489,7 +489,7 @@ class _Parser:
             raise AssertionError
         if datatype.value == RDF_LANGSTRING:
             self.fail(_UNTAGGED_LANGSTRING, end)
-        return Literal(lexical, datatype=datatype.value)
+        return self.literals[datatype.value][lexical]
 
     def fail_string(self) -> None:
         """Raise the error in the string that opens at the current token,
@@ -508,9 +508,9 @@ class _Parser:
         self.fail("unterminated string literal")
 
 
-def _number(lexical: str) -> Literal:
-    if "e" in lexical.lower():
-        return Literal(lexical, datatype=XSD_DOUBLE)
-    if "." in lexical:
-        return Literal(lexical, datatype=XSD_DECIMAL)
-    return Literal(lexical, datatype=XSD_INTEGER)
+    def number(self, lexical: str) -> Literal:
+        if "e" in lexical.lower():
+            return self.literals[XSD_DOUBLE][lexical]
+        if "." in lexical:
+            return self.literals[XSD_DECIMAL][lexical]
+        return self.literals[XSD_INTEGER][lexical]

@@ -129,7 +129,11 @@ def _sorted_build(triples):
     ordered = tuple(sorted(set(triples), key=_triple_key))
     by_sp = {}
     for s, run in groupby(ordered, attrgetter("subject")):
-        by_sp[s] = {p: tuple(pairs) for p, pairs in groupby(run, attrgetter("predicate"))}
+        by_sp[s] = runs = {}
+        for p, pairs in groupby(run, attrgetter("predicate")):
+            pairs = tuple(pairs)
+            # a pair holding one triple keeps it bare
+            runs[p] = pairs if len(pairs) > 1 else pairs[0]
     by_p, by_po = {}, {}
     for t in ordered:
         by_p.setdefault(t.predicate, []).append(t)
@@ -235,6 +239,64 @@ def test_run_order_ignores_an_equal_literal_spelled_otherwise_elsewhere():
     run = [triple("ex:b", "ex:p", lit("x", lang=tag)) for tag in ("EN", "de")]
     for order in permutations([elsewhere, *run]):
         assert Graph(order).match(s=iri("ex:b")) == run
+
+
+# One (subject, predicate) pair holding one triple and one holding three:
+# ``_by_sp`` keeps the first as the bare triple and the second as a tuple.
+_ONE = triple("ex:s", "ex:p", "ex:o")
+_MANY = [triple("ex:s", "ex:q", lit(x)) for x in "abc"]
+
+
+def _runs_graph(make=Triple):
+    one, *many = (make(t.subject, t.predicate, t.object) for t in (_ONE, *_MANY))
+    return Graph([many[2], one, many[0], many[1]]), one, many
+
+
+def test_a_pair_of_one_triple_holds_it_bare():
+    g, one, many = _runs_graph()
+    assert g._by_sp[iri("ex:s")][iri("ex:p")] is one
+    assert g._by_sp[iri("ex:s")][iri("ex:q")] == tuple(many)
+    # exact duplicates are one triple, so their pair holds it bare too
+    twin = triple("ex:s", "ex:p", "ex:o")
+    assert Graph([_ONE, twin])._by_sp[iri("ex:s")][iri("ex:p")] is _ONE
+
+
+def _assert_runs_answer_every_lookup(g, one, many):
+    s, p, q = iri("ex:s"), iri("ex:p"), iri("ex:q")
+    assert list(g) == [one, *many] and len(g) == 4
+    assert g.match(s) == [one, *many]
+    assert g.match(s, p) == [one] and g.match(s, q) == many
+    assert g.match(s, p, iri("ex:o")) == [one] and g.match(s, p, lit("a")) == []
+    assert g.match(s, q, lit("b")) == [many[1]] and g.match(s, q, iri("ex:o")) == []
+    assert g.match(s, None, lit("c")) == [many[2]]
+    assert g.objects(s, p) == [iri("ex:o")] and g.objects(s, q) == [lit(x) for x in "abc"]
+    assert g.subjects(p, iri("ex:o")) == [s] and g.subjects(q, lit("c")) == [s]
+    assert one in g and all(t in g for t in many)
+    for absent in (("ex:s", "ex:p", "ex:a"), ("ex:s", "ex:q", lit("d")),
+                   ("ex:s", "ex:q", "ex:o"), ("ex:t", "ex:p", "ex:o")):
+        assert triple(*absent) not in g
+    # every answer is a fresh list, a bare triple's too
+    for found in (g.match(s, p), g.match(s), g.objects(s, p), g.objects(s, q)):
+        found.clear()
+    assert g.match(s, p) == [one] and g.objects(s, p) == [iri("ex:o")]
+    assert g.match(s) == [one, *many] and len(g.objects(s, q)) == 3
+
+
+def test_single_and_multi_triple_runs_answer_every_lookup():
+    _assert_runs_answer_every_lookup(*_runs_graph())
+
+
+class _NotedTriple(Triple):
+    """A ``Triple`` subclass, which the graph must read as a bare triple."""
+
+    __slots__ = ()
+
+
+def test_a_graph_of_triple_subclass_instances_answers_every_lookup():
+    g, one, many = _runs_graph(_NotedTriple)
+    assert all(type(t) is _NotedTriple for t in g)
+    assert g._by_sp[iri("ex:s")][iri("ex:p")] is one
+    _assert_runs_answer_every_lookup(g, one, many)
 
 
 def _list_graph(members):

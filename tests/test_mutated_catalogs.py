@@ -1,12 +1,18 @@
 """One-constraint user catalogs with mutated parameters keep the exit-code
 contract: merged over the built-ins and run on the four fixtures, they exit
-0, 1 or 2, and a 2 comes with one diagnostic line.
+0, 1 or 2, and a 2 comes with one diagnostic line. A fixed sample of them
+gives the same exit codes, stderr and reports under two hash seeds.
 
 Every parameter value is drawn from a fixed pool, so no generated regular
 expression can backtrack without end.
 """
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +22,7 @@ from rdfcheck.cli import run_cli
 
 from conftest import FIXTURES
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 INPUTS = [str(FIXTURES / name) for name in (
     "cube.ttl", "eusilc.ttl", "thesaurus_clean.ttl", "thesaurus_cycle.ttl")]
 
@@ -68,30 +75,36 @@ def _values(kind: str) -> list:
 OMIT = object()
 
 
-@st.composite
-def entries(draw):
+def _entry(choose, choose_up_to_two):
     """A well-formed entry of a registered type, then up to two of its
-    parameters, its severity or its scope replaced by a mutated value."""
-    ctype = CONSTRAINT_TYPES[draw(st.sampled_from(sorted(CONSTRAINT_TYPES)))]
+    parameters, its severity or its scope replaced by a mutated value.
+    ``choose(options)`` picks one option, ``choose_up_to_two(options)`` a
+    set of at most two."""
+    ctype = CONSTRAINT_TYPES[choose(sorted(CONSTRAINT_TYPES))]
     params = {}
     for name, (kind, _req) in ctype.schema.items():
-        value = draw(st.sampled_from([OMIT, *_values(kind)]))
+        value = choose([OMIT, *_values(kind)])
         if value is not OMIT:
             params[name] = value
     entry = {"id": "USER-1", "type": ctype.id,
-             "severity": draw(st.sampled_from(["error", "warning", "info"])),
-             "params": params}
-    scope = draw(st.sampled_from([OMIT, "skos:Concept", "disco:Variable"]))
+             "severity": choose(["error", "warning", "info"]), "params": params}
+    scope = choose([OMIT, "skos:Concept", "disco:Variable"])
     if scope is not OMIT:
         entry["scope"] = scope
     targets = [*ctype.schema, "no_such_param", "severity", "scope"]
-    for target in sorted(draw(st.sets(st.sampled_from(targets), max_size=2))):
-        value = draw(st.sampled_from(MUTATED))
+    for target in sorted(choose_up_to_two(targets)):
+        value = choose(MUTATED)
         if target in ("severity", "scope"):
             entry[target] = value
         else:
             params[target] = value
     return entry
+
+
+@st.composite
+def entries(draw):
+    return _entry(lambda options: draw(st.sampled_from(options)),
+                  lambda options: draw(st.sets(st.sampled_from(options), max_size=2)))
 
 
 @settings(max_examples=200, deadline=None,
@@ -116,3 +129,53 @@ def test_mutated_user_catalog_keeps_the_exit_contract(tmp_path, capsys, entry):
         assert err.startswith("rdfcheck: error:") and err.count("\n") == 1, err
     else:
         assert err == ""
+
+
+def _sampled_entries(count: int, seed: int) -> list[dict]:
+    """``count`` entries drawn as ``entries`` draws them, from a fixed seed."""
+    rng = random.Random(seed)
+    return [_entry(rng.choice, lambda options: set(rng.sample(options, rng.randint(0, 2))))
+            for _ in range(count)]
+
+
+# Runs each catalog of argv[1] in turn on the inputs after it, and prints
+# each run's exit code, stderr and report bytes (hex) as one JSON list.
+_RUN_EACH = """
+import contextlib, io, json, sys
+from pathlib import Path
+from rdfcheck.cli import run_cli
+work, inputs, results = Path(sys.argv[1]), sys.argv[2:], []
+for user in sorted(work.glob("*.json")):
+    report, err = user.with_suffix(".report"), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(["--catalog", str(user), "--only", "USER-1", "--report", "json",
+                        "--output", str(report), *inputs])
+    written = report.read_bytes().hex() if report.exists() else None
+    report.unlink(missing_ok=True)
+    results.append([user.name, code, err.getvalue(), written])
+print(json.dumps(results))
+"""
+
+
+def test_a_sample_of_mutated_catalogs_does_not_depend_on_the_hash_seed(tmp_path):
+    # str hashes change with the seed, so a set of strings or literals read
+    # in its iteration order would change a report, a diagnostic or an exit
+    # code between these two runs
+    sample = [json.dumps({"constraints": [entry]}, sort_keys=True)
+              for entry in _sampled_entries(20, seed=18)]
+    for n, document in enumerate(sample):
+        (tmp_path / f"user{n:02}.json").write_text(document)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    runs = []
+    for seed in ("0", "5"):
+        child = subprocess.run([sys.executable, "-c", _RUN_EACH, str(tmp_path), *INPUTS],
+                               env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+                               text=True, check=False, timeout=120)
+        assert child.returncode == 0 and child.stderr == "", child.stderr
+        runs.append(json.loads(child.stdout))
+    assert len(runs[0]) == len(sample)
+    assert runs[0] == runs[1]
+    # the sample reaches both kinds of outcome: a report, and an exit-2 diagnostic
+    codes = {code for _, code, _, _ in runs[0]}
+    assert 2 in codes and codes & {0, 1}
