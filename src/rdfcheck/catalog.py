@@ -45,10 +45,11 @@ class Severity(enum.IntEnum):
             ) from None
 
 
-# Parameter kinds understood by the generic schema validator. "load"
-# parameters must be present and well-formed at load time; "eval"
-# parameters may be absent (the constraint then reports as not evaluable);
-# "opt" parameters are optional in every sense.
+# A schema maps each field of a catalog object to its kind and level. A kind
+# is a name ``_validate_param`` knows, or a tuple of the field's allowed
+# values (integers or strings). "load" fields must be present and
+# well-formed at load time; "eval" parameters may be absent (the constraint
+# then reports as not evaluable); "opt" fields are optional in every sense.
 _REQ_LEVELS = ("load", "eval", "opt")
 
 
@@ -72,7 +73,7 @@ class ConstraintType:
 
     id: str
     check: str | dict[Any, str] | None
-    schema: dict[str, tuple[str, str]]
+    schema: dict[str, tuple[Any, str]]
     requirements: tuple[str, ...] = ()
     description: str = ""
     eval_any_of: tuple[tuple[str, ...], ...] = ()
@@ -85,28 +86,13 @@ class ConstraintType:
                 raise ValueError(f"{self.id}.{name}: bad requirement level {req}")
 
 
-def _mode(*values: str) -> str:
-    return "mode:" + "|".join(values)
-
-
-def _int_in(*values: int) -> str:
-    return "int_in:" + "|".join(map(str, values))
-
-
-_PART_SCHEMA = {"path": ("path", "load")}
-_DEFAULT_SCHEMA = {
-    "scope": ("iri", "load"),
-    "property": ("iri", "load"),
-    "value": ("term", "load"),
-}
-
 CONSTRAINT_TYPES: dict[str, ConstraintType] = {}
 
 
 def _register(
     type_id: str,
     check: str | None,
-    schema: dict[str, tuple[str, str]],
+    schema: dict[str, tuple[Any, str]],
     requirements: tuple[str, ...] = (),
     description: str = "",
     eval_any_of: tuple[tuple[str, ...], ...] = (),
@@ -115,9 +101,7 @@ def _register(
 ) -> None:
     if by is not None:
         # the selector comes first in the schema; its values are the table's keys
-        keys = list(check)
-        kind = _int_in(*keys) if isinstance(keys[0], int) else _mode(*keys)
-        schema = {by: (kind, "load"), **schema}
+        schema = {by: (tuple(check), "load"), **schema}
     CONSTRAINT_TYPES[type_id] = ConstraintType(
         type_id, check, schema, requirements, description, eval_any_of, needs, by
     )
@@ -292,7 +276,7 @@ _register(
     "vocab-membership",
     "cube.check_membership",
     {
-        "mode": (_mode("scheme", "qb-codelist"), "opt"),
+        "mode": (("scheme", "qb-codelist"), "opt"),
         "property": ("iri", "opt"),
         "scope": ("iri", "opt"),
         "scheme": ("iri", "opt"),
@@ -306,7 +290,7 @@ _register(
     "deprecated-terms",
     "schema.check_deprecated_terms",
     {"vocabulary": ("string", "load"),
-     "kind": (_mode("classes", "properties"), "load")},
+     "kind": (("classes", "properties"), "load")},
     ("R-209-VALID-CLASSES", "R-210-VALID-PROPERTIES"),
     "Use of terms the inventory marks as deprecated.",
 )
@@ -368,7 +352,7 @@ _register(
     "iri-pattern",
     "lexical.check_iri_pattern",
     {
-        "position": (_mode("subject", "predicate", "object"), "load"),
+        "position": (("subject", "predicate", "object"), "load"),
         "pattern": ("pattern", "eval"),
         "scope": ("iri", "opt"),
     },
@@ -400,7 +384,7 @@ _register(
     {
         "property1": ("iri", "load"),
         "property2": ("iri", "load"),
-        "op": (_mode("<", "<=", ">", ">=", "=", "!="), "load"),
+        "op": (("<", "<=", ">", ">=", "=", "!="), "load"),
         "scope": ("iri", "opt"),
     },
     ("R-43-LITERAL-VALUE-COMPARISON",),
@@ -425,7 +409,7 @@ _register(
     "language-coverage",
     "lexical.check_language_coverage",
     {
-        "mode": (_mode("omitted-or-invalid", "incomplete", "no-common"), "load"),
+        "mode": (("omitted-or-invalid", "incomplete", "no-common"), "load"),
         "properties": ("iri_list", "opt"),
     },
     ("R-47-LANGUAGE-TAG-MATCHING", "R-48-MISSING-LANGUAGE-TAGS"),
@@ -443,7 +427,7 @@ _register(
     "lexical.check_html_balance",
     {
         "vocabulary": ("string", "opt"),
-        "mode": (_mode("vocab-properties", "class-subjects"), "opt"),
+        "mode": (("vocab-properties", "class-subjects"), "opt"),
         "property": ("iri", "opt"),
         "scope": ("iri", "opt"),
     },
@@ -475,8 +459,8 @@ _register(
     "statistics.check_frequency_totals",
     {
         "mode": (
-            _mode("sum-vs-total", "valid-sum", "invalid-sum", "valid-plus-invalid",
-                  "country-totals"),
+            ("sum-vs-total", "valid-sum", "invalid-sum", "valid-plus-invalid",
+             "country-totals"),
             "load",
         ),
         "country_property": ("iri", "opt"),
@@ -496,7 +480,7 @@ _register(
 _register(
     "cumulative-chain",
     "statistics.check_cumulative_chain",
-    {"mode": (_mode("chain", "last-100"), "load"), "tolerance": ("number", "opt")},
+    {"mode": (("chain", "last-100"), "load"), "tolerance": ("number", "opt")},
     ("R-42-MATHEMATICAL-OPERATIONS",),
     "Cumulative percentages must accumulate code by code and end at 100.",
     needs=("stats",),
@@ -504,7 +488,7 @@ _register(
 _register(
     "statistic-applicability",
     "statistics.check_statistic_applicability",
-    {"mode": (_mode("string-stats", "categorical-mean"), "load")},
+    {"mode": (("string-stats", "categorical-mean"), "load")},
     ("R-42-MATHEMATICAL-OPERATIONS",),
     "Summary statistic types must be applicable to the variable's representation.",
     needs=("stats",),
@@ -601,7 +585,7 @@ _register(
         "container": ("iri", "load"),
         "link": ("iri", "load"),
         "member_type": ("iri", "load"),
-        "mode": (_mode("linked-collection", "representation"), "load"),
+        "mode": (("linked-collection", "representation"), "load"),
     },
     ("R-121-SPECIFY-ORDER-OF-RDF-RESOURCES", "R-217-DEFINE-ORDER-FOR-FORMS/DISPLAY",
      "R-120-HANDLE-RDF-COLLECTIONS"),
@@ -613,8 +597,8 @@ _register(
     {
         "scope": ("iri", "load"),
         "path": ("path", "opt"),
-        "kind": (_mode("path-count", "valid-frequency-sum",
-                       "collection-size-vs-declared"), "opt"),
+        "kind": (("path-count", "valid-frequency-sum", "collection-size-vs-declared"),
+                 "opt"),
         "declared_property": ("iri", "opt"),
         "expect": ("int", "opt"),
         "min": ("int", "opt"),
@@ -630,8 +614,7 @@ _register(
     "misc.check_variable_comparability",
     {
         "variables": ("iri_list", "eval"),
-        "mode": (_mode("sizes", "descriptions", "structure", "labels", "presence"),
-                 "load"),
+        "mode": (("sizes", "descriptions", "structure", "labels", "presence"), "load"),
     },
     ("R-120-HANDLE-RDF-COLLECTIONS",),
     "A declared comparison group of variables must be structurally comparable.",
@@ -665,7 +648,7 @@ _register(
     {
         "properties": ("iri_list", "opt"),
         "datatype": ("iri", "opt"),
-        "mode": (_mode("listed", "all-literals"), "opt"),
+        "mode": (("listed", "all-literals"), "opt"),
     },
     (),
     "Literal lexical forms must be valid for their (or a required) datatype.",
@@ -734,7 +717,7 @@ def _validate_path(value: Any, prefixes: dict[str, str], where: str) -> list[str
     return steps
 
 
-def _validate_param(kind: str, value: Any, prefixes: dict[str, str], where: str) -> Any:
+def _validate_param(kind: Any, value: Any, prefixes: dict[str, str], where: str) -> Any:
     if kind == "iri":
         return _expand_iri(value, prefixes, where)
     if kind == "iri_list":
@@ -806,68 +789,91 @@ def _validate_param(kind: str, value: Any, prefixes: dict[str, str], where: str)
     if kind == "range_map":
         if not isinstance(value, dict):
             raise CatalogError(f"{where}: expected a map of IRI to range spec")
-        out = {}
-        for k, spec in value.items():
-            prop = _expand_iri(k, prefixes, where)
-            if not isinstance(spec, dict):
-                raise CatalogError(f"{where}: range spec for {k} must be an object")
-            unknown = set(spec) - {"classes", "datatype", "scope"}
-            if unknown:
-                raise CatalogError(f"{where}: unknown range spec keys {sorted(unknown)}")
-            if "classes" not in spec and "datatype" not in spec:
-                raise CatalogError(f"{where}: range spec for {k} needs classes or datatype")
-            norm: dict[str, Any] = {}
-            if "classes" in spec:
-                norm["classes"] = _validate_param("iri_list", spec["classes"], prefixes, where)
-            if "datatype" in spec:
-                norm["datatype"] = _expand_iri(spec["datatype"], prefixes, where)
-            if "scope" in spec:
-                norm["scope"] = _expand_iri(spec["scope"], prefixes, where)
-            out[prop] = norm
-        return out
+        return {
+            _expand_iri(k, prefixes, where):
+                _validate_fields(spec, *_RANGE_SPEC, prefixes, f"{where}[{k!r}]")
+            for k, spec in value.items()
+        }
     if kind == "path":
         return _validate_path(value, prefixes, where)
-    if kind == "rule_list":
-        # each rule is a cardinality constraint's parameters
-        return _validate_obj_list(value, CONSTRAINT_TYPES["cardinality"].schema,
-                                  prefixes, where)
-    if kind == "part_list":
-        return _validate_obj_list(value, _PART_SCHEMA, prefixes, where)
-    if kind == "default_list":
-        return _validate_obj_list(value, _DEFAULT_SCHEMA, prefixes, where)
-    if kind.startswith("mode:"):
-        allowed = kind[5:].split("|")
-        if value not in allowed:
-            raise CatalogError(f"{where}: expected one of {allowed}, got {value!r}")
-        return value
-    if kind.startswith("int_in:"):
-        allowed = [int(v) for v in kind[7:].split("|")]
-        if _validate_param("int", value, prefixes, where) not in allowed:
-            raise CatalogError(f"{where}: expected one of {allowed}, got {value!r}")
+    if kind in _ROWS:
+        if not isinstance(value, list):
+            raise CatalogError(f"{where}: expected a list of objects")
+        return [_validate_fields(row, *_ROWS[kind], prefixes, f"{where}[{i}]")
+                for i, row in enumerate(value)]
+    if isinstance(kind, tuple):
+        if isinstance(kind[0], int):
+            _validate_param("int", value, prefixes, where)
+        if value not in kind:
+            raise CatalogError(f"{where}: expected one of {list(kind)}, got {value!r}")
         return value
     raise AssertionError(f"unhandled param kind {kind}")
 
 
-def _validate_obj_list(
-    value: Any, schema: dict[str, tuple[str, str]], prefixes: dict[str, str], where: str
-) -> list[dict[str, Any]]:
-    if not isinstance(value, list):
-        raise CatalogError(f"{where}: expected a list of objects")
-    out = []
-    for i, entry in enumerate(value):
-        if not isinstance(entry, dict):
-            raise CatalogError(f"{where}[{i}]: expected an object")
-        unknown = set(entry) - set(schema)
-        if unknown:
-            raise CatalogError(f"{where}[{i}]: unknown keys {sorted(unknown)}")
-        norm = {}
-        for name, (kind, req) in schema.items():
-            if name in entry:
-                norm[name] = _validate_param(kind, entry[name], prefixes, f"{where}[{i}].{name}")
-            elif req == "load":
-                raise CatalogError(f"{where}[{i}]: missing required key {name!r}")
-        out.append(norm)
+def _validate_fields(
+    value: Any,
+    schema: dict[str, tuple[Any, str]],
+    any_of: tuple[tuple[str, ...], ...],
+    prefixes: dict[str, str],
+    where: str,
+    noun: str = "key",
+    path: str | None = None,
+) -> dict[str, Any]:
+    """The object ``value`` checked against ``schema``, its fields in schema
+    order: no unknown key, each field present well-formed by its kind, each
+    "load" field present and one field of each ``any_of`` group present.
+    Diagnostics name the object ``where``, its fields ``path.NAME`` (``path``
+    defaults to ``where``) and its keys ``noun``."""
+    if not isinstance(value, dict):
+        raise CatalogError(f"{where}: expected an object")
+    unknown = set(value) - set(schema)
+    if unknown:
+        raise CatalogError(f"{where}: unknown {noun}s {sorted(unknown)}")
+    out = {}
+    for name, (kind, req) in schema.items():
+        if name in value:
+            out[name] = _validate_param(kind, value[name], prefixes, f"{path or where}.{name}")
+        elif req == "load":
+            raise CatalogError(f"{where}: missing required {noun} {name!r}")
+    for group in any_of:
+        if not any(name in out for name in group):
+            raise CatalogError(
+                f"{where}: missing required {noun} {' or '.join(map(repr, group))}"
+            )
     return out
+
+
+# The rows of a list kind, and the spec of each property of a range_map, as
+# (schema, any-of groups): a rule holds a cardinality constraint's
+# parameters and a range spec a property-range constraint's, less its
+# property, and both load only with one field of each any-of group.
+_CARDINALITY = CONSTRAINT_TYPES["cardinality"]
+_PROPERTY_RANGE = CONSTRAINT_TYPES["property-range"]
+_ROWS = {
+    "rule_list": (_CARDINALITY.schema, _CARDINALITY.eval_any_of),
+    "part_list": ({"path": ("path", "load")}, ()),
+    "default_list": (
+        {"scope": ("iri", "load"), "property": ("iri", "load"), "value": ("term", "load")},
+        (),
+    ),
+}
+_RANGE_SPEC = (
+    {name: spec for name, spec in _PROPERTY_RANGE.schema.items() if name != "property"},
+    _PROPERTY_RANGE.eval_any_of,
+)
+
+_INVENTORY_SCHEMA = {
+    "name": ("string", "load"),
+    "namespace": ("string", "opt"),
+    "classes": ("iri_list", "opt"),
+    "properties": ("iri_list", "opt"),
+    "deprecated": ("iri_list", "opt"),
+    "subclass_of": ("pairs", "opt"),
+    "subproperty_of": ("pairs", "opt"),
+    "inverse_pairs": ("pairs", "opt"),
+    "equivalent_property_pairs": ("pairs", "opt"),
+    "controlled_vocabularies": ("iri_map", "opt"),
+}
 
 
 # --------------------------------------------------------------------------
@@ -1070,17 +1076,25 @@ class Catalog:
             ) from None
 
     def select(self, vocabularies: set[str] | None = None) -> list[Constraint]:
-        """Constraints of the given vocabularies (empty/None = all), by id."""
+        """Constraints of the given vocabularies (empty/None = all), by id.
+        Each must find the inventory its ``vocabulary`` parameter names: a
+        built-in one passes the load without being loaded."""
+        known = ", ".join(sorted(self.inventories)) or "(none)"
         if vocabularies:
             unknown = vocabularies - set(self.inventories)
             if unknown:
-                known = ", ".join(sorted(self.inventories)) or "(none)"
                 raise CatalogError(
                     f"unknown vocabulary name(s) {sorted(unknown)}; known: {known}"
                 )
         chosen = []
         for constraint in self.constraints.values():
             if not vocabularies or constraint.vocabulary in vocabularies:
+                name = constraint.params.get("vocabulary")
+                if name is not None and name not in self.inventories:
+                    raise CatalogError(
+                        f"constraint {constraint.id!r}: params.vocabulary: vocabulary "
+                        f"{name!r} is not loaded; loaded vocabularies: {known}"
+                    )
                 chosen.append(constraint)
         return sorted(chosen, key=lambda c: c.id)
 
@@ -1110,43 +1124,14 @@ def _parse_inventory(entry: Any, prefixes: dict[str, str]) -> VocabularyInventor
     if not isinstance(name, str) or not name:
         raise CatalogError("vocabulary entry missing 'name'")
     where = f"vocabulary {name!r}"
-    allowed = {
-        "name", "namespace", "classes", "properties", "deprecated", "subclass_of",
-        "subproperty_of", "inverse_pairs", "equivalent_property_pairs",
-        "controlled_vocabularies",
-    }
-    unknown = set(entry) - allowed
-    if unknown:
-        raise CatalogError(f"{where}: unknown keys {sorted(unknown)}")
-
-    def iri_set(key: str) -> set[str]:
-        return set(_validate_param("iri_list", entry.get(key, []), prefixes, f"{where}.{key}"))
-
-    def pair_list(key: str) -> list[tuple[str, str]]:
-        pairs = _validate_param("pairs", entry.get(key, []), prefixes, f"{where}.{key}")
-        return [tuple(p) for p in pairs]  # type: ignore[misc]
-
-    controlled: dict[str, list[str]] = {}
-    raw_cv = entry.get("controlled_vocabularies", {})
-    if not isinstance(raw_cv, dict):
-        raise CatalogError(f"{where}.controlled_vocabularies: expected an object")
-    for scheme, members in raw_cv.items():
-        controlled[_expand_iri(scheme, prefixes, where)] = _validate_param(
-            "iri_list", members, prefixes, f"{where}.controlled_vocabularies"
-        )
-
-    inv = VocabularyInventory(
-        name=name,
-        namespace=str(entry.get("namespace", "")),
-        classes=iri_set("classes"),
-        properties=iri_set("properties"),
-        deprecated=iri_set("deprecated"),
-        subclass_of=pair_list("subclass_of"),
-        subproperty_of=pair_list("subproperty_of"),
-        inverse_pairs=pair_list("inverse_pairs"),
-        equivalent_property_pairs=pair_list("equivalent_property_pairs"),
-        controlled_vocabularies=controlled,
-    )
+    fields = _validate_fields(entry, _INVENTORY_SCHEMA, (), prefixes, where)
+    for key, value in fields.items():
+        kind = _INVENTORY_SCHEMA[key][0]
+        if kind == "iri_list":
+            fields[key] = set(value)
+        elif kind == "pairs":
+            fields[key] = [tuple(pair) for pair in value]
+    inv = VocabularyInventory(**fields)
     if not inv.namespace:
         inv.namespace = _guess_namespace(inv)
     declared = inv.declared()
@@ -1168,12 +1153,7 @@ def _guess_namespace(inv: VocabularyInventory) -> str:
     return candidates[0][: split + 1] if split > 0 else ""
 
 
-def _parse_constraint(entry: Any, prefixes: dict[str, str]) -> Constraint:
-    if not isinstance(entry, dict):
-        raise CatalogError("constraint entry must be an object")
-    cid = entry.get("id")
-    if not isinstance(cid, str) or not cid:
-        raise CatalogError("constraint entry missing 'id'")
+def _parse_constraint(cid: str, entry: dict, prefixes: dict[str, str]) -> Constraint:
     where = f"constraint {cid!r}"
     allowed = {"id", "type", "severity", "scope", "params", "vocabulary", "reference",
                "description"}
@@ -1188,16 +1168,8 @@ def _parse_constraint(entry: Any, prefixes: dict[str, str]) -> Constraint:
     raw_params = entry.get("params", {})
     if not isinstance(raw_params, dict):
         raise CatalogError(f"{where}: params must be an object")
-    unknown_params = set(raw_params) - set(ctype.schema)
-    if unknown_params:
-        raise CatalogError(f"{where}: unknown params {sorted(unknown_params)}")
-    params: dict[str, Any] = {}
-    for name, (kind, req) in ctype.schema.items():
-        if name in raw_params:
-            params[name] = _validate_param(kind, raw_params[name], prefixes,
-                                           f"{where}.params.{name}")
-        elif req == "load":
-            raise CatalogError(f"{where}: missing required param {name!r}")
+    params = _validate_fields(raw_params, ctype.schema, (), prefixes, where, "param",
+                              f"{where}.params")
     scope = entry.get("scope")
     if scope is not None:
         scope = _expand_iri(scope, prefixes, f"{where}.scope")
@@ -1292,7 +1264,7 @@ def merge_catalogs(base: Catalog, override: bytes | str | dict) -> Catalog:
                 constraints[cid], severity=Severity.parse(entry.get("severity", ""))
             )
         else:
-            constraints[cid] = _parse_constraint(entry, prefixes)
+            constraints[cid] = _parse_constraint(cid, entry, prefixes)
     return Catalog(constraints, inventories)
 
 

@@ -44,6 +44,8 @@ def check_facets(
     """One violation per literal per failed facet. Lengths count Unicode
     scalar values of the lexical form."""
     compiled = re.compile(pattern) if pattern is not None else None
+    lo = Decimal(str(min)) if min is not None else None
+    hi = Decimal(str(max)) if max is not None else None
     out = []
     for subject, lit in scoped_literals(ctx, prop, scope):
         length = len(lit.lexical)
@@ -71,32 +73,28 @@ def check_facets(
                     f"facet pattern {pattern!r}", (prop,),
                 )
             )
-        if min is not None or max is not None:
+        if lo is not None or hi is not None:
             try:
                 key = numeric_key(literal_value(lit))
             except (InvalidLexicalError, UnknownDatatypeError):
                 key = None
             if key is not None:
-                if min is not None:
-                    bound = Decimal(str(min))
-                    if key < bound or (min_exclusive and key == bound):
-                        out.append(
-                            finding(
-                                subject, f"minValue|{lit}",
-                                f"value {lit} of {compact(prop)} is below the "
-                                f"minimum {min}", (prop,),
-                            )
+                if lo is not None and (key < lo or (min_exclusive and key == lo)):
+                    out.append(
+                        finding(
+                            subject, f"minValue|{lit}",
+                            f"value {lit} of {compact(prop)} is below the "
+                            f"minimum {min}", (prop,),
                         )
-                if max is not None:
-                    bound = Decimal(str(max))
-                    if key > bound or (max_exclusive and key == bound):
-                        out.append(
-                            finding(
-                                subject, f"maxValue|{lit}",
-                                f"value {lit} of {compact(prop)} is above the "
-                                f"maximum {max}", (prop,),
-                            )
+                    )
+                if hi is not None and (key > hi or (max_exclusive and key == hi)):
+                    out.append(
+                        finding(
+                            subject, f"maxValue|{lit}",
+                            f"value {lit} of {compact(prop)} is above the "
+                            f"maximum {max}", (prop,),
                         )
+                    )
     return out
 
 

@@ -1,9 +1,10 @@
 import csv
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
-from rdfcheck.catalog import CONSTRAINT_TYPES, Severity
+from rdfcheck.catalog import CONSTRAINT_TYPES, Severity, builtin_catalog
 
 from conftest import load_catalog
 
@@ -118,3 +119,14 @@ def test_quoted_range_examples(full_catalog):
     ]
     dcat_ranges = full_catalog.constraints["DCAT-C-PROPERTY-RANGES-01"].params["ranges"]
     assert dcat_ranges["http://www.w3.org/ns/dcat#bytes"]["datatype"].endswith("integer")
+
+
+def test_shipped_catalogs_load_to_the_pinned_explain_records():
+    # every validated parameter of every shipped constraint reaches this
+    # digest, so a change to how a kind normalizes its value shows here
+    catalog = builtin_catalog()
+    records = json.dumps([catalog.explain(cid) for cid in sorted(catalog.constraints)],
+                         sort_keys=True)
+    assert hashlib.sha256(records.encode()).hexdigest() == (
+        "546b1d560a836dc178947d6de4b05eeca85c2fa78661c1f912927f66bf407010"
+    )

@@ -144,6 +144,89 @@ def test_unknown_param_rejected():
         load_catalog(doc)
 
 
+def _toy(ctype, params):
+    return {"constraints": [{"id": "TOY-2", "type": ctype, "severity": "error",
+                             "params": params}]}
+
+
+_RULE = {"property": "skos:prefLabel", "scope": "skos:Concept"}
+
+
+@pytest.mark.parametrize("ctype, params, message", [
+    ("cardinality-table", {"rules": [_RULE]},
+     "rules[0]: missing required key 'min' or 'max'"),
+    ("cardinality-table", {"rules": [{"scope": "skos:Concept", "min": 1}]},
+     "rules[0]: missing required key 'property'"),
+    ("cardinality-table", {"rules": [dict(_RULE, min=1, x=1)]}, "rules[0]: unknown keys ['x']"),
+    ("cardinality-table", {"rules": [dict(_RULE, min="1")]}, "rules[0].min: expected an integer"),
+    ("cardinality-table", {"rules": [5]}, "rules[0]: expected an object"),
+    ("cardinality-table", {"rules": {}}, "rules: expected a list of objects"),
+    ("default-values", {"defaults": [{"scope": "skos:Concept", "property": "skos:notation"}]},
+     "defaults[0]: missing required key 'value'"),
+    ("range-table", {"ranges": {"skos:broader": {}}},
+     "ranges['skos:broader']: missing required key 'classes' or 'datatype'"),
+    ("range-table", {"ranges": {"skos:broader": 5}}, "ranges['skos:broader']: expected an object"),
+    ("range-table", {"ranges": {"skos:broader": {"datatype": "xsd:string", "x": 1}}},
+     "ranges['skos:broader']: unknown keys ['x']"),
+    ("range-table", {"ranges": {"skos:broader": {"classes": 1}}},
+     "ranges['skos:broader'].classes: expected a list of IRIs"),
+    ("range-table", {"ranges": {"a b": {"classes": []}}},
+     "ranges: 'a b' is not an IRI or known compact name"),
+])
+def test_rows_and_range_specs_are_checked_at_load(ctype, params, message):
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(_toy(ctype, params))
+    assert str(caught.value) == f"constraint 'TOY-2'.params.{message}"
+
+
+def test_rows_and_range_specs_load_as_their_row_types_params():
+    # a rule loads as a cardinality constraint's params, a range spec as a
+    # property-range constraint's without its property
+    rule = dict(_RULE, min=1, qualifier_datatype="xsd:string")
+    spec = {"scope": "skos:Concept", "datatype": "xsd:string", "classes": ["skos:Concept"]}
+    table = load_catalog(_toy("cardinality-table", {"rules": [rule]}))
+    single = load_catalog(_toy("cardinality", rule))
+    assert table.constraints["TOY-2"].params["rules"] == [single.constraints["TOY-2"].params]
+    table = load_catalog(_toy("range-table", {"ranges": {"skos:broader": spec}}))
+    single = load_catalog(_toy("property-range", {"property": "skos:broader", **spec}))
+    params = dict(single.constraints["TOY-2"].params)
+    assert table.constraints["TOY-2"].params["ranges"] == {params.pop("property"): params}
+    assert list(params) == ["classes", "datatype", "scope"]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"bogus": 1}, ": unknown keys ['bogus']"),
+    ({"namespace": None}, ".namespace: expected a string"),
+    ({"classes": "x"}, ".classes: expected a list of IRIs"),
+    ({"inverse_pairs": [["http://a"]]}, ".inverse_pairs: ['http://a'] is not a 2-element pair"),
+    ({"controlled_vocabularies": 5},
+     ".controlled_vocabularies: expected a map of IRI to IRI list"),
+    ({"controlled_vocabularies": {"a b": []}},
+     ".controlled_vocabularies: 'a b' is not an IRI or known compact name"),
+    ({"controlled_vocabularies": {"http://s": 5}}, ".controlled_vocabularies: expected a list of IRIs"),
+])
+def test_inventory_fields_are_checked_at_load(fields, message):
+    doc = minimal_doc()
+    doc["vocabularies"][0].update(fields)
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(doc)
+    assert str(caught.value) == f"vocabulary 'toy'{message}"
+
+
+def test_inventory_fields_load_as_sets_pairs_and_maps():
+    doc = minimal_doc(prefixes={"toy": "http://toy/"})
+    doc["vocabularies"][0].update(
+        deprecated=["toy:Old"], inverse_pairs=[["toy:p", "toy:q"]],
+        controlled_vocabularies={"toy:scheme": ["toy:a", "toy:b"]},
+    )
+    inventory = load_catalog(doc).inventories["toy"]
+    assert inventory.deprecated == {"http://toy/Old"}
+    assert inventory.inverse_pairs == [("http://toy/p", "http://toy/q")]
+    assert inventory.subclass_of == []
+    assert inventory.controlled_vocabularies == {
+        "http://toy/scheme": ["http://toy/a", "http://toy/b"]}
+
+
 def test_compact_iris_expand_with_document_prefixes():
     doc = minimal_doc(prefixes={"toy": "http://toy/"})
     doc["constraints"][0]["params"] = {"property": "toy:prop",
@@ -280,6 +363,23 @@ def test_select_intersection_semantics(full_catalog):
 def test_select_unknown_vocabulary_lists_known(full_catalog):
     with pytest.raises(CatalogError, match="known"):
         full_catalog.select(vocabularies={"nope"})
+
+
+def test_select_refuses_a_constraint_whose_vocabulary_is_not_loaded():
+    # a built-in name passes the load, but only a loaded inventory can be read
+    doc = minimal_doc()
+    doc["vocabularies"].append({"name": "other"})
+    doc["constraints"][0] = {"id": "TOY-2", "type": "irreflexive-table", "severity": "error",
+                             "vocabulary": "toy", "params": {"vocabulary": "disco"}}
+    catalog = load_catalog(doc)
+    assert catalog.select({"other"}) == []
+    for vocabularies in (None, {"toy"}, {"toy", "other"}):
+        with pytest.raises(CatalogError) as caught:
+            catalog.select(vocabularies)
+        assert str(caught.value) == (
+            "constraint 'TOY-2': params.vocabulary: vocabulary 'disco' is not loaded; "
+            "loaded vocabularies: other, toy"
+        )
 
 
 def test_select_empty_filters_returns_everything(full_catalog):

@@ -311,6 +311,24 @@ def test_builtin_vocabulary_param_loads_outside_vocab_selection(tmp_path, capsys
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("vocab, code, err", [
+    ("skos", 2, "rdfcheck: error: constraint 'USER-1': params.vocabulary: vocabulary "
+                "'disco' is not loaded; loaded vocabularies: skos\n"),
+    ("skos,disco", 0, ""),
+])
+def test_selected_constraint_needs_the_vocabulary_it_names_loaded(tmp_path, capsys, vocab,
+                                                                 code, err):
+    # the load passes any built-in name; running the constraint needs its inventory
+    user = tmp_path / "user.json"
+    user.write_text(json.dumps({"constraints": [{
+        "id": "USER-1", "type": "irreflexive-table", "vocabulary": "skos",
+        "severity": "error", "params": {"vocabulary": "disco"},
+    }]}))
+    assert run_cli(["--vocab", vocab, "--catalog", str(user), "--only", "USER-1",
+                    fixture("thesaurus_clean.ttl")]) == code
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("ctype, params", [
     ("data-property-facets", {"property": "http://e/p", "min": "NaN"}),
     ("data-property-facets", {"property": "http://e/p", "max": float("nan")}),

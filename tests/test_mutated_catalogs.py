@@ -1,7 +1,9 @@
 """One-constraint user catalogs with mutated parameters keep the exit-code
 contract: merged over the built-ins and run on the four fixtures, they exit
 0, 1 or 2, and a 2 comes with one diagnostic line. A fixed sample of them
-gives the same exit codes, stderr and reports under two hash seeds.
+gives the same exit codes, stderr and reports under two hash seeds, and the
+load diagnostics of another are pinned in ``catalog_diagnostics.txt``
+(rewrite it with ``PYTHONPATH=src python tests/test_mutated_catalogs.py``).
 
 Every parameter value is drawn from a fixed pool, so no generated regular
 expression can backtrack without end.
@@ -17,12 +19,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rdfcheck.catalog import CONSTRAINT_TYPES
+from rdfcheck.catalog import CONSTRAINT_TYPES, Catalog, CatalogError, merge_catalogs
 from rdfcheck.cli import run_cli
 
 from conftest import FIXTURES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DIAGNOSTICS = Path(__file__).with_name("catalog_diagnostics.txt")
 INPUTS = [str(FIXTURES / name) for name in (
     "cube.ttl", "eusilc.ttl", "thesaurus_clean.ttl", "thesaurus_cycle.ttl")]
 
@@ -64,12 +67,9 @@ MUTATED = [
 ]
 
 
-def _values(kind: str) -> list:
-    if kind.startswith("mode:"):
-        return kind[len("mode:"):].split("|")
-    if kind.startswith("int_in:"):
-        return [int(v) for v in kind[len("int_in:"):].split("|")]
-    return VALID[kind]
+def _values(kind) -> list:
+    # a selector kind is the tuple of its allowed values
+    return list(kind) if isinstance(kind, tuple) else VALID[kind]
 
 
 OMIT = object()
@@ -131,11 +131,15 @@ def test_mutated_user_catalog_keeps_the_exit_contract(tmp_path, capsys, entry):
         assert err == ""
 
 
-def _sampled_entries(count: int, seed: int) -> list[dict]:
-    """``count`` entries drawn as ``entries`` draws them, from a fixed seed."""
+def _sampled_entries(count: int, seed: int, mutated: bool = True) -> list[dict]:
+    """``count`` entries drawn as ``entries`` draws them, from a fixed seed;
+    with ``mutated`` false, well-formed entries without the mutation step."""
     rng = random.Random(seed)
-    return [_entry(rng.choice, lambda options: set(rng.sample(options, rng.randint(0, 2))))
-            for _ in range(count)]
+
+    def up_to_two(options):
+        return set(rng.sample(options, rng.randint(0, 2))) if mutated else set()
+
+    return [_entry(rng.choice, up_to_two) for _ in range(count)]
 
 
 # Runs each catalog of argv[1] in turn on the inputs after it, and prints
@@ -161,8 +165,10 @@ def test_a_sample_of_mutated_catalogs_does_not_depend_on_the_hash_seed(tmp_path)
     # str hashes change with the seed, so a set of strings or literals read
     # in its iteration order would change a report, a diagnostic or an exit
     # code between these two runs
-    sample = [json.dumps({"constraints": [entry]}, sort_keys=True)
-              for entry in _sampled_entries(20, seed=18)]
+    # half the sample is drawn without the mutation step, so that most
+    # entries load and several reports hold findings
+    drawn = _sampled_entries(10, seed=18) + _sampled_entries(10, seed=207, mutated=False)
+    sample = [json.dumps({"constraints": [entry]}, sort_keys=True) for entry in drawn]
     for n, document in enumerate(sample):
         (tmp_path / f"user{n:02}.json").write_text(document)
     env = dict(os.environ)
@@ -176,6 +182,32 @@ def test_a_sample_of_mutated_catalogs_does_not_depend_on_the_hash_seed(tmp_path)
         runs.append(json.loads(child.stdout))
     assert len(runs[0]) == len(sample)
     assert runs[0] == runs[1]
-    # the sample reaches both kinds of outcome: a report, and an exit-2 diagnostic
-    codes = {code for _, code, _, _ in runs[0]}
-    assert 2 in codes and codes & {0, 1}
+    # the sample reaches both kinds of outcome: at least ten reports, five
+    # of them with a violation or a metric, and an exit-2 diagnostic
+    codes = [code for _, code, _, _ in runs[0]]
+    reports = [json.loads(bytes.fromhex(written)) for _, _, _, written in runs[0] if written]
+    assert 2 in codes and len(reports) >= 10
+    assert sum(bool(r["violations"] or r["metrics"]) for r in reports) >= 5
+
+
+def _load_diagnostics() -> list[str]:
+    """``ok``, or the one-line load error, of each of 300 sampled entries
+    merged over an empty catalog."""
+    lines = []
+    for entry in _sampled_entries(300, seed=19):
+        try:
+            merge_catalogs(Catalog({}, {}), {"constraints": [entry]})
+        except CatalogError as exc:
+            lines.append(str(exc))
+        else:
+            lines.append("ok")
+    return lines
+
+
+def test_the_load_diagnostics_of_a_sample_of_mutated_catalogs_are_pinned():
+    assert _load_diagnostics() == DIAGNOSTICS.read_text(encoding="utf-8").splitlines()
+
+
+if __name__ == "__main__":
+    DIAGNOSTICS.write_text("".join(line + "\n" for line in _load_diagnostics()),
+                           encoding="utf-8")
