@@ -1153,10 +1153,12 @@ def _guess_namespace(inv: VocabularyInventory) -> str:
     return candidates[0][: split + 1] if split > 0 else ""
 
 
+_ENTRY_TEXT = {name: ("string", "opt") for name in ("vocabulary", "reference", "description")}
+
+
 def _parse_constraint(cid: str, entry: dict, prefixes: dict[str, str]) -> Constraint:
     where = f"constraint {cid!r}"
-    allowed = {"id", "type", "severity", "scope", "params", "vocabulary", "reference",
-               "description"}
+    allowed = {"id", "type", "severity", "scope", "params", *_ENTRY_TEXT}
     unknown = set(entry) - allowed
     if unknown:
         raise CatalogError(f"{where}: unknown keys {sorted(unknown)}")
@@ -1173,7 +1175,9 @@ def _parse_constraint(cid: str, entry: dict, prefixes: dict[str, str]) -> Constr
     scope = entry.get("scope")
     if scope is not None:
         scope = _expand_iri(scope, prefixes, f"{where}.scope")
-    vocabulary = entry.get("vocabulary")
+    text = _validate_fields({k: v for k, v in entry.items() if k in _ENTRY_TEXT},
+                            _ENTRY_TEXT, (), prefixes, where)
+    vocabulary = text.get("vocabulary")
     if vocabulary is None:
         for prefix, vocab in _VOCAB_FROM_ID_PREFIX.items():
             if cid.startswith(prefix):
@@ -1186,8 +1190,8 @@ def _parse_constraint(cid: str, entry: dict, prefixes: dict[str, str]) -> Constr
         params=params,
         scope=scope,
         vocabulary=vocabulary,
-        reference=str(entry.get("reference", "")),
-        description=str(entry.get("description", "")),
+        reference=text.get("reference", ""),
+        description=text.get("description", ""),
     )
 
 

@@ -1,8 +1,9 @@
 """Immutable, index-backed triple store.
 
 The triples are kept as one tuple sorted by (subject, predicate, object),
-each term ordered by ``term_sort_key``, and the indexes built when the
-graph is constructed are nested, with no tuple keys (see ``Graph``).
+each term ordered by ``term_sort_key``, and the indexes are nested, with no
+tuple keys (see ``Graph``); the (predicate, object) index is filled one
+predicate at a time, on first use, and the others with the graph.
 ``match`` answers any (s?, p?, o?) pattern through the narrowest applicable
 index and always returns triples in sorted order, so results are
 reproducible regardless of insertion order. A pattern that binds only the
@@ -45,9 +46,9 @@ _NO_RUNS: Mapping[Term, Triple | tuple[Triple, ...] | list[Triple]] = MappingPro
 class Graph:
     """A set of triples, immutable after construction.
 
-    The constructor dedups and sorts the triples and builds every index, so
+    The constructor dedups and sorts the triples and builds the indexes, so
     a run builds one graph once, from all of its inputs, and each lookup
-    only reads.
+    only reads, but for ``_po``, which fills ``_by_po`` (below).
 
     The build reads its input once and groups it by subject, then by
     predicate, so it never sorts the triples as a whole. It sorts the
@@ -66,8 +67,10 @@ class Graph:
       each subject's predicates are in sorted order. ``match(s=x)`` reads
       ``x``'s runs one after another, so no index per subject alone is
       kept.
-    - ``_by_p``: predicate → its triples, and ``_by_po``: predicate →
-      object → its triples, as lists in sorted order.
+    - ``_by_p``: predicate → its triples, as a list in sorted order.
+    - ``_by_po``: predicate → object → its triples, as lists in sorted
+      order, filled by ``_po(p)`` from ``_by_p[p]`` when ``p`` is first
+      looked up by object. Few predicates ever are.
 
     There is no object index: only ``match(o=...)`` with subject and
     predicate unbound would read it, no checker calls that, and it scans
@@ -95,7 +98,6 @@ class Graph:
         ordered: list[Triple] = []
         by_sp: dict[Term, dict[Term, Triple | tuple[Triple, ...]]] = {}
         by_p: dict[Term, list[Triple]] = {}
-        by_po: dict[Term, dict[Term, list[Triple]]] = {}
         for s in sorted(grouped, key=term_sort_key):
             runs = grouped.pop(s)
             by_sp[s] = ordered_runs = {}
@@ -110,12 +112,23 @@ class Graph:
                 ordered_runs[p] = run if len(run) > 1 else run[0]
                 ordered += run
                 by_p.setdefault(p, []).extend(run)
-                same_po = by_po.setdefault(p, {})
-                for t in run:
-                    same_po.setdefault(t.object, []).append(t)
         self._triples: tuple[Triple, ...] = tuple(ordered)
         self._iris: list[Iri] | None = None
-        self._by_sp, self._by_p, self._by_po = by_sp, by_p, by_po
+        self._by_sp, self._by_p = by_sp, by_p
+        self._by_po: dict[Term, dict[Term, list[Triple]]] = {}
+
+    def _po(self, p: Term) -> Mapping[Term, list[Triple]]:
+        """``p``'s object → triples index, grouped from ``_by_p[p]`` on
+        first use; an absent predicate gets ``_NO_RUNS`` and is not stored."""
+        same_po = self._by_po.get(p)
+        if same_po is None:
+            run = self._by_p.get(p)
+            if run is None:
+                return _NO_RUNS
+            self._by_po[p] = same_po = {}
+            for t in run:
+                same_po.setdefault(t.object, []).append(t)
+        return same_po
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -157,7 +170,7 @@ class Graph:
             return found if o is None else [t for t in found if t.object == o]
         if p is not None:
             if o is not None:
-                return list(self._by_po.get(p, _NO_RUNS).get(o, ()))
+                return list(self._po(p).get(o, ()))
             return list(self._by_p.get(p, ()))
         if o is not None:
             return [t for t in self._triples if t.object == o]
@@ -170,19 +183,17 @@ class Graph:
         return [run.object]
 
     def subjects(self, p: Term, o: Term) -> list[Term]:
-        return [t.subject for t in self._by_po.get(p, _NO_RUNS).get(o, ())]
+        return [t.subject for t in self._po(p).get(o, ())]
 
     def iris(self) -> list[Iri]:
         """Every distinct IRI appearing in subject, predicate, or object
-        position, sorted by text. Computed once, from the index keys alone:
-        the subjects of ``_by_sp``, the predicates of ``_by_p`` and the
-        objects of ``_by_po``, each distinct term once, so no triple is
-        read. Each call returns a new list."""
+        position, sorted by text. Computed once: the subjects of ``_by_sp``
+        and the predicates of ``_by_p`` come from the index keys, the
+        objects from one scan of the triples. Each call returns a new list."""
         if self._iris is None:
             seen: set[Iri] = {s for s in self._by_sp if type(s) is Iri}
             seen.update(self._by_p)
-            for same_po in self._by_po.values():
-                seen.update(o for o in same_po if type(o) is Iri)
+            seen.update(t.object for t in self._triples if type(t.object) is Iri)
             self._iris = sorted(seen, key=_iri_text)
         return list(self._iris)
 

@@ -213,6 +213,24 @@ def test_inventory_fields_are_checked_at_load(fields, message):
     assert str(caught.value) == f"vocabulary 'toy'{message}"
 
 
+@pytest.mark.parametrize("field", ["vocabulary", "reference", "description"])
+@pytest.mark.parametrize("value", [["skos"], 5, None])
+def test_constraint_text_fields_must_be_strings(field, value):
+    doc = {"constraints": [{"id": "U-1", "type": "http-scheme", "severity": "error",
+                            field: value}]}
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(doc)
+    assert str(caught.value) == f"constraint 'U-1'.{field}: expected a string"
+
+
+def test_constraint_text_fields_load_as_given():
+    doc = {"constraints": [{"id": "U-1", "type": "http-scheme", "severity": "error",
+                            "vocabulary": "skos", "reference": "r", "description": "d"}]}
+    record = load_catalog(doc).explain("U-1")
+    assert (record["vocabulary"], record["reference"], record["description"]) == (
+        "skos", "r", "d")
+
+
 def test_inventory_fields_load_as_sets_pairs_and_maps():
     doc = minimal_doc(prefixes={"toy": "http://toy/"})
     doc["vocabularies"][0].update(

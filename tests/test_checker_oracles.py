@@ -8,8 +8,10 @@ gives. Messages are not compared. The first part covers the SKOS and
 language-tag checkers over SKOS graphs; the second covers
 ``disjoint-properties``, ``disjoint-classes``, ``http-scheme``,
 ``undefined-terms``, ``html-balance``, ``value-datatype`` (``all-literals``)
-and ``presence`` (by properties) over DISCO-shaped graphs, against
-hierarchies closed here from the catalog's stated edges.
+and ``presence`` over DISCO-shaped graphs, against hierarchies closed here
+from the catalog's stated edges. ``presence`` by path also runs over graphs
+built for its steps: forward, inverse (``^p``) and into code lists
+(``@members``), whose ``skos:memberList`` spines may be broken.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from rdfcheck.catalog import builtin_catalog, merge_catalogs
 from rdfcheck.checks.lexical import html_imbalance
 from rdfcheck.engine import validate
 from rdfcheck.graph import Graph
-from rdfcheck.namespaces import DCTERMS, DISCO, RDF_TYPE, SKOS, compact
+from rdfcheck.namespaces import (
+    DCTERMS, DISCO, RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, SKOS, compact,
+)
 from rdfcheck.terms import BlankNode, Iri, Literal, Triple, term_sort_key
 from rdfcheck.xsd import InvalidLexicalError, UnknownDatatypeError, parse_xsd_value
 
@@ -229,7 +233,8 @@ def test_language_tags_match_their_oracle(triples):
 # disco:Variable and one below that, a subproperty pair, and user
 # constraints of the shapes the shipped catalogs lack: a property listed
 # twice, exempt pairs, html-balance with ``property`` and ``scope`` in each
-# mode, all-literals datatype checks, and presence with a qualifier class.
+# mode, all-literals datatype checks, and presence with a qualifier class
+# and by paths of inverse and code-list steps.
 SUB, SUBSUB = EX + "Sub", EX + "SubSub"
 P, Q = EX + "p", EX + "q"  # q is a subproperty of p
 _LISTED = [P, Q, DISCO + "variable", DISCO + "containsVariable", DCTERMS + "description", P]
@@ -273,6 +278,13 @@ _DISCO_USER = {
                     "qualifier_class": DISCO + "Study"}},
         {"id": "ORACLE-PRES-1", "type": "presence", "severity": "warning",
          "params": {"scope": SUB, "properties": [Q]}},
+        {"id": "ORACLE-PRES-2", "type": "presence", "severity": "warning",
+         "params": {"scope": SUB, "path": ["^" + P, "@members"]}},
+        {"id": "ORACLE-PRES-3", "type": "presence", "severity": "warning",
+         "params": {"scope": DISCO + "Variable", "path": [P, "^" + Q, "@members", "^" + P],
+                    "qualifier_class": DISCO + "Study"}},
+        {"id": "ORACLE-PRES-4", "type": "presence", "severity": "warning",
+         "params": {"scope": DISCO + "Study", "path": ["@members", "@members"]}},
     ],
 }
 DISCO_CATALOG = merge_catalogs(builtin_catalog({"disco"}), _DISCO_USER)
@@ -280,10 +292,10 @@ DISCO_CATALOG = merge_catalogs(builtin_catalog({"disco"}), _DISCO_USER)
 
 def _covered(type_id: str) -> list[str]:
     """The ids of the evaluable constraints of ``type_id`` the oracles cover:
-    presence only by properties, value-datatype only over all literals."""
+    value-datatype only over all literals."""
     return sorted(
         cid for cid, c in DISCO_CATALOG.constraints.items()
-        if c.type == type_id and c.evaluable and "path" not in c.params
+        if c.type == type_id and c.evaluable
         and (type_id != "value-datatype" or c.params.get("mode") == "all-literals")
     )
 
@@ -329,6 +341,43 @@ def _disco_graphs(draw) -> list[Triple]:
                       st.lists(st.sampled_from(_D_PROPERTIES), min_size=1, max_size=3))
     for s, o, props in draw(st.lists(links, max_size=16)):
         triples += [Triple(s, p, o) for p in props]
+    return triples
+
+
+_P_CLASSES = [Iri(c) for c in (DISCO + "Variable", SUB, DISCO + "Study",
+                               DISCO + "SummaryStatistics", DISCO + "CategoryStatistics")]
+_P_PROPERTIES = [Iri(p) for p in (
+    P, Q, SKOS + "member", SKOS + "memberList", SKOS + "inScheme",
+    DISCO + "dataSet", DISCO + "variable", DISCO + "representation",
+    DISCO + "statisticsVariable", DISCO + "statisticsCategory",
+)]
+_P_NODES = _D_NODES[:2] + _D_NODES[4:]
+_CELLS = [BlankNode(f"cell{i}") for i in range(3)]
+
+
+@st.composite
+def _path_graphs(draw) -> list[Triple]:
+    """Up to 48 triples: per node one or two types, then links between
+    nodes, a literal and list cells by the properties that the path
+    constraints step along, the first five of them twice as often, then
+    per list cell its ``rdf:first`` and ``rdf:rest``: usually one of each
+    and a sound spine, sometimes none or two, a cycle or a literal rest."""
+    triples = []
+    types = st.lists(st.sampled_from(_P_CLASSES), min_size=1, max_size=2)
+    for node in _P_NODES:
+        triples += [Triple(node, Iri(RDF_TYPE), cls) for cls in draw(types)]
+    ends = _P_NODES + [Literal("x")]
+    links = st.tuples(st.sampled_from(_P_NODES),
+                      st.sampled_from(_P_PROPERTIES[:5] * 2 + _P_PROPERTIES[5:]),
+                      st.sampled_from(ends + _CELLS[:2]))
+    triples += [Triple(*link) for link in draw(st.lists(links, min_size=15, max_size=30))]
+    for i, cell in enumerate(_CELLS):
+        triples += [Triple(cell, Iri(RDF_FIRST), draw(st.sampled_from(ends)))
+                    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2])))]
+        rests = draw(st.sampled_from(
+            [[], [Iri(RDF_NIL)], [Iri(RDF_NIL)], [_CELLS[(i + 1) % 3]], [_CELLS[(i + 1) % 3]],
+             [_CELLS[0]], [Literal("x")], [Iri(RDF_NIL), _CELLS[(i + 1) % 3]]]))
+        triples += [Triple(cell, Iri(RDF_REST), o) for o in rests]
     return triples
 
 
@@ -450,16 +499,64 @@ def _value_datatype(triples, params) -> set:
     return out
 
 
+def _values(triples, node, prop: str) -> list:
+    return [t.object for t in triples if t.subject == node and t.predicate.value == prop]
+
+
+def _list_members(triples, head) -> list:
+    """The members of the ``rdf:first``/``rdf:rest`` list at ``head`` up to
+    its first defect: a cell without exactly one first or one rest, a
+    literal rest, or a cell seen before."""
+    members, node, seen = [], head, set()
+    while node != Iri(RDF_NIL) and node not in seen:
+        seen.add(node)
+        firsts, rests = _values(triples, node, RDF_FIRST), _values(triples, node, RDF_REST)
+        if len(firsts) != 1:
+            break
+        members += firsts
+        if len(rests) != 1 or isinstance(rests[0], Literal):
+            break
+        node = rests[0]
+    return members
+
+
+def _members(triples, node) -> list:
+    """A code list's members: its ``skos:memberList`` lists, else its
+    ``skos:member`` values, else what is ``skos:inScheme`` it."""
+    heads = _values(triples, node, SKOS + "memberList")
+    if heads:
+        return [m for head in heads for m in _list_members(triples, head)]
+    return _values(triples, node, SKOS + "member") or [
+        t.subject for t in triples if t.predicate.value == SKOS + "inScheme" and t.object == node]
+
+
+def _path_ends(triples, node, path) -> set:
+    frontier = {node}
+    for step in path:
+        if step == "@members":
+            frontier = {m for current in frontier for m in _members(triples, current)}
+        elif step.startswith("^"):
+            frontier = {t.subject for t in triples
+                        if t.predicate.value == step[1:] and t.object in frontier
+                        and not isinstance(t.object, Literal)}
+        else:
+            frontier = {t.object for t in triples
+                        if t.subject in frontier and t.predicate.value == step}
+    return frontier
+
+
 def _presence(triples, params) -> set:
     types = _closed_types(triples)
-    scope, props = params["scope"], params["properties"]
+    scope, props, path = params["scope"], params.get("properties", []), params.get("path")
     qualifier = params.get("qualifier_class")
-    names = " or ".join(compact(p) for p in props)
+    names = " or ".join(compact(p) for p in props) if props else " / ".join(path)
     out = set()
     for node, classes in types.items():
         if scope not in classes:
             continue
         values = [t.object for t in triples if t.subject == node and t.predicate.value in props]
+        if path:
+            values += _path_ends(triples, node, path)
         if qualifier is not None:
             values = [v for v in values if qualifier in types.get(v, set())]
         if not values:
@@ -536,4 +633,10 @@ def test_all_literals_datatypes_match_their_oracle(triples):
 @given(_disco_graphs())
 @settings(max_examples=200, deadline=None)
 def test_presence_matches_its_oracle(triples):
+    _agrees("presence", triples)
+
+
+@given(_path_graphs())
+@settings(max_examples=200, deadline=None)
+def test_presence_by_path_matches_its_oracle(triples):
     _agrees("presence", triples)

@@ -300,6 +300,21 @@ def test_unknown_vocabulary_param_exits_two_at_load(tmp_path, capsys, ctype, nam
     )
 
 
+@pytest.mark.parametrize("field", ["vocabulary", "reference", "description"])
+@pytest.mark.parametrize("value", [["skos"], 5, None])
+@pytest.mark.parametrize("explain", [[], ["--explain", "U-1"]])
+def test_constraint_text_field_that_is_not_a_string_exits_two(tmp_path, capsys, field,
+                                                              value, explain):
+    user = tmp_path / "user.json"
+    user.write_text(json.dumps({"constraints": [{
+        "id": "U-1", "type": "http-scheme", "severity": "error", field: value,
+    }]}))
+    assert run_cli(["--vocab", "skos", "--catalog", str(user), *explain,
+                    fixture("thesaurus_clean.ttl")]) == 2
+    assert capsys.readouterr().err == (
+        f"rdfcheck: error: constraint 'U-1'.{field}: expected a string\n")
+
+
 def test_builtin_vocabulary_param_loads_outside_vocab_selection(tmp_path, capsys):
     user = tmp_path / "user.json"
     user.write_text(json.dumps({"constraints": [{

@@ -155,7 +155,17 @@ def _assert_built_as_sorted(g, triples):
     assert all(a is b for a, b in zip(g._triples, ordered))
     assert _in_order(g._by_sp) == _in_order(by_sp)
     assert _in_order(g._by_p) == _in_order(by_p)
-    assert _in_order(g._by_po) == _in_order(by_po)
+    # the (predicate, object) index starts empty and fills one predicate at
+    # a time, in whatever order the predicates are first asked for
+    assert g._by_po == {}
+    predicates = list(by_po)
+    random.Random(len(ordered)).shuffle(predicates)
+    for p in predicates:
+        assert _in_order(g._po(p)) == _in_order(by_po[p])
+        assert g._po(p) is g._by_po[p]
+        filled = dict(g._by_po)
+        assert g._po(Iri("http://t/absent")) == {} and g._by_po == filled
+    assert g._by_po == by_po
 
 
 _BUILD_SUBJECTS = [Iri(f"http://t/s{i}") for i in range(4)] + [
@@ -395,6 +405,20 @@ def test_membership_misses_at_every_index_level():
     assert g.subjects(iri("ex:absent"), iri("ex:o")) == []
     assert g.subjects(iri("ex:p"), iri("ex:absent")) == []
     assert triple("ex:absent", "ex:p", "ex:o") not in g
+    assert list(g._by_po) == [iri("ex:p")]
+
+
+def test_only_object_lookups_fill_the_po_index():
+    g, one, many = _runs_graph()
+    s, p, q = iri("ex:s"), iri("ex:p"), iri("ex:q")
+    # every lookup that binds no (predicate, object) pair
+    g.match(s), g.match(s, p), g.match(s, q, lit("b")), g.match(None, p), g.match(o=lit("b"))
+    g.objects(s, q), one in g, g.iris(), g.literals()
+    assert g._by_po == {}
+    assert g.subjects(iri("ex:absent"), lit("b")) == [] and g._by_po == {}
+    assert g.subjects(q, lit("b")) == [s]
+    assert list(g._by_po) == [q] and g._by_po[q] == {lit(x): [t] for x, t in zip("abc", many)}
+    assert g.match(None, p, iri("ex:o")) == [one] and list(g._by_po) == [q, p]
 
 
 def test_match_on_object_alone_equals_brute_force_filter():
