@@ -15,13 +15,13 @@ garbage collector is off while inputs load and the graph is frozen
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
 from collections.abc import Callable
 from itertools import chain
 from pathlib import Path
-from typing import TextIO
 
 from .catalog import (
     BUILTIN_VOCABULARIES,
@@ -34,12 +34,11 @@ from .catalog import (
 from .engine import EngineError, validate
 from .graph import Graph
 from .ntriples import ParseError, parse_ntriples
-from .report import write_report
+from .report import report_chunks, write_report  # perfbench/traced_cli.py wraps this name
 from .terms import BlankNode, Term, Triple, _new_triple, term_sort_key
 from .turtle import parse_turtle
 
 CATALOG_PATH_ENV = "RDFCHECK_CATALOG_PATH"
-_WRITE_SLICE = 1 << 16  # characters of the report written per call
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,13 +176,6 @@ def _renumber_blanks(triples: list[Triple], offset: int) -> int:
     return len(order)
 
 
-def _write(text: str, out: TextIO) -> None:
-    """Write ``text`` in slices, so that its encoded bytes are never held
-    whole beside it."""
-    for start in range(0, len(text), _WRITE_SLICE):
-        out.write(text[start : start + _WRITE_SLICE])
-
-
 def run_cli(argv: list[str] | None = None) -> int:
     enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     try:
@@ -269,15 +261,27 @@ def _run(argv: list[str] | None) -> int:
         return _fail(str(exc))
 
     threshold = Severity.parse(args.severity_threshold) if args.severity_threshold else None
-    rendered = write_report(report, args.report, threshold)
+    chunks = report_chunks(report, args.report, threshold)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as out:
-                _write(rendered, out)
+                out.writelines(chunks)
         except OSError as exc:
             return _fail(f"cannot write report to {args.output}: {exc.strerror}")
     else:
-        _write(rendered, sys.stdout)
+        try:
+            if sys.stdout is None:  # started with its descriptor closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:
+            if sys.stdout is not None and sys.stdout is sys.__stdout__:
+                # what the buffer still holds would fail again, and be
+                # reported again, when the interpreter flushes it at exit
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            return _fail(f"cannot write report to stdout: {exc.strerror}")
 
     fail_on = Severity.parse(args.fail_on)
     return 1 if report.at_or_above(fail_on) else 0

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -86,9 +86,11 @@ class ValidationReport:
     def counts(self) -> dict[str, int]:
         return severity_counts(self.violations)
 
-    def at_or_above(self, level: Severity | None) -> list[Violation]:
-        """The violations at ``level`` or above; all of them for None."""
-        return [v for v in self.violations if level is None or v.severity >= level]
+    def at_or_above(self, level: Severity | None) -> Sequence[Violation]:
+        """The violations at ``level`` or above; all of them, not copied, for None."""
+        if level is None:
+            return self.violations
+        return [v for v in self.violations if v.severity >= level]
 
     def skipped(self) -> list[ConstraintStatus]:
         return [s for s in self.statuses if s.status != "evaluated"]

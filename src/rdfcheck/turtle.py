@@ -213,6 +213,8 @@ class _Parser:
                 return _STRING_ESCAPES[esc]
             if esc in "uU":
                 self.fail(f"invalid \\{esc} escape", pos)
+            if esc in "\r\n":  # a backslash that ends a line, as one that ends the input
+                self.fail("invalid \\ escape", pos)
             self.fail(f"invalid escape sequence \\{esc}", pos)
             raise AssertionError
 
@@ -502,7 +504,7 @@ class _Parser:
         end = _SHORT_PREFIX[quote].match(text, start + 1).end()
         self.unescape(text[start + 1 : end], start)
         if text.startswith("\\", end):
-            if end + 1 == len(text):
+            if end + 1 == len(text) or text[end + 1] in "\r\n":
                 self.fail("invalid \\ escape")
             self.fail(f"invalid escape sequence \\{text[end + 1]}")
         self.fail("unterminated string literal")

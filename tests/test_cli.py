@@ -710,13 +710,87 @@ def _raise_runtime_error(*args, **kwargs):
     raise RuntimeError("a\nb")
 
 
-@pytest.mark.parametrize("name", ["parse_turtle", "write_report"])
+@pytest.mark.parametrize("name", ["parse_turtle", "report_chunks"])
 def test_unexpected_exception_exits_two_with_one_line(monkeypatch, capsys, name):
     monkeypatch.setattr(f"rdfcheck.cli.{name}", _raise_runtime_error)
     assert run_cli(["--vocab", "skos", fixture("thesaurus_clean.ttl")]) == 2
     captured = capsys.readouterr()
     assert captured.err == "rdfcheck: error: internal error: RuntimeError: a b\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("to_output", [False, True], ids=["stdout", "output"])
+def test_exception_part_way_through_the_render_exits_two(monkeypatch, tmp_path, capsys,
+                                                         to_output):
+    # the third object rendered is the second violation: the summary and the
+    # first violation have been written by then
+    import rdfcheck.report as report
+
+    calls = []
+    render = report._object
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("render failed")
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(report, "_object", failing)
+    args = ["--report", "json", fixture("cube.ttl")]
+    if to_output:
+        args += ["--output", str(tmp_path / "report.json")]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err == "rdfcheck: error: internal error: RuntimeError: render failed\n"
+    assert len(calls) == 3
+
+
+class _FullStdout(io.StringIO):
+    """A stdout whose device fills up after the first chunk."""
+
+    def write(self, text):
+        if self.tell():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("stdout", [_FullStdout, None], ids=["full", "closed"])
+def test_failed_write_to_stdout_exits_two_with_one_line(monkeypatch, capsys, stdout):
+    monkeypatch.setattr(sys, "stdout", stdout() if stdout else None)
+    assert run_cli(["--report", "json", fixture("cube.ttl")]) == 2
+    code = errno.ENOSPC if stdout else errno.EBADF
+    assert capsys.readouterr().err == (
+        f"rdfcheck: error: cannot write report to stdout: {os.strerror(code)}\n"
+    )
+
+
+def _stdout_failure(target: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "rdfcheck.cli", "--report", "json", fixture("eusilc.ttl")]
+    if target == "full":
+        with open("/dev/full", "wb") as full:
+            return subprocess.run(command, env=env, stdout=full, stderr=subprocess.PIPE,
+                                  text=True, check=False)
+    # a reader gone before the first write: the child's writes meet a broken pipe
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as child:
+        child.stdout.close()
+        err = child.stderr.read()
+    return subprocess.CompletedProcess(command, child.returncode, None, err)
+
+
+@pytest.mark.parametrize("target", [
+    pytest.param("full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    "pipe",
+])
+def test_failed_write_to_stdout_in_a_process_exits_two_with_one_line(target):
+    proc = _stdout_failure(target)
+    strerror = os.strerror(errno.ENOSPC if target == "full" else errno.EPIPE)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"rdfcheck: error: cannot write report to stdout: {strerror}\n"
+    )
 
 
 def test_unexpected_exception_in_merge_exits_two(monkeypatch, capsys):

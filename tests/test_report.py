@@ -1,12 +1,14 @@
 import json
+import tempfile
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdfcheck.catalog import Severity
 from rdfcheck.engine import ValidationReport, ConstraintStatus, severity_counts, validate
-from rdfcheck.report import write_json, write_report, write_text
+from rdfcheck.report import report_chunks, write_json, write_report, write_text
 from rdfcheck.violations import MetricRecord, Violation
 
 
@@ -85,8 +87,6 @@ def test_skipped_entries_carry_reason():
 
 
 def test_unknown_format_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         write_report(_report(), "yaml")
 
@@ -151,20 +151,26 @@ _STATUSES = st.lists(
 @settings(max_examples=200, deadline=None)
 def test_json_matches_json_dumps_layout(violations, metrics, statuses, threshold):
     report = _report(violations, metrics, statuses)
-    assert write_json(report, threshold) == _reference_json(report, threshold)
+    reference = _reference_json(report, threshold)
+    assert write_json(report, threshold) == reference
+    assert "".join(report_chunks(report, "json", threshold)) == reference
 
 
-def test_json_render_allocates_under_four_times_its_output():
-    # tracemalloc counts every allocation, so the bound does not flake
-    report = _report(
+def _large_report(violations: int):
+    return _report(
         [
             Violation(f"C-{n % 40:02d}", Severity.WARNING, f"<http://example.org/node/{n}>",
                       f"detail {n}", f"C-{n % 40:02d}: node {n} lacks a preferred label")
-            for n in range(5000)
+            for n in range(violations)
         ],
         [MetricRecord("M-1", "<http://example.org/g>", "count", n) for n in range(50)],
         [ConstraintStatus(f"S-{n}", "skipped: not evaluable (pattern)", 0, 0.0) for n in range(20)],
     )
+
+
+def test_json_render_allocates_under_four_times_its_output():
+    # tracemalloc counts every allocation, so the bound does not flake
+    report = _large_report(5000)
     tracemalloc.start()
     try:
         text = write_json(report)
@@ -173,3 +179,23 @@ def test_json_render_allocates_under_four_times_its_output():
         tracemalloc.stop()
     assert text == _reference_json(report)
     assert peak < 4 * len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_streamed_render_allocates_under_a_tenth_of_its_output(fmt):
+    # written chunk by chunk, no string holds more than a record or the
+    # file's buffer, whatever the report's size
+    report = _large_report(20000)
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            out.writelines(report_chunks(report, fmt))
+            out.flush()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out.seek(0)
+        written = out.buffer.read()
+    text = write_report(report, fmt)
+    assert written == text.encode("utf-8")
+    assert peak < len(written) / 10

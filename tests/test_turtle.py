@@ -243,7 +243,9 @@ _P = "@prefix ex: <http://e/> .\n"
 
 @pytest.mark.parametrize("text, message", [
     (_P + 'ex:s ex:p "abc\\', "line 2: invalid \\ escape"),
-    (_P + 'ex:s ex:p "abc\\\nx" .', "line 2: invalid escape sequence \\\n"),
+    (_P + 'ex:s ex:p "abc\\\nx" .', "line 2: invalid \\ escape"),
+    # a long string's escape errors name the line where its body ends
+    (_P + 'ex:s ex:p """abc\\\r\nx""" .', "line 3: invalid \\ escape"),
     (_P + 'ex:s ex:p "\\u12" .', "line 2: invalid \\u escape"),
     (_P + 'ex:s ex:p "\\uD800 \\q" .',
      "line 2: escape U+D800 is not a Unicode scalar value"),
