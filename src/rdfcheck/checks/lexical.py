@@ -440,16 +440,22 @@ def check_language_coverage(
                 langs_per_concept.setdefault(subject, set()).add(primary)
     if mode == "incomplete":
         all_langs = set().union(*langs_per_concept.values()) if langs_per_concept else set()
-        for node in langs_per_concept:
-            missing = sorted(all_langs - langs_per_concept[node])
-            if missing:
-                out.append(
-                    finding(
-                        node, ",".join(missing),
-                        f"concept lacks labels in language(s) {', '.join(missing)} "
-                        "used elsewhere in the vocabulary", tuple(label_props),
-                    )
+        path = tuple(label_props)
+        # detail and message of each distinct missing set, made once
+        texts: dict[frozenset[str], tuple[str, str]] = {}
+        for node, langs in langs_per_concept.items():
+            missing = frozenset(all_langs - langs)
+            if not missing:
+                continue
+            text = texts.get(missing)
+            if text is None:
+                listed = sorted(missing)
+                text = texts[missing] = (
+                    ",".join(listed),
+                    f"concept lacks labels in language(s) {', '.join(listed)} "
+                    "used elsewhere in the vocabulary",
                 )
+            out.append(finding(node, *text, path))
         return out
     # no-common
     if langs_per_concept and not set.intersection(*langs_per_concept.values()):

@@ -208,6 +208,7 @@ def check_unidirectional(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     for prop, inverse in INVERSE_TABLE.items():
         stated = {(t.subject, t.object) for t in ctx.statements(inverse)}
         shown, shown_inverse = compact(prop), compact(inverse)
+        path = (prop,)  # one check path for all of this property's findings
         for triple in ctx.statements(prop):
             s, o = triple.subject, triple.object
             if isinstance(o, Literal) or (prop == inverse and s == o):
@@ -217,7 +218,7 @@ def check_unidirectional(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
                     finding(
                         s, f"{shown}|{o}",
                         f"({s} {shown} {o}) lacks the reciprocal {shown_inverse} statement",
-                        (prop,),
+                        path,
                     )
                 )
     return out
@@ -454,26 +455,34 @@ def check_undocumented(ctx) -> list[Finding]:
     ]
 
 
-def _schemes(ctx: GraphContext) -> dict[Term, list[Term]]:
-    """Each subject's skos:inScheme objects, from one scan."""
-    schemes: dict[Term, list[Term]] = {}
+def _schemes(ctx: GraphContext) -> dict[Term, list[str]]:
+    """The text of each subject's skos:inScheme objects, from one scan; one
+    text per scheme, shared by its members."""
+    texts: dict[Term, str] = {}
+    schemes: dict[Term, list[str]] = {}
     for t in ctx.statements(SKOS + "inScheme"):
-        schemes.setdefault(t.subject, []).append(t.object)
+        text = texts.get(t.object)
+        if text is None:
+            text = texts[t.object] = str(t.object)
+        schemes.setdefault(t.subject, []).append(text)
     return schemes
 
 
 def check_overlapping_labels(ctx) -> list[Finding]:
     schemes = _schemes(ctx)
-    groups: dict[tuple, list[Term]] = {}
+    no_scheme = ["None"]  # the key of a concept in no scheme
+    # the first concept of each key; a list only from a second one on
+    first: dict[tuple[str, str, str], Term] = {}
+    shared: dict[tuple[str, str, str], list[Term]] = {}
     for concept, lit in scoped_literals(ctx, SKOS + "prefLabel", SKOS + "Concept"):
         lang = lit.lang.lower() if lit.lang else ""
-        # a concept in no scheme is grouped under the key str(None)
-        for scheme in schemes.get(concept) or (None,):
-            groups.setdefault((str(scheme), lang, lit.lexical), []).append(concept)
+        for scheme in schemes.get(concept) or no_scheme:
+            key = (scheme, lang, lit.lexical)
+            seen = first.setdefault(key, concept)
+            if seen != concept:
+                shared.setdefault(key, [seen]).append(concept)
     out = []
-    for (scheme, lang, text), members in groups.items():
-        if len(members) < 2:
-            continue
+    for (scheme, lang, text), members in shared.items():
         distinct = sorted(set(members), key=term_sort_key)
         if len(distinct) > 1:
             listing = ", ".join(str(m) for m in distinct)
@@ -547,7 +556,7 @@ def check_ambiguous_notation(ctx) -> list[Finding]:
     groups: dict[tuple, list[Term]] = {}
     for concept, lit in scoped_literals(ctx, SKOS + "notation", SKOS + "Concept"):
         for scheme in schemes.get(concept, ()):
-            groups.setdefault((str(scheme), lit.lexical, lit.datatype), []).append(concept)
+            groups.setdefault((scheme, lit.lexical, lit.datatype), []).append(concept)
     out = []
     for (scheme, text, datatype), members in groups.items():
         if len(members) < 2:

@@ -19,7 +19,7 @@ import errno
 import gc
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from itertools import chain
 from pathlib import Path
 
@@ -224,8 +224,8 @@ def _run(argv: list[str] | None) -> int:
             return _fail(str(exc))
         import json as _json
 
-        print(_json.dumps(record, indent=2, ensure_ascii=False))
-        return 0
+        return _to_stdout([_json.dumps(record, indent=2, ensure_ascii=False), "\n"],
+                          "explanation")
 
     try:
         selected = catalog.select(vocabularies=vocabularies)
@@ -268,23 +268,30 @@ def _run(argv: list[str] | None) -> int:
                 out.writelines(chunks)
         except OSError as exc:
             return _fail(f"cannot write report to {args.output}: {exc.strerror}")
-    else:
-        try:
-            if sys.stdout is None:  # started with its descriptor closed
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-        except OSError as exc:
-            if sys.stdout is not None and sys.stdout is sys.__stdout__:
-                # what the buffer still holds would fail again, and be
-                # reported again, when the interpreter flushes it at exit
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
-            return _fail(f"cannot write report to stdout: {exc.strerror}")
+    elif _to_stdout(chunks, "report"):
+        return 2
 
     fail_on = Severity.parse(args.fail_on)
     return 1 if report.at_or_above(fail_on) else 0
+
+
+def _to_stdout(chunks: Iterable[str], what: str) -> int:
+    """Write ``chunks`` to stdout and flush it: 0, or 2 with one line naming
+    ``what`` when stdout fails (a full disk, a closed pipe or descriptor)."""
+    try:
+        if sys.stdout is None:  # started with its descriptor closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is not None and sys.stdout is sys.__stdout__:
+            # what the buffer still holds would fail again, and be
+            # reported again, when the interpreter flushes it at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return _fail(f"cannot write {what} to stdout: {exc.strerror}")
+    return 0
 
 
 def main() -> None:

@@ -4,14 +4,23 @@ The catalog registry names every constraint type's checker, or a table of
 checkers keyed by one parameter, and the shared objects it takes
 (``ConstraintType.check``, ``by`` and ``needs``); one generic call maps a
 constraint's parameters onto the checker's arguments, so no per-type code
-lives here. Checkers never see a constraint's id or severity:
-this module alone stamps each finding with both, leading its message with
-the id, and each metric with the id. Constraints run in id order. Checkers may return
-their findings in any order: ``_dedup`` alone orders them, by severity
-(desc), constraint id, focus, detail, message and check path, so equal
-inputs give byte-identical reports. The cube, statistics and hierarchy models are
-extracted when the first constraint needing them runs, and shared by the
-rest of the run.
+lives here. Checkers never see a constraint's id or severity: this module
+alone stamps each finding with both, and each metric with the id. A
+violation keeps the checker's message as it came; ``Violation.message``
+puts the id in front of it, so the report shows the id where it is read,
+not copied into each record.
+
+Constraints run in id order. Checkers may return their findings in any
+order: ``_dedup`` orders each constraint's violations by severity (desc),
+focus, detail, message and check path, and keeps one per (focus, detail).
+``_merge`` then joins the constraints' lists by severity, errors first, so
+the report is sorted by severity, constraint id, focus, detail, message and
+check path, and equal inputs give byte-identical reports.
+
+The cube, statistics and hierarchy models are extracted when the first
+constraint needing them runs, and dropped right after the last evaluable
+constraint of the run that needs them, so a model does not sit in memory
+under the constraints that come after its last user.
 
 Constraints that make the same checker call share one result. Before the
 run, each constraint gets a key: its checker's name and a canonical JSON
@@ -35,6 +44,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Any
 
 from .catalog import CONSTRAINT_TYPES, Catalog, Constraint, Severity
@@ -97,6 +107,10 @@ class ValidationReport:
 
 
 _Result = tuple[list[Finding], list[tuple[str, str, int]]]
+
+
+# The models of RunContext, which ``validate`` drops after their last user
+_MODELS = ("cube", "stats", "hierarchy")
 
 
 class RunContext:
@@ -208,7 +222,7 @@ def _run_one(
                     c.severity if f.severity is None else f.severity,
                     f.focus,
                     f.detail,
-                    f"{c.id}: {f.message}",
+                    f.message,
                     f.check_path,
                 )
                 for f in findings
@@ -232,32 +246,61 @@ def validate(
     rc = RunContext(graph, catalog)
     keys = [_key(c) if c.evaluable else None for c in selected]
     rc.uses.update(key for key in keys if key is not None)
-    all_violations: list[Violation] = []
+    # the position of each model's last user; later ones overwrite earlier
+    last_user = {
+        need: i
+        for i, c in enumerate(selected)
+        if c.evaluable
+        for need in CONSTRAINT_TYPES[c.type].needs
+        if need in _MODELS
+    }
+    runs: list[list[Violation]] = []
     all_metrics: list[MetricRecord] = []
     statuses: list[ConstraintStatus] = []
-    for constraint, key in zip(selected, keys):
+    for i, (constraint, key) in enumerate(zip(selected, keys)):
         status, violations, metrics = _run_one(rc, constraint, key)
+        for model, last in last_user.items():
+            if last == i:  # cached_property keeps the model in __dict__
+                rc.__dict__.pop(model, None)
+        if statuses and statuses[-1].constraint_id == constraint.id:
+            # a constraint named twice counts its violations once
+            runs[-1] = _dedup(runs[-1] + violations)
+        else:
+            runs.append(violations)
         statuses.append(status)
-        all_violations.extend(violations)
         all_metrics.extend(metrics)
     return ValidationReport(
-        violations=tuple(_dedup(all_violations)),
+        violations=_merge(runs),
         metrics=tuple(sorted(all_metrics, key=MetricRecord.sort_key)),
         statuses=tuple(statuses),
     )
 
 
 def _dedup(violations: Iterable[Violation]) -> list[Violation]:
-    """Sorted by (sort key, message, check path), one per (constraint, focus,
-    detail); the key is total, so the checker's order never picks the one
-    that survives."""
-    ordered = sorted(violations, key=lambda v: (v.sort_key(), v.message, v.check_path))
-    seen: set[tuple[str, str, str]] = set()
+    """One constraint's violations sorted by (sort key, text, check path),
+    one per (focus, detail); the key is total, so the checker's order never
+    picks the one that survives."""
+    ordered = sorted(violations, key=lambda v: (v.sort_key(), v.text, v.check_path))
+    seen: set[tuple[str, str]] = set()
     out = []
     for violation in ordered:
-        key = (violation.constraint_id, violation.focus, violation.detail)
+        key = (violation.focus, violation.detail)
         if key in seen:
             continue
         seen.add(key)
         out.append(violation)
     return out
+
+
+def _merge(runs: list[list[Violation]]) -> tuple[Violation, ...]:
+    """The lists ``_dedup`` gave each constraint, one per id and in id order,
+    joined into the report's order: each list sorts by severity first, so
+    taking the errors of every list, then the warnings, then the infos
+    sorts the whole by severity, constraint id and the rest of the key."""
+    buckets: dict[Severity, list[Violation]] = {
+        severity: [] for severity in sorted(Severity, reverse=True)
+    }
+    for run in runs:
+        for violation in run:
+            buckets[violation.severity].append(violation)
+    return tuple(chain.from_iterable(buckets.values()))

@@ -28,7 +28,7 @@ def _text_chunks(report: ValidationReport, threshold: Severity | None) -> Iterat
             focus = violation.focus or "(graph)"
             yield (
                 f"{str(severity).upper()} {violation.constraint_id} {focus} - "
-                f"{violation.message.split(': ', 1)[-1]}\n"
+                f"{violation.text}\n"
             )
     for metric in report.metrics:
         yield (

@@ -201,21 +201,22 @@ class _Parser:
             raise AssertionError from None
 
     def unescape(self, raw: str, pos: int) -> str:
-        """Decode the string escapes in ``raw``; an error names the line of
-        ``pos``."""
+        """Decode the string escapes in ``raw``, which starts at ``pos`` of
+        the text; an error names the line of its escape."""
 
         def replace(e: re.Match[str]) -> str:
             hexed = e[1] or e[2]
+            at = pos + e.start()
             if hexed:
-                return self.code_point(hexed, pos)
+                return self.code_point(hexed, at)
             esc = e[3]
             if esc in _STRING_ESCAPES:
                 return _STRING_ESCAPES[esc]
             if esc in "uU":
-                self.fail(f"invalid \\{esc} escape", pos)
+                self.fail(f"invalid \\{esc} escape", at)
             if esc in "\r\n":  # a backslash that ends a line, as one that ends the input
-                self.fail("invalid \\ escape", pos)
-            self.fail(f"invalid escape sequence \\{esc}", pos)
+                self.fail("invalid \\ escape", at)
+            self.fail(f"invalid escape sequence \\{esc}", at)
             raise AssertionError
 
         return _STRING_ESCAPE.sub(replace, raw)
@@ -474,9 +475,7 @@ class _Parser:
             if lexical is not None:
                 break
         if "\\" in lexical:
-            # A short string holds no newline; a long one reports escape
-            # errors on the line it ends on.
-            lexical = self.unescape(lexical, m.end(body))
+            lexical = self.unescape(lexical, m.start(body))
         if m["datatype"] is None:
             self.next()
             return self.literals[m["lang"] or XSD_STRING][lexical]
@@ -502,7 +501,7 @@ class _Parser:
         if text.startswith(quote * 3, start):
             self.fail("unterminated long string literal")
         end = _SHORT_PREFIX[quote].match(text, start + 1).end()
-        self.unescape(text[start + 1 : end], start)
+        self.unescape(text[start + 1 : end], start + 1)
         if text.startswith("\\", end):
             if end + 1 == len(text) or text[end + 1] in "\r\n":
                 self.fail("invalid \\ escape")

@@ -2,7 +2,10 @@
 
 A checker returns ``Finding``s: focus, detail, message and check path. It
 never sees its constraint's id or severity; the engine stamps both on each
-finding when it turns it into a ``Violation``.
+finding when it turns it into a ``Violation``. A violation keeps the
+checker's message as it came (``text``), so a message the checker shares
+between findings is stored once; ``Violation.message`` adds the id in
+front when it is read.
 """
 
 from __future__ import annotations
@@ -64,17 +67,24 @@ def finding(
 class Violation:
     """One finding, stamped with its constraint's id and severity.
 
-    Two violations are equal iff (constraint_id, focus, detail) are equal;
-    the engine dedups on that key. ``focus`` and ``detail`` are kept as
-    serialized text so records stay hashable and sort bit-stably.
+    Two violations are equal iff (constraint_id, severity, focus, detail)
+    are equal; the engine keeps one per (constraint_id, focus, detail).
+    ``focus`` and ``detail`` are kept as serialized text so records stay
+    hashable and sort bit-stably. ``text`` is the checker's message,
+    without the id.
     """
 
     constraint_id: str
     severity: Severity
     focus: str
     detail: str
-    message: str = field(compare=False)
+    text: str = field(compare=False)
     check_path: tuple[str, ...] = field(default=(), compare=False)
+
+    @property
+    def message(self) -> str:
+        """The JSON report's message: the constraint id, then the text."""
+        return f"{self.constraint_id}: {self.text}"
 
     def sort_key(self) -> tuple[int, str, str, str]:
         return (-int(self.severity), self.constraint_id, self.focus, self.detail)

@@ -5,7 +5,10 @@ and the catalog's class hierarchy, with no ``Graph`` index and no
 ``GraphContext``. Hypothesis draws small graphs, and every constraint of a
 covered type must report exactly the ``(focus, detail)`` pairs its oracle
 gives. Messages are not compared. The first part covers the SKOS and
-language-tag checkers over SKOS graphs; the second covers
+language-tag checkers over SKOS graphs, and ``skos-structure``
+``valueless-associative`` and ``skos-clashes`` ``relation`` over hierarchy
+graphs with siblings, shared parents, cycles and ``skos:related`` in both
+directions; the second covers
 ``disjoint-properties``, ``disjoint-classes``, ``http-scheme``,
 ``undefined-terms``, ``html-balance``, ``value-datatype`` (``all-literals``)
 and ``presence`` over DISCO-shaped graphs, against hierarchies closed here
@@ -227,6 +230,96 @@ def test_language_tags_match_their_oracle(triples):
         if constraint.type == "language-tag":
             expected = _language_tag(plain, types, constraint.params)
             assert _reported(g, constraint.id) == expected, constraint.id
+
+
+# Hierarchy graphs for the two checkers that read the broader/narrower
+# hierarchy against skos:related.
+VALUELESS = "SKOS-C-STRUCTURE-04"
+RELATION_CLASH = "SKOS-C-DATA-MODEL-CONSISTENCY-01"
+_BROADER, _NARROWER, _RELATED = (Iri(SKOS + name) for name in ("broader", "narrower", "related"))
+_H_NODES = [Iri(EX + f"h{i}") for i in range(5)] + [BlankNode("oracle2")]
+
+
+@st.composite
+def _hierarchy_graphs(draw) -> list[Triple]:
+    """Up to 35 triples: a few concept types; broader or narrower links
+    whose parent is most often one of two nodes, so that siblings and
+    shared parents are common, and whose random ends close cycles and
+    self-loops; a few of them to a literal; then related links, often
+    stated in both directions, some to a literal."""
+    nodes = st.sampled_from(_H_NODES)
+    triples = [Triple(node, Iri(RDF_TYPE), Iri(SKOS + "Concept"))
+               for node in draw(st.lists(nodes, max_size=3))]
+    links = st.tuples(nodes, st.sampled_from(_H_NODES[:2] * 3 + _H_NODES), st.booleans())
+    for child, parent, narrower in draw(st.lists(links, max_size=14)):
+        triples.append(Triple(parent, _NARROWER, child) if narrower
+                       else Triple(child, _BROADER, parent))
+    hierarchical = st.tuples(nodes, st.sampled_from([_BROADER, _NARROWER]))
+    triples += [Triple(node, prop, Literal("h0"))
+                for node, prop in draw(st.lists(hierarchical, max_size=2))]
+    related = st.tuples(nodes, st.sampled_from(_H_NODES + [Literal("h1")]), st.booleans())
+    for a, b, both in draw(st.lists(related, max_size=8)):
+        triples.append(Triple(a, _RELATED, b))
+        if both and not isinstance(b, Literal):
+            triples.append(Triple(b, _RELATED, a))
+    return triples
+
+
+def _hierarchy_edges(triples) -> set:
+    """(narrower, broader) of each broader statement and of each narrower
+    statement turned round; none to or from a literal."""
+    edges = set()
+    for t in triples:
+        if isinstance(t.object, Literal):
+            continue
+        if t.predicate == _BROADER:
+            edges.add((t.subject, t.object))
+        elif t.predicate == _NARROWER:
+            edges.add((t.object, t.subject))
+    return edges
+
+
+def _related_pairs(triples) -> set:
+    """Each pair of distinct resources a skos:related statement joins,
+    smaller first in term order."""
+    return {tuple(sorted((t.subject, t.object), key=term_sort_key)) for t in triples
+            if t.predicate == _RELATED and not isinstance(t.object, Literal)
+            and t.subject != t.object}
+
+
+def _valueless(triples) -> set:
+    """Related pairs that are siblings: some node is a parent of both."""
+    edges = _hierarchy_edges(triples)
+
+    def parents(node):
+        return {parent for child, parent in edges if child == node}
+
+    return {(str(a), str(b)) for a, b in _related_pairs(triples) if parents(a) & parents(b)}
+
+
+def _relation_clash(triples) -> set:
+    """Related pairs one of which lies above the other: a path of one or
+    more hierarchy edges leads from one to the other."""
+    above = _hierarchy_edges(triples)
+    while True:  # the transitive closure, one step at a time
+        more = {(a, d) for a, b in above for c, d in above if b == c} - above
+        if not more:
+            break
+        above |= more
+    return {(str(a), str(b)) for a, b in _related_pairs(triples)
+            if (a, b) in above or (b, a) in above}
+
+
+@given(_hierarchy_graphs())
+@settings(max_examples=200, deadline=None)
+def test_valueless_associative_matches_its_oracle(triples):
+    assert _reported(Graph(triples), VALUELESS) == _valueless(_plain(triples))
+
+
+@given(_hierarchy_graphs())
+@settings(max_examples=200, deadline=None)
+def test_relation_clash_matches_its_oracle(triples):
+    assert _reported(Graph(triples), RELATION_CLASH) == _relation_clash(_plain(triples))
 
 
 # The second part: DISCO-shaped graphs. A user vocabulary adds a class below

@@ -764,10 +764,17 @@ def test_failed_write_to_stdout_exits_two_with_one_line(monkeypatch, capsys, std
     )
 
 
-def _stdout_failure(target: str) -> subprocess.CompletedProcess:
+# the arguments of a run that writes each kind of output to stdout
+_STDOUT_WRITERS = {
+    "report": ["--report", "json", fixture("eusilc.ttl")],
+    "explanation": ["--explain", "SKOS-C-DATA-MODEL-CONSISTENCY-01", "-"],
+}
+
+
+def _stdout_failure(target: str, what: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    command = [sys.executable, "-m", "rdfcheck.cli", "--report", "json", fixture("eusilc.ttl")]
+    command = [sys.executable, "-m", "rdfcheck.cli", *_STDOUT_WRITERS[what]]
     if target == "full":
         with open("/dev/full", "wb") as full:
             return subprocess.run(command, env=env, stdout=full, stderr=subprocess.PIPE,
@@ -780,17 +787,29 @@ def _stdout_failure(target: str) -> subprocess.CompletedProcess:
     return subprocess.CompletedProcess(command, child.returncode, None, err)
 
 
-@pytest.mark.parametrize("target", [
+_TARGETS = [
     pytest.param("full", marks=pytest.mark.skipif(
         not os.path.exists("/dev/full"), reason="needs /dev/full")),
     "pipe",
-])
-def test_failed_write_to_stdout_in_a_process_exits_two_with_one_line(target):
-    proc = _stdout_failure(target)
+]
+
+
+def _assert_stdout_failure(target: str, what: str) -> None:
+    proc = _stdout_failure(target, what)
     strerror = os.strerror(errno.ENOSPC if target == "full" else errno.EPIPE)
     assert (proc.returncode, proc.stderr) == (
-        2, f"rdfcheck: error: cannot write report to stdout: {strerror}\n"
+        2, f"rdfcheck: error: cannot write {what} to stdout: {strerror}\n"
     )
+
+
+@pytest.mark.parametrize("target", _TARGETS)
+def test_failed_write_to_stdout_in_a_process_exits_two_with_one_line(target):
+    _assert_stdout_failure(target, "report")
+
+
+@pytest.mark.parametrize("target", _TARGETS)
+def test_failed_write_of_the_explanation_to_stdout_exits_two_with_one_line(target):
+    _assert_stdout_failure(target, "explanation")
 
 
 def test_unexpected_exception_in_merge_exits_two(monkeypatch, capsys):

@@ -1,11 +1,19 @@
+import gc
 import inspect
+import weakref
+from itertools import chain
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdfcheck.catalog import CONSTRAINT_TYPES, Severity
+from rdfcheck.checks.models import extract_cube
 from rdfcheck.engine import EngineError, validate
 from rdfcheck.graph import Graph
 from rdfcheck.report import write_json
+from rdfcheck.violations import Finding, Violation
 
 from conftest import checker, expand, graph, iri, lit, load_catalog
 
@@ -325,3 +333,109 @@ def test_no_result_is_kept_after_the_run(monkeypatch):
     [rc] = contexts
     assert rc.results == {}
     assert set(rc.uses.values()) == {0}
+
+
+# The engine sorts and deduplicates each constraint's violations, then joins
+# the lists by severity. The reference is the single global pass it replaced:
+# every constraint's list, deduplicated, then sorted and deduplicated again
+# by (severity, id, focus, detail, message, check path).
+def _global_dedup(violations):
+    ordered = sorted(violations, key=lambda v: (v.sort_key(), v.message, v.check_path))
+    seen = set()
+    out = []
+    for violation in ordered:
+        key = (violation.constraint_id, violation.focus, violation.detail)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(violation)
+    return out
+
+
+_FINDINGS = st.lists(st.builds(
+    Finding,
+    st.sampled_from(["", "<http://e/a>", "<http://e/b>"]),
+    st.sampled_from(["x", "y"]),
+    st.sampled_from(["m", "n", "a: b"]),
+    st.sampled_from([(), ("p",), ("p", "q")]),
+    st.sampled_from([None, None, Severity.INFO]),  # INFO is the only override
+), max_size=6)
+# a few ids, so some repeat: a repeated id whose findings differ stands for
+# two different constraints under one id, one whose findings agree for a
+# constraint named twice
+_RUNS = st.lists(
+    st.tuples(st.sampled_from(["T-1", "T-2", "T-3", "T-4"]), st.sampled_from(list(Severity)),
+              _FINDINGS),
+    max_size=6,
+)
+
+
+@given(_RUNS, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_merged_violations_equal_one_global_dedup(runs, twice):
+    from rdfcheck.catalog import Constraint
+    from rdfcheck.checks import misc
+
+    if twice and runs:
+        runs = runs + [runs[0]]
+    # each constraint names its own findings by an index the checker reads
+    constraints = [Constraint(cid, "value-datatype", severity, {"properties": [str(n)]})
+                   for n, (cid, severity, _) in enumerate(runs)]
+    if twice and runs:
+        constraints[-1] = constraints[0]
+
+    def check(ctx, *, properties):
+        return runs[int(properties[0])][2]
+
+    expected = _global_dedup(chain.from_iterable(
+        _global_dedup(
+            Violation(cid, severity if f.severity is None else f.severity,
+                      f.focus, f.detail, f.message, f.check_path)
+            for f in findings
+        )
+        for cid, severity, findings in runs
+    ))
+    with mock.patch.object(misc, "check_value_datatype", check):
+        report = validate(Graph(), load_catalog({"constraints": []}), constraints)
+
+    def fields(v):
+        return (v.constraint_id, v.severity, v.focus, v.detail, v.message, v.check_path)
+
+    assert list(map(fields, report.violations)) == list(map(fields, expected))
+    assert len(report.statuses) == len(constraints)
+
+
+def test_a_model_is_released_after_its_last_user():
+    # T-1 builds the cube; T-2 runs while a later user remains; T-3 makes
+    # T-1's call again, so the memo answers it, and is the last user; T-4
+    # runs after it
+    from rdfcheck import engine
+    from rdfcheck.catalog import Constraint
+    from rdfcheck.checks import misc
+
+    models = []
+    alive = {}
+
+    def extract(ctx):
+        model = extract_cube(ctx)
+        models.append(weakref.ref(model))
+        return model
+
+    def probe(ctx, *, properties):
+        gc.collect()
+        alive[properties[0]] = [ref() is not None for ref in models]
+        return []
+
+    def qb(cid):
+        return Constraint(cid, "qb-integrity", Severity.ERROR, {"ic": 3})
+
+    def probed(cid):
+        return Constraint(cid, "value-datatype", Severity.ERROR, {"properties": [cid]})
+
+    constraints = [qb("T-1"), probed("T-2"), qb("T-3"), probed("T-4")]
+    with mock.patch.object(engine, "extract_cube", extract), \
+            mock.patch.object(misc, "check_value_datatype", probe):
+        validate(graph(("ex:a", "ex:p", lit("x"))), load_catalog({"constraints": []}),
+                 constraints)
+    assert alive == {"T-2": [True], "T-4": [False]}
+

@@ -13,7 +13,7 @@ from rdfcheck.violations import MetricRecord, Violation
 
 
 def _violation(cid, severity, focus="<http://x/f>", detail="d"):
-    return Violation(cid, severity, focus, detail, f"{cid}: something is off")
+    return Violation(cid, severity, focus, detail, "something is off")
 
 
 def _report(violations=(), metrics=(), statuses=()):
@@ -62,9 +62,17 @@ def test_text_groups_by_severity_then_id():
         _violation("M-WARN", Severity.WARNING),
     ])
     lines = write_text(report).splitlines()
-    assert lines[0].startswith("ERROR A-ERROR")
+    assert lines[0] == "ERROR A-ERROR <http://x/f> - something is off"
     assert lines[1].startswith("WARNING M-WARN")
     assert lines[2].startswith("INFO Z-INFO")
+
+
+@pytest.mark.parametrize("cid", ["A-1", "A: 1", "A-1: x"])
+def test_the_id_leads_the_json_message_and_the_text_line_shows_the_checker_text(cid):
+    report = _report([_violation(cid, Severity.ERROR)])
+    [record] = json.loads(write_json(report))["violations"]
+    assert record["message"] == f"{cid}: something is off"
+    assert write_text(report).splitlines()[0] == f"ERROR {cid} <http://x/f> - something is off"
 
 
 def test_threshold_filters_display():
@@ -160,7 +168,7 @@ def _large_report(violations: int):
     return _report(
         [
             Violation(f"C-{n % 40:02d}", Severity.WARNING, f"<http://example.org/node/{n}>",
-                      f"detail {n}", f"C-{n % 40:02d}: node {n} lacks a preferred label")
+                      f"detail {n}", f"node {n} lacks a preferred label")
             for n in range(violations)
         ],
         [MetricRecord("M-1", "<http://example.org/g>", "count", n) for n in range(50)],

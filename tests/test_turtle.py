@@ -197,8 +197,8 @@ def test_iri_escapes_decoded():
     assert list(g) == [triple("http://e/A", "http://e/p", "http://e/B")]
 
 
-# Every Turtle diagnostic, exactly as the parser words it. Errors inside a
-# long string name the line the string ends on.
+# Every Turtle diagnostic, exactly as the parser words it. An escape error
+# inside a long string names the line of the escape.
 MALFORMED_TTL = {
     "ttl_bad_escape.ttl": "line 2: invalid escape sequence \\y",
     "ttl_base_directive.ttl":
@@ -213,7 +213,7 @@ MALFORMED_TTL = {
     "ttl_langstring_without_tag.ttl":
         "line 5: rdf:langString literal requires a language tag",
     "ttl_literal_subject.ttl": "line 2: expected subject, found '\"'",
-    "ttl_long_string_bad_escape.ttl": "line 5: invalid escape sequence \\q",
+    "ttl_long_string_bad_escape.ttl": "line 4: invalid escape sequence \\q",
     "ttl_missing_dot.ttl": "line 3: expected '.', found 'e'",
     "ttl_relative_iri.ttl":
         "line 1: unsupported construct: relative IRI <s> (no @base support)",
@@ -244,8 +244,14 @@ _P = "@prefix ex: <http://e/> .\n"
 @pytest.mark.parametrize("text, message", [
     (_P + 'ex:s ex:p "abc\\', "line 2: invalid \\ escape"),
     (_P + 'ex:s ex:p "abc\\\nx" .', "line 2: invalid \\ escape"),
-    # a long string's escape errors name the line where its body ends
-    (_P + 'ex:s ex:p """abc\\\r\nx""" .', "line 3: invalid \\ escape"),
+    # a long string's escape errors name the line of the escape
+    (_P + 'ex:s ex:p """abc\\\r\nx""" .', "line 2: invalid \\ escape"),
+    (_P + 'ex:s ex:p """abc\\\nx""" .', "line 2: invalid \\ escape"),
+    (_P + "ex:s ex:p '''a\r\nb\\\r\nc''' .", "line 3: invalid \\ escape"),
+    (_P + 'ex:s ex:p """a\\q\nb\nc""" .', "line 2: invalid escape sequence \\q"),
+    (_P + 'ex:s ex:p """a\nb\\u12\nc""" .', "line 3: invalid \\u escape"),
+    (_P + 'ex:s ex:p """a\n\n\\uDC00\nc""" .',
+     "line 4: escape U+DC00 is not a Unicode scalar value"),
     (_P + 'ex:s ex:p "\\u12" .', "line 2: invalid \\u escape"),
     (_P + 'ex:s ex:p "\\uD800 \\q" .',
      "line 2: escape U+D800 is not a Unicode scalar value"),
