@@ -59,31 +59,40 @@ class ConstraintType:
 
     ``check`` names the checker as ``"<module>.<function>"`` under
     ``rdfcheck.checks`` (a string, because the checkers import this module).
-    A type whose modes each have their own checker sets ``by`` to the
-    parameter that picks one, and ``check`` to a table from each value of
-    that parameter to its checker; the table's keys are the parameter's
-    allowed values. ``needs`` lists the shared run objects the checker takes
-    first, from "ctx" (the graph context), "cube", "stats" and "hierarchy"
-    (the extracted models). The engine calls it with those objects, then
-    the "load"/"eval" parameters positionally in schema order, then the
-    "opt" parameters the constraint sets as keywords under their schema
-    names (an optional ``scope`` falls back to the constraint's own scope).
-    It never passes the ``by`` parameter.
+    ``needs`` lists the shared run objects the checker takes first, from
+    "ctx" (the graph context), "cube", "stats" and "hierarchy" (the
+    extracted models). A type whose modes each have their own checker sets
+    ``by`` to the parameter that picks one, and ``check`` to a table from
+    each value of that parameter to its checker and that checker's needs;
+    the table's keys are the parameter's allowed values. The parameter is
+    required, unless the type names a ``by_default`` value for a
+    constraint that leaves it out. The engine calls the checker with its
+    needs, then the "load"/"eval" parameters positionally in schema order,
+    then the "opt" parameters the constraint sets as keywords under their
+    schema names (an optional ``scope`` falls back to the constraint's own
+    scope). It never passes the ``by`` parameter.
     """
 
     id: str
-    check: str | dict[Any, str] | None
+    check: str | dict[Any, tuple[str, tuple[str, ...]]] | None
     schema: dict[str, tuple[Any, str]]
     requirements: tuple[str, ...] = ()
     description: str = ""
     eval_any_of: tuple[tuple[str, ...], ...] = ()
     needs: tuple[str, ...] = ("ctx",)
     by: str | None = None
+    by_default: Any = None
 
     def __post_init__(self) -> None:
         for name, (kind, req) in self.schema.items():
             if req not in _REQ_LEVELS:
                 raise ValueError(f"{self.id}.{name}: bad requirement level {req}")
+
+    def checker(self, params: dict[str, Any]) -> tuple[str, tuple[str, ...]]:
+        """The checker a constraint with ``params`` runs, and its needs."""
+        if self.by is None:
+            return self.check, self.needs
+        return self.check[params.get(self.by, self.by_default)]
 
 
 CONSTRAINT_TYPES: dict[str, ConstraintType] = {}
@@ -98,12 +107,13 @@ def _register(
     eval_any_of: tuple[tuple[str, ...], ...] = (),
     needs: tuple[str, ...] = ("ctx",),
     by: str | None = None,
+    by_default: Any = None,
 ) -> None:
     if by is not None:
         # the selector comes first in the schema; its values are the table's keys
-        schema = {by: (tuple(check), "load"), **schema}
+        schema = {by: (tuple(check), "load" if by_default is None else "opt"), **schema}
     CONSTRAINT_TYPES[type_id] = ConstraintType(
-        type_id, check, schema, requirements, description, eval_any_of, needs, by
+        type_id, check, schema, requirements, description, eval_any_of, needs, by, by_default
     )
 
 
@@ -274,9 +284,11 @@ _register(
 )
 _register(
     "vocab-membership",
-    "cube.check_membership",
     {
-        "mode": (("scheme", "qb-codelist"), "opt"),
+        "scheme": ("cube.check_membership", ("ctx",)),
+        "qb-codelist": ("cube.check_qb_codelist_membership", ("ctx", "cube")),
+    },
+    {
         "property": ("iri", "opt"),
         "scope": ("iri", "opt"),
         "scheme": ("iri", "opt"),
@@ -284,7 +296,8 @@ _register(
     ("R-32-MEMBERSHIP-OF-RDF-OBJECTS-IN-CONTROLLED-VOCABULARIES",
      "R-39-MEMBERSHIP-OF-RDF-LITERALS-IN-CONTROLLED-VOCABULARIES"),
     "Property values must belong to a named controlled vocabulary or code list.",
-    needs=("ctx", "cube"),
+    by="mode",
+    by_default="scheme",
 )
 _register(
     "deprecated-terms",
@@ -495,55 +508,53 @@ _register(
 )
 _register(
     "qb-integrity",
-    {ic: f"cube.check_ic{ic}" for ic in (*range(3, 9), *range(10, 19), 20, 21)},
+    {ic: (f"cube.check_ic{ic}", ("ctx", "cube"))
+     for ic in (*range(3, 9), *range(10, 19), 20, 21)},
     {},
     ("R-86-EXISTENTIAL-QUANTIFICATION-ON-PROPERTIES", "R-211-CARDINALITY-CONSTRAINTS"),
     "One of the Data Cube integrity constraints (IC-3 through IC-21).",
-    needs=("ctx", "cube"),
     by="ic",
 )
 _register(
     "skos-structure",
     {
-        "orphan": "skos.check_orphan",
-        "disconnected": "skos.check_disconnected",
-        "cycles": "skos.check_cycles",
-        "valueless-associative": "skos.check_valueless_associative",
-        "solely-transitive": "skos.check_solely_transitive",
-        "unidirectional": "skos.check_unidirectional",
-        "omitted-top-concepts": "skos.check_omitted_top_concepts",
-        "top-with-broader": "skos.check_top_with_broader",
-        "hierarchical-redundancy": "skos.check_hierarchical_redundancy",
-        "reflexive": "skos.check_reflexive",
+        "orphan": ("skos.check_orphan", ("ctx",)),
+        "disconnected": ("skos.check_disconnected", ("ctx",)),
+        "cycles": ("skos.check_cycles", ("ctx", "hierarchy")),
+        "valueless-associative": ("skos.check_valueless_associative", ("ctx", "hierarchy")),
+        "solely-transitive": ("skos.check_solely_transitive", ("ctx",)),
+        "unidirectional": ("skos.check_unidirectional", ("ctx",)),
+        "omitted-top-concepts": ("skos.check_omitted_top_concepts", ("ctx",)),
+        "top-with-broader": ("skos.check_top_with_broader", ("ctx",)),
+        "hierarchical-redundancy": ("skos.check_hierarchical_redundancy", ("ctx", "hierarchy")),
+        "reflexive": ("skos.check_reflexive", ("ctx",)),
     },
     {"depth_limit": ("int", "opt")},
     (),
     "Graph-structural quality checks over the concept hierarchy.",
-    needs=("ctx", "hierarchy"),
     by="mode",
 )
 _register(
     "skos-clashes",
     {
-        "relation": "skos.check_relation_clash",
-        "mapping": "skos.check_mapping_clash",
-        "misuse": "skos.check_mapping_misuse",
+        "relation": ("skos.check_relation_clash", ("ctx", "hierarchy")),
+        "mapping": ("skos.check_mapping_clash", ("ctx",)),
+        "misuse": ("skos.check_mapping_misuse", ("ctx",)),
     },
     {},
     (),
     "Semi-formal consistency checks between hierarchical, associative, and mapping links.",
-    needs=("ctx", "hierarchy"),
     by="mode",
 )
 _register(
     "skos-labeling",
     {
-        "undocumented": "skos.check_undocumented",
-        "overlapping": "skos.check_overlapping_labels",
-        "missing": "skos.check_missing_labels",
-        "unprintable": "skos.check_unprintable_labels",
-        "empty": "skos.check_empty_labels",
-        "ambiguous-notation": "skos.check_ambiguous_notation",
+        "undocumented": ("skos.check_undocumented", ("ctx",)),
+        "overlapping": ("skos.check_overlapping_labels", ("ctx",)),
+        "missing": ("skos.check_missing_labels", ("ctx",)),
+        "unprintable": ("skos.check_unprintable_labels", ("ctx",)),
+        "empty": ("skos.check_empty_labels", ("ctx",)),
+        "ambiguous-notation": ("skos.check_ambiguous_notation", ("ctx",)),
     },
     {},
     (),

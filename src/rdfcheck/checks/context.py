@@ -9,6 +9,7 @@ the very modeling errors the checkers look for.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from itertools import chain, groupby
 from operator import attrgetter
 
@@ -129,16 +130,15 @@ class GraphContext:
 
 def scoped_literals(
     ctx: GraphContext, prop: str, scope: str | None
-) -> list[tuple[Term, Literal]]:
+) -> Iterator[tuple[Term, Literal]]:
     """(subject, literal) of each ``prop`` statement with a literal object,
-    from one scan; with a ``scope``, only those whose subject has that type."""
-    out = []
+    from one scan; with a ``scope``, only those whose subject has that type.
+    Yielded one at a time, so read them once."""
     for triple in ctx.statements(prop):
         if scope is not None and not ctx.has_type(triple.subject, scope):
             continue
         if isinstance(triple.object, Literal):
-            out.append((triple.subject, triple.object))
-    return out
+            yield triple.subject, triple.object
 
 
 def collection_members(ctx: GraphContext, node: Term) -> list[Term]:

@@ -407,25 +407,29 @@ def check_ic21(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
 
 def check_membership(
     ctx: GraphContext,
-    cube: CubeModel,
     *,
-    mode: str = "scheme",
     property: str | None = None,
     scope: str | None = None,
     scheme: str | None = None,
 ) -> list[Finding]:
-    """Controlled-vocabulary membership against the catalog's member lists:
-    of ``property`` values in ``scheme`` (mode scheme), or of dimension
-    values in their code lists (mode qb-codelist, IC-19)."""
-    if mode == "qb-codelist":
-        return check_qb_codelist_membership(ctx, cube)
+    """``vocab-membership`` mode scheme: values of ``property`` must be
+    members of ``scheme``, by the graph or the catalog's member lists."""
     return schema.check_vocab_membership(ctx, property, scheme, scope=scope)
 
 
-def check_qb_codelist_membership(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
-    """IC-19: dimension values must come from the dimension's qb:codeList
-    (skos:inScheme / skos:member / skos:hasTopConcept linkage, or a member
-    list shipped with the catalog inventory)."""
+def check_qb_codelist_membership(
+    ctx: GraphContext,
+    cube: CubeModel,
+    *,
+    property: str | None = None,
+    scope: str | None = None,
+    scheme: str | None = None,
+) -> list[Finding]:
+    """IC-19, ``vocab-membership`` mode qb-codelist: dimension values must
+    come from the dimension's qb:codeList (skos:inScheme / skos:member /
+    skos:hasTopConcept linkage, or a member list shipped with the catalog
+    inventory). The type's other parameters serve mode scheme; a
+    constraint may set them, and they are ignored here."""
     out = []
     hcl_cls = QB + "HierarchicalCodeList"
     for dim in cube.dimension_props:

@@ -99,8 +99,11 @@ def _semantic_edges(ctx: GraphContext) -> list[tuple[Term, Term]]:
 # Each structure check takes the type's optional ``depth_limit``; only
 # hierarchical-redundancy reads it.
 
+# the parents of a node that is no hierarchy edge's child
+_NO_PARENTS: frozenset[Term] = frozenset()
 
-def check_orphan(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
+
+def check_orphan(ctx, *, depth_limit=None) -> list[Finding]:
     linked = {node for edge in _semantic_edges(ctx) for node in edge}
     return [
         finding(
@@ -113,7 +116,7 @@ def check_orphan(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     ]
 
 
-def check_disconnected(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
+def check_disconnected(ctx, *, depth_limit=None) -> list[Finding]:
     edges = _semantic_edges(ctx)
     linked = {node for edge in edges for node in edge}
     nodes = [c for c in _concepts(ctx) if c in linked]
@@ -157,32 +160,36 @@ def check_cycles(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
 
 
 def check_valueless_associative(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
-    by_parent: dict[Term, set[Term]] = {}
+    """Each skos:related pair of distinct siblings, smaller first in term
+    order. It walks the related statements, not every pair of siblings, so
+    a wide, flat hierarchy costs time in its related links alone."""
+    parents: dict[Term, set[Term]] = {}
     for child, parent in hierarchy.edges:
-        by_parent.setdefault(parent, set()).add(child)
-    related = {
-        (t.subject, t.object)
-        for t in ctx.statements(SKOS + "related")
-        if not isinstance(t.object, Literal)
-    }
+        parents.setdefault(child, set()).add(parent)
+    seen: set[tuple[Term, Term]] = set()
     out = []
-    for children in by_parent.values():
-        siblings = sorted(children, key=term_sort_key)
-        for i, a in enumerate(siblings):
-            for b in siblings[i + 1 :]:
-                if (a, b) in related or (b, a) in related:
-                    out.append(
-                        finding(
-                            a, str(b),
-                            f"sibling concepts {a} and {b} are also connected "
-                            "by skos:related; the associative relation adds no "
-                            "value",
-                        )
-                    )
+    for t in ctx.statements(SKOS + "related"):
+        a, b = t.subject, t.object
+        if isinstance(b, Literal) or a == b:
+            continue
+        if term_sort_key(b) < term_sort_key(a):
+            a, b = b, a
+        if (a, b) in seen:
+            continue
+        seen.add((a, b))
+        if not parents.get(a, _NO_PARENTS).isdisjoint(parents.get(b, _NO_PARENTS)):
+            out.append(
+                finding(
+                    a, str(b),
+                    f"sibling concepts {a} and {b} are also connected "
+                    "by skos:related; the associative relation adds no "
+                    "value",
+                )
+            )
     return out
 
 
-def check_solely_transitive(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
+def check_solely_transitive(ctx, *, depth_limit=None) -> list[Finding]:
     out = []
     for trans, direct in (
         (SKOS + "broaderTransitive", SKOS + "broader"),
@@ -203,7 +210,7 @@ def check_solely_transitive(ctx, hierarchy, *, depth_limit=None) -> list[Finding
     return out
 
 
-def check_unidirectional(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
+def check_unidirectional(ctx, *, depth_limit=None) -> list[Finding]:
     out = []
     for prop, inverse in INVERSE_TABLE.items():
         stated = {(t.subject, t.object) for t in ctx.statements(inverse)}
@@ -224,7 +231,7 @@ def check_unidirectional(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     return out
 
 
-def check_omitted_top_concepts(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
+def check_omitted_top_concepts(ctx, *, depth_limit=None) -> list[Finding]:
     out = []
     for scheme in ctx.extension(SKOS + "ConceptScheme"):
         has_top = bool(ctx.objects(scheme, SKOS + "hasTopConcept")) or bool(
@@ -240,7 +247,7 @@ def check_omitted_top_concepts(ctx, hierarchy, *, depth_limit=None) -> list[Find
     return out
 
 
-def check_top_with_broader(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
+def check_top_with_broader(ctx, *, depth_limit=None) -> list[Finding]:
     tops: set[Term] = set()
     for triple in ctx.statements(SKOS + "hasTopConcept"):
         if not isinstance(triple.object, Literal):
@@ -319,7 +326,7 @@ def _alt_path_exists(
     return None if limited else False
 
 
-def check_reflexive(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
+def check_reflexive(ctx, *, depth_limit=None) -> list[Finding]:
     out = []
     for prop in SEMANTIC_RELATIONS:
         for triple in ctx.statements(prop):
@@ -388,7 +395,7 @@ def _pair_props(ctx, props) -> dict[tuple[Term, Term], set[str]]:
     return pairs
 
 
-def check_mapping_clash(ctx, hierarchy: HierarchyGraph) -> list[Finding]:
+def check_mapping_clash(ctx) -> list[Finding]:
     pairs = _pair_props(ctx, MAPPING_RELATIONS)
     out = []
     for (a, b), props in pairs.items():
@@ -405,7 +412,7 @@ def check_mapping_clash(ctx, hierarchy: HierarchyGraph) -> list[Finding]:
     return out
 
 
-def check_mapping_misuse(ctx, hierarchy: HierarchyGraph) -> list[Finding]:
+def check_mapping_misuse(ctx) -> list[Finding]:
     out = []
     seen: set[tuple[Term, Term]] = set()
     for prop in MAPPING_RELATIONS:
@@ -475,7 +482,8 @@ def check_overlapping_labels(ctx) -> list[Finding]:
     first: dict[tuple[str, str, str], Term] = {}
     shared: dict[tuple[str, str, str], list[Term]] = {}
     for concept, lit in scoped_literals(ctx, SKOS + "prefLabel", SKOS + "Concept"):
-        lang = lit.lang.lower() if lit.lang else ""
+        # the tag lowercased, as the literal keeps it for equality
+        lang = lit._lang_key or ""
         for scheme in schemes.get(concept) or no_scheme:
             key = (scheme, lang, lit.lexical)
             seen = first.setdefault(key, concept)

@@ -1,8 +1,8 @@
 """Orchestration: run each catalog constraint through its checker, merge findings.
 
-The catalog registry names every constraint type's checker, or a table of
-checkers keyed by one parameter, and the shared objects it takes
-(``ConstraintType.check``, ``by`` and ``needs``); one generic call maps a
+The catalog registry names every constraint type's checker and the shared
+objects it takes, or a table keyed by one parameter that names each
+checker and its needs (``ConstraintType.checker``); one generic call maps a
 constraint's parameters onto the checker's arguments, so no per-type code
 lives here. Checkers never see a constraint's id or severity: this module
 alone stamps each finding with both, and each metric with the id. A
@@ -18,9 +18,10 @@ the report is sorted by severity, constraint id, focus, detail, message and
 check path, and equal inputs give byte-identical reports.
 
 The cube, statistics and hierarchy models are extracted when the first
-constraint needing them runs, and dropped right after the last evaluable
-constraint of the run that needs them, so a model does not sit in memory
-under the constraints that come after its last user.
+constraint whose checker needs them runs, and dropped right after the last
+evaluable constraint of the run whose checker needs them, so a model does
+not sit in memory under the constraints that come after its last user,
+and a run whose checkers never read a model never extracts it.
 
 Constraints that make the same checker call share one result. Before the
 run, each constraint gets a key: its checker's name and a canonical JSON
@@ -136,12 +137,13 @@ class RunContext:
         return extract_hierarchy(self.ctx)
 
 
-def _bind(c: Constraint) -> tuple[str, list[Any], dict[str, Any]]:
-    """The checker for ``c``, as ``"<module>.<function>"``, and the
-    arguments bound from its parameters: for a type with a ``by`` parameter
-    the checker its table gives that parameter's value, the other required
-    parameters in schema order and the optional ones the constraint sets;
-    an optional ``scope`` falls back to the constraint's own scope."""
+def _bind(c: Constraint) -> tuple[str, tuple[str, ...], list[Any], dict[str, Any]]:
+    """The checker for ``c``, as ``"<module>.<function>"``, its needs, and
+    the arguments bound from its parameters: for a type with a ``by``
+    parameter the checker its table gives that parameter's value, the other
+    required parameters in schema order and the optional ones the
+    constraint sets; an optional ``scope`` falls back to the constraint's
+    own scope."""
     ctype = CONSTRAINT_TYPES[c.type]
     args: list[Any] = []
     kwargs: dict[str, Any] = {}
@@ -154,8 +156,7 @@ def _bind(c: Constraint) -> tuple[str, list[Any], dict[str, Any]]:
             kwargs[name] = c.params[name]
         elif name == "scope":
             kwargs[name] = c.scope
-    check = ctype.check if ctype.by is None else ctype.check[c.params[ctype.by]]
-    return check, args, kwargs
+    return *ctype.checker(c.params), args, kwargs
 
 
 def _is_plain(value: Any) -> bool:
@@ -171,7 +172,7 @@ def _is_plain(value: Any) -> bool:
 
 def _key(c: Constraint) -> str | None:
     """The key of ``c``'s checker call, or None if its arguments have none."""
-    check, args, kwargs = _bind(c)
+    check, _needs, args, kwargs = _bind(c)
     try:
         if _is_plain([args, kwargs]):
             return check + " " + json.dumps([args, kwargs], sort_keys=True, allow_nan=False)
@@ -181,18 +182,18 @@ def _key(c: Constraint) -> str | None:
 
 
 def _evaluate(rc: RunContext, c: Constraint, key: str | None) -> _Result:
-    """The findings and counts of ``c``'s checker, called with the type's
-    ``needs`` and then the arguments ``_bind`` gives, or the result kept
-    under ``key``."""
+    """The findings and counts of ``c``'s checker, called with its needs
+    and then the arguments ``_bind`` gives, or the result kept under
+    ``key``."""
     if key is not None:
         rc.uses[key] -= 1
         if key in rc.results:
             return rc.results[key] if rc.uses[key] else rc.results.pop(key)
-    check, args, kwargs = _bind(c)
-    needs = [getattr(rc, need) for need in CONSTRAINT_TYPES[c.type].needs]
+    check, needs, args, kwargs = _bind(c)
     module, function = check.split(".")
     # looked up at call time, so a wrapper installed on the module applies
-    result = getattr(_CHECK_MODULES[module], function)(*needs, *args, **kwargs)
+    shared = [getattr(rc, need) for need in needs]
+    result = getattr(_CHECK_MODULES[module], function)(*shared, *args, **kwargs)
     result = result if isinstance(result, tuple) else (result, [])
     if key is not None and rc.uses[key]:
         rc.results[key] = result
@@ -251,7 +252,7 @@ def validate(
         need: i
         for i, c in enumerate(selected)
         if c.evaluable
-        for need in CONSTRAINT_TYPES[c.type].needs
+        for need in CONSTRAINT_TYPES[c.type].checker(c.params)[1]
         if need in _MODELS
     }
     runs: list[list[Violation]] = []

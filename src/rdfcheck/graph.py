@@ -40,7 +40,11 @@ def _object_key(t: Triple) -> tuple[int, str]:
 
 # The inner mapping of a nested index on a miss; immutable, so no caller
 # can fill it for every later miss.
-_NO_RUNS: Mapping[Term, Triple | tuple[Triple, ...] | list[Triple]] = MappingProxyType({})
+_NO_RUNS: Mapping[Term, list[Triple]] = MappingProxyType({})
+
+# The ``_by_s`` entry of a subject the graph does not hold: a layout of no
+# predicates and no runs.
+_NO_ENTRY: tuple = (MappingProxyType({}),)
 
 
 class Graph:
@@ -60,13 +64,17 @@ class Graph:
     report shows. Each triple sorts by its own object's spelling. The
     indexes:
 
-    - ``_by_sp``: subject → predicate → its triples: the bare triple when
+    - ``_by_s``: subject → ``(layout, run_1, …, run_k)``. A layout maps
+      each of a subject's predicates to its run's slot, 1 to k in sorted
+      order, and every subject with the same set of predicates shares one
+      layout, as CPython's split-table dicts share their keys: a graph
+      holds far fewer predicate sets than subjects, so a subject's entry
+      is one tuple, not a dict of its own. A run is the bare triple when
       the pair holds one, else the pair's run of the sorted triples kept
       as a tuple. Readers tell the two apart by ``type(run) is tuple``, so
-      a ``Triple`` subclass is read as a bare triple too. Subjects and
-      each subject's predicates are in sorted order. ``match(s=x)`` reads
-      ``x``'s runs one after another, so no index per subject alone is
-      kept.
+      a ``Triple`` subclass is read as a bare triple too. Subjects are in
+      sorted order. ``match(s=x)`` reads ``x``'s runs one after another,
+      so no index per subject alone is kept.
     - ``_by_p``: predicate → its triples, as a list in sorted order.
     - ``_by_po``: predicate → object → its triples, as lists in sorted
       order, filled by ``_po(p)`` from ``_by_p[p]`` when ``p`` is first
@@ -77,7 +85,7 @@ class Graph:
     the triples instead.
     """
 
-    __slots__ = ("_triples", "_by_sp", "_by_p", "_by_po", "_iris")
+    __slots__ = ("_triples", "_by_s", "_by_p", "_by_po", "_iris")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         # subject → predicate → its triples; a pair's entry stays the bare
@@ -96,25 +104,32 @@ class Graph:
             else:
                 runs[t.predicate] = [run, t]
         ordered: list[Triple] = []
-        by_sp: dict[Term, dict[Term, Triple | tuple[Triple, ...]]] = {}
+        by_s: dict[Term, tuple] = {}
         by_p: dict[Term, list[Triple]] = {}
+        # the one layout of each set of predicates, by its sorted tuple
+        layouts: dict[tuple[Term, ...], dict[Term, int]] = {}
         for s in sorted(grouped, key=term_sort_key):
             runs = grouped.pop(s)
-            by_sp[s] = ordered_runs = {}
             # every predicate is an IRI, so its text alone orders them
-            for p in sorted(runs, key=_iri_text):
+            predicates = tuple(sorted(runs, key=_iri_text))
+            layout = layouts.get(predicates)
+            if layout is None:
+                layout = layouts[predicates] = {p: i for i, p in enumerate(predicates, 1)}
+            entry: list = [layout]
+            for p in predicates:
                 run = runs[p]
                 if type(run) is list:
                     run = tuple(sorted(dict.fromkeys(run), key=_object_key))
                 else:
                     run = (run,)
                 # a pair holding one triple keeps it bare, not in a 1-tuple
-                ordered_runs[p] = run if len(run) > 1 else run[0]
+                entry.append(run if len(run) > 1 else run[0])
                 ordered += run
                 by_p.setdefault(p, []).extend(run)
+            by_s[s] = tuple(entry)
         self._triples: tuple[Triple, ...] = tuple(ordered)
         self._iris: list[Iri] | None = None
-        self._by_sp, self._by_p = by_sp, by_p
+        self._by_s, self._by_p = by_s, by_p
         self._by_po: dict[Term, dict[Term, list[Triple]]] = {}
 
     def _po(self, p: Term) -> Mapping[Term, list[Triple]]:
@@ -137,7 +152,11 @@ class Graph:
         return iter(self._triples)
 
     def __contains__(self, triple: Triple) -> bool:
-        run = self._by_sp.get(triple.subject, _NO_RUNS).get(triple.predicate, ())
+        entry = self._by_s.get(triple.subject, _NO_ENTRY)
+        slot = entry[0].get(triple.predicate)
+        if slot is None:
+            return False
+        run = entry[slot]
         return triple in run if type(run) is tuple else run == triple
 
     def match(
@@ -154,15 +173,18 @@ class Graph:
         the subject's runs in predicate order; one binding the object alone
         scans every triple."""
         if s is not None:
-            runs = self._by_sp.get(s, _NO_RUNS)
+            entry = self._by_s.get(s, _NO_ENTRY)
             if p is not None:
-                run = runs.get(p, ())
+                slot = entry[0].get(p)
+                if slot is None:
+                    return []
+                run = entry[slot]
                 if type(run) is not tuple:
                     return [run] if o is None or run.object == o else []
                 found = list(run)
             else:
                 found = []
-                for run in runs.values():
+                for run in entry[1:]:
                     if type(run) is tuple:
                         found += run
                     else:
@@ -177,7 +199,11 @@ class Graph:
         return list(self._triples)
 
     def objects(self, s: Term, p: Term) -> list[Term]:
-        run = self._by_sp.get(s, _NO_RUNS).get(p, ())
+        entry = self._by_s.get(s, _NO_ENTRY)
+        slot = entry[0].get(p)
+        if slot is None:
+            return []
+        run = entry[slot]
         if type(run) is tuple:
             return [t.object for t in run]
         return [run.object]
@@ -187,11 +213,11 @@ class Graph:
 
     def iris(self) -> list[Iri]:
         """Every distinct IRI appearing in subject, predicate, or object
-        position, sorted by text. Computed once: the subjects of ``_by_sp``
+        position, sorted by text. Computed once: the subjects of ``_by_s``
         and the predicates of ``_by_p`` come from the index keys, the
         objects from one scan of the triples. Each call returns a new list."""
         if self._iris is None:
-            seen: set[Iri] = {s for s in self._by_sp if type(s) is Iri}
+            seen: set[Iri] = {s for s in self._by_s if type(s) is Iri}
             seen.update(self._by_p)
             seen.update(t.object for t in self._triples if type(t.object) is Iri)
             self._iris = sorted(seen, key=_iri_text)

@@ -153,17 +153,18 @@ class _LiteralTable(dict):
 class _Spellings(dict):
     """The literals of one tag or datatype, by lexical form."""
 
-    __slots__ = ("datatype", "lang")
+    __slots__ = ("datatype", "lang", "lang_key")
 
     def __init__(self, key: str):
         if ":" in key:
             # the interned text, so equal datatypes share one string
-            self.datatype, self.lang = _IRIS[key].value, None
+            self.datatype, self.lang, self.lang_key = _IRIS[key].value, None, None
         else:
-            self.datatype, self.lang = RDF_LANGSTRING, key
+            # the tag lowercased once, so its literals share one key string
+            self.datatype, self.lang, self.lang_key = RDF_LANGSTRING, key, key.lower()
 
     def __missing__(self, lexical: str) -> Literal:
-        literal = self[lexical] = _new_literal(lexical, self.datatype, self.lang)
+        literal = self[lexical] = _new_literal(lexical, self.datatype, self.lang, self.lang_key)
         return literal
 
 

@@ -174,14 +174,18 @@ _set_subject, _set_predicate, _set_object = (
 )
 
 
-def _new_literal(lexical: str, datatype: str, lang: str | None) -> Literal:
+def _new_literal(
+    lexical: str, datatype: str, lang: str | None, lang_key: str | None
+) -> Literal:
     """The ``Literal`` of a checked spelling: ``datatype`` is
-    ``rdf:langString`` exactly when ``lang`` is a non-empty tag."""
+    ``rdf:langString`` exactly when ``lang`` is a non-empty tag, and
+    ``lang_key`` is ``lang`` lowercased, made once by the caller so that
+    the literals of one tag share one key string."""
     literal = _new(Literal)
     _set_lexical(literal, lexical)
     _set_datatype(literal, datatype)
     _set_lang(literal, lang)
-    _set_lang_key(literal, None if lang is None else lang.lower())
+    _set_lang_key(literal, lang_key)
     return literal
 
 

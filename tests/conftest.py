@@ -63,7 +63,7 @@ def checker(type_id: str, key=None):
     the one its table gives ``key``."""
     name = CONSTRAINT_TYPES[type_id].check
     if key is not None:
-        name = name[key]
+        name = name[key][0]
     module, function = name.split(".")
     return getattr(importlib.import_module(f"rdfcheck.checks.{module}"), function)
 

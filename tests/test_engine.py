@@ -15,7 +15,7 @@ from rdfcheck.graph import Graph
 from rdfcheck.report import write_json
 from rdfcheck.violations import Finding, Violation
 
-from conftest import checker, expand, graph, iri, lit, load_catalog
+from conftest import FIXTURES, checker, expand, graph, iri, lit, load_catalog
 
 
 def _typed(node, cls):
@@ -74,20 +74,31 @@ def _table_keys(type_id):
     return [None] if ctype.by is None else list(ctype.check)
 
 
+def _needs(type_id, key):
+    """The run objects the registry says the checker for ``key`` takes."""
+    ctype = CONSTRAINT_TYPES[type_id]
+    return ctype.needs if key is None else ctype.check[key][1]
+
+
 @pytest.mark.parametrize("type_id", _CHECKED_TYPES)
 def test_registered_checker_accepts_the_engine_call(type_id):
-    # the engine passes the needs objects, the load/eval params positionally
-    # in schema order, then the opt params as keywords, and nothing else:
-    # a table's selector picks the checker and is not passed
+    # the engine passes the checker's needs objects, the load/eval params
+    # positionally in schema order, then the opt params as keywords, and
+    # nothing else: a table's selector picks the checker and is not passed
     ctype = CONSTRAINT_TYPES[type_id]
-    assert set(ctype.needs) <= {"ctx", "cube", "stats", "hierarchy"}
     params = {p: req for p, (_kind, req) in ctype.schema.items() if p != ctype.by}
     required = [p for p, req in params.items() if req != "opt"]
     optional = {p: None for p, req in params.items() if req == "opt"}
     for key in _table_keys(type_id):
+        needs = _needs(type_id, key)
+        assert set(needs) <= {"ctx", "cube", "stats", "hierarchy"}
         check = checker(type_id, key)
         assert inspect.isfunction(check)
-        inspect.signature(check).bind(*ctype.needs, *required, **optional)
+        signature = inspect.signature(check)
+        signature.bind(*needs, *required, **optional)
+        # a checker takes no run object it is not given: its leading
+        # parameters are its needs, by name
+        assert list(signature.parameters)[:len(needs)] == list(needs), (type_id, key)
 
 
 def test_no_registered_checker_takes_an_id_or_a_severity():
@@ -104,7 +115,7 @@ def test_every_registered_checker_is_a_check_function_of_its_module():
     for type_id in _CHECKED_TYPES:
         ctype = CONSTRAINT_TYPES[type_id]
         for key in _table_keys(type_id):
-            name = ctype.check if key is None else ctype.check[key]
+            name = ctype.check if key is None else ctype.check[key][0]
             module, function = name.split(".")
             check = checker(type_id, key)
             assert function.startswith("check_"), name
@@ -403,6 +414,47 @@ def test_merged_violations_equal_one_global_dedup(runs, twice):
 
     assert list(map(fields, report.violations)) == list(map(fields, expected))
     assert len(report.statuses) == len(constraints)
+
+
+def test_a_disco_run_never_extracts_the_cube(capsys):
+    # vocab-membership's scheme mode reads no cube, so no DISCO checker does
+    from rdfcheck import engine
+    from rdfcheck.cli import run_cli
+
+    calls = []
+
+    def extract(ctx):
+        calls.append(ctx)
+        return extract_cube(ctx)
+
+    data = str(FIXTURES / "eusilc.ttl")
+    with mock.patch.object(engine, "extract_cube", extract):
+        run_cli(["--vocab", "disco", data])
+        assert calls == []
+        run_cli(["--vocab", "qb", data])
+    assert len(calls) == 1
+
+
+def test_the_cube_is_dropped_right_after_its_last_reader(cube_fixture, full_catalog):
+    # before each constraint runs, whether the run context holds the cube:
+    # one run of True, from its first reader to its last, IC-21, and none
+    # from then on; the later DISCO scheme-membership check reads no cube
+    from rdfcheck import engine
+
+    held = []
+    run_one = engine._run_one
+
+    def probed(rc, c, key):
+        held.append((c.id, "cube" in rc.__dict__))
+        return run_one(rc, c, key)
+
+    with mock.patch.object(engine, "_run_one", probed):
+        validate(cube_fixture, full_catalog)
+    flags = [alive for _id, alive in held]
+    first, last = flags.index(True), len(flags) - 1 - flags[::-1].index(True)
+    assert all(flags[first:last + 1]) and not any(flags[last + 1:])
+    assert held[last][0] == "DATA-CUBE-C-STRUCTURE-02"
+    assert "DISCO-C-MEMBERSHIP-IN-CONTROLLED-VOCABULARIES-01" in dict(held[last + 1:])
 
 
 def test_a_model_is_released_after_its_last_user():

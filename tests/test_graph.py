@@ -149,11 +149,29 @@ def _in_order(index):
     return index
 
 
+def _by_sp(g):
+    """``g._by_s`` read as subject → predicate → run, in slot order. Each
+    layout numbers its predicates 1 to k in order, and subjects share a
+    layout exactly when they have the same set of predicates."""
+    by_sp, layouts = {}, {}
+    for s, (layout, *runs) in g._by_s.items():
+        assert list(layout.values()) == list(range(1, len(runs) + 1))
+        assert layouts.setdefault(frozenset(layout), layout) is layout
+        by_sp[s] = dict(zip(layout, runs))
+    return by_sp
+
+
+def _run(g, s, p):
+    """The run ``g._by_s`` keeps for the pair (s, p)."""
+    entry = g._by_s[s]
+    return entry[entry[0][p]]
+
+
 def _assert_built_as_sorted(g, triples):
     ordered, by_sp, by_p, by_po = _sorted_build(triples)
     assert len(g._triples) == len(ordered)
     assert all(a is b for a, b in zip(g._triples, ordered))
-    assert _in_order(g._by_sp) == _in_order(by_sp)
+    assert _in_order(_by_sp(g)) == _in_order(by_sp)
     assert _in_order(g._by_p) == _in_order(by_p)
     # the (predicate, object) index starts empty and fills one predicate at
     # a time, in whatever order the predicates are first asked for
@@ -211,7 +229,7 @@ def test_grouped_build_equals_one_sort_of_every_triple(triples):
 
 def test_build_of_nothing_is_empty():
     for g in (Graph(), Graph(iter(()))):
-        assert (g._triples, g._by_sp, g._by_p, g._by_po) == ((), {}, {}, {})
+        assert (g._triples, g._by_s, g._by_p, g._by_po) == ((), {}, {}, {})
         assert g.match() == [] and len(g) == 0
 
 
@@ -252,7 +270,7 @@ def test_run_order_ignores_an_equal_literal_spelled_otherwise_elsewhere():
 
 
 # One (subject, predicate) pair holding one triple and one holding three:
-# ``_by_sp`` keeps the first as the bare triple and the second as a tuple.
+# ``_by_s`` keeps the first as the bare triple and the second as a tuple.
 _ONE = triple("ex:s", "ex:p", "ex:o")
 _MANY = [triple("ex:s", "ex:q", lit(x)) for x in "abc"]
 
@@ -264,11 +282,31 @@ def _runs_graph(make=Triple):
 
 def test_a_pair_of_one_triple_holds_it_bare():
     g, one, many = _runs_graph()
-    assert g._by_sp[iri("ex:s")][iri("ex:p")] is one
-    assert g._by_sp[iri("ex:s")][iri("ex:q")] == tuple(many)
+    assert _run(g, iri("ex:s"), iri("ex:p")) is one
+    assert _run(g, iri("ex:s"), iri("ex:q")) == tuple(many)
     # exact duplicates are one triple, so their pair holds it bare too
     twin = triple("ex:s", "ex:p", "ex:o")
-    assert Graph([_ONE, twin])._by_sp[iri("ex:s")][iri("ex:p")] is _ONE
+    assert _run(Graph([_ONE, twin]), iri("ex:s"), iri("ex:p")) is _ONE
+
+
+def test_subjects_with_equal_predicate_sets_share_one_layout():
+    g = graph(
+        ("ex:a", "ex:p", "ex:o"), ("ex:a", "ex:q", lit("1")), ("ex:a", "ex:q", lit("2")),
+        ("ex:b", "ex:q", "ex:o"), ("ex:b", "ex:p", "ex:o"),
+        (BlankNode("c"), "ex:p", lit("x")), (BlankNode("c"), "ex:q", "ex:a"),
+        ("ex:d", "ex:p", "ex:o"),
+        ("ex:e", "ex:q", "ex:o"), ("ex:e", "ex:r", "ex:o"),
+    )
+    a, b, c, d, e = (g._by_s[n][0] for n in (iri("ex:a"), iri("ex:b"), BlankNode("c"),
+                                              iri("ex:d"), iri("ex:e")))
+    assert a is b is c and a == {iri("ex:p"): 1, iri("ex:q"): 2}
+    assert d == {iri("ex:p"): 1} and e == {iri("ex:q"): 1, iri("ex:r"): 2}
+    # each subject's entry is one tuple: its layout, then its runs
+    assert all(type(entry) is tuple for entry in g._by_s.values())
+    assert g._by_s[iri("ex:a")][1:] == (triple("ex:a", "ex:p", "ex:o"),
+                                        (triple("ex:a", "ex:q", lit("1")),
+                                         triple("ex:a", "ex:q", lit("2"))))
+    assert g.objects(iri("ex:d"), iri("ex:q")) == [] and g.objects(iri("ex:a"), iri("ex:r")) == []
 
 
 def _assert_runs_answer_every_lookup(g, one, many):
@@ -305,7 +343,7 @@ class _NotedTriple(Triple):
 def test_a_graph_of_triple_subclass_instances_answers_every_lookup():
     g, one, many = _runs_graph(_NotedTriple)
     assert all(type(t) is _NotedTriple for t in g)
-    assert g._by_sp[iri("ex:s")][iri("ex:p")] is one
+    assert _run(g, iri("ex:s"), iri("ex:p")) is one
     _assert_runs_answer_every_lookup(g, one, many)
 
 

@@ -1,9 +1,11 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
+from rdfcheck.catalog import CONSTRAINT_TYPES
 from rdfcheck.checks.graphalg import (
     strongly_connected_components,
     weakly_connected_components,
@@ -18,14 +20,20 @@ def _typed(node, cls="skos:Concept"):
     return (node, "rdf:type", cls)
 
 
-def _structure(g, mode, **kw):
+def _run_mode(type_id, mode, g, **kw):
+    """The mode's checker called with the run objects its table entry needs."""
     ctx = ctx_for(g)
-    return checker("skos-structure", mode)(ctx, extract_hierarchy(ctx), **kw)
+    shared = {"ctx": ctx, "hierarchy": extract_hierarchy(ctx)}
+    needs = CONSTRAINT_TYPES[type_id].check[mode][1]
+    return checker(type_id, mode)(*(shared[need] for need in needs), **kw)
+
+
+def _structure(g, mode, **kw):
+    return _run_mode("skos-structure", mode, g, **kw)
 
 
 def _clashes(g, mode):
-    ctx = ctx_for(g)
-    return checker("skos-clashes", mode)(ctx, extract_hierarchy(ctx))
+    return _run_mode("skos-clashes", mode, g)
 
 
 # --- graph algorithm units ------------------------------------------------------
@@ -154,6 +162,18 @@ def test_valueless_associative_siblings():
     )
     out = _structure(g, "valueless-associative")
     assert len(out) == 1
+
+
+def test_valueless_associative_on_a_flat_star_takes_linear_time():
+    # 8,000 siblings under one root and no skos:related: the check walks
+    # the related pairs, not the 32 million pairs of siblings
+    rows = [_typed("ex:root")]
+    for i in range(8000):
+        rows += [_typed(f"ex:c{i}"), (f"ex:c{i}", "skos:broader", "ex:root")]
+    g = graph(*rows)
+    started = time.perf_counter()
+    assert _structure(g, "valueless-associative") == []
+    assert time.perf_counter() - started < 1.0
 
 
 def test_non_siblings_related_fine():
