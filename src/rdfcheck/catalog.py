@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any
 
-from .namespaces import WELL_KNOWN_PREFIXES
+from .namespaces import RDF_LANGSTRING, WELL_KNOWN_PREFIXES
 
 
 class CatalogError(Exception):
@@ -66,11 +66,12 @@ class ConstraintType:
     each value of that parameter to its checker and that checker's needs;
     the table's keys are the parameter's allowed values. The parameter is
     required, unless the type names a ``by_default`` value for a
-    constraint that leaves it out. The engine calls the checker with its
-    needs, then the "load"/"eval" parameters positionally in schema order,
-    then the "opt" parameters the constraint sets as keywords under their
-    schema names (an optional ``scope`` falls back to the constraint's own
-    scope). It never passes the ``by`` parameter.
+    constraint that leaves it out. The engine asks ``checker`` once per
+    constraint, when a run starts, and calls the checker with its needs,
+    then the "load"/"eval" parameters positionally in schema order, then
+    the "opt" parameters the constraint sets as keywords under their schema
+    names (an optional ``scope`` falls back to the constraint's own scope).
+    It never passes the ``by`` parameter.
     """
 
     id: str
@@ -285,7 +286,7 @@ _register(
 _register(
     "vocab-membership",
     {
-        "scheme": ("cube.check_membership", ("ctx",)),
+        "scheme": ("schema.check_vocab_membership", ("ctx",)),
         "qb-codelist": ("cube.check_qb_codelist_membership", ("ctx", "cube")),
     },
     {
@@ -705,9 +706,16 @@ def _term_spec(value: Any, prefixes: dict[str, str], where: str) -> Any:
             raise CatalogError(f"{where}: unknown term spec keys {sorted(unknown)}")
         out = {"lexical": str(value["lexical"])}
         if "lang" in value:
-            out["lang"] = str(value["lang"])
+            if not isinstance(value["lang"], str) or not value["lang"]:
+                raise CatalogError(f"{where}: term spec 'lang' must be a non-empty string")
+            out["lang"] = value["lang"]
         if "datatype" in value:
             out["datatype"] = _expand_iri(value["datatype"], prefixes, where)
+            if ("lang" in out) != (out["datatype"] == RDF_LANGSTRING):
+                raise CatalogError(
+                    f"{where}: a term spec has 'lang' if and only if its datatype is "
+                    "rdf:langString"
+                )
         return out
     raise CatalogError(f"{where}: expected term spec, got {value!r}")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from ..namespaces import OWL_INVERSE_OF, QB, RDFS_RANGE, SKOS, compact
 from ..terms import BlankNode, Iri, Literal, Term
 from ..violations import Finding, ResourceLimit, finding
-from . import schema
 from .context import GraphContext
 from .models import CubeModel
 
@@ -403,18 +402,6 @@ def check_ic20(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
 
 def check_ic21(ctx: GraphContext, cube: CubeModel) -> list[Finding]:
     return _codes_from_hierarchy(ctx, cube, inverse=True)
-
-
-def check_membership(
-    ctx: GraphContext,
-    *,
-    property: str | None = None,
-    scope: str | None = None,
-    scheme: str | None = None,
-) -> list[Finding]:
-    """``vocab-membership`` mode scheme: values of ``property`` must be
-    members of ``scheme``, by the graph or the catalog's member lists."""
-    return schema.check_vocab_membership(ctx, property, scheme, scope=scope)
 
 
 def check_qb_codelist_membership(

@@ -581,15 +581,15 @@ def check_allowed_values(
 
 def check_vocab_membership(
     ctx: GraphContext,
-    prop: str,
+    property: str,
     scheme: str,
     *,
     scope: str | None = None,
 ) -> list[Finding]:
-    """Values of ``prop`` must belong to the controlled vocabulary
-    ``scheme``: either (value skos:inScheme scheme) is asserted, the scheme
-    lists the value via skos:member/skos:hasTopConcept, or the catalog
-    inventory enumerates it."""
+    """``vocab-membership`` mode scheme: values of ``property`` must belong
+    to the controlled vocabulary ``scheme``: either (value skos:inScheme
+    scheme) is asserted, the scheme lists the value via
+    skos:member/skos:hasTopConcept, or the catalog inventory enumerates it."""
     from ..namespaces import SKOS
 
     scheme_node = Iri(scheme)
@@ -598,7 +598,7 @@ def check_vocab_membership(
     in_scheme.update(ctx.objects(scheme_node, SKOS + "member"))
     in_scheme.update(ctx.objects(scheme_node, SKOS + "hasTopConcept"))
     out = []
-    for triple in ctx.statements(prop):
+    for triple in ctx.statements(property):
         if scope is not None and not ctx.has_type(triple.subject, scope):
             continue
         value = triple.object
@@ -610,9 +610,9 @@ def check_vocab_membership(
             finding(
                 triple.subject,
                 value,
-                f"value {value} of {compact(prop)} is not a member of the "
+                f"value {value} of {compact(property)} is not a member of the "
                 f"controlled vocabulary {compact(scheme)}",
-                (prop, scheme),
+                (property, scheme),
             )
         )
     return out

@@ -2,13 +2,15 @@
 
 The catalog registry names every constraint type's checker and the shared
 objects it takes, or a table keyed by one parameter that names each
-checker and its needs (``ConstraintType.checker``); one generic call maps a
-constraint's parameters onto the checker's arguments, so no per-type code
-lives here. Checkers never see a constraint's id or severity: this module
-alone stamps each finding with both, and each metric with the id. A
-violation keeps the checker's message as it came; ``Violation.message``
-puts the id in front of it, so the report shows the id where it is read,
-not copied into each record.
+checker and its needs (``ConstraintType.checker``). ``_bind`` binds each
+evaluable constraint once, when the run starts: it looks the checker up on
+its module and maps the constraint's parameters onto its arguments, so no
+per-type code lives here, and a wrapper put on a checker module applies
+only if it is installed before ``validate``. Checkers never see a
+constraint's id or severity: this module alone stamps each finding with
+both, and each metric with the id. A violation keeps the checker's message
+as it came; ``Violation.message`` puts the id in front of it, so the
+report shows the id where it is read, not copied into each record.
 
 Constraints run in id order. Checkers may return their findings in any
 order: ``_dedup`` orders each constraint's violations by severity (desc),
@@ -23,8 +25,8 @@ evaluable constraint of the run whose checker needs them, so a model does
 not sit in memory under the constraints that come after its last user,
 and a run whose checkers never read a model never extracts it.
 
-Constraints that make the same checker call share one result. Before the
-run, each constraint gets a key: its checker's name and a canonical JSON
+Constraints that make the same checker call share one result. Each bound
+call has a key: its checker's name and a canonical JSON
 text of the arguments bound from its parameters (the shared run objects
 are the same for every call of a run, so they are left out). A result is
 kept only while a later constraint of the run has its key, and dropped
@@ -42,7 +44,8 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -137,14 +140,17 @@ class RunContext:
         return extract_hierarchy(self.ctx)
 
 
-def _bind(c: Constraint) -> tuple[str, tuple[str, ...], list[Any], dict[str, Any]]:
-    """The checker for ``c``, as ``"<module>.<function>"``, its needs, and
-    the arguments bound from its parameters: for a type with a ``by``
-    parameter the checker its table gives that parameter's value, the other
-    required parameters in schema order and the optional ones the
-    constraint sets; an optional ``scope`` falls back to the constraint's
-    own scope."""
+_Call = tuple[Callable[..., Any], tuple[str, ...], list[Any], dict[str, Any], str | None]
+
+
+def _bind(c: Constraint) -> _Call:
+    """The call that evaluates ``c``: its checker, looked up on its module
+    (for a type with a ``by`` parameter, the one its table gives that
+    parameter's value); the checker's needs; the other required parameters
+    in schema order and the optional ones ``c`` sets, an optional ``scope``
+    falling back to ``c``'s own; and the call's key, or None if it has none."""
     ctype = CONSTRAINT_TYPES[c.type]
+    check, needs = ctype.checker(c.params)
     args: list[Any] = []
     kwargs: dict[str, Any] = {}
     for name, (_kind, req) in ctype.schema.items():
@@ -156,7 +162,12 @@ def _bind(c: Constraint) -> tuple[str, tuple[str, ...], list[Any], dict[str, Any
             kwargs[name] = c.params[name]
         elif name == "scope":
             kwargs[name] = c.scope
-    return *ctype.checker(c.params), args, kwargs
+    key = None
+    with suppress(ValueError, RecursionError):  # NaN, an int too long to write, deep nesting
+        if _is_plain([args, kwargs]):
+            key = check + " " + json.dumps([args, kwargs], sort_keys=True, allow_nan=False)
+    module, function = check.split(".")
+    return getattr(_CHECK_MODULES[module], function), needs, args, kwargs, key
 
 
 def _is_plain(value: Any) -> bool:
@@ -170,30 +181,15 @@ def _is_plain(value: Any) -> bool:
     return False
 
 
-def _key(c: Constraint) -> str | None:
-    """The key of ``c``'s checker call, or None if its arguments have none."""
-    check, _needs, args, kwargs = _bind(c)
-    try:
-        if _is_plain([args, kwargs]):
-            return check + " " + json.dumps([args, kwargs], sort_keys=True, allow_nan=False)
-    except (ValueError, RecursionError):  # NaN, an int too long to write, deep nesting
-        pass
-    return None
-
-
-def _evaluate(rc: RunContext, c: Constraint, key: str | None) -> _Result:
-    """The findings and counts of ``c``'s checker, called with its needs
-    and then the arguments ``_bind`` gives, or the result kept under
-    ``key``."""
+def _evaluate(rc: RunContext, call: _Call) -> _Result:
+    """The findings and counts of the bound ``call``'s checker, called with
+    its needs and then its arguments, or the result kept under its key."""
+    check, needs, args, kwargs, key = call
     if key is not None:
         rc.uses[key] -= 1
         if key in rc.results:
             return rc.results[key] if rc.uses[key] else rc.results.pop(key)
-    check, needs, args, kwargs = _bind(c)
-    module, function = check.split(".")
-    # looked up at call time, so a wrapper installed on the module applies
-    shared = [getattr(rc, need) for need in needs]
-    result = getattr(_CHECK_MODULES[module], function)(*shared, *args, **kwargs)
+    result = check(*[getattr(rc, need) for need in needs], *args, **kwargs)
     result = result if isinstance(result, tuple) else (result, [])
     if key is not None and rc.uses[key]:
         rc.results[key] = result
@@ -201,17 +197,17 @@ def _evaluate(rc: RunContext, c: Constraint, key: str | None) -> _Result:
 
 
 def _run_one(
-    rc: RunContext, c: Constraint, key: str | None
+    rc: RunContext, c: Constraint, call: _Call | None
 ) -> tuple[ConstraintStatus, list[Violation], list[MetricRecord]]:
     started = time.perf_counter()
     violations: list[Violation] = []
     metrics: list[MetricRecord] = []
-    if not c.evaluable:
+    if call is None:
         missing = ", ".join(c.missing_eval_params) or "no evaluation body"
         status = f"skipped: not evaluable ({missing})"
     else:
         try:
-            findings, counts = _evaluate(rc, c, key)
+            findings, counts = _evaluate(rc, call)
         except ResourceLimit as exc:
             status = f"skipped: limit ({exc})"
         except Exception as exc:
@@ -245,21 +241,17 @@ def validate(
         catalog.select() if constraints is None else constraints, key=lambda c: c.id
     )
     rc = RunContext(graph, catalog)
-    keys = [_key(c) if c.evaluable else None for c in selected]
-    rc.uses.update(key for key in keys if key is not None)
+    calls = [_bind(c) if c.evaluable else None for c in selected]
+    rc.uses.update(call[4] for call in calls if call and call[4])
     # the position of each model's last user; later ones overwrite earlier
     last_user = {
-        need: i
-        for i, c in enumerate(selected)
-        if c.evaluable
-        for need in CONSTRAINT_TYPES[c.type].checker(c.params)[1]
-        if need in _MODELS
+        need: i for i, call in enumerate(calls) if call for need in call[1] if need in _MODELS
     }
     runs: list[list[Violation]] = []
     all_metrics: list[MetricRecord] = []
     statuses: list[ConstraintStatus] = []
-    for i, (constraint, key) in enumerate(zip(selected, keys)):
-        status, violations, metrics = _run_one(rc, constraint, key)
+    for i, (constraint, call) in enumerate(zip(selected, calls)):
+        status, violations, metrics = _run_one(rc, constraint, call)
         for model, last in last_user.items():
             if last == i:  # cached_property keeps the model in __dict__
                 rc.__dict__.pop(model, None)

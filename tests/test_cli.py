@@ -365,6 +365,56 @@ def test_nan_number_param_exits_two_at_load(tmp_path, capsys, ctype, params):
     assert err.count("\n") == 1
 
 
+_LITERAL_LESS_TERM_SPECS = {
+    "empty-lang": {"lexical": "x", "lang": ""},
+    "number-lang": {"lexical": "x", "lang": 5},
+    "langString-without-lang": {"lexical": "x", "datatype": "rdf:langString"},
+    "lang-with-integer": {"lexical": "x", "lang": "en", "datatype": "xsd:integer"},
+}
+
+
+@pytest.mark.parametrize("spec", list(_LITERAL_LESS_TERM_SPECS.values()),
+                         ids=list(_LITERAL_LESS_TERM_SPECS))
+@pytest.mark.parametrize("ctype, params, where", [
+    ("allowed-values", lambda spec: {"property": "http://e/p", "values": [spec]},
+     "params.values"),
+    ("default-values", lambda spec: {"defaults": [
+        {"scope": "http://e/C", "property": "http://e/p", "value": spec}]},
+     "params.defaults[0].value"),
+], ids=["allowed-values", "default-values"])
+def test_term_spec_that_makes_no_literal_exits_two_at_load(
+    tmp_path, capsys, spec, ctype, params, where
+):
+    # rejected when the catalog loads, before the missing input is reported,
+    # not by the checker once every input has been parsed
+    user = tmp_path / "user.json"
+    user.write_text(json.dumps({"constraints": [{
+        "id": "T-1", "type": ctype, "severity": "error", "params": params(spec),
+    }]}))
+    assert run_cli(["--catalog", str(user), "--only", "T-1",
+                    str(tmp_path / "missing.ttl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rdfcheck: error: constraint 'T-1'.{where}: ") and "term spec" in err
+    assert err.count("\n") == 1
+
+
+def test_lang_term_spec_may_name_rdf_lang_string(tmp_path, capsys):
+    user = tmp_path / "user.json"
+    user.write_text(json.dumps({"constraints": [{
+        "id": "T-1", "type": "allowed-values", "severity": "error",
+        "params": {"property": "http://e/p", "values": [
+            {"lexical": "x", "lang": "en", "datatype": "rdf:langString"}]},
+    }]}))
+    data = tmp_path / "d.nt"
+    data.write_text('<http://e/s> <http://e/p> "x"@en .\n<http://e/s> <http://e/p> "y"@en .\n')
+    out = tmp_path / "r.json"
+    assert run_cli(["--catalog", str(user), "--only", "T-1", "--report", "json",
+                    "--output", str(out), str(data)]) == 1
+    assert capsys.readouterr().err == ""
+    # "x"@en is allowed, so only "y"@en is reported
+    assert [v["focus"] for v in json.loads(out.read_text())["violations"]] == ["<http://e/s>"]
+
+
 @pytest.mark.parametrize("bound", ["inf", "-Infinity", float("inf"), 10**400, "1e400"],
                          ids=["inf", "-Infinity", "bare-inf", "10**400", "1e400"])
 def test_infinite_and_huge_number_params_load(tmp_path, capsys, bound):

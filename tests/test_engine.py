@@ -1,6 +1,8 @@
+import functools
 import gc
 import inspect
 import weakref
+from collections import Counter
 from itertools import chain
 from unittest import mock
 
@@ -251,6 +253,69 @@ def test_missing_triple_violation_disappears_when_satisfied(disco_catalog):
     assert after.violations == ()
 
 
+# Each constraint is bound to its checker once, when the run starts.
+
+def test_each_evaluable_constraint_is_bound_once(cube_fixture, full_catalog, monkeypatch):
+    from rdfcheck import engine
+    from rdfcheck.catalog import ConstraintType
+
+    bound, asked = [], []
+    bind, checker_of = engine._bind, ConstraintType.checker
+
+    def counted_bind(c):
+        bound.append(c.id)
+        return bind(c)
+
+    def counted_checker(self, params):
+        asked.append(self.id)
+        return checker_of(self, params)
+
+    monkeypatch.setattr(engine, "_bind", counted_bind)
+    monkeypatch.setattr(ConstraintType, "checker", counted_checker)
+    validate(cube_fixture, full_catalog)
+    assert sorted(bound) == sorted(c.id for c in full_catalog.select() if c.evaluable)
+    assert len(asked) == len(bound)
+
+
+def test_wrappers_installed_before_the_run_see_every_bound_checker(
+    cube_fixture, full_catalog, monkeypatch
+):
+    # as the benchmark's tracer does: each check_* function of the checker
+    # modules is replaced on its module before validate is called
+    from rdfcheck import engine
+    from rdfcheck.checks import cube, lexical, misc, schema, skos, statistics
+
+    seen = Counter()
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    wrappers = set()
+    for module in (cube, lexical, misc, schema, skos, statistics):
+        short = module.__name__.rsplit(".", 1)[-1]
+        for name, fn in list(vars(module).items()):
+            if name.startswith("check_") and fn.__module__ == module.__name__:
+                wrapper = counting(f"{short}.{name}", fn)
+                wrappers.add(wrapper)
+                monkeypatch.setattr(module, name, wrapper)
+    calls = []
+    bind = engine._bind
+
+    def recorded_bind(c):
+        calls.append(bind(c))
+        return calls[-1]
+
+    monkeypatch.setattr(engine, "_bind", recorded_bind)
+    validate(cube_fixture, full_catalog)
+    assert all(check in wrappers for check, *_ in calls)
+    named = {f"{check.__module__.rsplit('.', 1)[-1]}.{check.__name__}" for check, *_ in calls}
+    assert set(seen) == named
+
+
 # Constraints that make the same checker call share one result.
 
 def _counting(monkeypatch, module, name, behave):
@@ -444,9 +509,9 @@ def test_the_cube_is_dropped_right_after_its_last_reader(cube_fixture, full_cata
     held = []
     run_one = engine._run_one
 
-    def probed(rc, c, key):
+    def probed(rc, c, call):
         held.append((c.id, "cube" in rc.__dict__))
-        return run_one(rc, c, key)
+        return run_one(rc, c, call)
 
     with mock.patch.object(engine, "_run_one", probed):
         validate(cube_fixture, full_catalog)
