@@ -704,7 +704,9 @@ def _term_spec(value: Any, prefixes: dict[str, str], where: str) -> Any:
         unknown = set(value) - {"lexical", "lang", "datatype"}
         if unknown:
             raise CatalogError(f"{where}: unknown term spec keys {sorted(unknown)}")
-        out = {"lexical": str(value["lexical"])}
+        if not isinstance(value["lexical"], str):
+            raise CatalogError(f"{where}: term spec 'lexical' must be a string")
+        out = {"lexical": value["lexical"]}
         if "lang" in value:
             if not isinstance(value["lang"], str) or not value["lang"]:
                 raise CatalogError(f"{where}: term spec 'lang' must be a non-empty string")

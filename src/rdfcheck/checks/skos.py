@@ -297,33 +297,26 @@ def check_hierarchical_redundancy(
 def _alt_path_exists(
     succ: dict[Term, list[Term]], start: Term, goal: Term, depth_limit: int
 ) -> bool | None:
-    """Simple path of length >= 2 from start to goal, skipping the direct
-    edge as first hop. None when the depth limit was hit without an answer.
-    Depth-first without recursion: the stack holds, per level of the path,
-    its depth and its unvisited successors."""
-    if depth_limit < 1:
-        return None
-    limited = False
+    """Path of length >= 2 from start to goal, skipping the direct edge as
+    first hop. Breadth first, level by level, so each node is reached first
+    by a shortest path; None when no path was found and the search stopped
+    at nodes ``depth_limit`` edges away."""
     visited = {start}
-    stack = [(1, iter(succ.get(start, [])))]
-    while stack:
-        depth, children = stack[-1]
-        for child in children:
-            if child == goal:
-                if depth == 1:
-                    continue  # the direct edge itself
-                return True
-            if child in visited:
-                continue
-            visited.add(child)
-            if depth + 1 > depth_limit:
-                limited = True
-                continue
-            stack.append((depth + 1, iter(succ.get(child, []))))
+    level = [start]
+    for depth in range(1, depth_limit + 1):
+        if not level:
             break
-        else:
-            stack.pop()
-    return None if limited else False
+        reached = []
+        for node in level:
+            for child in succ.get(node, []):
+                if child == goal:
+                    if depth > 1:  # else the direct edge itself
+                        return True
+                elif child not in visited:
+                    visited.add(child)
+                    reached.append(child)
+        level = reached
+    return None if level else False
 
 
 def check_reflexive(ctx, *, depth_limit=None) -> list[Finding]:

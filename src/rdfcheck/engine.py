@@ -19,24 +19,23 @@ focus, detail, message and check path, and keeps one per (focus, detail).
 the report is sorted by severity, constraint id, focus, detail, message and
 check path, and equal inputs give byte-identical reports.
 
-The cube, statistics and hierarchy models are extracted when the first
-constraint whose checker needs them runs, and dropped right after the last
-evaluable constraint of the run whose checker needs them, so a model does
-not sit in memory under the constraints that come after its last user,
-and a run whose checkers never read a model never extracts it.
-
-Constraints that make the same checker call share one result. Each bound
-call has a key: its checker's name and a canonical JSON
-text of the arguments bound from its parameters (the shared run objects
-are the same for every call of a run, so they are left out). A result is
-kept only while a later constraint of the run has its key, and dropped
-after that one's use; a call that raises ``ResourceLimit`` is not kept.
-Findings carry no constraint id or severity, so each constraint stamps the
-shared result with its own. A key can miss but never hit falsely: JSON
-tells ``1``, ``1.0`` and ``true`` apart, and arguments that JSON would
-blur, such as tuples, sets or dicts with keys other than strings, or that it
-cannot write at all, give no key, so that constraint's checker is simply
-called.
+A run keeps what several constraints share from its first use to its
+last, under one use count (``RunContext.take``): the cube, statistics and
+hierarchy models, each keyed by its need name, and the result of a
+checker call that several constraints make, keyed by the call. So a model
+is extracted when the first constraint whose checker needs it runs and
+dropped at the last, and does not sit in memory under the constraints
+that come after; a run whose checkers never read a model never extracts
+it; and no result is kept past the last constraint that has its key. A
+call's key is its checker's name and a canonical JSON text of the
+arguments bound from its parameters (the shared run objects are the same
+for every call of a run, so they are left out); a call that raises
+``ResourceLimit`` is not kept. Findings carry no constraint id or
+severity, so each constraint stamps the shared result with its own. A
+key can miss but never hit falsely: JSON tells ``1``, ``1.0`` and
+``true`` apart, and arguments that JSON would blur, such as tuples, sets
+or dicts with keys other than strings, or that it cannot write at all,
+give no key, so that constraint's checker is simply called.
 """
 
 from __future__ import annotations
@@ -47,21 +46,14 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 from itertools import chain
 from typing import Any
 
 from .catalog import CONSTRAINT_TYPES, Catalog, Constraint, Severity
 from .checks import cube, lexical, misc, schema, skos, statistics
 from .checks.context import GraphContext
-from .checks.models import (
-    CubeModel,
-    HierarchyGraph,
-    StatisticsModel,
-    extract_cube,
-    extract_hierarchy,
-    extract_statistics,
-)
+from .checks.models import extract_cube, extract_hierarchy, extract_statistics
 from .graph import Graph
 from .violations import Finding, MetricRecord, ResourceLimit, Violation
 
@@ -113,31 +105,33 @@ class ValidationReport:
 _Result = tuple[list[Finding], list[tuple[str, str, int]]]
 
 
-# The models of RunContext, which ``validate`` drops after their last user
-_MODELS = ("cube", "stats", "hierarchy")
+# Each model's extractor, looked up on this module when it is called, so a
+# wrapper put on ``extract_*`` before ``validate`` applies
+_EXTRACT: dict[str, Callable[[GraphContext], Any]] = {
+    "cube": lambda ctx: extract_cube(ctx),
+    "stats": lambda ctx: extract_statistics(ctx),
+    "hierarchy": lambda ctx: extract_hierarchy(ctx),
+}
 
 
 class RunContext:
-    """The objects a checker may need: the graph context and the models,
-    each model extracted on first use; and the results shared by
-    constraints with one key, with each key's uses still to come."""
+    """What a run shares: the graph context, and the models and shared
+    results ``kept`` under their keys, with each key's ``uses`` still to
+    come."""
 
     def __init__(self, graph: Graph, catalog: Catalog):
         self.ctx = GraphContext(graph, catalog)
-        self.results: dict[str, _Result] = {}
+        self.kept: dict[str, Any] = {}
         self.uses: Counter[str] = Counter()
 
-    @cached_property
-    def cube(self) -> CubeModel:
-        return extract_cube(self.ctx)
-
-    @cached_property
-    def stats(self) -> StatisticsModel:
-        return extract_statistics(self.ctx)
-
-    @cached_property
-    def hierarchy(self) -> HierarchyGraph:
-        return extract_hierarchy(self.ctx)
+    def take(self, key: str, make: Callable[[], Any]) -> Any:
+        """The value kept under ``key``, or else ``make()``'s; kept while
+        ``key`` has uses still to come, and dropped at its last."""
+        self.uses[key] -= 1
+        value = self.kept.pop(key) if key in self.kept else make()
+        if self.uses[key]:
+            self.kept[key] = value
+        return value
 
 
 _Call = tuple[Callable[..., Any], tuple[str, ...], list[Any], dict[str, Any], str | None]
@@ -183,17 +177,18 @@ def _is_plain(value: Any) -> bool:
 
 def _evaluate(rc: RunContext, call: _Call) -> _Result:
     """The findings and counts of the bound ``call``'s checker, called with
-    its needs and then its arguments, or the result kept under its key."""
+    its needs and then its arguments, or the result kept under its key.
+    The models are taken first, so a call answered from its key still
+    counts as a use of each."""
     check, needs, args, kwargs, key = call
-    if key is not None:
-        rc.uses[key] -= 1
-        if key in rc.results:
-            return rc.results[key] if rc.uses[key] else rc.results.pop(key)
-    result = check(*[getattr(rc, need) for need in needs], *args, **kwargs)
-    result = result if isinstance(result, tuple) else (result, [])
-    if key is not None and rc.uses[key]:
-        rc.results[key] = result
-    return result
+    shared = [rc.ctx if need == "ctx" else rc.take(need, partial(_EXTRACT[need], rc.ctx))
+              for need in needs]
+
+    def run() -> _Result:
+        result = check(*shared, *args, **kwargs)
+        return result if isinstance(result, tuple) else (result, [])
+
+    return run() if key is None else rc.take(key, run)
 
 
 def _run_one(
@@ -242,19 +237,15 @@ def validate(
     )
     rc = RunContext(graph, catalog)
     calls = [_bind(c) if c.evaluable else None for c in selected]
-    rc.uses.update(call[4] for call in calls if call and call[4])
-    # the position of each model's last user; later ones overwrite earlier
-    last_user = {
-        need: i for i, call in enumerate(calls) if call for need in call[1] if need in _MODELS
-    }
+    # each call uses its models and its key
+    rc.uses.update(
+        key for call in calls if call for key in (*call[1], call[4]) if key not in ("ctx", None)
+    )
     runs: list[list[Violation]] = []
     all_metrics: list[MetricRecord] = []
     statuses: list[ConstraintStatus] = []
-    for i, (constraint, call) in enumerate(zip(selected, calls)):
+    for constraint, call in zip(selected, calls):
         status, violations, metrics = _run_one(rc, constraint, call)
-        for model, last in last_user.items():
-            if last == i:  # cached_property keeps the model in __dict__
-                rc.__dict__.pop(model, None)
         if statuses and statuses[-1].constraint_id == constraint.id:
             # a constraint named twice counts its violations once
             runs[-1] = _dedup(runs[-1] + violations)

@@ -6,7 +6,8 @@ and the catalog's class hierarchy, with no ``Graph`` index and no
 covered type must report exactly the ``(focus, detail)`` pairs its oracle
 gives. Messages are not compared. The first part covers the SKOS and
 language-tag checkers over SKOS graphs, and ``skos-structure``
-``valueless-associative`` and ``skos-clashes`` ``relation`` over hierarchy
+``valueless-associative`` and ``hierarchical-redundancy`` and
+``skos-clashes`` ``relation`` over hierarchy
 graphs with siblings, shared parents, cycles and ``skos:related`` in both
 directions; the second covers
 ``disjoint-properties``, ``disjoint-classes``, ``http-scheme``,
@@ -235,6 +236,7 @@ def test_language_tags_match_their_oracle(triples):
 # Hierarchy graphs for the two checkers that read the broader/narrower
 # hierarchy against skos:related.
 VALUELESS = "SKOS-C-STRUCTURE-04"
+REDUNDANCY = "SKOS-C-STRUCTURE-09"
 RELATION_CLASH = "SKOS-C-DATA-MODEL-CONSISTENCY-01"
 _BROADER, _NARROWER, _RELATED = (Iri(SKOS + name) for name in ("broader", "narrower", "related"))
 _H_NODES = [Iri(EX + f"h{i}") for i in range(5)] + [BlankNode("oracle2")]
@@ -308,6 +310,32 @@ def _relation_clash(triples) -> set:
         above |= more
     return {(str(a), str(b)) for a, b in _related_pairs(triples)
             if (a, b) in above or (b, a) in above}
+
+
+def _redundant(triples) -> set:
+    """Hierarchy edges a -> b that a longer path also takes from a to b
+    (qSKOS "Hierarchical Redundancy", Mader et al., TPDL 2012): a first
+    hop to a node other than a and b, then more edges through nodes other
+    than a and b, the last one into b. The graphs are far smaller than the
+    default depth limit, so no search is indeterminate."""
+    edges = _hierarchy_edges(triples)
+    out = set()
+    for a, b in edges:
+        inner = {c for x, c in edges if x == a} - {a, b}
+        while True:  # the nodes such a path may pass through, one step at a time
+            more = {d for c, d in edges if c in inner} - {a, b} - inner
+            if not more:
+                break
+            inner |= more
+        if any((c, b) in edges for c in inner):
+            out.add((str(a), str(b)))
+    return out
+
+
+@given(_hierarchy_graphs())
+@settings(max_examples=200, deadline=None)
+def test_hierarchical_redundancy_matches_its_oracle(triples):
+    assert _reported(Graph(triples), REDUNDANCY) == _redundant(_plain(triples))
 
 
 @given(_hierarchy_graphs())

@@ -366,6 +366,9 @@ def test_nan_number_param_exits_two_at_load(tmp_path, capsys, ctype, params):
 
 
 _LITERAL_LESS_TERM_SPECS = {
+    "null-lexical": {"lexical": None},
+    "list-lexical": {"lexical": [1]},
+    "number-lexical": {"lexical": 5},
     "empty-lang": {"lexical": "x", "lang": ""},
     "number-lang": {"lexical": "x", "lang": 5},
     "langString-without-lang": {"lexical": "x", "datatype": "rdf:langString"},

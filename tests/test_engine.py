@@ -407,7 +407,8 @@ def test_no_result_is_kept_after_the_run(monkeypatch):
     monkeypatch.setattr(engine, "RunContext", Recorded)
     validate(graph(("ex:a", "ex:p", iri("urn:x"))), builtin_catalog())
     [rc] = contexts
-    assert rc.results == {}
+    # neither a shared result nor a model
+    assert rc.kept == {}
     assert set(rc.uses.values()) == {0}
 
 
@@ -500,6 +501,29 @@ def test_a_disco_run_never_extracts_the_cube(capsys):
     assert len(calls) == 1
 
 
+def test_each_model_is_extracted_once_per_run(cube_fixture, full_catalog):
+    # the full catalog reads all three models; one dropped before its last
+    # reader would be extracted again. The tracer counts on this too: it
+    # wraps the extractors on the engine module before the run
+    from rdfcheck import engine
+
+    calls = Counter()
+
+    def counting(name):
+        extract = getattr(engine, name)
+
+        def counted(ctx):
+            calls[name] += 1
+            return extract(ctx)
+
+        return counted
+
+    names = ["extract_cube", "extract_statistics", "extract_hierarchy"]
+    with mock.patch.multiple(engine, **{name: counting(name) for name in names}):
+        validate(cube_fixture, full_catalog)
+    assert calls == dict.fromkeys(names, 1)
+
+
 def test_the_cube_is_dropped_right_after_its_last_reader(cube_fixture, full_catalog):
     # before each constraint runs, whether the run context holds the cube:
     # one run of True, from its first reader to its last, IC-21, and none
@@ -510,7 +534,7 @@ def test_the_cube_is_dropped_right_after_its_last_reader(cube_fixture, full_cata
     run_one = engine._run_one
 
     def probed(rc, c, call):
-        held.append((c.id, "cube" in rc.__dict__))
+        held.append((c.id, "cube" in rc.kept))
         return run_one(rc, c, call)
 
     with mock.patch.object(engine, "_run_one", probed):

@@ -257,6 +257,19 @@ def test_redundancy_depth_limit_indeterminate():
     assert indeterminate
 
 
+def test_redundancy_within_the_depth_limit_is_found():
+    # a -> m2 -> b has 2 edges; a depth-first search that went a -> m1 -> m2
+    # first met m2 past the limit, never expanded it, and gave up on a -> b.
+    # a -> m1 -> m2 makes a -> m2 redundant too
+    rows = [_typed(f"ex:{n}") for n in ("a", "b", "m1", "m2")]
+    rows += [("ex:a", "skos:broader", f"ex:{n}") for n in ("b", "m1", "m2")]
+    rows += [("ex:m1", "skos:broader", "ex:m2"), ("ex:m2", "skos:broader", "ex:b")]
+    out = _structure(graph(*rows), "hierarchical-redundancy", depth_limit=2)
+    assert sorted((v.focus, v.detail) for v in out) == [
+        (str(iri("ex:a")), str(iri("ex:b"))), (str(iri("ex:a")), str(iri("ex:m2")))]
+    assert all("redundant" in v.message for v in out)
+
+
 def test_redundancy_search_deeper_than_the_recursion_limit():
     n = sys.getrecursionlimit() + 100
     rows = [_typed(f"ex:c{i}") for i in range(n + 1)]
