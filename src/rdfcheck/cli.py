@@ -6,10 +6,11 @@ print one diagnostic line each on stderr. Any other exception is a fault of
 rdfcheck itself; it too exits 2 with one "internal error" line, so it is
 never mistaken for a finding.
 
-The loaded graph is immutable and holds no reference cycle, so the cyclic
-garbage collector is off while inputs load and the graph is frozen
-(``gc.freeze``) once built: validation's collections skip its objects, and
-``run_cli`` leaves the collector as it found it.
+A run leaves no cyclic garbage: the loaded graph is immutable and holds no
+reference cycle, and validation makes none. So the cyclic garbage collector
+is off for the whole of ``run_cli``, which leaves it as it found it, and
+``main`` freezes (``gc.freeze``) the heap before the process exits, so the
+interpreter's last collection skips it.
 """
 
 from __future__ import annotations
@@ -77,8 +78,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(message: str) -> int:
-    print(f"rdfcheck: error: {message}", file=sys.stderr)
+    """Write one diagnostic line to stderr, if it can be written, and return 2."""
+    if sys.stderr is not None:  # None: started with its descriptor closed
+        try:
+            print(f"rdfcheck: error: {message}", file=sys.stderr, flush=True)
+        except OSError:
+            _to_devnull(sys.stderr)
     return 2
+
+
+def _to_devnull(stream) -> None:
+    """Point the process's own ``stream`` at os.devnull after a failed write:
+    what its buffer still holds would fail again when the interpreter
+    flushes it at exit."""
+    if stream is not None and (stream is sys.__stdout__ or stream is sys.__stderr__):
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def _catalog_search_dirs() -> list[Path]:
@@ -177,15 +193,14 @@ def _renumber_blanks(triples: list[Triple], offset: int) -> int:
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _run(argv)
     except Exception as exc:
         message = " ".join(str(exc).split())
         return _fail(f"internal error: {type(exc).__name__}: {message}")
     finally:
-        if not frozen:
-            gc.unfreeze()
         if enabled:
             gc.enable()
 
@@ -243,17 +258,10 @@ def _run(argv: list[str] | None) -> int:
         unwanted = set(args.skip)
         selected = [c for c in selected if c.id not in unwanted and c.type not in unwanted]
 
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         graph = _load_inputs(args.inputs, args.format)
     except (OSError, ParseError) as exc:
         return _fail(str(exc))
-    # run_cli can undo a freeze only where none came before it
-    if not gc.get_freeze_count():
-        gc.freeze()
-    if enabled:
-        gc.enable()
 
     try:
         report = validate(graph, catalog, selected)
@@ -284,18 +292,15 @@ def _to_stdout(chunks: Iterable[str], what: str) -> int:
         sys.stdout.writelines(chunks)
         sys.stdout.flush()
     except OSError as exc:
-        if sys.stdout is not None and sys.stdout is sys.__stdout__:
-            # what the buffer still holds would fail again, and be
-            # reported again, when the interpreter flushes it at exit
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        _to_devnull(sys.stdout)
         return _fail(f"cannot write {what} to stdout: {exc.strerror}")
     return 0
 
 
 def main() -> None:
-    raise SystemExit(run_cli())
+    code = run_cli()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -30,12 +30,13 @@ it; and no result is kept past the last constraint that has its key. A
 call's key is its checker's name and a canonical JSON text of the
 arguments bound from its parameters (the shared run objects are the same
 for every call of a run, so they are left out); a call that raises
-``ResourceLimit`` is not kept. Findings carry no constraint id or
-severity, so each constraint stamps the shared result with its own. A
-key can miss but never hit falsely: JSON tells ``1``, ``1.0`` and
-``true`` apart, and arguments that JSON would blur, such as tuples, sets
-or dicts with keys other than strings, or that it cannot write at all,
-give no key, so that constraint's checker is simply called.
+``ResourceLimit`` is not kept, and a key that no other call of the run
+has is dropped before the first constraint runs. Findings carry no
+constraint id or severity, so each constraint stamps the shared result
+with its own. A key can miss but never hit falsely: JSON tells ``1``,
+``1.0`` and ``true`` apart, and arguments that JSON would blur, such as
+tuples, sets or dicts with keys other than strings, or that it cannot
+write at all, give no key, so that constraint's checker is simply called.
 """
 
 from __future__ import annotations
@@ -241,6 +242,11 @@ def validate(
     rc.uses.update(
         key for call in calls if call for key in (*call[1], call[4]) if key not in ("ctx", None)
     )
+    # a key that one call alone has is never looked up again
+    for n, call in enumerate(calls):
+        if call and call[4] is not None and rc.uses[call[4]] == 1:
+            del rc.uses[call[4]]
+            calls[n] = (*call[:4], None)
     runs: list[list[Violation]] = []
     all_metrics: list[MetricRecord] = []
     statuses: list[ConstraintStatus] = []

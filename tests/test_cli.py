@@ -865,6 +865,40 @@ def test_failed_write_of_the_explanation_to_stdout_exits_two_with_one_line(targe
     _assert_stdout_failure(target, "explanation")
 
 
+# the arguments of a run that fails with one diagnostic line, under tmp_path
+_ERRORS = {
+    "missing input": lambda tmp: [str(tmp / "no-such-file.ttl")],
+    "bad catalog": lambda tmp: ["--catalog", str(tmp / "broken.json"), fixture("eusilc.ttl")],
+    "output error": lambda tmp: ["--output", str(tmp / "no-such-dir" / "report.json"),
+                                 fixture("eusilc.ttl")],
+}
+_STDERRS = [
+    pytest.param("full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    "closed",
+]
+
+
+@pytest.mark.parametrize("stderr", _STDERRS)
+@pytest.mark.parametrize("error", list(_ERRORS))
+def test_an_error_exits_two_when_stderr_cannot_be_written(tmp_path, error, stderr):
+    # 1 means "violations found", and stdout may carry a report
+    (tmp_path / "broken.json").write_text("{")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "rdfcheck.cli", *_ERRORS[error](tmp_path)]
+    for unbuffered in ("", "1"):
+        env["PYTHONUNBUFFERED"] = unbuffered
+        if stderr == "full":
+            with open("/dev/full", "wb") as full:
+                proc = subprocess.run(command, env=env, stdout=subprocess.PIPE, stderr=full,
+                                      check=False)
+        else:  # the child starts with descriptor 2 closed
+            proc = subprocess.run(["/bin/sh", "-c", '"$@" 2>&-', "sh", *command], env=env,
+                                  stdout=subprocess.PIPE, check=False)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 def test_unexpected_exception_in_merge_exits_two(monkeypatch, capsys):
     monkeypatch.setattr("rdfcheck.cli._renumber_blanks", _raise_runtime_error)
     code = run_cli([fixture("thesaurus_clean.ttl"), fixture("cube.ttl")])

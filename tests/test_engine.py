@@ -412,6 +412,26 @@ def test_no_result_is_kept_after_the_run(monkeypatch):
     assert set(rc.uses.values()) == {0}
 
 
+def test_only_a_key_that_two_calls_share_is_taken(monkeypatch, full_catalog):
+    # a key that one call alone has is never looked up again, so it is not
+    # kept for the run
+    from rdfcheck import engine
+    from rdfcheck.cli import _load_inputs
+
+    taken = Counter()
+    take = engine.RunContext.take
+
+    def counted(self, key, make):
+        taken[key] += 1
+        return take(self, key, make)
+
+    monkeypatch.setattr(engine.RunContext, "take", counted)
+    fixtures = sorted(str(path) for path in FIXTURES.glob("*.ttl"))
+    validate(_load_inputs(fixtures, None), full_catalog)
+    keys = {key: n for key, n in taken.items() if key not in engine._EXTRACT}
+    assert keys and min(keys.values()) >= 2
+
+
 # The engine sorts and deduplicates each constraint's violations, then joins
 # the lists by severity. The reference is the single global pass it replaced:
 # every constraint's list, deduplicated, then sorted and deduplicated again

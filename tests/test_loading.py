@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,12 +14,15 @@ from hypothesis import strategies as st
 
 import rdfcheck.cli as cli
 from rdfcheck.cli import _load_inputs, run_cli
+from rdfcheck.engine import validate
 from rdfcheck.graph import Graph
 from rdfcheck.ntriples import parse_ntriples, serialize_ntriples
 from rdfcheck.terms import BlankNode, Triple
 from rdfcheck.turtle import parse_turtle
 
 from conftest import FIXTURES, triple
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # The merge as it was when each parser returned a sorted Graph, kept as the
@@ -210,23 +216,23 @@ def test_run_cli_leaves_the_collector_as_found(monkeypatch, capsys, case, disabl
             gc.enable()
 
 
-def test_run_cli_loads_without_the_collector_and_validates_frozen(monkeypatch, capsys):
+def test_run_cli_runs_without_the_collector_and_freezes_nothing(monkeypatch, capsys):
     seen = {}
-    parse, validate = cli.parse_turtle, cli.validate
 
-    def watched_parse(data):
-        seen["load"] = gc.isenabled()
-        return parse(data)
+    def watch(name):
+        original = getattr(cli, name)
 
-    def watched_validate(*args):
-        seen["validate"] = (gc.isenabled(), gc.get_freeze_count() > 0)
-        return validate(*args)
+        def watched(*args):
+            seen[name] = (gc.isenabled(), gc.get_freeze_count())
+            return original(*args)
 
-    monkeypatch.setattr(cli, "parse_turtle", watched_parse)
-    monkeypatch.setattr(cli, "validate", watched_validate)
-    assert gc.isenabled()
+        monkeypatch.setattr(cli, name, watched)
+
+    for name in ("parse_turtle", "validate", "report_chunks"):
+        watch(name)
+    assert gc.isenabled() and gc.get_freeze_count() == 0
     assert run_cli(["--vocab", "skos", str(FIXTURES / "thesaurus_clean.ttl")]) == 0
-    assert seen == {"load": False, "validate": (True, True)}
+    assert seen == dict.fromkeys(["parse_turtle", "validate", "report_chunks"], (False, 0))
     assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
@@ -238,3 +244,45 @@ def test_run_cli_adds_no_freeze_to_a_callers_freeze(capsys):
         assert gc.get_freeze_count() == frozen
     finally:
         gc.unfreeze()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--vocab", "skos", "thesaurus_clean.ttl"], 0),
+    (["--vocab", "skos", "--fail-on", "warning", "thesaurus_cycle.ttl"], 1),
+], ids=["exit 0", "exit 1"])
+def test_main_freezes_the_heap_before_it_exits(args, code):
+    # the interpreter's last collection then skips the heap; the exit
+    # code and the atexit handlers are kept
+    args = [str(FIXTURES / a) if a.endswith(".ttl") else a for a in args]
+    script = (
+        "import atexit, gc, sys\n"
+        "from rdfcheck.cli import main\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        f"sys.argv = ['rdfcheck', *{args!r}]\n"
+        "main()\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=False)
+    assert (proc.returncode, proc.stderr) == (code, "frozen True\n")
+    assert "summary:" in proc.stdout
+
+
+_FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.ttl"))
+
+
+@pytest.mark.parametrize("names", [[name] for name in _FIXTURE_NAMES] + [_FIXTURE_NAMES],
+                         ids=[*_FIXTURE_NAMES, "merged"])
+def test_validation_leaves_no_cyclic_garbage(full_catalog, names):
+    # what lets the CLI run with the collector off
+    graph = _load_inputs([str(FIXTURES / name) for name in names], None)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        validate(graph, full_catalog)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
