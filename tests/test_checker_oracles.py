@@ -9,13 +9,18 @@ language-tag checkers over SKOS graphs, and ``skos-structure``
 ``valueless-associative`` and ``hierarchical-redundancy`` and
 ``skos-clashes`` ``relation`` over hierarchy
 graphs with siblings, shared parents, cycles and ``skos:related`` in both
-directions; the second covers
+directions, and ``solely-transitive`` over transitive and direct links; the
+second covers
 ``disjoint-properties``, ``disjoint-classes``, ``http-scheme``,
 ``undefined-terms``, ``html-balance``, ``value-datatype`` (``all-literals``)
 and ``presence`` over DISCO-shaped graphs, against hierarchies closed here
 from the catalog's stated edges. ``presence`` by path also runs over graphs
 built for its steps: forward, inverse (``^p``) and into code lists
 (``@members``), whose ``skos:memberList`` spines may be broken.
+``subproperty``, ``inverse-pair``, ``asymmetric-property`` and
+``equivalent-properties`` run over graphs of links whose counterpart
+statements are often, but not always, there, and ``vocab-membership``, in
+both modes, over graphs of values and code lists.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from rdfcheck.checks.lexical import html_imbalance
 from rdfcheck.engine import validate
 from rdfcheck.graph import Graph
 from rdfcheck.namespaces import (
-    DCTERMS, DISCO, RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, SKOS, compact,
+    DCTERMS, DDICV, DISCO, QB, RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, SKOS, compact,
 )
 from rdfcheck.terms import BlankNode, Iri, Literal, Triple, term_sort_key
 from rdfcheck.xsd import InvalidLexicalError, UnknownDatatypeError, parse_xsd_value
@@ -350,20 +355,61 @@ def test_relation_clash_matches_its_oracle(triples):
     assert _reported(Graph(triples), RELATION_CLASH) == _relation_clash(_plain(triples))
 
 
+# Graphs of the transitive hierarchy properties beside their direct ones.
+SOLELY_TRANSITIVE = "SKOS-C-STRUCTURE-05"
+_TRANSITIVE = {"broaderTransitive": "broader", "narrowerTransitive": "narrower"}
+_T_PROPERTIES = [Iri(SKOS + name) for pair in _TRANSITIVE.items() for name in pair]
+
+
+@st.composite
+def _transitive_graphs(draw) -> list[Triple]:
+    """Up to 30 triples: links between hierarchy nodes, self-loops among
+    them, or to a literal, each stated by one to three of the transitive
+    and direct properties, so that a transitive link often has its direct
+    one and sometimes only the direct one the other way round."""
+    links = st.tuples(st.sampled_from(_H_NODES), st.sampled_from(_H_NODES + [Literal("h0")]),
+                      st.lists(st.sampled_from(_T_PROPERTIES), min_size=1, max_size=3))
+    return [Triple(s, p, o) for s, o, props in draw(st.lists(links, max_size=10)) for p in props]
+
+
+def _solely_transitive(triples) -> set:
+    """Transitive statements between resources with no direct statement
+    of the same two ends in the same direction."""
+    stated = {(t.subject, t.predicate.value, t.object) for t in triples}
+    return {(str(s), f"skos:{name}|{o}")
+            for s, p, o in stated for name, direct in _TRANSITIVE.items()
+            if p == SKOS + name and not isinstance(o, Literal)
+            and (s, SKOS + direct, o) not in stated}
+
+
+@given(_transitive_graphs())
+@settings(max_examples=200, deadline=None)
+def test_solely_transitive_matches_its_oracle(triples):
+    assert _reported(Graph(triples), SOLELY_TRANSITIVE) == _solely_transitive(_plain(triples))
+
+
 # The second part: DISCO-shaped graphs. A user vocabulary adds a class below
 # disco:Variable and one below that, a subproperty pair, and user
 # constraints of the shapes the shipped catalogs lack: a property listed
 # twice, exempt pairs, html-balance with ``property`` and ``scope`` in each
-# mode, all-literals datatype checks, and presence with a qualifier class
-# and by paths of inverse and code-list steps.
+# mode, all-literals datatype checks, presence with a qualifier class and
+# by paths of inverse and code-list steps, an inverse pair scoped to a user
+# class, equivalent pairs given as parameters, and vocab-membership of a user
+# scheme and in qb-codelist mode. A second user vocabulary lists the members
+# of two code lists, as the DISCO one lists those of its summary statistic
+# types.
 SUB, SUBSUB = EX + "Sub", EX + "SubSub"
 P, Q = EX + "p", EX + "q"  # q is a subproperty of p
+CODES = [EX + "codes0", EX + "codes1"]
 _LISTED = [P, Q, DISCO + "variable", DISCO + "containsVariable", DCTERMS + "description", P]
 _DISCO_USER = {
     "vocabularies": [{
         "name": "oracle2", "namespace": EX, "classes": [SUB, SUBSUB], "properties": [P, Q],
         "subclass_of": [[SUB, DISCO + "Variable"], [SUBSUB, SUB]],
         "subproperty_of": [[Q, P]],
+    }, {
+        "name": "oracle3",
+        "controlled_vocabularies": {CODES[0]: [EX + "v0"], CODES[1]: [EX + "v1", EX + "n0"]},
     }],
     "constraints": [
         {"id": "ORACLE-DP-0", "type": "disjoint-properties", "severity": "warning",
@@ -406,6 +452,14 @@ _DISCO_USER = {
                     "qualifier_class": DISCO + "Study"}},
         {"id": "ORACLE-PRES-4", "type": "presence", "severity": "warning",
          "params": {"scope": DISCO + "Study", "path": ["@members", "@members"]}},
+        {"id": "ORACLE-INV-0", "type": "inverse-pair", "severity": "warning",
+         "params": {"property": P, "inverse": Q, "scope": SUB}},
+        {"id": "ORACLE-EQ-0", "type": "equivalent-properties", "severity": "warning",
+         "params": {"pairs": [[P, Q], [DISCO + "fundedBy", DCTERMS + "contributor"]]}},
+        {"id": "ORACLE-VM-0", "type": "vocab-membership", "severity": "warning",
+         "params": {"property": P, "scheme": CODES[0]}},
+        {"id": "ORACLE-VM-1", "type": "vocab-membership", "severity": "warning",
+         "params": {"mode": "qb-codelist"}},
     ],
 }
 DISCO_CATALOG = merge_catalogs(builtin_catalog({"disco"}), _DISCO_USER)
@@ -499,6 +553,92 @@ def _path_graphs(draw) -> list[Triple]:
             [[], [Iri(RDF_NIL)], [Iri(RDF_NIL)], [_CELLS[(i + 1) % 3]], [_CELLS[(i + 1) % 3]],
              [_CELLS[0]], [Literal("x")], [Iri(RDF_NIL), _CELLS[(i + 1) % 3]]]))
         triples += [Triple(cell, Iri(RDF_REST), o) for o in rests]
+    return triples
+
+
+# pairs of properties, each statement of one of which may need a statement of
+# the other: the shipped inverse, sub-, equivalent and asymmetric properties,
+# and the user pair; basedOn with itself states a link back
+_COUNTERPARTS = [(Iri(a), Iri(b)) for a, b in (
+    (DISCO + "statisticsCategory", DISCO + "categoryStatistics"),
+    (DISCO + "statisticsVariable", DISCO + "summaryStatistics"),
+    (DISCO + "question", DISCO + "questionVariable"),
+    (DISCO + "containsVariable", DISCO + "variable"),
+    (DISCO + "fundedBy", DCTERMS + "contributor"),
+    (DISCO + "basedOn", DISCO + "basedOn"),
+    (P, Q),
+)]
+_C_CLASSES = [Iri(c) for c in (DISCO + "Variable", SUB, SUBSUB, DISCO + "Study")]
+
+
+@st.composite
+def _counterpart_graphs(draw) -> list[Triple]:
+    """Up to 50 triples: per node up to two types, then links from a node
+    to a node, itself or a literal, each under one property of a pooled
+    pair, often with the other property in the same direction, the other
+    way round, or both."""
+    triples = []
+    for node in _D_NODES:
+        triples += [Triple(node, Iri(RDF_TYPE), cls)
+                    for cls in draw(st.lists(st.sampled_from(_C_CLASSES), max_size=2))]
+    links = st.tuples(st.sampled_from(_D_NODES[:3]),
+                      st.sampled_from(_D_NODES[:3] + [Literal("n0")]),
+                      st.sampled_from(_COUNTERPARTS + [(q, p) for p, q in _COUNTERPARTS]),
+                      st.lists(st.booleans(), min_size=3, max_size=3))
+    for s, o, (p, q), (same, back, both) in draw(st.lists(links, max_size=10)):
+        triples.append(Triple(s, p, o))
+        if same:
+            triples.append(Triple(s, q, o))
+        if not isinstance(o, Literal):
+            triples += [Triple(o, q, s)] if back else []
+            triples += [Triple(o, p, s)] if both else []
+    return triples
+
+
+# the DISCO scheme of summary statistic types; the catalog lists DDICV + "Mode"
+_STATISTIC_TYPES = DDICV.removesuffix("#")
+_M_SCHEMES = [Iri(c) for c in (*CODES, _STATISTIC_TYPES)] + [BlankNode("codes2")]
+_M_VALUES = [Iri(v) for v in (EX + "v0", EX + "v1", EX + "v2", DDICV + "Mode")] + [
+    _D_NODES[0], _D_NODES[4], Literal("v0")]
+_M_DIMENSIONS = [Iri(EX + "d0"), Iri(EX + "d1")]
+_M_PROPERTIES = [Iri(p) for p in (P, DISCO + "summaryStatisticsType")] + _M_DIMENSIONS
+_M_CLASSES = [Iri(c) for c in (DISCO + "SummaryStatistics", QB + "Observation",
+                               QB + "DimensionProperty", QB + "HierarchicalCodeList")]
+_M_LINKS = [Iri(SKOS + name) for name in ("inScheme", "member", "hasTopConcept")]
+
+
+@st.composite
+def _membership_graphs(draw) -> list[Triple]:
+    """Up to 60 triples: per node and code list one or two types from a
+    pool of the statistics, observation, dimension and hierarchical code
+    list classes, and for each of two dimensions most often its class;
+    values of the constrained properties and of the dimensions, drawn from
+    a pool that holds listed members, members by links, nodes and a
+    literal; links between values and code lists by skos:inScheme (value
+    to list) or skos:member or skos:hasTopConcept (list to value); and the
+    dimensions' code lists, a literal among them."""
+    triples = []
+    for node in _D_NODES[:3] + _M_SCHEMES:
+        triples += [Triple(node, Iri(RDF_TYPE), cls) for cls in draw(
+            st.lists(st.sampled_from(_M_CLASSES), min_size=1, max_size=2))]
+    for d in _M_DIMENSIONS:
+        if draw(st.sampled_from([True, True, True, False])):
+            triples.append(Triple(d, Iri(RDF_TYPE), Iri(QB + "DimensionProperty")))
+    values = st.tuples(st.sampled_from(_D_NODES[:3]), st.sampled_from(_M_PROPERTIES),
+                       st.sampled_from(_M_VALUES))
+    triples += [Triple(*spo) for spo in draw(st.lists(values, max_size=14))]
+    links = st.tuples(st.sampled_from(_M_VALUES), st.sampled_from(_M_LINKS),
+                      st.sampled_from(_M_SCHEMES))
+    for value, link, scheme in draw(st.lists(links, max_size=10)):
+        if link.value == SKOS + "inScheme":
+            if not isinstance(value, Literal):
+                triples.append(Triple(value, link, scheme))
+        else:
+            triples.append(Triple(scheme, link, value))
+    lists = st.tuples(st.sampled_from(_M_DIMENSIONS),
+                      st.sampled_from(_M_SCHEMES + [Literal("codes0")]))
+    triples += [Triple(d, Iri(QB + "codeList"), cl)
+                for d, cl in draw(st.lists(lists, min_size=1, max_size=4))]
     return triples
 
 
@@ -685,6 +825,94 @@ def _presence(triples, params) -> set:
     return out
 
 
+def _stated(triples) -> set:
+    return {(t.subject, t.predicate.value, t.object) for t in triples}
+
+
+def _subproperty(triples, params) -> set:
+    prop, sup = params["property"], params["superproperty"]
+    stated = _stated(triples)
+    return {(str(s), str(o)) for s, p, o in stated if p == prop and (s, sup, o) not in stated}
+
+
+def _inverse_pair(triples, params) -> set:
+    """Each statement of either property between resources, whose node on
+    the ``property`` side is in scope, without its mirror statement."""
+    prop, inverse, scope = params["property"], params["inverse"], params.get("scope")
+    types, stated = _closed_types(triples), _stated(triples)
+    out = set()
+    for s, p, o in stated:
+        if isinstance(o, Literal) or p not in (prop, inverse):
+            continue
+        mirror = inverse if p == prop else prop
+        holder = s if p == prop else o
+        if scope is not None and scope not in types.get(holder, set()):
+            continue
+        if (o, mirror, s) not in stated:
+            out.add((str(s), str(o)))
+    return out
+
+
+def _asymmetric(triples, params) -> set:
+    prop, stated = params["property"], _stated(triples)
+    return {(str(s), str(o)) for s, p, o in stated
+            if p == prop and s != o and (o, prop, s) in stated
+            and term_sort_key(s) < term_sort_key(o)}
+
+
+def _equivalent(triples, params) -> set:
+    pairs = params.get("pairs") or DISCO_CATALOG.inventory(
+        params["vocabulary"]).equivalent_property_pairs
+    stated, out = _stated(triples), set()
+    for a, b in pairs:
+        for present, missing in ((a, b), (b, a)):
+            out |= {(str(s), f"{compact(p)}|{o}") for s, p, o in stated
+                    if p == present and (s, missing, o) not in stated}
+    return out
+
+
+def _scheme_members(triples, scheme) -> set:
+    """What ``skos:inScheme`` the scheme, what it lists by ``skos:member``
+    or ``skos:hasTopConcept``, and the members the catalog lists for it."""
+    listed = DISCO_CATALOG.controlled_vocabularies.get(scheme.value, ()) if isinstance(
+        scheme, Iri) else ()
+    return {Iri(v) for v in listed} | {
+        t.subject for t in triples
+        if t.predicate.value == SKOS + "inScheme" and t.object == scheme} | {
+        t.object for t in triples if t.subject == scheme
+        and t.predicate.value in (SKOS + "member", SKOS + "hasTopConcept")}
+
+
+def _vocab_membership(triples, params) -> set:
+    """Scheme mode: values of the property, on subjects in scope, outside
+    the scheme. qb-codelist mode: resource values of a dimension on an
+    observation outside one of the dimension's code lists that is neither
+    a literal nor a hierarchical code list; these graphs hold no data
+    structure definition, so the dimensions are the nodes typed so."""
+    types = _closed_types(triples)
+
+    def typed(node, cls: str) -> bool:
+        return cls in types.get(node, set())
+
+    if params.get("mode", "scheme") == "scheme":
+        prop, scope = params["property"], params.get("scope")
+        members = _scheme_members(triples, Iri(params["scheme"]))
+        return {(str(t.subject), str(t.object)) for t in triples
+                if t.predicate.value == prop and t.object not in members
+                and (scope is None or typed(t.subject, scope))}
+    out = set()
+    for d in {node for node in types if typed(node, QB + "DimensionProperty")}:
+        for code_list in {t.object for t in triples
+                          if t.subject == d and t.predicate.value == QB + "codeList"}:
+            if isinstance(code_list, Literal) or typed(code_list, QB + "HierarchicalCodeList"):
+                continue
+            members = _scheme_members(triples, code_list)
+            out |= {(str(t.subject), str(t.object)) for t in triples
+                    if t.predicate == d and typed(t.subject, QB + "Observation")
+                    and not isinstance(t.object, Literal) and t.object not in members}
+    return out
+
+
 _DISCO_ORACLES = {
     "disjoint-properties": _disjoint_properties,
     "disjoint-classes": _disjoint_classes,
@@ -693,6 +921,11 @@ _DISCO_ORACLES = {
     "html-balance": _html_balance,
     "value-datatype": _value_datatype,
     "presence": _presence,
+    "subproperty": _subproperty,
+    "inverse-pair": _inverse_pair,
+    "asymmetric-property": _asymmetric,
+    "equivalent-properties": _equivalent,
+    "vocab-membership": _vocab_membership,
 }
 
 
@@ -761,3 +994,33 @@ def test_presence_matches_its_oracle(triples):
 @settings(max_examples=200, deadline=None)
 def test_presence_by_path_matches_its_oracle(triples):
     _agrees("presence", triples)
+
+
+@given(_counterpart_graphs())
+@settings(max_examples=200, deadline=None)
+def test_subproperties_match_their_oracle(triples):
+    _agrees("subproperty", triples)
+
+
+@given(_counterpart_graphs())
+@settings(max_examples=200, deadline=None)
+def test_inverse_pairs_match_their_oracle(triples):
+    _agrees("inverse-pair", triples)
+
+
+@given(_counterpart_graphs())
+@settings(max_examples=200, deadline=None)
+def test_asymmetric_properties_match_their_oracle(triples):
+    _agrees("asymmetric-property", triples)
+
+
+@given(_counterpart_graphs())
+@settings(max_examples=200, deadline=None)
+def test_equivalent_properties_match_their_oracle(triples):
+    _agrees("equivalent-properties", triples)
+
+
+@given(_membership_graphs())
+@settings(max_examples=200, deadline=None)
+def test_vocab_membership_matches_its_oracle(triples):
+    _agrees("vocab-membership", triples)
