@@ -4,6 +4,15 @@ Type membership is closed-world: a node is an instance of a class iff an
 rdf:type triple says so, directly or through the inventory's subclass
 edges. No domain/range inference happens here, since inferring types would mask
 the very modeling errors the checkers look for.
+
+Beside the plain lookups, three serve the shapes that many constraints
+share. ``lacking`` gives the statements with no counterpart statement: the
+sub-, equivalent and inverse property checkers and the SKOS
+solely-transitive and unidirectional modes use it. ``unordered_pairs``
+gives each pair of resources a property relates, once: the asymmetric
+property checker, the valueless-associative mode and the relation and
+mapping clashes use it. ``scheme_members`` gives the members of a concept
+scheme or code list, for both modes of ``vocab-membership``.
 """
 
 from __future__ import annotations
@@ -15,8 +24,8 @@ from operator import attrgetter
 
 from ..catalog import Catalog
 from ..graph import Graph
-from ..namespaces import RDF_TYPE
-from ..terms import _IRIS, Iri, Literal, Term, term_sort_key
+from ..namespaces import RDF_TYPE, SKOS
+from ..terms import _IRIS, Iri, Literal, Term, Triple, term_sort_key
 
 _EMPTY_CATALOG = Catalog({}, {})
 
@@ -103,6 +112,44 @@ class GraphContext:
     def literal_objects(self, node: Term, prop: str) -> list[Literal]:
         return [o for o in self.graph.objects(node, _IRIS[prop]) if isinstance(o, Literal)]
 
+    def lacking(self, prop: str, counterpart: str, inverse: bool = False) -> list[Triple]:
+        """The ``prop`` statements (s, prop, o) with no (s, counterpart, o)
+        or, with ``inverse``, no (o, counterpart, s). An inverse leaves out
+        the statements whose object is a literal, as no statement has a
+        literal subject."""
+        objects, other = self.graph.objects, _IRIS[counterpart]
+        if inverse:
+            return [
+                t for t in self.statements(prop)
+                if not isinstance(t.object, Literal) and t.subject not in objects(t.object, other)
+            ]
+        return [t for t in self.statements(prop) if t.object not in objects(t.subject, other)]
+
+    def unordered_pairs(self, prop: str) -> list[tuple[Term, Term]]:
+        """Each pair of distinct resources that ``prop`` relates, once, the
+        smaller term first, in the order of their first statements."""
+        pairs: dict[tuple[Term, Term], None] = {}
+        for t in self.statements(prop):
+            a, b = t.subject, t.object
+            if isinstance(b, Literal) or a == b:
+                continue
+            if term_sort_key(b) < term_sort_key(a):
+                a, b = b, a
+            pairs[a, b] = None
+        return list(pairs)
+
+    def scheme_members(self, node: Term) -> set[Term]:
+        """The members of a concept scheme or code list: what is
+        skos:inScheme it, what it names by skos:member or
+        skos:hasTopConcept, and, for an IRI, what the catalog's controlled
+        vocabularies list under it."""
+        members = set(self.subjects(SKOS + "inScheme", node))
+        members.update(self.objects(node, SKOS + "member"))
+        members.update(self.objects(node, SKOS + "hasTopConcept"))
+        if isinstance(node, Iri):
+            members.update(map(Iri, self.catalog.controlled_vocabularies.get(node.value, ())))
+        return members
+
     def follow_path(self, node: Term, path: list[str]) -> list[Term]:
         """Walk a property path; ``^p`` steps go backward, ``@members``
         expands a code-list node (scheme members, collection members, or a
@@ -148,7 +195,6 @@ def collection_members(ctx: GraphContext, node: Term) -> list[Term]:
     sound prefix), skos:member, and inverse skos:inScheme.
     """
     from ..graph import MalformedListError, walk_rdf_list
-    from ..namespaces import SKOS
 
     heads = ctx.objects(node, SKOS + "memberList")
     if heads:

@@ -423,25 +423,10 @@ def check_qb_codelist_membership(
         for code_list in ctx.objects(dim, QB + "codeList"):
             if isinstance(code_list, Literal) or ctx.has_type(code_list, hcl_cls):
                 continue
-            members: set[Term] = set(ctx.subjects(SKOS + "inScheme", code_list))
-            members.update(
-                o for o in ctx.objects(code_list, SKOS + "member")
-                if not isinstance(o, Literal)
-            )
-            members.update(
-                o for o in ctx.objects(code_list, SKOS + "hasTopConcept")
-                if not isinstance(o, Literal)
-            )
-            listed: set[str] = set()
-            if isinstance(code_list, Iri):
-                listed = set(ctx.catalog.controlled_vocabularies.get(code_list.value, ()))
+            members = ctx.scheme_members(code_list)
             for obs in cube.observations:
                 for value in ctx.graph.objects(obs, dim):
-                    if isinstance(value, Literal):
-                        continue
-                    if value in members:
-                        continue
-                    if isinstance(value, Iri) and value.value in listed:
+                    if isinstance(value, Literal) or value in members:
                         continue
                     name = (
                         compact(code_list.value)

@@ -81,14 +81,13 @@ class Component:
 
 @dataclass
 class Dsd:
-    """A data structure definition; ``dimensions``, ``measures`` and
-    ``attributes`` hold its component properties of each kind."""
+    """A data structure definition; ``dimensions`` and ``measures`` hold
+    its component properties of each kind."""
 
     node: Term
     components: list[Component]
     dimensions: list[Term] = field(init=False)
     measures: list[Term] = field(init=False)
-    attributes: list[Term] = field(init=False)
 
     def __post_init__(self) -> None:
         def props(kind: str) -> list[Term]:
@@ -99,7 +98,6 @@ class Dsd:
 
         self.dimensions = props("dimension")
         self.measures = props("measure")
-        self.attributes = props("attribute")
 
     def all_props(self) -> set[Term]:
         return {c.prop for c in self.components if c.prop is not None}

@@ -2,7 +2,10 @@
 
 Every checker is a pure function of (context, parameters): no state, no
 mutation. Findings come back in any order and carry no constraint id or
-severity; the engine stamps both on each and sorts them.
+severity; the engine stamps both on each and sorts them. The subproperty,
+inverse-pair and equivalent-properties checkers read the context's
+``lacking`` statements, the asymmetric one its ``unordered_pairs`` and
+vocab-membership its ``scheme_members``.
 """
 
 from __future__ import annotations
@@ -48,20 +51,16 @@ def check_subproperty(
     superproperty: str,
 ) -> list[Finding]:
     """(x, prop, y) without the entailed (x, superproperty, y)."""
-    sup = Iri(superproperty)
-    out = []
-    for triple in ctx.statements(prop):
-        if triple.object not in ctx.graph.objects(triple.subject, sup):
-            out.append(
-                finding(
-                    triple.subject,
-                    triple.object,
-                    f"{compact(prop)} statement lacks the implied "
-                    f"{compact(superproperty)} statement for {triple.object}",
-                    (prop, superproperty),
-                )
-            )
-    return out
+    return [
+        finding(
+            triple.subject,
+            triple.object,
+            f"{compact(prop)} statement lacks the implied "
+            f"{compact(superproperty)} statement for {triple.object}",
+            (prop, superproperty),
+        )
+        for triple in ctx.lacking(prop, superproperty)
+    ]
 
 
 def check_domain(
@@ -219,37 +218,17 @@ def check_inverse_pair(
     several domains and only one leg carries the inverse contract.
     """
     out = []
-    inv = Iri(inverse)
-    fwd = Iri(prop)
-    for triple in ctx.statements(prop):
-        x, y = triple.subject, triple.object
-        if isinstance(y, Literal):
-            continue
-        if scope is not None and not ctx.has_type(x, scope):
-            continue
-        if x not in ctx.graph.objects(y, inv):
+    # each leg, and which end of its statements is the prop-subject
+    for p, q, scoped in ((prop, inverse, "subject"), (inverse, prop, "object")):
+        for triple in ctx.lacking(p, q, inverse=True):
+            s, o = triple.subject, triple.object
+            if scope is not None and not ctx.has_type(getattr(triple, scoped), scope):
+                continue
             out.append(
                 finding(
-                    x,
-                    y,
-                    f"({x} {compact(prop)} {y}) lacks the inverse "
-                    f"({y} {compact(inverse)} {x})",
-                    (prop, inverse),
-                )
-            )
-    for triple in ctx.statements(inverse):
-        y, x = triple.subject, triple.object
-        if isinstance(x, Literal):
-            continue
-        if scope is not None and not ctx.has_type(x, scope):
-            continue
-        if y not in ctx.graph.objects(x, fwd):
-            out.append(
-                finding(
-                    y,
-                    x,
-                    f"({y} {compact(inverse)} {x}) lacks the inverse "
-                    f"({x} {compact(prop)} {y})",
+                    s,
+                    o,
+                    f"({s} {compact(p)} {o}) lacks the inverse ({o} {compact(q)} {s})",
                     (prop, inverse),
                 )
             )
@@ -261,28 +240,17 @@ def check_asymmetric(
     prop: str,
 ) -> list[Finding]:
     """Unordered pairs {x, y}, x != y, connected in both directions."""
-    out = []
-    reported: set[tuple[Term, Term]] = set()
-    for triple in ctx.statements(prop):
-        x, y = triple.subject, triple.object
-        if isinstance(y, Literal) or x == y:
-            continue
-        key = tuple(sorted((x, y), key=term_sort_key))
-        if key in reported:
-            continue
-        if x in ctx.graph.objects(y, Iri(prop)):
-            reported.add(key)  # type: ignore[arg-type]
-            a, b = key
-            out.append(
-                finding(
-                    a,
-                    b,
-                    f"{compact(prop)} is asymmetric but connects {a} and {b} "
-                    "in both directions",
-                    (prop,),
-                )
-            )
-    return out
+    return [
+        finding(
+            a,
+            b,
+            f"{compact(prop)} is asymmetric but connects {a} and {b} "
+            "in both directions",
+            (prop,),
+        )
+        for a, b in ctx.unordered_pairs(prop)
+        if b in ctx.objects(a, prop) and a in ctx.objects(b, prop)
+    ]
 
 
 def check_irreflexive(
@@ -590,32 +558,19 @@ def check_vocab_membership(
     to the controlled vocabulary ``scheme``: either (value skos:inScheme
     scheme) is asserted, the scheme lists the value via
     skos:member/skos:hasTopConcept, or the catalog inventory enumerates it."""
-    from ..namespaces import SKOS
-
-    scheme_node = Iri(scheme)
-    listed = set(ctx.catalog.controlled_vocabularies.get(scheme, ()))
-    in_scheme = set(ctx.subjects(SKOS + "inScheme", scheme_node))
-    in_scheme.update(ctx.objects(scheme_node, SKOS + "member"))
-    in_scheme.update(ctx.objects(scheme_node, SKOS + "hasTopConcept"))
-    out = []
-    for triple in ctx.statements(property):
-        if scope is not None and not ctx.has_type(triple.subject, scope):
-            continue
-        value = triple.object
-        if value in in_scheme:
-            continue
-        if isinstance(value, Iri) and value.value in listed:
-            continue
-        out.append(
-            finding(
-                triple.subject,
-                value,
-                f"value {value} of {compact(property)} is not a member of the "
-                f"controlled vocabulary {compact(scheme)}",
-                (property, scheme),
-            )
+    members = ctx.scheme_members(Iri(scheme))
+    return [
+        finding(
+            triple.subject,
+            triple.object,
+            f"value {triple.object} of {compact(property)} is not a member of the "
+            f"controlled vocabulary {compact(scheme)}",
+            (property, scheme),
         )
-    return out
+        for triple in ctx.statements(property)
+        if triple.object not in members
+        and (scope is None or ctx.has_type(triple.subject, scope))
+    ]
 
 
 def check_deprecated_terms(
@@ -706,27 +661,15 @@ def check_equivalent_properties(
     without ``pairs``, the pairs ``vocabulary`` declares."""
     if pairs is None:
         pairs = ctx.catalog.inventory(vocabulary).equivalent_property_pairs
-    out = []
-    for p, q in pairs:
-        out.extend(
-            _one_sided(ctx, p, q) + _one_sided(ctx, q, p)
+    return [
+        finding(
+            triple.subject,
+            f"{compact(present)}|{triple.object}",
+            f"statement uses {compact(present)} without its declared "
+            f"equivalent {compact(missing)} for {triple.object}",
+            (present, missing),
         )
-    return out
-
-
-def _one_sided(
-    ctx: GraphContext, present: str, missing: str
-) -> list[Finding]:
-    out = []
-    for triple in ctx.statements(present):
-        if triple.object not in ctx.graph.objects(triple.subject, Iri(missing)):
-            out.append(
-                finding(
-                    triple.subject,
-                    f"{compact(present)}|{triple.object}",
-                    f"statement uses {compact(present)} without its declared "
-                    f"equivalent {compact(missing)} for {triple.object}",
-                    (present, missing),
-                )
-            )
-    return out
+        for p, q in pairs
+        for present, missing in ((p, q), (q, p))
+        for triple in ctx.lacking(present, missing)
+    ]

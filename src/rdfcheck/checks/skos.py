@@ -7,7 +7,9 @@ is its own ``check_*`` function, which the registry's tables pick by the
 ``mode`` parameter. As in qSKOS, the orphan, disconnected, unidirectional,
 undocumented, missing-label, overlapping and ambiguous-notation modes read
 the statements of their relations once instead of probing the graph
-concept by concept.
+concept by concept. The solely-transitive and unidirectional modes read
+the context's ``lacking`` statements; the valueless-associative mode and
+the relation and mapping clashes read its ``unordered_pairs``.
 """
 
 from __future__ import annotations
@@ -142,10 +144,7 @@ def check_cycles(ctx, hierarchy, *, depth_limit=None) -> list[Finding]:
     components = strongly_connected_components(hierarchy.nodes, lambda n: succ.get(n, []))
     out = []
     for component in components:
-        is_cycle = len(component) > 1 or (
-            component[0] in succ.get(component[0], [])
-            or (component[0], component[0]) in hierarchy.edges
-        )
+        is_cycle = len(component) > 1 or component[0] in succ.get(component[0], [])
         if not is_cycle:
             continue
         members = ", ".join(str(n) for n in component)
@@ -166,68 +165,49 @@ def check_valueless_associative(ctx, hierarchy, *, depth_limit=None) -> list[Fin
     parents: dict[Term, set[Term]] = {}
     for child, parent in hierarchy.edges:
         parents.setdefault(child, set()).add(parent)
-    seen: set[tuple[Term, Term]] = set()
-    out = []
-    for t in ctx.statements(SKOS + "related"):
-        a, b = t.subject, t.object
-        if isinstance(b, Literal) or a == b:
-            continue
-        if term_sort_key(b) < term_sort_key(a):
-            a, b = b, a
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        if not parents.get(a, _NO_PARENTS).isdisjoint(parents.get(b, _NO_PARENTS)):
-            out.append(
-                finding(
-                    a, str(b),
-                    f"sibling concepts {a} and {b} are also connected "
-                    "by skos:related; the associative relation adds no "
-                    "value",
-                )
-            )
-    return out
+    return [
+        finding(
+            a, str(b),
+            f"sibling concepts {a} and {b} are also connected "
+            "by skos:related; the associative relation adds no "
+            "value",
+        )
+        for a, b in ctx.unordered_pairs(SKOS + "related")
+        if not parents.get(a, _NO_PARENTS).isdisjoint(parents.get(b, _NO_PARENTS))
+    ]
 
 
 def check_solely_transitive(ctx, *, depth_limit=None) -> list[Finding]:
-    out = []
-    for trans, direct in (
-        (SKOS + "broaderTransitive", SKOS + "broader"),
-        (SKOS + "narrowerTransitive", SKOS + "narrower"),
-    ):
-        for triple in ctx.statements(trans):
-            if isinstance(triple.object, Literal):
-                continue
-            if triple.object not in ctx.objects(triple.subject, direct):
-                out.append(
-                    finding(
-                        triple.subject, f"{compact(trans)}|{triple.object}",
-                        f"{compact(trans)} is not meant for assertions; "
-                        f"{triple.subject} and {triple.object} are related by "
-                        "it alone", (trans,),
-                    )
-                )
-    return out
+    return [
+        finding(
+            triple.subject, f"{compact(trans)}|{triple.object}",
+            f"{compact(trans)} is not meant for assertions; "
+            f"{triple.subject} and {triple.object} are related by "
+            "it alone", (trans,),
+        )
+        for trans, direct in (
+            (SKOS + "broaderTransitive", SKOS + "broader"),
+            (SKOS + "narrowerTransitive", SKOS + "narrower"),
+        )
+        for triple in ctx.lacking(trans, direct)
+        if not isinstance(triple.object, Literal)
+    ]
 
 
 def check_unidirectional(ctx, *, depth_limit=None) -> list[Finding]:
     out = []
     for prop, inverse in INVERSE_TABLE.items():
-        stated = {(t.subject, t.object) for t in ctx.statements(inverse)}
         shown, shown_inverse = compact(prop), compact(inverse)
         path = (prop,)  # one check path for all of this property's findings
-        for triple in ctx.statements(prop):
+        for triple in ctx.lacking(prop, inverse, inverse=True):
             s, o = triple.subject, triple.object
-            if isinstance(o, Literal) or (prop == inverse and s == o):
-                continue
-            if (o, s) not in stated:
-                out.append(
-                    finding(
-                        s, f"{shown}|{o}",
-                        f"({s} {shown} {o}) lacks the reciprocal {shown_inverse} statement",
-                        path,
-                    )
+            out.append(
+                finding(
+                    s, f"{shown}|{o}",
+                    f"({s} {shown} {o}) lacks the reciprocal {shown_inverse} statement",
+                    path,
                 )
+            )
     return out
 
 
@@ -353,23 +333,15 @@ def check_relation_clash(ctx, hierarchy: HierarchyGraph) -> list[Finding]:
     succ = hierarchy.successor_map
     reach_cache: dict[Term, set[Term]] = {}
     out = []
-    seen_pairs: set[tuple[Term, Term]] = set()
-    for triple in ctx.statements(SKOS + "related"):
-        a, b = triple.subject, triple.object
-        if isinstance(b, Literal) or a == b:
-            continue
-        key = tuple(sorted((a, b), key=term_sort_key))
-        if key in seen_pairs:
-            continue
-        seen_pairs.add(key)  # type: ignore[arg-type]
+    for a, b in ctx.unordered_pairs(SKOS + "related"):
         for src, dst in ((a, b), (b, a)):
             if src not in reach_cache:
                 reach_cache[src] = _reachable(succ, src)
             if dst in reach_cache[src]:
                 out.append(
                     finding(
-                        key[0], str(key[1]),
-                        f"concepts {key[0]} and {key[1]} are associatively "
+                        a, str(b),
+                        f"concepts {a} and {b} are associatively "
                         "related and also hierarchically connected (SKOS S27)",
                     )
                 )
@@ -380,11 +352,8 @@ def check_relation_clash(ctx, hierarchy: HierarchyGraph) -> list[Finding]:
 def _pair_props(ctx, props) -> dict[tuple[Term, Term], set[str]]:
     pairs: dict[tuple[Term, Term], set[str]] = {}
     for prop in props:
-        for triple in ctx.statements(prop):
-            if isinstance(triple.object, Literal) or triple.subject == triple.object:
-                continue
-            key = tuple(sorted((triple.subject, triple.object), key=term_sort_key))
-            pairs.setdefault(key, set()).add(prop)  # type: ignore[arg-type]
+        for pair in ctx.unordered_pairs(prop):
+            pairs.setdefault(pair, set()).add(prop)
     return pairs
 
 

@@ -589,9 +589,10 @@ def _counterpart_graphs(draw) -> list[Triple]:
         triples.append(Triple(s, p, o))
         if same:
             triples.append(Triple(s, q, o))
-        if not isinstance(o, Literal):
-            triples += [Triple(o, q, s)] if back else []
-            triples += [Triple(o, p, s)] if both else []
+        if back and not isinstance(o, Literal):
+            triples.append(Triple(o, q, s))
+        if both and not isinstance(o, Literal):
+            triples.append(Triple(o, p, s))
     return triples
 
 

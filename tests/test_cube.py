@@ -324,7 +324,7 @@ def test_fixture_cube_extraction(cube_fixture):
     [dsd] = cube.dsds.values()
     assert len(dsd.dimensions) == 2
     assert len(dsd.measures) == 1
-    assert len(dsd.attributes) == 1
+    assert sum(c.kind == "attribute" for c in dsd.components) == 1
 
 
 def test_catalog_domain_of_ic_is_exactly_the_implemented_handlers():
